@@ -24,6 +24,12 @@ Vocabulary:
 A quiet plan (no models, no outages) is a *true no-op*: the sync
 layer bypasses it entirely and consumes no random draws, so results
 are bit-identical to a fault-free run.
+
+Plans with a fixed per-attempt draw shape — a single i.i.d. model or
+a single Gilbert–Elliott model (:meth:`FaultPlan.iid_profile`,
+:meth:`FaultPlan.ge_profile`) — are resolved in bulk ahead of the
+vectorized replay (:func:`repro.sim.fastpath.resolve_tape_faults`);
+every other plan runs on the per-event reference loop.
 """
 
 from __future__ import annotations
@@ -381,9 +387,10 @@ class FaultPlan:
         :class:`IIDFaultModel` (not a subclass), no outage windows,
         and a retryable failure outcome.  Such plans consume exactly
         one uniform draw per attempt with a fixed failure
-        probability, which is what lets the vectorized faulted replay
-        (:func:`repro.sim.fastpath.replay_fastpath_faulted`) pre-draw
-        every outcome and stay bit-identical to the per-event loop.
+        probability, which is what lets the vectorized resolver
+        (:func:`repro.sim.fastpath.resolve_iid_faults`) pre-draw
+        every outcome and keep the replay kernel bit-identical to
+        the per-event loop.
         Gilbert–Elliott chains, latency draws, outage windows and
         multi-model compositions are stateful or variable-draw and
         return None.
@@ -412,9 +419,10 @@ class FaultPlan:
         windows, and a retryable failure outcome.  Such plans consume
         exactly two uniform draws per attempt (transition, loss) plus
         one jitter draw per retry — a fixed per-attempt draw shape —
-        which is what lets the scan-vectorized GE kernel
+        which is what lets the scan-vectorized GE resolver
         (:func:`repro.sim.fastpath.resolve_ge_faults`) pre-draw the
-        fault stream and stay bit-identical to the per-event loop.
+        fault stream and keep the replay kernel bit-identical to the
+        per-event loop.
         The chain state itself is *stateful across attempts*, but it
         is threaded through the kernel explicitly via
         :meth:`GilbertElliottFaultModel.chain_states`.

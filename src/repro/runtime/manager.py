@@ -38,7 +38,6 @@ from repro.obs import registry as obs
 from repro.runtime.beliefs import BeliefState
 from repro.sim.evaluator import SimulationResult
 from repro.sim.fastpath import (
-    ReplayArena,
     replay_window_tapes,
     resolve_tape_faults,
 )
@@ -287,8 +286,6 @@ class AdaptiveMirrorManager:
         self._planned_unreachable: np.ndarray | None = None
         self._last_unreachable: np.ndarray | None = None
         self._outage_streak: np.ndarray | None = None
-        # Scratch buffers reused across window-batched kernel calls.
-        self._arena = ReplayArena()
 
     @property
     def beliefs(self) -> BeliefState:
@@ -667,15 +664,16 @@ class AdaptiveMirrorManager:
         identical) and resolves that period's faults immediately
         after its tape — workload draws then fault draws, period by
         period, which keeps even a *shared* fault stream
-        bit-identical to the sequential loop.  Tapes replay through
-        :func:`~repro.sim.fastpath.replay_window_tapes` in groups of
-        at most ``slab_periods`` periods (default: the
+        bit-identical to the sequential loop.  Tapes are drawn in
+        groups of at most ``slab_periods`` periods (default: the
         ``_SLAB_ELEMENT_BUDGET`` ceiling over the element count), so
-        peak memory is O(group) rather than O(window), and
-        observations fold period by period.  Reports are
-        bit-identical to an unsplit window: tapes are drawn in
-        period order either way, and the per-period kernel results
-        do not depend on how periods share a call.
+        peak memory is O(group) rather than O(window), and each
+        group goes to :func:`~repro.sim.fastpath.replay_window_tapes`,
+        which replays every period as its own one-period run of the
+        replay kernel; observations fold period by period.  Reports
+        are bit-identical to an unsplit window: tapes are drawn in
+        period order either way, and each period's result does not
+        depend on how periods share a call.
 
         If folding period ``j`` leaves the beliefs wanting a replan,
         the not-yet-folded tail is *rolled back*: the fault rng and
@@ -733,9 +731,6 @@ class AdaptiveMirrorManager:
                 if fault_args is None:
                     fault_args = simulation.fault_kernel_args()
                     assert fault_args is not None  # _batchable() gated
-                    if fault_args["kind"] == "ge":
-                        chain = fault_args["model"].chain_states(
-                            self._true_catalog.n_elements)
                 fault_states.append(
                     fault_args["rng"].bit_generator.state)
                 chain_snapshots.append(chain)
@@ -751,8 +746,7 @@ class AdaptiveMirrorManager:
                     self._true_catalog, self._frequencies, tapes,
                     period_length=1.0,
                     first_global_period=first_period + folded,
-                    fault_args=fault_args, resolutions=resolutions,
-                    arena=self._arena)
+                    fault_args=fault_args, resolutions=resolutions)
             for g, result in enumerate(results):
                 if g > 0:  # g == 0 was probed at the group boundary
                     pending, divergence = self._would_replan()

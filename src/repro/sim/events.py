@@ -14,9 +14,7 @@ Memory discipline: a tape is three parallel arrays (structure of
 arrays) — float64 times, int32 element ids, int8 kinds — 13 bytes
 per event instead of 24, which is what keeps 10⁶-element replay
 windows resident.  Element ids are validated to fit int32 (2³¹
-elements is far past the catalog sizes the solvers handle); the
-window batcher widens ids to int64 itself when it tiles several
-periods into one virtual element space.
+elements is far past the catalog sizes the solvers handle).
 """
 
 from __future__ import annotations

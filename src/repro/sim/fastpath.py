@@ -1,55 +1,45 @@
 """Vectorized replay of the simulation event tape.
 
-:func:`replay_fastpath` consumes the *same* merged event tape the
+Every vectorized route consumes the *same* merged event tape the
 per-event reference loop in :meth:`repro.sim.simulation.Simulation.run`
 walks, and produces a :class:`~repro.sim.evaluator.SimulationResult`
 that is **bit-identical** — not merely statistically equivalent — to
-the reference loop's.  The random draws all happen upstream (schedule
-phases, update stream, request stream), so the fault-free kernel is
-pure replay: it consumes no RNG and only has to reproduce the
-reference loop's floating-point operation *order*, element by element.
+the reference loop's.  There is one replay core: a
+:class:`ReplayCarry` of per-element copy state, folded forward one
+slab of the tape at a time by :func:`_replay_tape_chunk`.  The routes
+differ only in how they slice the tape:
 
-:func:`replay_fastpath_faulted` extends the same machinery to
-*stateless per-attempt loss* — a :class:`~repro.faults.model.FaultPlan`
-whose :meth:`~repro.faults.model.FaultPlan.iid_profile` is not None
-(one i.i.d. model, no outages; the dispatching `Simulation.run` also
-requires no breaker).  Such plans consume exactly one uniform draw
-per attempt plus one jitter draw per retry, so the whole fault stream
-can be pre-drawn in one vectorized pass and resolved into per-sync
-attempt counts and success flags (:func:`resolve_iid_faults`); the
-successful syncs are then folded through the fault-free copy-state
-machine unchanged.  Stateful plans — Gilbert–Elliott chains, latency
-draws (variable bitstream consumption), outage windows, breakers —
-stay on the reference loop; :meth:`Simulation.run` dispatches.
+* :class:`StreamingReplay` feeds consecutive whole-period slabs and
+  assembles the result once, from the carry;
+* :func:`replay_fastpath` is one slab, fed from
+  :meth:`ReplayCarry.start`;
+* :func:`replay_window_tapes` replays each one-period tape of an
+  adaptive-manager window as its own one-slab replay.
 
-:func:`replay_fastpath_ge` does the same for *single Gilbert–Elliott*
-plans (:meth:`~repro.faults.model.FaultPlan.ge_profile` not None).
-The chain is stateful across attempts, but its per-attempt draw shape
-is fixed — one transition draw, one loss draw, one jitter draw per
-retry — so :func:`resolve_ge_faults` pre-draws the pool, classifies
-each draw against the four thresholds (flip-from-good, flip-from-bad,
-loss-in-good, loss-in-bad) in bulk, and evolves the per-element burst
-state across each element's poll sequence: a true segmented scan
-(Hillis–Steele over associative state-function composition) on the
-retry-free path, a tight scalar cursor walk over the precomputed bit
-tables when retries or budget denials make draw consumption
-data-dependent.  The chain state is threaded through explicitly
-(:meth:`~repro.faults.model.GilbertElliottFaultModel.chain_states`),
-so consecutive runs sharing one plan object stay bit-identical to the
-reference loop's hidden ``_bad`` dict.
+Faults enter through one resolver, :func:`resolve_tape_faults`,
+before the replay: it dispatches on ``fault_args["kind"]`` to
+:func:`resolve_iid_faults` (one i.i.d. model, no outages or breaker)
+or :func:`resolve_ge_faults` (one Gilbert–Elliott model), which
+decide every scheduled sync's attempts and success; the failed syncs
+are then dropped from the slab and the survivors replay through the
+fault-free copy-state machine unchanged.  Stateful plans the
+resolvers cannot pre-draw — latency draws, outage windows, breakers,
+topologies, multi-model plans — stay on the reference loop;
+:meth:`Simulation.run` dispatches.
 
 How the loop is vectorized
 --------------------------
 
-The tape is regrouped per element with a stable sort, which preserves
+The slab is regrouped per element with a stable sort, which preserves
 each element's global event order (updates before syncs before
-accesses at equal timestamps, courtesy of the merge's lexsort).  The
+accesses at equal timestamps, courtesy of the merge).  The
 per-element monitor state machine is then reconstructed with segment
 operations:
 
 * the fresh/stale flag before each event comes from the last
   update/sync strictly before it (a segmented running maximum over
-  state-change positions);
+  state-change positions), or from the carried flag when no in-slab
+  state change precedes it;
 * stale-run start times (``stale_since``) carry forward from each
   run-opening update by the same trick;
 * fresh-time and age-integral increments are computed for every event
@@ -60,7 +50,10 @@ Bit-identity notes (all verified by the equivalence suite):
 * ``np.bincount`` accumulates its weights as an exact sequential
   left-fold per bin in input order — unlike ``np.sum`` or
   ``np.add.reduceat``, which use pairwise summation and would break
-  bit-identity with the loop's ``+=``.
+  bit-identity with the loop's ``+=``.  Prepending each element's
+  carried accumulator as its bin's first weight continues the fold
+  bit-exactly — left folds compose — so slab-by-slab replay of a tape
+  is bit-identical to the reference loop over the whole tape.
 * The reference loop squares *scalars* (``(time - since) ** 2`` on
   ``np.float64`` goes through libm ``pow``), while the monitor's
   ``close()`` squares *arrays* (``** 2`` lowers to ``x*x``).  These
@@ -73,38 +66,22 @@ Bit-identity notes (all verified by the equivalence suite):
   post-call state as ``n`` successive scalar ``random()`` calls, and
   ``Generator.uniform(low, high)`` consumes exactly one draw and
   equals ``low + (high - low) * random()`` bit-for-bit — which is
-  what lets :func:`resolve_iid_faults` pre-draw an oversized pool,
-  rewind the bit generator, and re-advance it by the exact number of
-  draws the reference channel would have consumed.
+  what lets the resolvers pre-draw an oversized pool, rewind the bit
+  generator, and re-advance it by the exact number of draws the
+  reference channel would have consumed.
 
-The one sequential piece of the faulted path is the per-period
+The one sequential piece of fault resolution is the per-period
 bandwidth ledger: how many draws a sync consumes depends on where
 earlier syncs left the pool cursor and the ledger, so the cursor walk
-is a tight O(n_syncs) scalar scan over precomputed attempt tables —
-everything per-event and per-attempt around it (outcome draws, retry
-columns, trace assembly, accounting folds, the tape replay itself)
-is vectorized.
-
-Streaming replay
-----------------
-
-:class:`StreamingReplay` runs the same copy-state machine over a
-horizon fed as consecutive whole-period *slabs* instead of one tape,
-so peak memory is O(slab), not O(horizon).  A :class:`ReplayCarry`
-threads every per-element quantity the kernel otherwise derives from
-"start of tape" across slab boundaries: the fresh flag, the open
-stale-run start, the last event time, the source version counter and
-last-polled version, and the partially folded accumulators.  Because
-``np.bincount`` folds weights per bin as an exact sequential left
-fold in input order, prepending each element's carried accumulator as
-that bin's first weight continues the fold bit-exactly — left folds
-compose — so slab-by-slab replay of a tape is bit-identical to
-one-shot replay of its concatenation, including telemetry, ledger,
-fault accounting and post-run rng/chain state.  Fault resolution runs
-per slab on the same rng (each slab's pool starts exactly where the
-previous slab's consumption ended); slabs must split at whole-period
-boundaries so the resolvers' per-period bandwidth ledger resets in
-the same places the one-shot walk resets it.
+is a tight O(n_syncs) scalar scan over precomputed attempt tables.
+The Gilbert–Elliott chain is stateful across attempts, but its draw
+shape is fixed (transition, loss, jitter per retry); on the
+retry-free, denial-free route its evolution is a segmented
+Hillis–Steele scan, and its per-element state is threaded explicitly
+(:meth:`~repro.faults.model.GilbertElliottFaultModel.chain_states`).
+Each slab's pool starts exactly where the previous slab's consumption
+ended; slabs split at whole-period boundaries so the per-period
+ledger resets in the same places the reference channel resets it.
 """
 
 from __future__ import annotations
@@ -120,7 +97,7 @@ from repro.contracts import (
     contracts_enabled,
 )
 from repro.errors import SimulationError
-from repro.faults.model import GilbertElliottFaultModel, PollOutcome
+from repro.faults.model import PollOutcome
 from repro.faults.retry import RetryPolicy
 from repro.obs import registry as obs
 from repro.sim.events import EventKind
@@ -128,10 +105,14 @@ from repro.sim.evaluator import SimulationResult
 from repro.workloads.catalog import Catalog
 
 __all__ = ["ReplayArena", "ReplayCarry", "StreamingReplay",
-           "replay_fastpath", "replay_fastpath_faulted",
-           "replay_fastpath_ge", "replay_window_tapes",
+           "replay_fastpath", "replay_window_tapes",
            "resolve_ge_faults", "resolve_iid_faults",
            "resolve_tape_faults"]
+
+#: Largest slab, in events, the replay kernel can index: its
+#: positional arrays are int32.
+_SLAB_EVENT_LIMIT = int(np.iinfo(np.int32).max)
+
 
 
 def _segment_starts(elements_sorted: np.ndarray
@@ -178,344 +159,6 @@ def _last_position_at_or_before(candidate_positions: np.ndarray,
     """
     running = np.maximum.accumulate(candidate_positions)
     return np.where(running >= segment_start_of, running, -1)
-
-
-@dataclass
-class _TapeReplay:
-    """Everything the copy-state machine measures from one tape.
-
-    Per-element arrays have one entry per element; the ``*_global``
-    flag arrays have one entry per tape event in *tape* order (None
-    for an empty tape).  Shared by the fault-free, faulted and
-    window-batched assembly paths.
-    """
-
-    element_freshness: np.ndarray
-    element_age: np.ndarray
-    poll_counts: np.ndarray
-    changed_poll_counts: np.ndarray
-    access_counts: np.ndarray
-    n_updates: int
-    n_syncs: int
-    n_accesses: int
-    useful_syncs: int
-    fresh_accesses: int
-    bandwidth_used: float
-    fresh_before_global: np.ndarray | None
-    run_start_global: np.ndarray | None
-    becomes_fresh_global: np.ndarray | None
-    changed_sync_global: np.ndarray | None
-
-
-def _replay_tape(n_elements: int, sizes: np.ndarray,
-                 times: np.ndarray, elements: np.ndarray,
-                 kinds: np.ndarray, *, horizon: float) -> _TapeReplay:
-    """Replay one merged event tape through the segment kernel.
-
-    Args:
-        n_elements: Number of mirrored elements (tape element ids may
-            be tiled copies, as in the window batch path).
-        sizes: Per-element transfer sizes, in size units; shape
-            ``(n_elements,)``.
-        times: Merged event times, globally time-ordered, in clock
-            units.
-        elements: Element id per merged event.
-        kinds: :class:`~repro.sim.events.EventKind` per merged event.
-        horizon: Total simulated clock time per element, in clock
-            units.
-
-    Returns:
-        The :class:`_TapeReplay` measurements, bit-identical to the
-        reference loop's for the same tape.
-    """
-    n_events = int(times.shape[0])
-    update_kind = int(EventKind.UPDATE)
-    sync_kind = int(EventKind.SYNC)
-
-    if n_events:
-        # Structure-of-arrays dtype discipline: event counts fit
-        # int32 by a wide margin (a 10⁶-element run is a few million
-        # events), and halving every positional index array is what
-        # keeps the 10⁶-element replay inside the CI memory ceiling.
-        if n_events >= np.iinfo(np.int32).max:
-            raise SimulationError(
-                f"tape of {n_events} events overflows int32 positions")
-        order = np.argsort(elements, kind="stable")
-        element_of = elements[order]
-        time_of = times[order]
-        kind_of = kinds[order]
-        positions = np.arange(n_events, dtype=np.int32)
-
-        new_segment, segment_start_of = _segment_starts(element_of)
-        segment_start_of = segment_start_of.astype(np.int32, copy=False)
-        segment_start_positions = np.flatnonzero(new_segment)
-        segment_end_positions = np.append(
-            segment_start_positions[1:] - 1, n_events - 1)
-        present = element_of[segment_start_positions]
-
-        previous_time = _shift_within_segment(time_of, new_segment, 0.0)
-        if (time_of < previous_time).any():
-            raise SimulationError("event tape is not time-ordered")
-        elapsed = time_of - previous_time
-
-        is_update = kind_of == update_kind
-        is_sync = kind_of == sync_kind
-        is_access = ~is_update & ~is_sync
-
-        # --- monitor state before each event -------------------------
-        # The fresh flag before event k is decided by the last update
-        # or sync strictly before k in its segment (fresh initially).
-        state_change_positions = np.where(is_update | is_sync,
-                                          positions, -1)
-        last_state_change = _last_position_at_or_before(
-            state_change_positions, segment_start_of)
-        previous_state_change = np.empty_like(last_state_change)
-        previous_state_change[0] = -1
-        previous_state_change[1:] = last_state_change[:-1]
-        previous_state_change = np.where(
-            previous_state_change >= segment_start_of,
-            previous_state_change, -1)
-        fresh_before = ((previous_state_change < 0)
-                        | (kind_of[np.maximum(previous_state_change, 0)]
-                           == sync_kind))
-
-        # The first unseen update opens a stale run and pins
-        # stale_since; later updates extend it without resetting.
-        run_start = is_update & fresh_before
-        run_start_positions = np.where(run_start, positions, -1)
-        # Inclusive-at-k is safe: a run-starting event is itself fresh
-        # and never reads `since`.
-        since_position = _last_position_at_or_before(
-            run_start_positions, segment_start_of)
-        stale_since = time_of[np.maximum(since_position, 0)]
-
-        # --- per-event increments, folded per element ----------------
-        # The reference loop squares np.float64 *scalars* (libm pow);
-        # np.float_power is the array op that matches it bit-for-bit,
-        # where array ** 2 (x*x) would not.
-        end_offset = time_of - stale_since
-        start_offset = previous_time - stale_since
-        age_increment = 0.5 * (np.float_power(end_offset, 2.0)
-                               - np.float_power(start_offset, 2.0))
-        fresh_time = np.bincount(
-            element_of, weights=np.where(fresh_before, elapsed, 0.0),
-            minlength=n_elements)
-        age_integral = np.bincount(
-            element_of,
-            weights=np.where(fresh_before, 0.0, age_increment),
-            minlength=n_elements)
-
-        # --- final state per element, for the horizon flush ----------
-        last_time = np.zeros(n_elements)
-        last_time[present] = time_of[segment_end_positions]
-        final_state_change = last_state_change[segment_end_positions]
-        fresh_final = np.ones(n_elements, dtype=bool)
-        fresh_final[present] = (
-            (final_state_change < 0)
-            | (kind_of[np.maximum(final_state_change, 0)] == sync_kind))
-        final_since_position = since_position[segment_end_positions]
-        stale_since_final = np.zeros(n_elements)
-        stale_since_final[present] = np.where(
-            final_since_position >= 0,
-            time_of[np.maximum(final_since_position, 0)], 0.0)
-
-        # --- mirror bookkeeping: polls, changed polls, accesses ------
-        # Version arithmetic is integer-exact: the source version of
-        # an element at any event equals its update count so far, and
-        # a poll finds a change iff that count grew since its previous
-        # poll (the copy starts at version 0 = zero updates).
-        updates_so_far = np.cumsum(is_update, dtype=np.int32)
-        updates_before = ((updates_so_far - is_update)
-                          - (updates_so_far[segment_start_of]
-                             - is_update[segment_start_of]))
-        sync_positions = np.flatnonzero(is_sync)
-        sync_elements = element_of[sync_positions]
-        sync_versions = updates_before[sync_positions]
-        previous_versions = np.zeros_like(sync_versions)
-        if sync_versions.shape[0]:
-            previous_versions[1:] = sync_versions[:-1]
-            first_poll = np.empty(sync_versions.shape[0], dtype=bool)
-            first_poll[0] = True
-            np.not_equal(sync_elements[1:], sync_elements[:-1],
-                         out=first_poll[1:])
-            previous_versions[first_poll] = 0
-        changed = sync_versions > previous_versions
-
-        poll_counts = np.bincount(
-            sync_elements, minlength=n_elements).astype(np.int64)
-        changed_poll_counts = np.bincount(
-            sync_elements[changed],
-            minlength=n_elements).astype(np.int64)
-        useful_syncs = int(np.count_nonzero(changed))
-        n_syncs = int(sync_positions.shape[0])
-        n_updates = int(np.count_nonzero(is_update))
-
-        access_positions = np.flatnonzero(is_access)
-        access_elements = element_of[access_positions]
-        # An access sees fresh data iff the copy version equals the
-        # source version, which is exactly the monitor's flag.
-        access_fresh = fresh_before[access_positions]
-        n_accesses = int(access_positions.shape[0])
-        fresh_accesses = int(np.count_nonzero(access_fresh))
-        access_counts = np.bincount(
-            access_elements, minlength=n_elements).astype(np.int64)
-
-        # Bandwidth is a sequential float fold over syncs in *global*
-        # time order (the mirror accumulates across elements as the
-        # tape plays); a single-bin bincount reproduces the fold.
-        global_sync = kinds == sync_kind
-        sync_sizes = sizes[elements[global_sync]]
-        bandwidth_used = float(np.bincount(
-            np.zeros(sync_sizes.shape[0], dtype=np.intp),
-            weights=sync_sizes, minlength=1)[0])
-
-        # Scatter the sorted-order flags back to tape order for the
-        # telemetry series and the window-batch split.
-        fresh_before_global = np.empty(n_events, dtype=bool)
-        fresh_before_global[order] = fresh_before
-        run_start_global = np.empty(n_events, dtype=bool)
-        run_start_global[order] = run_start
-        becomes_fresh_global = np.empty(n_events, dtype=bool)
-        becomes_fresh_global[order] = is_sync & ~fresh_before
-        changed_sync_global = np.zeros(n_events, dtype=bool)
-        changed_sync_global[order[sync_positions[changed]]] = True
-    else:  # an empty tape: every copy stays fresh to the horizon
-        fresh_time = np.zeros(n_elements)
-        age_integral = np.zeros(n_elements)
-        last_time = np.zeros(n_elements)
-        fresh_final = np.ones(n_elements, dtype=bool)
-        stale_since_final = np.zeros(n_elements)
-        poll_counts = np.zeros(n_elements, dtype=np.int64)
-        changed_poll_counts = np.zeros(n_elements, dtype=np.int64)
-        access_counts = np.zeros(n_elements, dtype=np.int64)
-        useful_syncs = n_syncs = n_updates = 0
-        n_accesses = fresh_accesses = 0
-        bandwidth_used = 0.0
-        fresh_before_global = None
-        run_start_global = None
-        becomes_fresh_global = None
-        changed_sync_global = None
-
-    # --- horizon flush: mirrors FreshnessMonitor.close() exactly ----
-    # (array ** 2 here on purpose — close() squares arrays).
-    remaining = horizon - last_time
-    if (remaining < -1e-9).any():
-        raise SimulationError("events were recorded beyond the horizon")
-    fresh_time += np.maximum(remaining, 0.0) * fresh_final
-    stale = ~fresh_final & (remaining > 0.0)
-    if stale.any():
-        since = stale_since_final[stale]
-        start = last_time[stale]
-        age_integral[stale] += 0.5 * (
-            (horizon - since) ** 2 - (start - since) ** 2)
-
-    return _TapeReplay(
-        element_freshness=fresh_time / horizon,
-        element_age=age_integral / horizon,
-        poll_counts=poll_counts,
-        changed_poll_counts=changed_poll_counts,
-        access_counts=access_counts,
-        n_updates=n_updates,
-        n_syncs=n_syncs,
-        n_accesses=n_accesses,
-        useful_syncs=useful_syncs,
-        fresh_accesses=fresh_accesses,
-        bandwidth_used=bandwidth_used,
-        fresh_before_global=fresh_before_global,
-        run_start_global=run_start_global,
-        becomes_fresh_global=becomes_fresh_global,
-        changed_sync_global=changed_sync_global,
-    )
-
-
-# seedflow: pair=repro.sim.simulation.Simulation.run
-def replay_fastpath(catalog: Catalog, frequencies: np.ndarray,
-                    times: np.ndarray, elements: np.ndarray,
-                    kinds: np.ndarray, *, horizon: float,
-                    period_length: float, n_periods: float,
-                    ledger_time_offset: float = 0.0
-                    ) -> SimulationResult:
-    """Replay a merged fault-free event tape without the Python loop.
-
-    Args:
-        catalog: The simulated workload.
-        frequencies: The schedule's per-element sync frequencies, in
-            syncs per period.
-        times: Merged event times, globally time-ordered.
-        elements: Element id per merged event.
-        kinds: :class:`~repro.sim.events.EventKind` per merged event.
-        horizon: Total simulated clock time.
-        period_length: Clock length of one sync period.
-        n_periods: Periods simulated (may be fractional).
-        ledger_time_offset: Added to event times when feeding the
-            freshness ledger, in clock units (whole periods) — the
-            quiet-path analogue of the faulted kernel's
-            ``fault_time_offset``, so per-period manager runs stamp
-            the ledger on the global clock.
-
-    Returns:
-        A :class:`SimulationResult` bit-identical to the reference
-        loop's for the same tape.
-    """
-    sizes = np.asarray(catalog.sizes, dtype=float)
-    replay = _replay_tape(catalog.n_elements, sizes, times, elements,
-                          kinds, horizon=horizon)
-    p = catalog.access_probabilities
-    perceived_by_accesses = (
-        replay.fresh_accesses / replay.n_accesses
-        if replay.n_accesses
-        else float(p @ replay.element_freshness))
-
-    if obs.telemetry_enabled():
-        _emit_period_series(
-            times, elements, kinds, sizes,
-            replay.fresh_before_global, replay.run_start_global,
-            replay.becomes_fresh_global,
-            catalog.n_elements, period_length=period_length,
-            n_periods=n_periods, planned=float(sizes @ frequencies))
-        _emit_monitor_close(replay.element_freshness,
-                            replay.element_age, replay.n_accesses,
-                            replay.fresh_accesses, horizon)
-        _emit_ledger(times, elements, kinds,
-                     replay.run_start_global,
-                     time_offset=ledger_time_offset)
-        obs.counter_add("sim.runs")
-        obs.counter_add("sim.fastpath_runs")
-        obs.counter_add("sim.engine.fastpath")
-        obs.counter_add("sim.syncs", replay.n_syncs)
-        obs.counter_add("sim.useful_syncs", replay.useful_syncs)
-        obs.counter_add("sim.updates", replay.n_updates)
-        obs.counter_add("sim.accesses", replay.n_accesses)
-        obs.gauge_set("sim.bandwidth_used", replay.bandwidth_used)
-        obs.gauge_set("sim.monitored_perceived_freshness",
-                      float(perceived_by_accesses))
-        obs.gauge_set("sim.monitored_general_freshness",
-                      float(replay.element_freshness.mean()))
-
-    return SimulationResult(
-        catalog=catalog,
-        frequencies=frequencies,
-        horizon=horizon,
-        period_length=period_length,
-        n_updates=replay.n_updates,
-        n_syncs=replay.n_syncs,
-        n_accesses=replay.n_accesses,
-        useful_syncs=replay.useful_syncs,
-        bandwidth_used=replay.bandwidth_used,
-        monitored_perceived_freshness=float(perceived_by_accesses),
-        monitored_time_perceived=float(p @ replay.element_freshness),
-        monitored_general_freshness=float(
-            replay.element_freshness.mean()),
-        element_time_freshness=replay.element_freshness,
-        element_time_age=replay.element_age,
-        monitored_perceived_age=float(p @ replay.element_age),
-        access_counts=replay.access_counts,
-        poll_counts=replay.poll_counts,
-        changed_poll_counts=replay.changed_poll_counts,
-        attempted_polls=replay.n_syncs,
-        attempted_bandwidth=replay.bandwidth_used,
-    )
-
 
 @dataclass
 class FaultResolution:
@@ -999,351 +642,189 @@ def resolve_ge_faults(sync_times: np.ndarray,
         trace=trace), final_bad
 
 
-# seedflow: pair=repro.sim.simulation.Simulation.run
-def replay_fastpath_faulted(catalog: Catalog, frequencies: np.ndarray,
-                            times: np.ndarray, elements: np.ndarray,
-                            kinds: np.ndarray, *, horizon: float,
-                            period_length: float, n_periods: float,
-                            failure_probability: float,
-                            failure_outcome: PollOutcome,
-                            rng: np.random.Generator,
-                            retry_policy: RetryPolicy | None = None,
-                            bandwidth_budget: float | None = None,
-                            fault_time_offset: float = 0.0,
-                            record_fault_trace: bool = False
-                            ) -> SimulationResult:
-    """Replay a tape under stateless i.i.d. per-attempt loss.
 
-    Resolves every scheduled sync's fate with
-    :func:`resolve_iid_faults`, then replays the surviving tape —
-    all updates and accesses plus the *successful* syncs — through
-    the fault-free segment kernel.  Bit-identical to the reference
-    loop with a :class:`~repro.faults.channel.SyncChannel`, including
-    attempt/failure accounting, the fault trace and the telemetry
-    period series.
+def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
+                    sizes: np.ndarray, *, fault_args: dict,
+                    period_length: float,
+                    initial_bad: np.ndarray | None,
+                    record_trace: bool
+                    ) -> tuple[FaultResolution, np.ndarray | None]:
+    """Dispatch one batch of scheduled syncs to its plan's resolver.
 
-    Args:
-        catalog: The simulated workload.
-        frequencies: Per-element sync frequencies, in syncs/period.
-        times: Merged event times, globally time-ordered.
-        elements: Element id per merged event.
-        kinds: :class:`~repro.sim.events.EventKind` per merged event.
-        horizon: Total simulated clock time.
-        period_length: Clock length of one sync period.
-        n_periods: Periods simulated (may be fractional).
-        failure_probability: Per-attempt loss probability in [0, 1].
-        failure_outcome: Outcome reported on a failed attempt.
-        rng: The fault generator (shared or dedicated).
-        retry_policy: Backoff policy, or None to disable retries.
-        bandwidth_budget: Per-period attempt budget B in size units,
-            or None to disable the ledger.
-        fault_time_offset: Added to event times on the fault clock,
-            in clock units (whole periods).
-        record_fault_trace: Whether to carry the per-attempt trace.
-
-    Returns:
-        A :class:`SimulationResult` bit-identical to the reference
-        loop's for the same tape and fault stream.
+    The one place that reads ``fault_args["kind"]``; see
+    :func:`resolve_tape_faults` for the arguments.  ``sync_times``
+    are already on the fault clock.
     """
-    sizes = np.asarray(catalog.sizes, dtype=float)
-    sync_positions = np.flatnonzero(kinds == int(EventKind.SYNC))
-    sync_elements = elements[sync_positions]
-    sync_local_times = times[sync_positions]
-
+    if fault_args["kind"] == "ge":
+        model = fault_args["model"]
+        if initial_bad is None:
+            initial_bad = model.chain_states(sizes.shape[0])
+        return resolve_ge_faults(
+            sync_times, sync_elements, sizes,
+            p_good_to_bad=model.p_good_to_bad,
+            p_bad_to_good=model.p_bad_to_good,
+            loss_good=model.loss_good, loss_bad=model.loss_bad,
+            failure_outcome=fault_args["failure_outcome"],
+            initial_bad=initial_bad,
+            retry_policy=fault_args["retry_policy"],
+            bandwidth_budget=fault_args["bandwidth_budget"],
+            period_length=period_length, rng=fault_args["rng"],
+            record_trace=record_trace)
     resolution = resolve_iid_faults(
-        sync_local_times + fault_time_offset, sync_elements, sizes,
-        failure_probability=failure_probability,
-        failure_outcome=failure_outcome, retry_policy=retry_policy,
-        bandwidth_budget=bandwidth_budget,
-        period_length=period_length, rng=rng,
-        record_trace=record_fault_trace)
-
-    return _assemble_faulted_result(
-        catalog, frequencies, times, elements, kinds,
-        horizon=horizon, period_length=period_length,
-        n_periods=n_periods, sync_positions=sync_positions,
-        sync_elements=sync_elements,
-        sync_local_times=sync_local_times, resolution=resolution,
-        failure_outcome=failure_outcome,
-        fault_time_offset=fault_time_offset,
-        record_fault_trace=record_fault_trace,
-        engine="fastpath_faulted")
+        sync_times, sync_elements, sizes,
+        failure_probability=fault_args["failure_probability"],
+        failure_outcome=fault_args["failure_outcome"],
+        retry_policy=fault_args["retry_policy"],
+        bandwidth_budget=fault_args["bandwidth_budget"],
+        period_length=period_length, rng=fault_args["rng"],
+        record_trace=record_trace)
+    return resolution, None
 
 
-# seedflow: pair=repro.sim.simulation.Simulation.run
-def replay_fastpath_ge(catalog: Catalog, frequencies: np.ndarray,
-                       times: np.ndarray, elements: np.ndarray,
-                       kinds: np.ndarray, *, horizon: float,
-                       period_length: float, n_periods: float,
-                       model: GilbertElliottFaultModel,
-                       rng: np.random.Generator,
-                       retry_policy: RetryPolicy | None = None,
-                       bandwidth_budget: float | None = None,
-                       fault_time_offset: float = 0.0,
-                       record_fault_trace: bool = False
-                       ) -> SimulationResult:
-    """Replay a tape under a single Gilbert–Elliott burst-loss plan.
+def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
+                                    np.ndarray],
+                        sizes: np.ndarray, *, fault_args: dict,
+                        period_length: float,
+                        fault_clock_offset: float,
+                        initial_bad: np.ndarray | None = None
+                        ) -> tuple[FaultResolution,
+                                   np.ndarray | None]:
+    """Resolve one tape's scheduled syncs under a kernel fault plan.
 
-    Reads the model's per-element chain state, resolves every
-    scheduled sync with :func:`resolve_ge_faults`, commits the final
-    chain state back into the model (so consecutive runs sharing one
-    plan object thread the hidden state exactly like the reference
-    channel), then replays the surviving tape through the fault-free
-    segment kernel.  Bit-identical to the reference loop, including
-    attempt/failure accounting, the fault trace, the telemetry
-    period series and the post-run fault-rng stream position.
+    Dispatches on ``fault_args["kind"]``: ``"iid"`` to
+    :func:`resolve_iid_faults`, ``"ge"`` to
+    :func:`resolve_ge_faults`.  The batched manager calls this right
+    after building each period's tape, so shared-fault-rng plans
+    consume workload and fault draws in exactly the per-period
+    reference order.
+
+    Gilbert–Elliott plans are resolved against an explicit
+    ``initial_bad`` chain state and the model object is *not*
+    mutated: the caller threads the returned state into the next
+    call and commits it to the model once it is final (a mid-window
+    rollback then just drops the tail states).
 
     Args:
-        catalog: The simulated workload.
-        frequencies: Per-element sync frequencies, in syncs/period.
-        times: Merged event times, globally time-ordered.
-        elements: Element id per merged event.
-        kinds: :class:`~repro.sim.events.EventKind` per merged event.
-        horizon: Total simulated clock time.
+        tape: One ``(times, elements, kinds)`` merged tape.
+        sizes: Per-element sizes, in bandwidth units.
+        fault_args: Dispatch arguments from
+            :meth:`repro.sim.simulation.Simulation.fault_kernel_args`.
         period_length: Clock length of one sync period.
-        n_periods: Periods simulated (may be fractional).
-        model: The plan's single Gilbert–Elliott model (from
-            :meth:`~repro.faults.model.FaultPlan.ge_profile`); its
-            chain state is read before and committed after the run.
-        rng: The fault generator (shared or dedicated).
-        retry_policy: Backoff policy, or None to disable retries.
-        bandwidth_budget: Per-period attempt budget B in size units,
-            or None to disable the ledger.
-        fault_time_offset: Added to event times on the fault clock,
+        fault_clock_offset: Added to event times on the fault clock,
             in clock units (whole periods).
-        record_fault_trace: Whether to carry the per-attempt trace.
+        initial_bad: Gilbert–Elliott chain state entering the
+            tape, or None to read it from the plan model
+            (ignored for i.i.d. plans).
 
     Returns:
-        A :class:`SimulationResult` bit-identical to the reference
-        loop's for the same tape and fault stream.
+        ``(resolution, final_bad)`` where ``final_bad`` is the chain
+        state after the tape for Gilbert–Elliott plans and None for
+        i.i.d. plans.
     """
-    sizes = np.asarray(catalog.sizes, dtype=float)
+    times, elements, kinds = tape
     sync_positions = np.flatnonzero(kinds == int(EventKind.SYNC))
-    sync_elements = elements[sync_positions]
-    sync_local_times = times[sync_positions]
-
-    resolution, final_bad = resolve_ge_faults(
-        sync_local_times + fault_time_offset, sync_elements, sizes,
-        p_good_to_bad=model.p_good_to_bad,
-        p_bad_to_good=model.p_bad_to_good,
-        loss_good=model.loss_good, loss_bad=model.loss_bad,
-        failure_outcome=model.failure_outcome,
-        initial_bad=model.chain_states(catalog.n_elements),
-        retry_policy=retry_policy,
-        bandwidth_budget=bandwidth_budget,
-        period_length=period_length, rng=rng,
-        record_trace=record_fault_trace)
-    model.set_chain_states(final_bad)
-
-    return _assemble_faulted_result(
-        catalog, frequencies, times, elements, kinds,
-        horizon=horizon, period_length=period_length,
-        n_periods=n_periods, sync_positions=sync_positions,
-        sync_elements=sync_elements,
-        sync_local_times=sync_local_times, resolution=resolution,
-        failure_outcome=model.failure_outcome,
-        fault_time_offset=fault_time_offset,
-        record_fault_trace=record_fault_trace,
-        engine="fastpath_ge")
-
-
-def _assemble_faulted_result(catalog: Catalog,
-                             frequencies: np.ndarray,
-                             times: np.ndarray, elements: np.ndarray,
-                             kinds: np.ndarray, *, horizon: float,
-                             period_length: float, n_periods: float,
-                             sync_positions: np.ndarray,
-                             sync_elements: np.ndarray,
-                             sync_local_times: np.ndarray,
-                             resolution: FaultResolution,
-                             failure_outcome: PollOutcome,
-                             fault_time_offset: float,
-                             record_fault_trace: bool,
-                             engine: str) -> SimulationResult:
-    """Replay the surviving tape and assemble the faulted result.
-
-    The post-resolution half shared by :func:`replay_fastpath_faulted`
-    and :func:`replay_fastpath_ge`: drop failed syncs, run the
-    fault-free segment kernel, fold the channel-equivalent accounting
-    and emit the telemetry series.  ``engine`` names the dispatching
-    kernel for the ``sim.engine.*`` counters.
-    """
-    n_elements = catalog.n_elements
-    sizes = np.asarray(catalog.sizes, dtype=float)
-    keep = np.ones(times.shape[0], dtype=bool)
-    keep[sync_positions[~resolution.success]] = False
-    # One index gather instead of repeated boolean-mask scans: the
-    # kept view feeds the replay, the period series and the ledger.
-    kept = np.flatnonzero(keep)
-    times_kept = times[kept]
-    elements_kept = elements[kept]
-    kinds_kept = kinds[kept]
-    replay = _replay_tape(n_elements, sizes, times_kept,
-                          elements_kept, kinds_kept,
-                          horizon=horizon)
-
-    accounting = _FaultAccounting.from_resolution(
-        resolution, sync_elements, sizes, n_elements)
-    p = catalog.access_probabilities
-    perceived_by_accesses = (
-        replay.fresh_accesses / replay.n_accesses
-        if replay.n_accesses
-        else float(p @ replay.element_freshness))
-
-    if obs.telemetry_enabled():
-        _emit_fault_counters(accounting, failure_outcome)
-        n_buckets = max(int(np.ceil(n_periods)) - 1, 0) + 1
-        sync_buckets = (sync_local_times
-                        / period_length).astype(np.int64)
-        failed_per_period = np.bincount(
-            sync_buckets,
-            weights=(resolution.attempts - resolution.success),
-            minlength=n_buckets).astype(np.int64)
-        retries_per_period = np.bincount(
-            sync_buckets,
-            weights=(resolution.attempts
-                     - (resolution.attempts > 0)),
-            minlength=n_buckets).astype(np.int64)
-        _emit_period_series(
-            times_kept, elements_kept, kinds_kept, sizes,
-            replay.fresh_before_global, replay.run_start_global,
-            replay.becomes_fresh_global,
-            n_elements, period_length=period_length,
-            n_periods=n_periods, planned=float(sizes @ frequencies),
-            failed_per_period=failed_per_period,
-            retries_per_period=retries_per_period)
-        _emit_monitor_close(replay.element_freshness,
-                            replay.element_age, replay.n_accesses,
-                            replay.fresh_accesses, horizon)
-        _emit_ledger(times_kept, elements_kept, kinds_kept,
-                     replay.run_start_global,
-                     time_offset=fault_time_offset)
-        obs.counter_add("sim.runs")
-        obs.counter_add(f"sim.{engine}_runs")
-        obs.counter_add(f"sim.engine.{engine}")
-        obs.counter_add("sim.syncs", replay.n_syncs)
-        obs.counter_add("sim.useful_syncs", replay.useful_syncs)
-        obs.counter_add("sim.updates", replay.n_updates)
-        obs.counter_add("sim.accesses", replay.n_accesses)
-        obs.gauge_set("sim.bandwidth_used", replay.bandwidth_used)
-        obs.gauge_set("sim.monitored_perceived_freshness",
-                      float(perceived_by_accesses))
-        obs.gauge_set("sim.monitored_general_freshness",
-                      float(replay.element_freshness.mean()))
-        obs.gauge_set("sim.attempted_bandwidth",
-                      accounting.attempted_bandwidth)
-        obs.gauge_set(
-            "sim.poll_failure_fraction",
-            (accounting.failed_polls / accounting.attempted_polls
-             if accounting.attempted_polls else 0.0))
-
-    return SimulationResult(
-        catalog=catalog,
-        frequencies=frequencies,
-        horizon=horizon,
-        period_length=period_length,
-        n_updates=replay.n_updates,
-        n_syncs=replay.n_syncs,
-        n_accesses=replay.n_accesses,
-        useful_syncs=replay.useful_syncs,
-        bandwidth_used=replay.bandwidth_used,
-        monitored_perceived_freshness=float(perceived_by_accesses),
-        monitored_time_perceived=float(p @ replay.element_freshness),
-        monitored_general_freshness=float(
-            replay.element_freshness.mean()),
-        element_time_freshness=replay.element_freshness,
-        element_time_age=replay.element_age,
-        monitored_perceived_age=float(p @ replay.element_age),
-        access_counts=replay.access_counts,
-        poll_counts=replay.poll_counts,
-        changed_poll_counts=replay.changed_poll_counts,
-        attempted_polls=accounting.attempted_polls,
-        failed_polls=accounting.failed_polls,
-        unreachable_polls=0,
-        retries=accounting.retries,
-        breaker_skips=0,
-        denied_polls=accounting.denied_polls,
-        attempted_bandwidth=accounting.attempted_bandwidth,
-        attempted_poll_counts=accounting.attempted_poll_counts,
-        failed_poll_counts=accounting.failed_poll_counts,
-        unreachable_poll_counts=np.zeros(n_elements, dtype=np.int64),
-        unreachable_elements=None,
-        fault_trace=(tuple(resolution.trace)
-                     if record_fault_trace
-                     and resolution.trace is not None else None),
-    )
+    return _resolve_faults(
+        times[sync_positions] + fault_clock_offset,
+        elements[sync_positions], sizes, fault_args=fault_args,
+        period_length=period_length, initial_bad=initial_bad,
+        record_trace=False)
 
 
 @dataclass
 class _FaultAccounting:
-    """Channel-equivalent attempt/failure accounting for one tape."""
+    """Channel-equivalent attempt/failure accounting, folded per slab.
+
+    Attributes:
+        attempted_polls: Attempts made, retries included.
+        made_polls: Scheduled syncs that made at least one attempt.
+        successful_polls: Scheduled syncs whose last attempt
+            succeeded.
+        denied_polls: Scheduled syncs the period budget denied
+            outright.
+        denied_retries: Retries the period budget refused.
+        attempted_bandwidth: Folded bandwidth of every attempt, in
+            size units.
+        attempted_poll_counts: Attempts per element.
+        failed_poll_counts: Failed attempts per element.
+        draws: Fault-rng draws the resolutions consumed.
+    """
 
     attempted_polls: int
-    failed_polls: int
-    retries: int
+    made_polls: int
+    successful_polls: int
     denied_polls: int
     denied_retries: int
-    failed_syncs: int
     attempted_bandwidth: float
     attempted_poll_counts: np.ndarray
     failed_poll_counts: np.ndarray
+    draws: int
 
     @classmethod
-    def from_resolution(cls, resolution: FaultResolution,
-                        sync_elements: np.ndarray, sizes: np.ndarray,
-                        n_elements: int) -> "_FaultAccounting":
+    def start(cls, n_elements: int) -> "_FaultAccounting":
+        """Nothing attempted yet."""
+        return cls(attempted_polls=0, made_polls=0, successful_polls=0,
+                   denied_polls=0, denied_retries=0,
+                   attempted_bandwidth=0.0,
+                   attempted_poll_counts=np.zeros(n_elements,
+                                                  dtype=np.int64),
+                   failed_poll_counts=np.zeros(n_elements,
+                                               dtype=np.int64),
+                   draws=0)
+
+    @property
+    def failed_polls(self) -> int:
+        """Attempts that failed."""
+        return self.attempted_polls - self.successful_polls
+
+    @property
+    def retries(self) -> int:
+        """Attempts beyond each sync's first."""
+        return self.attempted_polls - self.made_polls
+
+    def add(self, resolution: FaultResolution,
+            sync_elements: np.ndarray, sizes: np.ndarray) -> None:
+        """Fold one slab's resolution into the totals."""
         attempts = resolution.attempts
-        attempted_polls = int(attempts.sum())
-        n_success = int(np.count_nonzero(resolution.success))
-        made = int(np.count_nonzero(attempts))
-        denied_polls = int(np.count_nonzero(resolution.denied))
-        # Every attempt burns its element's size; reproduce the
-        # channel's sequential += with a flat per-attempt fold.
+        n_elements = self.attempted_poll_counts.shape[0]
+        self.attempted_polls += int(attempts.sum())
+        self.made_polls += int(np.count_nonzero(attempts))
+        self.successful_polls += int(
+            np.count_nonzero(resolution.success))
+        self.denied_polls += int(np.count_nonzero(resolution.denied))
+        self.denied_retries += resolution.denied_retries
+        self.draws += int(resolution.consumed.sum())
+        # Every attempt burns its element's size; the channel's
+        # sequential += continues with the carry-prepend trick.
         attempt_sizes = np.repeat(sizes[sync_elements], attempts)
-        attempted_bandwidth = float(np.bincount(
-            np.zeros(attempt_sizes.shape[0], dtype=np.intp),
-            weights=attempt_sizes, minlength=1)[0])
-        attempted_poll_counts = np.bincount(
+        self.attempted_bandwidth = float(np.bincount(
+            np.zeros(attempt_sizes.shape[0] + 1, dtype=np.intp),
+            weights=np.concatenate([[self.attempted_bandwidth],
+                                    attempt_sizes]),
+            minlength=1)[0])
+        self.attempted_poll_counts += np.bincount(
             sync_elements, weights=attempts,
             minlength=n_elements).astype(np.int64)
-        failed_poll_counts = np.bincount(
+        self.failed_poll_counts += np.bincount(
             sync_elements, weights=attempts - resolution.success,
             minlength=n_elements).astype(np.int64)
-        return cls(
-            attempted_polls=attempted_polls,
-            failed_polls=attempted_polls - n_success,
-            retries=attempted_polls - made,
-            denied_polls=denied_polls,
-            denied_retries=resolution.denied_retries,
-            failed_syncs=made - n_success,
-            attempted_bandwidth=attempted_bandwidth,
-            attempted_poll_counts=attempted_poll_counts,
-            failed_poll_counts=failed_poll_counts,
-        )
 
+    def emit(self, failure_outcome: PollOutcome) -> None:
+        """Emit the ``faults.*`` counter totals the channel would have.
 
-def _emit_fault_counters(accounting: _FaultAccounting,
-                         failure_outcome: PollOutcome) -> None:
-    """Emit the ``faults.*`` counter totals the channel would have.
-
-    The reference channel bumps each counter once per attempt; the
-    aggregated adds land on the same totals.  Zero totals are skipped
-    so counters that never fired stay absent, as in the reference.
-    """
-    if accounting.failed_polls:
-        obs.counter_add(f"faults.{failure_outcome.value}",
-                        accounting.failed_polls)
-    if accounting.retries:
-        obs.counter_add("faults.retries", accounting.retries)
-    if accounting.denied_polls:
-        obs.counter_add("faults.denied_polls",
-                        accounting.denied_polls)
-    if accounting.denied_retries:
-        obs.counter_add("faults.denied_retries",
-                        accounting.denied_retries)
-    if accounting.failed_syncs:
-        obs.counter_add("faults.failed_syncs",
-                        accounting.failed_syncs)
+        The reference channel bumps each counter once per attempt;
+        the aggregated adds land on the same totals.  Zero totals are
+        skipped so counters that never fired stay absent, as in the
+        reference.
+        """
+        failed_syncs = self.made_polls - self.successful_polls
+        for name, total in (
+                (f"faults.{failure_outcome.value}", self.failed_polls),
+                ("faults.retries", self.retries),
+                ("faults.denied_polls", self.denied_polls),
+                ("faults.denied_retries", self.denied_retries),
+                ("faults.failed_syncs", failed_syncs)):
+            if total:
+                obs.counter_add(name, total)
 
 
 def _emit_monitor_close(element_freshness: np.ndarray,
@@ -1391,7 +872,7 @@ def _fold_ledger_bulk(fold, elements: np.ndarray,
 def _emit_ledger(times: np.ndarray, elements: np.ndarray,
                  kinds: np.ndarray,
                  run_start_global: np.ndarray | None, *,
-                 time_offset: float = 0.0) -> None:
+                 time_offset: float) -> None:
     """Feed the freshness ledger from a (kept) replay tape.
 
     Mirrors the reference loop's per-event hooks: every sync still on
@@ -1420,10 +901,9 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
                         n_elements: int, *,
                         period_length: float, n_periods: float,
                         planned: float,
-                        failed_per_period: np.ndarray | None = None,
-                        retries_per_period: np.ndarray | None = None,
-                        first_period: int = 0,
-                        initial_fresh: int | None = None,
+                        failed_per_period: np.ndarray | None,
+                        retries_per_period: np.ndarray | None,
+                        first_period: int, initial_fresh: int
                         ) -> None:
     """Emit the per-period ``"sim.period"`` telemetry series.
 
@@ -1432,20 +912,16 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
     integer counts, the same sequentially folded bandwidth, and the
     mirror's instantaneous mean freshness at each period boundary.
     ``failed_per_period`` / ``retries_per_period`` carry the faulted
-    path's per-period attempt accounting (zeros when absent).
+    path's per-period attempt accounting (zeros when None).
 
-    The streaming engine emits one slab at a time: ``first_period``
-    offsets the emitted period labels (the slab's events carry global
-    times), ``n_periods`` then counts the *slab's* periods, and
-    ``initial_fresh`` is the instantaneous fresh-copy count entering
-    the slab (defaults to ``n_elements`` — everything fresh at t=0 —
-    which also covers the one-shot callers).
+    It runs once per slab: ``first_period`` offsets the emitted
+    period labels (the slab's events carry run-clock times),
+    ``n_periods`` counts the *slab's* periods, and ``initial_fresh``
+    is the instantaneous fresh-copy count entering the slab.
     """
     last_period = max(int(np.ceil(n_periods)) - 1, 0)
     n_buckets = last_period + 1
     n_events = int(times.shape[0])
-    if initial_fresh is None:
-        initial_fresh = n_elements
 
     if n_events:
         assert (fresh_before_global is not None
@@ -1519,16 +995,16 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
 
 
 class ReplayArena:
-    """Reusable scratch buffers for window-batched replays.
+    """Reusable scratch buffers for slab-by-slab tape generation.
 
-    The batched adaptive manager calls :func:`replay_window_tapes`
-    once per replan window; each call concatenates the window's
-    per-period tapes into contiguous working arrays.  An arena keeps
-    one geometrically grown buffer per named slot and hands out
-    prefix views, so after warm-up a steady-state window performs
-    zero concatenation allocations — the "one arena allocation per
-    replay" memory discipline that keeps 10⁶-element adapt runs
-    from churning the allocator.
+    A chunked run draws one slab of events after another, and each
+    draw expands per-element counts into index arrays of about the
+    slab's size (:mod:`repro.sim.generators`,
+    :func:`repro.sim.events.merge_kind_blocks`).  An arena keeps one
+    geometrically grown buffer per named slot and hands out prefix
+    views, so after warm-up a steady-state slab performs zero
+    expansion allocations.  Replay itself needs no scratch: its
+    cross-slab state is the :class:`ReplayCarry`.
     """
 
     def __init__(self) -> None:
@@ -1558,462 +1034,14 @@ class ReplayArena:
                    for buffer in self._buffers.values())
 
 
-def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
-                                    np.ndarray],
-                        sizes: np.ndarray, *, fault_args: dict,
-                        period_length: float,
-                        fault_clock_offset: float,
-                        initial_bad: np.ndarray | None = None
-                        ) -> tuple[FaultResolution,
-                                   np.ndarray | None]:
-    """Resolve one period tape's faults ahead of a batched replay.
-
-    The batched manager interleaves fault resolution with tape
-    construction — resolve period ``j`` right after building its
-    tape — so shared-fault-rng plans consume workload and fault
-    draws in exactly the per-period reference order.  Dispatches on
-    ``fault_args["kind"]`` (``"iid"`` or ``"ge"``).
-
-    Gilbert–Elliott plans are resolved against an explicit
-    ``initial_bad`` chain state and the model object is *not*
-    mutated: the caller threads the returned state into the next
-    period's call and commits it to the model only once the window
-    is final (mid-window rollbacks then just drop the tail states).
-
-    Args:
-        tape: One ``(times, elements, kinds)`` merged period tape
-            with local times in ``[0, period_length)``.
-        sizes: Per-element sizes, in bandwidth units.
-        fault_args: Dispatch arguments from
-            :meth:`repro.sim.simulation.Simulation.fault_kernel_args`.
-        period_length: Clock length of one sync period.
-        fault_clock_offset: Added to event times on the fault clock,
-            in clock units (whole periods).
-        initial_bad: Gilbert–Elliott chain state entering the
-            period, or None to read it from the plan model
-            (ignored for i.i.d. plans).
-
-    Returns:
-        ``(resolution, final_bad)`` where ``final_bad`` is the chain
-        state after the period for Gilbert–Elliott plans and None
-        for i.i.d. plans.
-    """
-    times, elements, kinds = tape
-    sync_positions = np.flatnonzero(kinds == int(EventKind.SYNC))
-    sync_elements = elements[sync_positions]
-    sync_times = times[sync_positions] + fault_clock_offset
-    if fault_args.get("kind", "iid") == "ge":
-        model = fault_args["model"]
-        if initial_bad is None:
-            initial_bad = model.chain_states(sizes.shape[0])
-        return resolve_ge_faults(
-            sync_times, sync_elements, sizes,
-            p_good_to_bad=model.p_good_to_bad,
-            p_bad_to_good=model.p_bad_to_good,
-            loss_good=model.loss_good, loss_bad=model.loss_bad,
-            failure_outcome=model.failure_outcome,
-            initial_bad=initial_bad,
-            retry_policy=fault_args["retry_policy"],
-            bandwidth_budget=fault_args["bandwidth_budget"],
-            period_length=period_length, rng=fault_args["rng"],
-            record_trace=False)
-    resolution = resolve_iid_faults(
-        sync_times, sync_elements, sizes,
-        failure_probability=fault_args["failure_probability"],
-        failure_outcome=fault_args["failure_outcome"],
-        retry_policy=fault_args["retry_policy"],
-        bandwidth_budget=fault_args["bandwidth_budget"],
-        period_length=period_length, rng=fault_args["rng"],
-        record_trace=False)
-    return resolution, None
-
-
-def replay_window_tapes(catalog: Catalog, frequencies: np.ndarray,
-                        tapes: list[tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]], *,
-                        period_length: float,
-                        first_global_period: int,
-                        fault_args: dict | None = None,
-                        resolutions: (list[FaultResolution]
-                                      | None) = None,
-                        arena: ReplayArena | None = None
-                        ) -> tuple[list[SimulationResult], list[int]]:
-    """Replay several consecutive one-period tapes in one kernel call.
-
-    The window-batched adaptive manager generates one event tape per
-    period (preserving the per-period draw order, so common-random-
-    number seeds line up with per-period runs), then hands the whole
-    replan window here.  Each period's elements are *tiled* — period
-    ``j`` maps element ``e`` to segment id ``e + j·n`` — so one
-    segmented replay over ``W·n`` virtual elements reproduces ``W``
-    independent single-period replays, bit for bit: every per-element
-    fold sees exactly the events, in exactly the order, the
-    per-period kernel would have seen.
-
-    Args:
-        catalog: The simulated workload (all periods share it).
-        frequencies: Per-element sync frequencies, in syncs/period
-            (constant within a replan window by construction).
-        tapes: One ``(times, elements, kinds)`` merged tape per
-            period, with *local* times in ``[0, period_length)``.
-        period_length: Clock length of one sync period.
-        first_global_period: 1-based global index of the window's
-            first period; period ``j`` of the window runs on the
-            fault clock at offset
-            ``(first_global_period + j − 1) · period_length``.
-        fault_args: The dispatch arguments from
-            :meth:`repro.sim.simulation.Simulation.fault_kernel_args`
-            (``kind`` ``"iid"`` or ``"ge"`` plus failure model,
-            retry policy, budget, rng), or None for a fault-free
-            window.  Unless ``resolutions`` is supplied, the fault
-            rng must be *dedicated* (not shared with the workload
-            rng): per-period runs interleave workload and fault draws
-            on a shared stream, while a batched window draws all
-            tapes before any faults — only a separate fault generator
-            keeps both orders bit-identical.
-        resolutions: Pre-computed per-period fault resolutions from
-            :func:`resolve_tape_faults`, one per tape, produced by
-            interleaving resolution with tape construction.  With
-            these the shared-stream restriction above disappears —
-            the draws already happened in per-period order — and
-            this function consumes no RNG.  Requires ``fault_args``
-            for the accounting metadata (outcome, budget).
-        arena: Scratch-buffer :class:`ReplayArena` reused across
-            windows, or None to allocate per call.
-
-    Returns:
-        ``(results, consumed)`` — one :class:`SimulationResult` per
-        period, bit-identical to running each period separately, and
-        the number of fault-rng draws consumed per period (all zeros
-        when fault-free), which the manager uses to rewind the fault
-        stream when a mid-window replan trigger forces a rollback.
-    """
-    n_elements = catalog.n_elements
-    n_windows = len(tapes)
-    sizes = np.asarray(catalog.sizes, dtype=float)
-    planned = float(sizes @ frequencies)
-    sync_kind = int(EventKind.SYNC)
-    update_kind = int(EventKind.UPDATE)
-
-    counts = np.array([tape[0].shape[0] for tape in tapes],
-                      dtype=np.int64)
-    bounds = np.concatenate([np.zeros(1, dtype=np.int64),
-                             np.cumsum(counts)])
-    n_events = int(bounds[-1])
-
-    def gather(name: str, parts: list[np.ndarray],
-               dtype: Any) -> np.ndarray:
-        """Concatenate per-period arrays into one arena-backed run."""
-        cast = [np.asarray(part, dtype=dtype) for part in parts]
-        if arena is None:
-            return np.concatenate(cast)
-        out = arena.take(name, n_events, dtype)
-        np.concatenate(cast, out=out)
-        return out
-
-    times = gather("times", [tape[0] for tape in tapes], np.float64)
-    elements_local = gather("elements", [tape[1] for tape in tapes],
-                            np.int64)
-    kinds = gather("kinds", [tape[2] for tape in tapes], np.int64)
-    if arena is None:
-        tile_of_event = np.repeat(
-            np.arange(n_windows, dtype=np.int64), counts)
-        elements_tiled = (elements_local
-                          + tile_of_event * n_elements)
-        tiled_sizes = np.tile(sizes, n_windows)
-        keep = np.ones(n_events, dtype=bool)
-    else:
-        tile_of_event = arena.take("tiles", n_events, np.int64)
-        for j in range(n_windows):
-            tile_of_event[int(bounds[j]):int(bounds[j + 1])] = j
-        elements_tiled = arena.take("elements_tiled", n_events,
-                                    np.int64)
-        np.multiply(tile_of_event, n_elements, out=elements_tiled)
-        elements_tiled += elements_local
-        tiled_sizes = arena.take("tiled_sizes",
-                                 n_windows * n_elements, np.float64)
-        tiled_sizes.reshape(n_windows, n_elements)[:] = sizes
-        keep = arena.take("keep", n_events, bool)
-        keep[:] = True
-
-    sync_positions = np.flatnonzero(kinds == sync_kind)
-    sync_elements = elements_local[sync_positions]
-    sync_tiles = tile_of_event[sync_positions]
-    sync_bounds = np.searchsorted(sync_tiles,
-                                  np.arange(n_windows + 1))
-
-    fault_kind = (fault_args.get("kind", "iid")
-                  if fault_args is not None else None)
-    resolution: FaultResolution | None = None
-    consumed = [0] * n_windows
-    if resolutions is not None:
-        if fault_args is None:
-            raise SimulationError(
-                "replay_window_tapes: resolutions requires "
-                "fault_args for the accounting metadata")
-        if len(resolutions) != n_windows:
-            raise SimulationError(
-                "replay_window_tapes: expected one resolution per "
-                f"tape, got {len(resolutions)} for {n_windows}")
-        resolution = FaultResolution(
-            attempts=np.concatenate(
-                [r.attempts for r in resolutions]),
-            success=np.concatenate(
-                [r.success for r in resolutions]),
-            denied=np.concatenate([r.denied for r in resolutions]),
-            offsets=np.concatenate(
-                [r.offsets for r in resolutions]),
-            consumed=np.concatenate(
-                [r.consumed for r in resolutions]),
-            denied_retries=sum(r.denied_retries
-                               for r in resolutions),
-            trace=None)
-        if resolution.success.shape[0] != sync_positions.shape[0]:
-            raise SimulationError(
-                "replay_window_tapes: resolutions cover "
-                f"{resolution.success.shape[0]} syncs but the "
-                f"window schedules {sync_positions.shape[0]}")
-        consumed = [int(r.consumed.sum()) for r in resolutions]
-    elif fault_args is not None:
-        fault_offsets = ((first_global_period - 1 + sync_tiles)
-                         * period_length)
-        if fault_kind == "ge":
-            model = fault_args["model"]
-            resolution, final_bad = resolve_ge_faults(
-                times[sync_positions] + fault_offsets,
-                sync_elements, sizes,
-                p_good_to_bad=model.p_good_to_bad,
-                p_bad_to_good=model.p_bad_to_good,
-                loss_good=model.loss_good,
-                loss_bad=model.loss_bad,
-                failure_outcome=model.failure_outcome,
-                initial_bad=model.chain_states(n_elements),
-                retry_policy=fault_args["retry_policy"],
-                bandwidth_budget=fault_args["bandwidth_budget"],
-                period_length=period_length,
-                rng=fault_args["rng"], record_trace=False)
-            model.set_chain_states(final_bad)
-        else:
-            resolution = resolve_iid_faults(
-                times[sync_positions] + fault_offsets,
-                sync_elements, sizes,
-                failure_probability=fault_args[
-                    "failure_probability"],
-                failure_outcome=fault_args["failure_outcome"],
-                retry_policy=fault_args["retry_policy"],
-                bandwidth_budget=fault_args["bandwidth_budget"],
-                period_length=period_length, rng=fault_args["rng"],
-                record_trace=False)
-    if resolution is not None:
-        keep[sync_positions[~resolution.success]] = False
-        if resolutions is None:
-            consumed = np.bincount(
-                sync_tiles, weights=resolution.consumed,
-                minlength=n_windows).astype(np.int64).tolist()
-    engine_label = ("fastpath" if resolution is None
-                    else "fastpath_ge" if fault_kind == "ge"
-                    else "fastpath_faulted")
-
-    # One index gather instead of four boolean-mask scans.
-    kept = np.flatnonzero(keep)
-    times_f = times[kept]
-    elements_f = elements_local[kept]
-    kinds_f = kinds[kept]
-    replay = _replay_tape(n_windows * n_elements, tiled_sizes,
-                          times_f, elements_tiled[kept], kinds_f,
-                          horizon=period_length)
-    filtered_bounds = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(keep)])[bounds]
-
-    empty_flags = np.zeros(0, dtype=bool)
-    fresh_flags = (replay.fresh_before_global
-                   if replay.fresh_before_global is not None
-                   else empty_flags)
-    run_start_flags = (replay.run_start_global
-                       if replay.run_start_global is not None
-                       else empty_flags)
-    becomes_fresh_flags = (replay.becomes_fresh_global
-                           if replay.becomes_fresh_global is not None
-                           else empty_flags)
-    changed_flags = (replay.changed_sync_global
-                     if replay.changed_sync_global is not None
-                     else empty_flags)
-
-    telemetry_on = obs.telemetry_enabled()
-    access_probabilities = catalog.access_probabilities
-    do_contracts = contracts_enabled()
-    granularity = float(sizes[frequencies > 0.0].sum())
-
-    results: list[SimulationResult] = []
-    for j in range(n_windows):
-        event_slice = slice(int(filtered_bounds[j]),
-                            int(filtered_bounds[j + 1]))
-        element_slice = slice(j * n_elements, (j + 1) * n_elements)
-        kinds_j = kinds_f[event_slice]
-        elements_j = elements_f[event_slice]
-        times_j = times_f[event_slice]
-        is_update_j = kinds_j == update_kind
-        is_sync_j = kinds_j == sync_kind
-        is_access_j = ~is_update_j & ~is_sync_j
-        n_updates_j = int(np.count_nonzero(is_update_j))
-        n_syncs_j = int(np.count_nonzero(is_sync_j))
-        n_accesses_j = int(np.count_nonzero(is_access_j))
-        fresh_j = fresh_flags[event_slice]
-        fresh_accesses_j = int(np.count_nonzero(
-            is_access_j & fresh_j))
-        useful_j = int(np.count_nonzero(changed_flags[event_slice]))
-        sync_sizes_j = sizes[elements_j[is_sync_j]]
-        bandwidth_j = float(np.bincount(
-            np.zeros(sync_sizes_j.shape[0], dtype=np.intp),
-            weights=sync_sizes_j, minlength=1)[0])
-
-        freshness_j = replay.element_freshness[element_slice].copy()
-        age_j = replay.element_age[element_slice].copy()
-        perceived_by_accesses_j = (
-            fresh_accesses_j / n_accesses_j if n_accesses_j
-            else float(access_probabilities @ freshness_j))
-
-        accounting: _FaultAccounting | None = None
-        failed_per_period = None
-        retries_per_period = None
-        if resolution is not None:
-            s0, s1 = int(sync_bounds[j]), int(sync_bounds[j + 1])
-            attempts_j = resolution.attempts[s0:s1]
-            window_resolution = FaultResolution(
-                attempts=attempts_j,
-                success=resolution.success[s0:s1],
-                denied=resolution.denied[s0:s1],
-                offsets=resolution.offsets[s0:s1],
-                consumed=resolution.consumed[s0:s1],
-                denied_retries=0, trace=None)
-            accounting = _FaultAccounting.from_resolution(
-                window_resolution, sync_elements[s0:s1], sizes,
-                n_elements)
-            if telemetry_on:
-                failed_per_period = np.asarray([int(
-                    (attempts_j - window_resolution.success).sum())],
-                    dtype=np.int64)
-                retries_per_period = np.asarray(
-                    [int((attempts_j - (attempts_j > 0)).sum())],
-                    dtype=np.int64)
-
-        if telemetry_on:
-            _emit_period_series(
-                times_j, elements_j, kinds_j, sizes,
-                fresh_j, run_start_flags[event_slice],
-                becomes_fresh_flags[event_slice],
-                n_elements, period_length=period_length,
-                n_periods=1.0, planned=planned,
-                failed_per_period=failed_per_period,
-                retries_per_period=retries_per_period)
-            _emit_monitor_close(freshness_j, age_j, n_accesses_j,
-                                fresh_accesses_j, period_length)
-            _emit_ledger(times_j, elements_j, kinds_j,
-                         run_start_flags[event_slice],
-                         time_offset=((first_global_period - 1 + j)
-                                      * period_length))
-            obs.counter_add("sim.runs")
-            obs.counter_add(f"sim.{engine_label}_runs")
-            obs.counter_add(f"sim.engine.{engine_label}")
-            obs.counter_add("sim.syncs", n_syncs_j)
-            obs.counter_add("sim.useful_syncs", useful_j)
-            obs.counter_add("sim.updates", n_updates_j)
-            obs.counter_add("sim.accesses", n_accesses_j)
-            obs.gauge_set("sim.bandwidth_used", bandwidth_j)
-            obs.gauge_set("sim.monitored_perceived_freshness",
-                          float(perceived_by_accesses_j))
-            obs.gauge_set("sim.monitored_general_freshness",
-                          float(freshness_j.mean()))
-            if accounting is not None:
-                obs.gauge_set("sim.attempted_bandwidth",
-                              accounting.attempted_bandwidth)
-                obs.gauge_set(
-                    "sim.poll_failure_fraction",
-                    (accounting.failed_polls
-                     / accounting.attempted_polls
-                     if accounting.attempted_polls else 0.0))
-
-        if do_contracts:
-            check_sync_conservation(
-                bandwidth_j, planned, 1.0, granularity,
-                where="replay_window_tapes")
-            if accounting is not None and \
-                    fault_args is not None and \
-                    fault_args["bandwidth_budget"] is not None:
-                check_attempt_budget(
-                    accounting.attempted_bandwidth,
-                    fault_args["bandwidth_budget"], 1.0, granularity,
-                    where="replay_window_tapes")
-
-        results.append(SimulationResult(
-            catalog=catalog,
-            frequencies=frequencies,
-            horizon=period_length,
-            period_length=period_length,
-            n_updates=n_updates_j,
-            n_syncs=n_syncs_j,
-            n_accesses=n_accesses_j,
-            useful_syncs=useful_j,
-            bandwidth_used=bandwidth_j,
-            monitored_perceived_freshness=float(
-                perceived_by_accesses_j),
-            monitored_time_perceived=float(
-                access_probabilities @ freshness_j),
-            monitored_general_freshness=float(freshness_j.mean()),
-            element_time_freshness=freshness_j,
-            element_time_age=age_j,
-            monitored_perceived_age=float(
-                access_probabilities @ age_j),
-            access_counts=replay.access_counts[element_slice].copy(),
-            poll_counts=replay.poll_counts[element_slice].copy(),
-            changed_poll_counts=replay.changed_poll_counts[
-                element_slice].copy(),
-            attempted_polls=(accounting.attempted_polls
-                             if accounting is not None else n_syncs_j),
-            failed_polls=(accounting.failed_polls
-                          if accounting is not None else 0),
-            unreachable_polls=0,
-            retries=(accounting.retries
-                     if accounting is not None else 0),
-            breaker_skips=0,
-            denied_polls=(accounting.denied_polls
-                          if accounting is not None else 0),
-            attempted_bandwidth=(accounting.attempted_bandwidth
-                                 if accounting is not None
-                                 else bandwidth_j),
-            attempted_poll_counts=(accounting.attempted_poll_counts
-                                   if accounting is not None
-                                   else None),
-            failed_poll_counts=(accounting.failed_poll_counts
-                                if accounting is not None else None),
-            unreachable_poll_counts=(
-                np.zeros(n_elements, dtype=np.int64)
-                if accounting is not None else None),
-            unreachable_elements=None,
-            fault_trace=None,
-        ))
-
-    if telemetry_on and resolution is not None:
-        accounting_total = _FaultAccounting.from_resolution(
-            resolution, sync_elements, sizes, n_elements)
-        if fault_args is None:
-            outcome = PollOutcome.ERROR
-        elif fault_kind == "ge":
-            outcome = fault_args["model"].failure_outcome
-        else:
-            outcome = fault_args["failure_outcome"]
-        _emit_fault_counters(accounting_total, outcome)
-
-    return results, consumed
-
-
 @dataclass
 class ReplayCarry:
-    """Per-element copy state threaded across streaming slabs.
+    """Per-element copy state threaded from slab to slab.
 
-    Everything the one-shot kernel derives from "start of tape" lives
-    here instead, so a slab kernel can pick up exactly where the
-    previous slab stopped.  Integer fields are exact; the float
+    Everything the replay would otherwise derive from "start of tape"
+    lives here, so :func:`_replay_tape_chunk` picks up exactly where
+    the previous slab stopped; a replay starts from :meth:`start`.
+    Integer fields are exact; the float
     accumulators (``fresh_time``, ``age_integral``,
     ``bandwidth_used``) are partial *left folds* in event order, which
     the next slab continues bit-exactly by prepending them to its own
@@ -2091,39 +1119,39 @@ class ReplayCarry:
                           "changed_poll_counts", "access_counts"))
 
 
-def _fold_with_carry(carry_values: np.ndarray, elements: np.ndarray,
-                     weights: np.ndarray, n_elements: int
+def _fold_with_carry(carry_values: np.ndarray, bins: np.ndarray,
+                     increments: np.ndarray, counted: np.ndarray
                      ) -> np.ndarray:
-    """Continue per-element left folds with one slab of weights.
+    """Continue per-element left folds with one slab of increments.
 
-    Prepends each element's carried accumulator as its bin's first
-    weight, so the bincount's in-order per-bin fold computes
-    ``((carry + w₁) + w₂) + …`` — exactly the value the one-shot fold
-    over the concatenated tape would hold.
+    ``bins`` is ``arange(n)`` followed by each event's element, so
+    every element's carried accumulator is its bin's first weight and
+    the in-order per-bin fold computes ``((carry + w₁) + w₂) + …`` —
+    exactly the reference loop's ``+=``.  Events where ``counted`` is
+    False add ``0.0``, the increment the loop never performs.
     """
-    bins = np.concatenate([np.arange(n_elements, dtype=np.int64),
-                           elements])
-    return np.bincount(bins,
-                       weights=np.concatenate([carry_values, weights]),
-                       minlength=n_elements)
+    n_elements = carry_values.shape[0]
+    weights = np.zeros(bins.shape[0])
+    weights[:n_elements] = carry_values
+    np.copyto(weights[n_elements:], increments, where=counted)
+    return np.bincount(bins, weights=weights, minlength=n_elements)
 
 
 def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
                        times: np.ndarray, elements: np.ndarray,
                        kinds: np.ndarray
                        ) -> tuple[np.ndarray | None, np.ndarray | None,
-                                  np.ndarray | None, np.ndarray | None]:
+                                  np.ndarray | None]:
     """Fold one slab of a (kept) tape into the carry state.
 
-    The slab variant of :func:`_replay_tape`: identical segment
-    machinery and float operations, with every "start of tape"
-    assumption replaced by the carried per-element state — the fresh
-    flag where no in-slab state change precedes an event, the carried
-    ``stale_since`` where no in-slab run start precedes it, the
-    carried last event time at segment starts, and the carried
-    version counters under the poll bookkeeping.  Folding slabs
-    ``[0,a) [a,b) …`` of a tape through one carry is bit-identical to
-    :func:`_replay_tape` over the whole tape.
+    The replay kernel.  Wherever the reference loop's state comes from
+    before the slab, the kernel reads the carry: the fresh flag where
+    no in-slab state change precedes an event, ``stale_since`` where
+    no in-slab run start precedes it, the last event time at segment
+    starts, and the version counters under the poll bookkeeping.
+    Folding slabs ``[0,a) [a,b) …`` of a tape through one carry is
+    bit-identical to the reference loop over the whole tape.  The
+    caller keeps slabs below :data:`_SLAB_EVENT_LIMIT` events.
 
     Args:
         carry: The cross-slab state; mutated in place.
@@ -2133,16 +1161,12 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
         kinds: :class:`~repro.sim.events.EventKind` per slab event.
 
     Returns:
-        ``(fresh_before, run_start, becomes_fresh, changed_sync)``
-        flags in *tape* order for the telemetry series, or all None
-        for an empty slab.
+        ``(fresh_before, run_start, becomes_fresh)`` flags in *tape*
+        order for the telemetry series, or all None for an empty slab.
     """
     n_events = int(times.shape[0])
     if not n_events:
-        return None, None, None, None
-    if n_events >= np.iinfo(np.int32).max:
-        raise SimulationError(
-            f"slab of {n_events} events overflows int32 positions")
+        return None, None, None
     n_elements = int(carry.fresh.shape[0])
     update_kind = int(EventKind.UPDATE)
     sync_kind = int(EventKind.SYNC)
@@ -2184,37 +1208,39 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     previous_state_change = np.where(
         previous_state_change >= segment_start_of,
         previous_state_change, -1)
-    fresh_before = np.where(
-        previous_state_change >= 0,
-        kind_of[np.maximum(previous_state_change, 0)] == sync_kind,
-        carry.fresh[element_of])
+    fresh_before = (kind_of[np.maximum(previous_state_change, 0)]
+                    == sync_kind)
+    carried_state = np.flatnonzero(previous_state_change < 0)
+    fresh_before[carried_state] = carry.fresh[element_of[carried_state]]
 
-    # Stale-run starts: in-slab run start pins stale_since, otherwise
-    # the carried run start (fresh elements read a leftover value the
-    # increment mask discards, exactly like the one-shot kernel).
+    # Stale-run starts: in-slab run start pins stale_since; a copy
+    # still stale from before the slab reads the carried run start.
+    # Fresh events read a finite leftover the increment mask discards.
     run_start = is_update & fresh_before
     run_start_positions = np.where(run_start, positions, -1)
     since_position = _last_position_at_or_before(
         run_start_positions, segment_start_of)
-    stale_since = np.where(
-        since_position >= 0, time_of[np.maximum(since_position, 0)],
-        carry.stale_since[element_of])
+    stale_since = time_of[np.maximum(since_position, 0)]
+    carried_run = np.flatnonzero((since_position < 0) & ~fresh_before)
+    stale_since[carried_run] = carry.stale_since[element_of[carried_run]]
 
-    end_offset = time_of - stale_since
-    start_offset = previous_time - stale_since
-    age_increment = 0.5 * (np.float_power(end_offset, 2.0)
-                           - np.float_power(start_offset, 2.0))
-    carry.fresh_time = _fold_with_carry(
-        carry.fresh_time, element_of,
-        np.where(fresh_before, elapsed, 0.0), n_elements)
-    carry.age_integral = _fold_with_carry(
-        carry.age_integral, element_of,
-        np.where(fresh_before, 0.0, age_increment), n_elements)
+    # The reference loop squares np.float64 *scalars* (libm pow);
+    # np.float_power is the array op that matches it bit-for-bit.
+    age_increment = np.float_power(time_of - stale_since, 2.0)
+    age_increment -= np.float_power(previous_time - stale_since, 2.0)
+    age_increment *= 0.5
+    fold_bins = np.concatenate([np.arange(n_elements, dtype=np.intp),
+                                element_of])
+    carry.fresh_time = _fold_with_carry(carry.fresh_time, fold_bins,
+                                        elapsed, fresh_before)
+    carry.age_integral = _fold_with_carry(carry.age_integral, fold_bins,
+                                          age_increment, ~fresh_before)
+    del fold_bins  # n + events indices: keep them out of the peak
 
     # Poll bookkeeping on absolute source versions: the carried update
     # count anchors in-slab cumulative counts, and a slab-opening poll
     # compares against the carried last-polled version.
-    updates_so_far = np.cumsum(is_update, dtype=np.int64)
+    updates_so_far = np.cumsum(is_update, dtype=np.int32)
     updates_before = ((updates_so_far - is_update)
                       - (updates_so_far[segment_start_of]
                          - is_update[segment_start_of]))
@@ -2247,9 +1273,10 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
         carry.stale_since[present])
     carry.fresh[present] = final_fresh
     carry.last_time[present] = time_of[segment_end_positions]
-    carry.versions += np.bincount(element_of[is_update],
-                                  minlength=n_elements
-                                  ).astype(np.int64)
+    carry.versions[present] += (
+        updates_so_far[segment_end_positions]
+        - updates_so_far[segment_start_positions]
+        + is_update[segment_start_positions])
     if sync_versions.shape[0]:
         last_poll = np.empty(sync_elements.shape[0], dtype=bool)
         last_poll[-1] = True
@@ -2289,25 +1316,25 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     run_start_global[order] = run_start
     becomes_fresh_global = np.empty(n_events, dtype=bool)
     becomes_fresh_global[order] = becomes_fresh
-    changed_sync_global = np.zeros(n_events, dtype=bool)
-    changed_sync_global[order[sync_positions[changed]]] = True
-    return (fresh_before_global, run_start_global,
-            becomes_fresh_global, changed_sync_global)
+    return fresh_before_global, run_start_global, becomes_fresh_global
+
+
+#: ``sim.engine.*`` label per kernel fault-plan kind.
+_FAULT_ENGINES = {"iid": "fastpath_faulted", "ge": "fastpath_ge"}
 
 
 class StreamingReplay:
     """Replay a horizon one whole-period slab at a time.
 
-    Feed consecutive slabs of the merged event tape (global clock,
-    split at period boundaries) with :meth:`feed`, then call
-    :meth:`finish` for the :class:`SimulationResult`.  The result —
-    including telemetry series, freshness ledger, fault accounting,
-    fault trace and post-run fault-rng / Gilbert–Elliott chain state
-    — is bit-identical to handing the concatenated tape to the
-    matching one-shot kernel (:func:`replay_fastpath`,
-    :func:`replay_fastpath_faulted` or :func:`replay_fastpath_ge`),
-    while holding only O(slab) transient memory plus the O(n)
-    :class:`ReplayCarry`.
+    Feed consecutive slabs of the merged event tape (run clock, split
+    at period boundaries) with :meth:`feed`, then call :meth:`finish`
+    for the :class:`SimulationResult`.  Every vectorized route runs
+    through this class: a one-shot replay is a single slab.  The
+    result — including telemetry series, freshness ledger, fault
+    accounting, fault trace and post-run fault-rng / Gilbert–Elliott
+    chain state — is bit-identical to the reference loop over the
+    concatenated tape, for any split, while holding only O(slab)
+    transient memory plus the O(n) :class:`ReplayCarry`.
 
     Args:
         catalog: The simulated workload.
@@ -2332,6 +1359,7 @@ class StreamingReplay:
                  fault_args: dict | None = None,
                  fault_time_offset: float = 0.0,
                  record_fault_trace: bool = False) -> None:
+        n = catalog.n_elements
         self._catalog = catalog
         self._frequencies = frequencies
         self._period_length = float(period_length)
@@ -2339,110 +1367,66 @@ class StreamingReplay:
         self._horizon = n_periods * period_length
         self._fault_args = fault_args
         self._fault_time_offset = float(fault_time_offset)
-        self._record_fault_trace = record_fault_trace
         self._sizes = np.asarray(catalog.sizes, dtype=float)
         self._planned = float(self._sizes @ frequencies)
-        self._carry = ReplayCarry.start(catalog.n_elements)
+        self._carry = ReplayCarry.start(n)
+        self._faults: _FaultAccounting | None = None
+        self._engine = "fastpath"
+        if fault_args is not None:
+            self._faults = _FaultAccounting.start(n)
+            self._engine = _FAULT_ENGINES[fault_args["kind"]]
+        self._trace: list[tuple[float, int, str]] | None = (
+            [] if record_fault_trace and fault_args is not None
+            else None)
+        self._chain: np.ndarray | None = None
         self._periods_done = 0.0
         self._next_first_period = 0
         self._fractional_tail = False
         self._finished = False
-        # Fault accounting accumulators (channel-equivalent totals).
-        n = catalog.n_elements
-        self._attempted_polls = 0
-        self._made_polls = 0
-        self._successful_polls = 0
-        self._denied_polls = 0
-        self._denied_retries = 0
-        self._attempted_bandwidth = 0.0
-        self._attempted_poll_counts = np.zeros(n, dtype=np.int64)
-        self._failed_poll_counts = np.zeros(n, dtype=np.int64)
-        self._trace: list[tuple[float, int, str]] | None = (
-            [] if record_fault_trace else None)
-        self._chain: np.ndarray | None = None
 
     @property
     def carry(self) -> ReplayCarry:
         """The cross-slab per-element state (read-mostly for tests)."""
         return self._carry
 
-    def _resolve_slab(self, times: np.ndarray, elements: np.ndarray,
-                      kinds: np.ndarray
-                      ) -> tuple[FaultResolution, np.ndarray,
-                                 np.ndarray]:
-        """Resolve one slab's sync outcomes on the shared fault rng."""
-        fault_args = self._fault_args
-        assert fault_args is not None
-        sync_positions = np.flatnonzero(kinds == int(EventKind.SYNC))
-        sync_elements = elements[sync_positions]
-        fault_times = times[sync_positions] + self._fault_time_offset
-        if fault_args.get("kind", "iid") == "ge":
-            model = fault_args["model"]
-            if self._chain is None:
-                self._chain = model.chain_states(
-                    self._catalog.n_elements)
-            resolution, self._chain = resolve_ge_faults(
-                fault_times, sync_elements, self._sizes,
-                p_good_to_bad=model.p_good_to_bad,
-                p_bad_to_good=model.p_bad_to_good,
-                loss_good=model.loss_good, loss_bad=model.loss_bad,
-                failure_outcome=model.failure_outcome,
-                initial_bad=self._chain,
-                retry_policy=fault_args["retry_policy"],
-                bandwidth_budget=fault_args["bandwidth_budget"],
-                period_length=self._period_length,
-                rng=fault_args["rng"],
-                record_trace=self._record_fault_trace)
-        else:
-            resolution = resolve_iid_faults(
-                fault_times, sync_elements, self._sizes,
-                failure_probability=fault_args["failure_probability"],
-                failure_outcome=fault_args["failure_outcome"],
-                retry_policy=fault_args["retry_policy"],
-                bandwidth_budget=fault_args["bandwidth_budget"],
-                period_length=self._period_length,
-                rng=fault_args["rng"],
-                record_trace=self._record_fault_trace)
-        # Fold the slab's accounting into the running totals.  The
-        # attempt-bandwidth fold is sequential in sync order, so it
-        # continues with the carry-prepend trick like the kernel's.
-        attempts = resolution.attempts
-        self._attempted_polls += int(attempts.sum())
-        self._made_polls += int(np.count_nonzero(attempts))
-        self._successful_polls += int(
-            np.count_nonzero(resolution.success))
-        self._denied_polls += int(np.count_nonzero(resolution.denied))
-        self._denied_retries += resolution.denied_retries
-        attempt_sizes = np.repeat(self._sizes[sync_elements], attempts)
-        self._attempted_bandwidth = float(np.bincount(
-            np.zeros(attempt_sizes.shape[0] + 1, dtype=np.intp),
-            weights=np.concatenate([[self._attempted_bandwidth],
-                                    attempt_sizes]),
-            minlength=1)[0])
-        self._attempted_poll_counts += np.bincount(
-            sync_elements, weights=attempts,
-            minlength=self._attempted_poll_counts.shape[0]
-        ).astype(np.int64)
-        self._failed_poll_counts += np.bincount(
-            sync_elements, weights=attempts - resolution.success,
-            minlength=self._failed_poll_counts.shape[0]
-        ).astype(np.int64)
-        if self._trace is not None and resolution.trace is not None:
-            self._trace.extend(resolution.trace)
-        return resolution, sync_positions, sync_elements
-
+    # seedflow: pair=repro.sim.simulation.Simulation.run
     def feed(self, times: np.ndarray, elements: np.ndarray,
              kinds: np.ndarray, *, n_periods: float) -> None:
         """Fold the next slab of the tape into the replay.
 
         Args:
-            times: Slab event times on the *global* run clock,
-                time-ordered, all within the slab's period window.
+            times: Slab event times on the run clock, time-ordered,
+                all within the slab's period window.
             elements: Element id per slab event.
             kinds: :class:`~repro.sim.events.EventKind` per event.
             n_periods: Periods this slab covers.  Slabs start at
                 whole-period boundaries; a fractional count is
                 allowed only for the final slab.
+
+        Raises:
+            SimulationError: On a slab out of order, after
+                :meth:`finish`, or too large for the kernel's int32
+                positions (the message names the largest
+                ``chunk_periods`` that fits).
+        """
+        self._feed(times, elements, kinds, n_periods=n_periods)
+
+    def finish(self) -> SimulationResult:
+        """Flush the horizon and assemble the result."""
+        return self._finish()
+
+    # The routes inside this module call the private pair below, not
+    # the public methods, so instrumenting feed/finish (as a profiler
+    # does) sees each replay once.
+
+    def _feed(self, times: np.ndarray, elements: np.ndarray,
+              kinds: np.ndarray, *, n_periods: float,
+              resolution: FaultResolution | None = None) -> None:
+        """:meth:`feed`, optionally with the slab's faults resolved.
+
+        ``resolution`` covers the slab's scheduled syncs in tape
+        order (from :func:`resolve_tape_faults`); without it the slab
+        is resolved here, on the plan's fault rng.
         """
         if self._finished:
             raise SimulationError(
@@ -2454,18 +1438,47 @@ class StreamingReplay:
         if n_periods <= 0.0:
             raise SimulationError(
                 f"slab must cover > 0 periods, got {n_periods}")
+        n_events = int(times.shape[0])
+        if n_events >= _SLAB_EVENT_LIMIT:
+            per_period = n_events / n_periods
+            fits = int((_SLAB_EVENT_LIMIT - 1) // per_period)
+            remedy = (f"chunk_periods={fits} or fewer fits"
+                      if fits >= 1 else
+                      "even one period is too large; shrink the "
+                      "catalog or its event rates")
+            raise SimulationError(
+                f"slab of {n_events} events over {n_periods:g} "
+                f"periods ({per_period:.0f} events per period) "
+                f"overflows int32 positions; {remedy}")
         first_period = self._next_first_period
-        if times.shape[0] and (float(times[0])
-                               < first_period * self._period_length):
+        if n_events and (float(times[0])
+                         < first_period * self._period_length):
             raise SimulationError(
                 "slab events precede the slab's period window")
 
         failed_per_period = None
         retries_per_period = None
         telemetry_on = obs.telemetry_enabled()
-        if self._fault_args is not None:
-            resolution, sync_positions, _ = self._resolve_slab(
-                times, elements, kinds)
+        if self._faults is not None:
+            assert self._fault_args is not None
+            sync_positions = np.flatnonzero(kinds == int(EventKind.SYNC))
+            sync_elements = elements[sync_positions]
+            if resolution is None:
+                resolution, self._chain = _resolve_faults(
+                    times[sync_positions] + self._fault_time_offset,
+                    sync_elements, self._sizes,
+                    fault_args=self._fault_args,
+                    period_length=self._period_length,
+                    initial_bad=self._chain,
+                    record_trace=self._trace is not None)
+            elif resolution.success.shape[0] != sync_positions.shape[0]:
+                raise SimulationError(
+                    f"resolution covers {resolution.success.shape[0]} "
+                    f"syncs but the slab schedules "
+                    f"{sync_positions.shape[0]}")
+            self._faults.add(resolution, sync_elements, self._sizes)
+            if self._trace is not None and resolution.trace is not None:
+                self._trace.extend(resolution.trace)
             if telemetry_on:
                 n_buckets = max(int(np.ceil(n_periods)) - 1, 0) + 1
                 sync_buckets = ((times[sync_positions]
@@ -2473,15 +1486,15 @@ class StreamingReplay:
                                 .astype(np.int64) - first_period)
                 failed_per_period = np.bincount(
                     sync_buckets,
-                    weights=(resolution.attempts
-                             - resolution.success),
+                    weights=(resolution.attempts - resolution.success),
                     minlength=n_buckets).astype(np.int64)
                 retries_per_period = np.bincount(
                     sync_buckets,
                     weights=(resolution.attempts
                              - (resolution.attempts > 0)),
                     minlength=n_buckets).astype(np.int64)
-            keep = np.ones(times.shape[0], dtype=bool)
+            # One index gather instead of three boolean-mask scans.
+            keep = np.ones(n_events, dtype=bool)
             keep[sync_positions[~resolution.success]] = False
             kept = np.flatnonzero(keep)
             times = times[kept]
@@ -2489,12 +1502,12 @@ class StreamingReplay:
             kinds = kinds[kept]
 
         fresh_base = self._carry.fresh_count
-        flags = _replay_tape_chunk(self._carry, self._sizes,
-                                   times, elements, kinds)
+        fresh_before, run_start, becomes_fresh = _replay_tape_chunk(
+            self._carry, self._sizes, times, elements, kinds)
         if telemetry_on:
             _emit_period_series(
                 times, elements, kinds, self._sizes,
-                flags[0], flags[1], flags[2],
+                fresh_before, run_start, becomes_fresh,
                 self._catalog.n_elements,
                 period_length=self._period_length,
                 n_periods=n_periods, planned=self._planned,
@@ -2502,7 +1515,7 @@ class StreamingReplay:
                 retries_per_period=retries_per_period,
                 first_period=first_period,
                 initial_fresh=fresh_base)
-            _emit_ledger(times, elements, kinds, flags[1],
+            _emit_ledger(times, elements, kinds, run_start,
                          time_offset=self._fault_time_offset)
 
         self._periods_done += n_periods
@@ -2511,8 +1524,8 @@ class StreamingReplay:
             self._fractional_tail = True
         self._next_first_period = first_period + max(whole, 1)
 
-    def finish(self) -> SimulationResult:
-        """Flush the horizon and assemble the result."""
+    def _finish(self) -> SimulationResult:
+        """:meth:`finish`."""
         if self._finished:
             raise SimulationError("StreamingReplay.finish called twice")
         if abs(self._periods_done - self._n_periods) > 1e-9:
@@ -2523,31 +1536,27 @@ class StreamingReplay:
         carry = self._carry
         horizon = self._horizon
         catalog = self._catalog
+        faults = self._faults
+        if self._chain is not None:
+            assert self._fault_args is not None
+            self._fault_args["model"].set_chain_states(self._chain)
 
-        fault_args = self._fault_args
-        if (fault_args is not None
-                and fault_args.get("kind", "iid") == "ge"
-                and self._chain is not None):
-            fault_args["model"].set_chain_states(self._chain)
-
-        # Horizon flush: identical operations to the one-shot kernel
-        # (and so to FreshnessMonitor.close()), on the carried state.
+        # Horizon flush, folded into the (now final) carry: mirrors
+        # FreshnessMonitor.close() exactly (array ** 2 here on
+        # purpose — close() squares arrays).
         remaining = horizon - carry.last_time
         if (remaining < -1e-9).any():
             raise SimulationError(
                 "events were recorded beyond the horizon")
-        fresh_time = carry.fresh_time + (np.maximum(remaining, 0.0)
-                                         * carry.fresh)
-        age_integral = carry.age_integral
+        carry.fresh_time += np.maximum(remaining, 0.0) * carry.fresh
         stale = ~carry.fresh & (remaining > 0.0)
         if stale.any():
             since = carry.stale_since[stale]
             start = carry.last_time[stale]
-            age_integral = age_integral.copy()
-            age_integral[stale] += 0.5 * (
+            carry.age_integral[stale] += 0.5 * (
                 (horizon - since) ** 2 - (start - since) ** 2)
-        element_freshness = fresh_time / horizon
-        element_age = age_integral / horizon
+        element_freshness = carry.fresh_time / horizon
+        element_age = carry.age_integral / horizon
 
         p = catalog.access_probabilities
         perceived_by_accesses = (
@@ -2555,39 +1564,15 @@ class StreamingReplay:
             if carry.n_accesses
             else float(p @ element_freshness))
 
-        accounting: _FaultAccounting | None = None
-        engine = "fastpath"
-        if fault_args is not None:
-            engine = ("fastpath_ge"
-                      if fault_args.get("kind", "iid") == "ge"
-                      else "fastpath_faulted")
-            accounting = _FaultAccounting(
-                attempted_polls=self._attempted_polls,
-                failed_polls=(self._attempted_polls
-                              - self._successful_polls),
-                retries=self._attempted_polls - self._made_polls,
-                denied_polls=self._denied_polls,
-                denied_retries=self._denied_retries,
-                failed_syncs=(self._made_polls
-                              - self._successful_polls),
-                attempted_bandwidth=self._attempted_bandwidth,
-                attempted_poll_counts=self._attempted_poll_counts,
-                failed_poll_counts=self._failed_poll_counts,
-            )
-
         if obs.telemetry_enabled():
-            if accounting is not None:
-                outcome = (
-                    fault_args["model"].failure_outcome
-                    if engine == "fastpath_ge"
-                    else fault_args["failure_outcome"])
-                _emit_fault_counters(accounting, outcome)
+            if faults is not None:
+                assert self._fault_args is not None
+                faults.emit(self._fault_args["failure_outcome"])
             _emit_monitor_close(element_freshness, element_age,
                                 carry.n_accesses,
                                 carry.fresh_accesses, horizon)
             obs.counter_add("sim.runs")
-            obs.counter_add(f"sim.{engine}_runs")
-            obs.counter_add(f"sim.engine.{engine}")
+            obs.counter_add(f"sim.engine.{self._engine}")
             obs.counter_add("sim.syncs", carry.n_syncs)
             obs.counter_add("sim.useful_syncs", carry.useful_syncs)
             obs.counter_add("sim.updates", carry.n_updates)
@@ -2597,40 +1582,14 @@ class StreamingReplay:
                           float(perceived_by_accesses))
             obs.gauge_set("sim.monitored_general_freshness",
                           float(element_freshness.mean()))
-            if accounting is not None:
+            if faults is not None:
                 obs.gauge_set("sim.attempted_bandwidth",
-                              accounting.attempted_bandwidth)
+                              faults.attempted_bandwidth)
                 obs.gauge_set(
                     "sim.poll_failure_fraction",
-                    (accounting.failed_polls
-                     / accounting.attempted_polls
-                     if accounting.attempted_polls else 0.0))
+                    (faults.failed_polls / faults.attempted_polls
+                     if faults.attempted_polls else 0.0))
 
-        if accounting is None:
-            return SimulationResult(
-                catalog=catalog,
-                frequencies=self._frequencies,
-                horizon=horizon,
-                period_length=self._period_length,
-                n_updates=carry.n_updates,
-                n_syncs=carry.n_syncs,
-                n_accesses=carry.n_accesses,
-                useful_syncs=carry.useful_syncs,
-                bandwidth_used=carry.bandwidth_used,
-                monitored_perceived_freshness=float(
-                    perceived_by_accesses),
-                monitored_time_perceived=float(p @ element_freshness),
-                monitored_general_freshness=float(
-                    element_freshness.mean()),
-                element_time_freshness=element_freshness,
-                element_time_age=element_age,
-                monitored_perceived_age=float(p @ element_age),
-                access_counts=carry.access_counts,
-                poll_counts=carry.poll_counts,
-                changed_poll_counts=carry.changed_poll_counts,
-                attempted_polls=carry.n_syncs,
-                attempted_bandwidth=carry.bandwidth_used,
-            )
         return SimulationResult(
             catalog=catalog,
             frequencies=self._frequencies,
@@ -2650,19 +1609,153 @@ class StreamingReplay:
             access_counts=carry.access_counts,
             poll_counts=carry.poll_counts,
             changed_poll_counts=carry.changed_poll_counts,
-            attempted_polls=accounting.attempted_polls,
-            failed_polls=accounting.failed_polls,
-            unreachable_polls=0,
-            retries=accounting.retries,
-            breaker_skips=0,
-            denied_polls=accounting.denied_polls,
-            attempted_bandwidth=accounting.attempted_bandwidth,
-            attempted_poll_counts=accounting.attempted_poll_counts,
-            failed_poll_counts=accounting.failed_poll_counts,
-            unreachable_poll_counts=np.zeros(catalog.n_elements,
-                                             dtype=np.int64),
-            unreachable_elements=None,
-            fault_trace=(tuple(self._trace)
-                         if self._record_fault_trace
-                         and self._trace is not None else None),
+            attempted_polls=(carry.n_syncs if faults is None
+                             else faults.attempted_polls),
+            failed_polls=0 if faults is None else faults.failed_polls,
+            retries=0 if faults is None else faults.retries,
+            denied_polls=0 if faults is None else faults.denied_polls,
+            attempted_bandwidth=(carry.bandwidth_used if faults is None
+                                 else faults.attempted_bandwidth),
+            attempted_poll_counts=(None if faults is None
+                                   else faults.attempted_poll_counts),
+            failed_poll_counts=(None if faults is None
+                                else faults.failed_poll_counts),
+            unreachable_poll_counts=(
+                None if faults is None
+                else np.zeros(catalog.n_elements, dtype=np.int64)),
+            fault_trace=(None if self._trace is None
+                         else tuple(self._trace)),
         )
+
+
+# seedflow: pair=repro.sim.simulation.Simulation.run
+def replay_fastpath(catalog: Catalog, frequencies: np.ndarray,
+                    times: np.ndarray, elements: np.ndarray,
+                    kinds: np.ndarray, *, horizon: float,
+                    period_length: float, n_periods: float,
+                    ledger_time_offset: float = 0.0
+                    ) -> SimulationResult:
+    """Replay a merged fault-free event tape as one slab.
+
+    Args:
+        catalog: The simulated workload.
+        frequencies: The schedule's per-element sync frequencies, in
+            syncs per period.
+        times: Merged event times, globally time-ordered.
+        elements: Element id per merged event.
+        kinds: :class:`~repro.sim.events.EventKind` per merged event.
+        horizon: Total simulated clock time.
+        period_length: Clock length of one sync period.
+        n_periods: Periods simulated (may be fractional).
+        ledger_time_offset: Added to event times when feeding the
+            freshness ledger, in clock units (whole periods), so
+            per-period manager runs stamp the ledger on the global
+            clock.
+
+    Returns:
+        A :class:`SimulationResult` bit-identical to the reference
+        loop's for the same tape.
+    """
+    replay = StreamingReplay(catalog, frequencies,
+                             period_length=period_length,
+                             n_periods=n_periods,
+                             fault_time_offset=ledger_time_offset)
+    # Flush to the caller's horizon (normally n_periods·period_length).
+    replay._horizon = float(horizon)
+    replay._feed(times, elements, kinds, n_periods=n_periods)
+    return replay._finish()
+
+
+# seedflow: pair=repro.sim.simulation.Simulation.run
+def replay_window_tapes(catalog: Catalog, frequencies: np.ndarray,
+                        tapes: list[tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]], *,
+                        period_length: float,
+                        first_global_period: int,
+                        fault_args: dict | None = None,
+                        resolutions: (list[FaultResolution]
+                                      | None) = None
+                        ) -> tuple[list[SimulationResult], list[int]]:
+    """Replay consecutive one-period tapes as one-period runs.
+
+    The window-batched adaptive manager generates one event tape per
+    period (preserving the per-period draw order, so common-random-
+    number seeds line up with per-period runs), then hands a group of
+    them here.  Period ``j`` replays as one slab of its own, exactly
+    as ``Simulation.run(1)`` with the matching ``fault_time_offset``
+    would replay it, so each result is bit-identical to running the
+    period separately.
+
+    Args:
+        catalog: The simulated workload (all periods share it).
+        frequencies: Per-element sync frequencies, in syncs/period
+            (constant within a replan window by construction).
+        tapes: One ``(times, elements, kinds)`` merged tape per
+            period, with *local* times in ``[0, period_length)``.
+        period_length: Clock length of one sync period.
+        first_global_period: 1-based global index of the window's
+            first period; period ``j`` of the window runs on the
+            fault clock at offset
+            ``(first_global_period + j − 1) · period_length``.
+        fault_args: The dispatch arguments from
+            :meth:`repro.sim.simulation.Simulation.fault_kernel_args`,
+            or None for a fault-free window.  Unless ``resolutions``
+            is supplied, each period's faults are resolved on
+            ``fault_args["rng"]`` after every tape was drawn, so the
+            fault rng must be *dedicated* (not shared with the
+            workload rng) for the draws to match per-period runs.
+        resolutions: Pre-computed per-period fault resolutions from
+            :func:`resolve_tape_faults`, one per tape, produced by
+            interleaving resolution with tape construction.  With
+            these the shared-stream restriction above disappears —
+            the draws already happened in per-period order — and
+            this function consumes no RNG.  Requires ``fault_args``
+            for the accounting metadata (outcome, budget).
+
+    Returns:
+        ``(results, consumed)`` — one :class:`SimulationResult` per
+        period and the number of fault-rng draws consumed per period
+        (all zeros when fault-free), which the manager uses to rewind
+        the fault stream when a mid-window replan trigger forces a
+        rollback.
+    """
+    if resolutions is not None:
+        if fault_args is None:
+            raise SimulationError(
+                "replay_window_tapes: resolutions requires "
+                "fault_args for the accounting metadata")
+        if len(resolutions) != len(tapes):
+            raise SimulationError(
+                "replay_window_tapes: expected one resolution per "
+                f"tape, got {len(resolutions)} for {len(tapes)}")
+    do_contracts = contracts_enabled()
+    planned = float(np.asarray(catalog.sizes, dtype=float)
+                    @ frequencies)
+    granularity = float(catalog.sizes[frequencies > 0.0].sum())
+    budget = (fault_args["bandwidth_budget"]
+              if fault_args is not None else None)
+
+    results: list[SimulationResult] = []
+    consumed: list[int] = []
+    for j, (times, elements, kinds) in enumerate(tapes):
+        replay = StreamingReplay(
+            catalog, frequencies, period_length=period_length,
+            n_periods=1.0, fault_args=fault_args,
+            fault_time_offset=(first_global_period - 1 + j)
+            * period_length)
+        replay._feed(times, elements, kinds, n_periods=1.0,
+                     resolution=(resolutions[j] if resolutions
+                                 is not None else None))
+        result = replay._finish()
+        if do_contracts:
+            check_sync_conservation(
+                result.bandwidth_used, planned, 1.0, granularity,
+                where="replay_window_tapes")
+            if budget is not None:
+                check_attempt_budget(
+                    result.attempted_bandwidth, budget, 1.0,
+                    granularity, where="replay_window_tapes")
+        results.append(result)
+        consumed.append(0 if replay._faults is None
+                        else replay._faults.draws)
+    return results, consumed

@@ -17,6 +17,8 @@ Typical use::
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.contracts import (
@@ -40,13 +42,7 @@ from repro.sim.events import (
     merge_streams,
 )
 from repro.sim.evaluator import FreshnessMonitor, SimulationResult
-from repro.sim.fastpath import (
-    ReplayArena,
-    StreamingReplay,
-    replay_fastpath,
-    replay_fastpath_faulted,
-    replay_fastpath_ge,
-)
+from repro.sim.fastpath import ReplayArena, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
 from repro.sim.mirror import Mirror
 from repro.sim.source import Source
@@ -312,19 +308,22 @@ class Simulation:
         return merge_streams(streams)
 
     def fault_kernel_args(self) -> dict | None:
-        """The faulted kernel's plan/ledger arguments, if eligible.
+        """The kernel's fault-plan arguments, if the plan is eligible.
 
         Returns None when the simulation is fault-free or its plan
         needs the reference loop (multi-model, latency, outages, a
         breaker, a relay topology, or a gated retry policy whose
         shared token bucket is cross-run stateful); otherwise the
-        keyword arguments consumed by
-        :func:`replay_fastpath_faulted`/:func:`replay_fastpath_ge`
-        and :func:`repro.sim.fastpath.replay_window_tapes`, tagged
-        with ``"kind"``: ``"iid"`` (failure probability/outcome) or
-        ``"ge"`` (the single Gilbert–Elliott model, whose chain
-        state the kernel threads explicitly), plus the shared retry
-        policy, budget and fault rng.
+        ``fault_args`` the vectorized routes in
+        :mod:`repro.sim.fastpath` take (:class:`~repro.sim.fastpath.
+        StreamingReplay`, :func:`~repro.sim.fastpath.
+        replay_window_tapes`, :func:`~repro.sim.fastpath.
+        resolve_tape_faults`).  This is their only producer, and it
+        always sets ``"kind"``: ``"iid"`` (plus the failure
+        probability) or ``"ge"`` (plus the single Gilbert–Elliott
+        model, whose chain state the kernel threads explicitly).
+        Both kinds carry the failure outcome, the shared retry
+        policy, the budget and the fault rng.
         """
         if self._fault_plan is None or self._fault_plan.is_quiet:
             return None
@@ -356,7 +355,8 @@ class Simulation:
                     "failure_outcome": profile[1], **common}
         model = self._fault_plan.ge_profile()
         if model is not None:
-            return {"kind": "ge", "model": model, **common}
+            return {"kind": "ge", "model": model,
+                    "failure_outcome": model.failure_outcome, **common}
         return None
 
     def run(self, n_periods: float, *,
@@ -368,25 +368,22 @@ class Simulation:
             n_periods: Number of periods to simulate, > 0 (several
                 periods are needed for the monitored metrics to settle
                 near the analytic values).
-            engine: ``"auto"`` (default) replays fault-free tapes with
-                the vectorized kernel (:mod:`repro.sim.fastpath`),
-                stateless i.i.d.-loss plans with the vectorized
-                faulted kernel, single retryable Gilbert–Elliott
-                plans with the scan-vectorized burst kernel, and
-                falls back to the per-event reference loop for
-                everything else (latency, multi-model, outages,
-                breakers, topologies, gated retries);
-                ``"fastpath"`` insists on a kernel (an error for
-                reference-only plans); ``"reference"`` forces the
-                loop.  The engines are bit-identical, so this knob
-                exists for equivalence tests and debugging, not for
-                correctness.
+            engine: ``"auto"`` (default) replays fault-free tapes,
+                stateless i.i.d.-loss plans and single retryable
+                Gilbert–Elliott plans with the vectorized kernel
+                (:mod:`repro.sim.fastpath`), and falls back to the
+                per-event reference loop for everything else
+                (latency, multi-model, outages, breakers,
+                topologies, gated retries); ``"fastpath"`` insists
+                on the kernel (an error for reference-only plans);
+                ``"reference"`` forces the loop.  The engines are
+                bit-identical, so this knob exists for equivalence
+                tests and debugging, not for correctness.
             chunk_periods: When given, generate and replay the
-                horizon in slabs of this many periods through the
-                streaming engine (:class:`~repro.sim.fastpath.
-                StreamingReplay`), keeping peak memory O(slab)
-                instead of O(horizon).  Replay of a given tape is
-                bit-identical to one-shot; *generation* switches to
+                horizon in slabs of this many periods, keeping peak
+                memory O(slab) instead of O(horizon).  Without it
+                the whole tape is one slab.  Replay of a given tape
+                is bit-identical either way; *generation* switches to
                 per-slab ``rng.spawn`` child streams, so results are
                 statistically equivalent but not draw-identical to
                 ``chunk_periods=None`` (see docs/PERFORMANCE.md).
@@ -395,6 +392,13 @@ class Simulation:
 
         Returns:
             The measured :class:`SimulationResult`.
+
+        Raises:
+            ValidationError: On an invalid argument or a plan the
+                requested engine cannot replay.
+            SimulationError: When one slab holds too many events for
+                the kernel's int32 positions; the message names the
+                largest ``chunk_periods`` that fits.
         """
         if engine not in ("auto", "fastpath", "reference"):
             raise ValidationError(
@@ -402,41 +406,56 @@ class Simulation:
                 f"got {engine!r}")
         if n_periods <= 0.0:
             raise ValidationError(f"n_periods must be > 0, got {n_periods}")
-        if chunk_periods is not None:
-            return self._run_streaming(n_periods, engine=engine,
-                                       chunk_periods=chunk_periods)
-        horizon = n_periods * self._period_length
-
-        with obs.span("sim.generate"):
-            times, elements, kinds = self.build_tape(n_periods)
-
         # A quiet (or absent) fault plan bypasses the channel
-        # entirely: the fault-free paths below consume no extra
-        # random draws, so results stay bit-identical.  Stateless
+        # entirely and consumes no extra random draws.  Stateless
         # i.i.d. loss and single retryable Gilbert–Elliott plans
-        # take the vectorized faulted kernels; everything else
+        # resolve their faults in the kernel; everything else
         # (latency/multi-model/outages/breaker/topology/gated
         # retries) stays on the loop.
-        planned_per_period = self._planned_per_period
         fault_free = self._fault_plan is None or self._fault_plan.is_quiet
         kernel_faults = (None if fault_free
                          else self.fault_kernel_args())
-        if engine == "fastpath" and not fault_free and \
-                kernel_faults is None:
+        kernel_plan = fault_free or kernel_faults is not None
+        unsupported = ("(latency draws, multiple models, outage "
+                       "windows, a breaker, a relay topology, a gated "
+                       "retry policy or a non-retryable "
+                       "Gilbert–Elliott outcome)")
+        if chunk_periods is not None:
+            if int(chunk_periods) != chunk_periods or chunk_periods < 1:
+                raise ValidationError(
+                    f"chunk_periods must be a positive integer, got "
+                    f"{chunk_periods}")
+            if engine == "reference":
+                raise ValidationError(
+                    "chunk_periods streams through the fastpath "
+                    "kernel; use engine='auto' or 'fastpath'")
+            if not kernel_plan:
+                raise ValidationError(
+                    f"chunk_periods cannot replay this fault plan "
+                    f"{unsupported}")
+            if not hasattr(self._updates, "draw_window"):
+                raise ValidationError(
+                    "chunk_periods requires an update generator with "
+                    "a draw_window(start, end) primitive")
+        if engine == "fastpath" and not kernel_plan:
             raise ValidationError(
-                "engine='fastpath' cannot replay this fault plan "
-                "(latency draws, multiple models, outage windows, a "
-                "breaker, a relay topology, a gated retry policy or "
-                "a non-retryable Gilbert–Elliott outcome); use "
-                "'auto' or 'reference'")
-        if fault_free and engine != "reference":
-            with obs.span("sim.run"):
-                result = replay_fastpath(
-                    self._catalog, self._frequencies, times, elements,
-                    kinds, horizon=horizon,
-                    period_length=self._period_length,
-                    n_periods=n_periods,
-                    ledger_time_offset=self._fault_time_offset)
+                f"engine='fastpath' cannot replay this fault plan "
+                f"{unsupported}; use 'auto' or 'reference'")
+        planned_per_period = self._planned_per_period
+
+        if kernel_plan and engine != "reference":
+            streaming = StreamingReplay(
+                self._catalog, self._frequencies,
+                period_length=self._period_length, n_periods=n_periods,
+                fault_args=kernel_faults,
+                fault_time_offset=self._fault_time_offset,
+                record_fault_trace=self._record_fault_trace)
+            for tape, slab_periods, last in self._tape_slabs(
+                    n_periods, chunk_periods):
+                with obs.span("sim.run"):
+                    streaming.feed(*tape, n_periods=slab_periods)
+                    if last:
+                        result = streaming.finish()
             if contracts_enabled():
                 scheduled = self._frequencies > 0.0
                 granularity = float(self._catalog.sizes[scheduled].sum())
@@ -446,31 +465,8 @@ class Simulation:
                     n_periods,
                     granularity,
                     where="Simulation.run")
-            return result
-        if kernel_faults is not None and engine != "reference":
-            kernel_kwargs = dict(kernel_faults)
-            kernel = (replay_fastpath_ge
-                      if kernel_kwargs.pop("kind") == "ge"
-                      else replay_fastpath_faulted)
-            with obs.span("sim.run"):
-                result = kernel(
-                    self._catalog, self._frequencies, times, elements,
-                    kinds, horizon=horizon,
-                    period_length=self._period_length,
-                    n_periods=n_periods,
-                    fault_time_offset=self._fault_time_offset,
-                    record_fault_trace=self._record_fault_trace,
-                    **kernel_kwargs)
-            if contracts_enabled():
-                scheduled = self._frequencies > 0.0
-                granularity = float(self._catalog.sizes[scheduled].sum())
-                check_sync_conservation(
-                    result.bandwidth_used,
-                    planned_per_period,
-                    n_periods,
-                    granularity,
-                    where="Simulation.run")
-                budget = kernel_faults["bandwidth_budget"]
+                budget = (kernel_faults["bandwidth_budget"]
+                          if kernel_faults is not None else None)
                 if budget is not None:
                     check_attempt_budget(
                         result.attempted_bandwidth,
@@ -480,6 +476,9 @@ class Simulation:
                         where="Simulation.run")
             return result
 
+        horizon = n_periods * self._period_length
+        with obs.span("sim.generate"):
+            times, elements, kinds = self.build_tape(n_periods)
         source = Source(self._catalog.n_elements)
         mirror = Mirror(source, sizes=self._catalog.sizes)
         monitor = FreshnessMonitor(self._catalog.n_elements, horizon)
@@ -690,44 +689,29 @@ class Simulation:
                          and self._record_fault_trace else None),
         )
 
-    def _run_streaming(self, n_periods: float, *, engine: str,
-                       chunk_periods: int) -> SimulationResult:
-        """Generate and replay the horizon in bounded period slabs.
+    def _tape_slabs(self, n_periods: float, chunk_periods: int | None
+                    ) -> Iterator[tuple[tuple[np.ndarray, np.ndarray,
+                                              np.ndarray], float, bool]]:
+        """Generate the kernel's tape, one slab at a time.
 
-        Each slab draws its own events from an ``rng.spawn`` child
+        Yields ``(tape, slab_periods, last)`` per slab.  Without
+        ``chunk_periods`` the whole horizon is one slab, drawn by
+        :meth:`build_tape`.  With it, each slab of ``chunk_periods``
+        periods draws its own events from an ``rng.spawn`` child
         (canonical chunked draw order: sorted update window, sync
-        schedule window, sorted request window), merges the three
+        schedule window, sorted request window) and merges the three
         pre-sorted streams in O(slab) position arithmetic — no
-        argsort anywhere on the slab path — and feeds them to the
-        :class:`~repro.sim.fastpath.StreamingReplay` carry kernel.
-        Peak memory is the carry state plus one slab's tape.
-        Generators lacking ``draw_window_sorted`` (custom update
-        processes exposing only the raw ``draw_window`` primitive)
-        fall back to unsorted draws fused by one stable argsort.
+        argsort anywhere on the slab path — so peak memory is the
+        replay carry plus one slab's tape.  Generators lacking
+        ``draw_window_sorted`` (custom update processes exposing only
+        the raw ``draw_window`` primitive) fall back to unsorted
+        draws fused by one stable argsort.
         """
-        if int(chunk_periods) != chunk_periods or chunk_periods < 1:
-            raise ValidationError(
-                f"chunk_periods must be a positive integer, got "
-                f"{chunk_periods}")
-        if engine == "reference":
-            raise ValidationError(
-                "chunk_periods streams through the fastpath kernel; "
-                "use engine='auto' or 'fastpath'")
-        fault_free = (self._fault_plan is None
-                      or self._fault_plan.is_quiet)
-        kernel_faults = (None if fault_free
-                         else self.fault_kernel_args())
-        if not fault_free and kernel_faults is None:
-            raise ValidationError(
-                "chunk_periods cannot replay this fault plan "
-                "(latency draws, multiple models, outage windows, a "
-                "breaker, a relay topology, a gated retry policy or "
-                "a non-retryable Gilbert–Elliott outcome)")
-        if not hasattr(self._updates, "draw_window"):
-            raise ValidationError(
-                "chunk_periods requires an update generator with a "
-                "draw_window(start, end) primitive")
-
+        if chunk_periods is None:
+            with obs.span("sim.generate"):
+                tape = self.build_tape(n_periods)
+            yield tape, n_periods, True
+            return
         chunk = int(chunk_periods)
         n_slabs = int(np.ceil(n_periods / chunk))
         try:
@@ -740,12 +724,6 @@ class Simulation:
                     int(self._rng.integers(np.iinfo(np.int64).max))))
                 for _ in range(n_slabs)]
 
-        streaming = StreamingReplay(
-            self._catalog, self._frequencies,
-            period_length=self._period_length, n_periods=n_periods,
-            fault_args=kernel_faults,
-            fault_time_offset=self._fault_time_offset,
-            record_fault_trace=self._record_fault_trace)
         arena = ReplayArena()
         n_elements = self._catalog.n_elements
         sorted_draws = hasattr(self._updates, "draw_window_sorted")
@@ -764,7 +742,7 @@ class Simulation:
                     access_times, access_elements = \
                         self._requests.draw_window_sorted(
                             start, end, rng=child, arena=arena)
-                    times, elements, kinds = merge_sorted_blocks(
+                    tape = merge_sorted_blocks(
                         update_times, update_elements,
                         sync_times, sync_elements,
                         access_times, access_elements,
@@ -777,33 +755,9 @@ class Simulation:
                     access_times, access_elements = \
                         self._requests.draw_window(start, end,
                                                    rng=child)
-                    times, elements, kinds = merge_kind_blocks(
+                    tape = merge_kind_blocks(
                         update_times, update_elements,
                         sync_times, sync_elements,
                         access_times, access_elements,
                         n_elements=n_elements, arena=arena)
-            with obs.span("sim.run"):
-                streaming.feed(times, elements, kinds,
-                               n_periods=last - first)
-        with obs.span("sim.run"):
-            result = streaming.finish()
-
-        if contracts_enabled():
-            scheduled = self._frequencies > 0.0
-            granularity = float(self._catalog.sizes[scheduled].sum())
-            check_sync_conservation(
-                result.bandwidth_used,
-                self._planned_per_period,
-                n_periods,
-                granularity,
-                where="Simulation.run")
-            if kernel_faults is not None:
-                budget = kernel_faults["bandwidth_budget"]
-                if budget is not None:
-                    check_attempt_budget(
-                        result.attempted_bandwidth,
-                        budget,
-                        float(np.ceil(n_periods)),
-                        granularity,
-                        where="Simulation.run")
-        return result
+            yield tape, last - first, slab == n_slabs - 1

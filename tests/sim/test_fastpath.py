@@ -647,7 +647,7 @@ class TestWindowReplay:
         building keeps a *shared* workload/fault stream
         bit-identical to per-period reference runs — the batched
         manager's shared-rng contract."""
-        from repro.sim.fastpath import ReplayArena, resolve_tape_faults
+        from repro.sim.fastpath import resolve_tape_faults
         frequencies = np.array([4.0, 1.5, 1.0, 2.0, 3.0])
 
         rng = np.random.default_rng(157)
@@ -686,7 +686,7 @@ class TestWindowReplay:
         windowed, _ = replay_window_tapes(
             sized_catalog, frequencies, tapes, period_length=1.0,
             first_global_period=1, fault_args=fault_args,
-            resolutions=resolutions, arena=ReplayArena())
+            resolutions=resolutions)
         for ref, win in zip(reference, windowed):
             assert_bit_identical(win, ref)
         assert rng.bit_generator.state == ref_state
@@ -734,6 +734,99 @@ class TestWindowReplay:
         assert probe.bit_generator.state["state"] == partial
 
 
+class TestDegenerateTapes:
+    """Tapes that leave the replay nothing to fold: a world with no
+    events at all, and a sync-only world whose plan fails every
+    attempt, so dropping the failed syncs empties each slab.  Every
+    route — one-shot, one-period slabs, a window — must still match
+    the reference loop bit for bit, ``sim.period`` series included."""
+
+    N_PERIODS = 3
+
+    @staticmethod
+    def _world(world):
+        catalog = Catalog(access_probabilities=np.full(6, 1 / 6),
+                          change_rates=np.zeros(6),
+                          sizes=np.array([1.0, 2.0, 1.0, 3.0, 1.0, 2.0]))
+        frequencies = (np.zeros(6) if world == "empty"
+                       else np.array([2.0, 1.0, 0.0, 3.0, 1.0, 2.0]))
+        return catalog, frequencies
+
+    @staticmethod
+    def _plan(mode):
+        """A fresh plan per run: the GE chain state lives on it."""
+        if mode == "quiet":
+            return None
+        if mode == "iid":
+            return FaultPlan.iid(1.0)
+        return FaultPlan.bursty(0.3, 0.4, loss_good=1.0, loss_bad=1.0)
+
+    @staticmethod
+    def _simulations(world, mode, n_runs):
+        """``n_runs`` consecutive one-period simulations (or one
+        whole-horizon simulation) sharing streams and a fresh plan."""
+        catalog, frequencies = world
+        rng = np.random.default_rng(41)
+        fault_rng = np.random.default_rng(42)
+        plan = TestDegenerateTapes._plan(mode)
+        retry = RetryPolicy(max_retries=2) if plan is not None else None
+        return [Simulation(catalog, frequencies, request_rate=1e-9,
+                           rng=rng, fault_plan=plan, retry_policy=retry,
+                           fault_rng=fault_rng,
+                           fault_time_offset=float(j))
+                for j in range(n_runs)]
+
+    def _route(self, route, world, mode):
+        if route == "window":
+            sims = self._simulations(world, mode, self.N_PERIODS)
+            tapes = [sim.build_tape(1) for sim in sims]
+            results, _ = replay_window_tapes(
+                *world, tapes, period_length=1.0,
+                first_global_period=1,
+                fault_args=sims[-1].fault_kernel_args())
+            return results
+        (sim,) = self._simulations(world, mode, 1)
+        chunk = 1 if route == "chunk1" else None
+        return [sim.run(self.N_PERIODS, engine="fastpath",
+                        chunk_periods=chunk)]
+
+    def _reference(self, route, world, mode):
+        if route == "window":
+            return [sim.run(1, engine="reference") for sim in
+                    self._simulations(world, mode, self.N_PERIODS)]
+        (sim,) = self._simulations(world, mode, 1)
+        return [sim.run(self.N_PERIODS, engine="reference")]
+
+    @staticmethod
+    def _observed(run):
+        with obs.telemetry() as registry:
+            results = run()
+        periods = [{k: v for k, v in record.items()
+                    if k not in ("seq", "t")}
+                   for record in registry.events_of_kind("sim.period")]
+        return results, periods
+
+    @pytest.mark.parametrize("mode", ["quiet", "iid", "ge"])
+    @pytest.mark.parametrize("world", ["empty", "all_fail"])
+    @pytest.mark.parametrize("route", ["oneshot", "chunk1", "window"])
+    def test_route_matches_reference(self, route, world, mode):
+        name, world = world, self._world(world)
+        kernel, kernel_periods = self._observed(
+            lambda: self._route(route, world, mode))
+        reference, reference_periods = self._observed(
+            lambda: self._reference(route, world, mode))
+        assert len(kernel_periods) == self.N_PERIODS
+        assert kernel_periods == reference_periods
+        assert len(kernel) == len(reference)
+        for fast, ref in zip(kernel, reference):
+            assert_bit_identical(fast, ref)
+            assert fast.n_updates == fast.n_accesses == 0
+            if name == "empty" or mode != "quiet":
+                assert fast.n_syncs == 0
+            if name == "all_fail" and mode != "quiet":
+                assert fast.failed_polls > 0
+
+
 class TestTelemetryParity:
     """Both engines must emit the same period series and gauges."""
 
@@ -756,7 +849,6 @@ class TestTelemetryParity:
             preset_catalog, "reference", n_periods)
         assert fast_periods == ref_periods
         assert fast_gauges == ref_gauges
-        assert fast_counters.pop("sim.fastpath_runs") == 1.0
         # The dispatch-decision counters differ by design; every
         # other counter must agree bit for bit.
         assert fast_counters.pop("sim.engine.fastpath") == 1.0
@@ -830,7 +922,7 @@ class TestLedgerParity:
         with obs.telemetry() as registry:
             run_engine(preset_catalog, plan.frequencies, engine="auto",
                        seed=89, n_periods=3.0)
-        assert registry.counters.get("sim.fastpath_runs") == 1.0
+        assert registry.counters.get("sim.engine.fastpath") == 1.0
         spans = [record["path"]
                  for record in registry.span_records()]
         assert "sim.run" in spans

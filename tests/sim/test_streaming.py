@@ -13,6 +13,7 @@ equivalent to the one-shot stream.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheduler import SyncSchedule
-from repro.errors import ValidationError
+from repro.errors import SimulationError, ValidationError
 from repro.faults.model import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.obs import registry as obs
 from repro.sim import events as events_mod
+from repro.sim import fastpath
 from repro.sim.events import merge_kind_blocks, merge_sorted_blocks
 from repro.sim.fastpath import ReplayArena, ReplayCarry, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
@@ -267,6 +269,28 @@ class TestChunkedRun:
             sim.run(2.0, chunk_periods=1.5)
         with pytest.raises(ValidationError):
             sim.run(2.0, engine="reference", chunk_periods=1)
+
+
+    def test_oversized_slab_names_the_chunk_that_fits(self,
+                                                     monkeypatch):
+        """A slab past the kernel's int32 limit fails with a typed
+        error naming the events per period and the largest
+        ``chunk_periods`` that fits — and that chunk size runs."""
+        catalog, frequencies = self.setup_world(n=50, seed=4)
+        monkeypatch.setattr(fastpath, "_SLAB_EVENT_LIMIT", 1000)
+        with pytest.raises(SimulationError,
+                           match=r"events per period.*chunk_periods=(\d+)"
+                           ) as raised:
+            make_sim(catalog, frequencies, 3, "iid").run(6.0)
+        fits = int(re.search(r"chunk_periods=(\d+)",
+                             str(raised.value)).group(1))
+        assert 1 <= fits < 6
+        make_sim(catalog, frequencies, 3, "iid").run(
+            6.0, chunk_periods=fits)
+        monkeypatch.setattr(fastpath, "_SLAB_EVENT_LIMIT", 10)
+        with pytest.raises(SimulationError, match="even one period"):
+            make_sim(catalog, frequencies, 3, "quiet").run(
+                6.0, chunk_periods=1)
 
 
 class TestEventsBetween:

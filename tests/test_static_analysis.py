@@ -243,9 +243,9 @@ def test_kernel_pair_annotations_are_registered() -> None:
     paired = {pair.kernel: pair.reference for pair in project.pairs}
     assert paired.get("repro.sim.fastpath.replay_fastpath") == \
         "repro.sim.simulation.Simulation.run"
-    assert paired.get("repro.sim.fastpath.replay_fastpath_faulted") \
+    assert paired.get("repro.sim.fastpath.StreamingReplay.feed") \
         == "repro.sim.simulation.Simulation.run"
-    assert paired.get("repro.sim.fastpath.replay_fastpath_ge") == \
+    assert paired.get("repro.sim.fastpath.replay_window_tapes") == \
         "repro.sim.simulation.Simulation.run"
     assert paired.get("repro.sim.fastpath.resolve_iid_faults") == \
         "repro.faults.channel.SyncChannel.sync"
