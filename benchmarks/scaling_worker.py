@@ -21,10 +21,11 @@ Config keys (defaults in parentheses): ``n_elements``, ``scenario``
 the streaming slab engine), ``mode`` (``run`` | ``adapt`` — the
 latter drives an :class:`AdaptiveMirrorManager` window-batched loop
 through the slab engine instead of a bare simulation),
-``compare_generation`` (false — additionally time the legacy
-event-stream tape build against the fused route on fresh same-seed
-simulations), ``freshener`` (``exact`` | ``partitioned`` — the exact
-water-filling solve is superlinear in the catalog and dominates the
+``compare_generation`` (false — additionally time the one-shot
+fused tape build, ``Simulation.build_tape``, on a fresh same-seed
+simulation, beside the slab route's ``generation_seconds``),
+``freshener`` (``exact`` | ``partitioned`` — the exact water-filling
+solve is superlinear in the catalog and dominates the
 wall clock past a few million elements, so the 10⁷ streaming row
 plans with the paper's scalable partitioned heuristic instead).
 One JSON object is printed on stdout: replay, total
@@ -187,18 +188,13 @@ def run_point(config: dict) -> dict:
         "freshness_checksum": checksum,
     }
     if config.get("compare_generation"):
-        # Fresh same-seed simulations so each route draws its tape
-        # from an identical rng state; only the build is timed.
-        def tape_seconds(fused: bool) -> float:
-            build_sim = Simulation(catalog, plan.frequencies,
-                                   request_rate=request_rate,
-                                   rng=np.random.default_rng(7))
-            start = time.perf_counter()
-            build_sim.build_tape(n_periods, fused=fused)
-            return time.perf_counter() - start
-
-        row["legacy_generation_seconds"] = tape_seconds(False)
-        row["fused_generation_seconds"] = tape_seconds(True)
+        # A fresh same-seed simulation; only the build is timed.
+        build_sim = Simulation(catalog, plan.frequencies,
+                               request_rate=request_rate,
+                               rng=np.random.default_rng(7))
+        start = time.perf_counter()
+        build_sim.build_tape(n_periods)
+        row["fused_generation_seconds"] = time.perf_counter() - start
     return row
 
 

@@ -10,7 +10,7 @@ Evaluator <repro.sim.evaluator.FreshnessMonitor>` observes everything.
 """
 
 from repro.sim.bursty import BurstyUpdateGenerator
-from repro.sim.events import EventKind, EventStream, merge_streams
+from repro.sim.events import EventKind, EventStream
 from repro.sim.evaluator import FreshnessMonitor, SimulationResult
 from repro.sim.generators import RequestGenerator, UpdateGenerator
 from repro.sim.mirror import Mirror
@@ -31,7 +31,6 @@ __all__ = [
     "EventKind",
     "EventStream",
     "FreshnessMonitor",
-    "merge_streams",
     "LinkReplayResult",
     "Mirror",
     "SyncLink",

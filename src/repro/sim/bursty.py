@@ -17,6 +17,10 @@ flips happen on the timescale of ``cycle_length``.
 Used by the model-misspecification experiment: how much perceived
 freshness does the Fixed-Order schedule actually lose when the world
 bursts but the planner assumed Poisson?
+
+The generator offers ``draw_window`` (the one-shot tape route) but no
+``draw_window_sorted``, so bursty worlds cannot run with
+``chunk_periods``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,48 @@ class BurstyUpdateGenerator:
                           * (1.0 - self._on_fraction))
         self._rng = rng
 
+    def draw_window(self, start: float, end: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Raw update draws for ``[start, end)``, element-major.
+
+        Each element's chain starts at ``start`` in a stationary
+        state.  Its times come back sorted, but elements are
+        concatenated, not merged: the caller stably time-sorts.
+
+        Args:
+            start: Window start in clock time.
+            end: Window end, > ``start``.
+
+        Returns:
+            ``(times, elements)`` — float64 times and int64 element
+            ids, unsorted across elements.
+        """
+        if end <= start:
+            raise ValidationError(
+                f"window end must exceed start, got [{start}, {end})")
+        n = self._rates.shape[0]
+        if self._mean_off <= 0.0:
+            # Degenerate: always ON at the base rate — plain Poisson.
+            counts = self._rng.poisson(self._rates * (end - start))
+            times = self._rng.uniform(start, end, size=int(counts.sum()))
+            return times, np.repeat(np.arange(n, dtype=np.int64), counts)
+
+        all_times: list[np.ndarray] = []
+        all_elements: list[np.ndarray] = []
+        on_rates = self._rates / self._on_fraction
+        for element in range(n):
+            if self._rates[element] <= 0.0:
+                continue
+            times = self._element_times(float(on_rates[element]),
+                                        start, end)
+            if times.size:
+                all_times.append(times)
+                all_elements.append(np.full(times.shape, element,
+                                            dtype=np.int64))
+        if not all_times:
+            return np.empty(0), np.empty(0, dtype=np.int64)
+        return np.concatenate(all_times), np.concatenate(all_elements)
+
     def generate(self, horizon: float) -> EventStream:
         """All update events in ``[0, horizon)``.
 
@@ -74,51 +120,23 @@ class BurstyUpdateGenerator:
         """
         if horizon <= 0.0:
             raise ValidationError(f"horizon must be > 0, got {horizon}")
-        n = self._rates.shape[0]
-        all_times: list[np.ndarray] = []
-        all_elements: list[np.ndarray] = []
-        if self._mean_off <= 0.0:
-            # Degenerate: always ON at the base rate — plain Poisson.
-            counts = self._rng.poisson(self._rates * horizon)
-            times = self._rng.uniform(0.0, horizon,
-                                      size=int(counts.sum()))
-            elements = np.repeat(np.arange(n, dtype=np.int64), counts)
-            order = np.argsort(times, kind="stable")
-            return EventStream(kind=EventKind.UPDATE,
-                               times=times[order],
-                               elements=elements[order])
-
-        on_rates = self._rates / self._on_fraction
-        for element in range(n):
-            if self._rates[element] <= 0.0:
-                continue
-            times = self._element_times(float(on_rates[element]),
-                                        horizon)
-            if times.size:
-                all_times.append(times)
-                all_elements.append(np.full(times.shape, element,
-                                            dtype=np.int64))
-        if not all_times:
-            return EventStream(kind=EventKind.UPDATE, times=np.empty(0),
-                               elements=np.empty(0, dtype=np.int64))
-        times = np.concatenate(all_times)
-        elements = np.concatenate(all_elements)
+        times, elements = self.draw_window(0.0, horizon)
         order = np.argsort(times, kind="stable")
         return EventStream(kind=EventKind.UPDATE, times=times[order],
                            elements=elements[order])
 
-    def _element_times(self, on_rate: float,
-                       horizon: float) -> np.ndarray:
+    def _element_times(self, on_rate: float, start: float,
+                       end: float) -> np.ndarray:
         """Sample one element's MMPP event times over the window."""
         rng = self._rng
         times: list[np.ndarray] = []
-        clock = 0.0
+        clock = start
         # Start in a state drawn from the stationary distribution.
         in_on = bool(rng.uniform() < self._on_fraction)
-        while clock < horizon:
+        while clock < end:
             if in_on:
                 duration = rng.exponential(self._mean_on)
-                window_end = min(clock + duration, horizon)
+                window_end = min(clock + duration, end)
                 span = window_end - clock
                 count = int(rng.poisson(on_rate * span))
                 if count:

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Iterable
 
 import numpy as np
 
 from repro.errors import ValidationError
 
 __all__ = ["EventKind", "EventStream", "merge_kind_blocks",
-           "merge_sorted_blocks", "merge_streams"]
+           "merge_sorted_blocks"]
 
 
 class EventKind(IntEnum):
@@ -80,31 +79,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
-
-
-def merge_streams(streams: Iterable[EventStream],
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge event streams into one time-ordered tape.
-
-    Args:
-        streams: Any number of homogeneous streams.
-
-    Returns:
-        ``(times, elements, kinds)`` sorted by time with kind priority
-        breaking ties (updates < syncs < accesses).
-    """
-    collected = list(streams)
-    if not collected:
-        return (np.empty(0), np.empty(0, dtype=np.int32),
-                np.empty(0, dtype=np.int8))
-    times = np.concatenate([stream.times for stream in collected])
-    elements = np.concatenate([stream.elements for stream in collected])
-    kinds = np.concatenate([
-        np.full(len(stream), int(stream.kind), dtype=np.int8)
-        for stream in collected
-    ])
-    order = np.lexsort((kinds, times))
-    return times[order], elements[order], kinds[order]
 
 
 #: Below this many events the two-pass bucket sort's extra gathers
@@ -219,19 +193,17 @@ def merge_kind_blocks(update_times: np.ndarray,
                       access_times: np.ndarray,
                       access_elements: np.ndarray, *,
                       n_elements: int,
-                      arena: Any = None,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fuse raw per-kind draws into one time-ordered SoA tape.
 
-    Replaces per-stream stable sorts + :func:`merge_streams`'s lexsort
-    with a single stable argsort over the kind-ordered concatenation
-    [updates, syncs, accesses].  The output is bit-identical to the
-    two-pass route: within a kind the stable sort preserves generation
-    order exactly as the per-stream sort did, and at cross-kind time
-    ties the block layout supplies the update < sync < access priority
-    the lexsort key encoded.  Update times may arrive unsorted (raw
-    Poisson draws); sync and access inputs are already time-sorted,
-    which the stable sort simply preserves.
+    One stable argsort over the kind-ordered concatenation [updates,
+    syncs, accesses]: the output equals stably time-sorting each
+    stream and lexsorting the union by (time, kind).  Within a kind
+    the stable sort preserves generation order, and at cross-kind
+    time ties the block layout supplies the update < sync < access
+    priority.  Update times may arrive unsorted (raw draws); sync and
+    access inputs are already time-sorted, which the stable sort
+    simply preserves.
 
     Args:
         update_times: Raw (unsorted) update instants.
@@ -241,10 +213,6 @@ def merge_kind_blocks(update_times: np.ndarray,
         access_times: Sorted access instants.
         access_elements: Access element ids.
         n_elements: Catalog size, for the int32 id-width check.
-        arena: Optional :class:`~repro.sim.fastpath.ReplayArena` whose
-            scratch buffers absorb the pre-sort concatenation; the
-            returned arrays are fresh allocations either way (the
-            sort gather allocates its own outputs).
 
     Returns:
         ``(times, elements, kinds)`` — float64 / int32 / int8 arrays
@@ -257,14 +225,9 @@ def merge_kind_blocks(update_times: np.ndarray,
     n_syncs = sync_times.shape[0]
     n_accesses = access_times.shape[0]
     total = n_updates + n_syncs + n_accesses
-    if arena is None:
-        times = np.empty(total)
-        elements = np.empty(total, dtype=np.int32)
-        kinds = np.empty(total, dtype=np.int8)
-    else:
-        times = arena.take("merge_times", total, np.float64)
-        elements = arena.take("merge_elements", total, np.int32)
-        kinds = arena.take("merge_kinds", total, np.int8)
+    times = np.empty(total)
+    elements = np.empty(total, dtype=np.int32)
+    kinds = np.empty(total, dtype=np.int8)
     bounds = (n_updates, n_updates + n_syncs, total)
     times[:bounds[0]] = update_times
     times[bounds[0]:bounds[1]] = sync_times

@@ -998,9 +998,10 @@ class ReplayArena:
     """Reusable scratch buffers for slab-by-slab tape generation.
 
     A chunked run draws one slab of events after another, and each
-    draw expands per-element counts into index arrays of about the
-    slab's size (:mod:`repro.sim.generators`,
-    :func:`repro.sim.events.merge_kind_blocks`).  An arena keeps one
+    ``draw_window_sorted`` call (:mod:`repro.sim.generators`) expands
+    per-element counts into index arrays of about the slab's size
+    (slots ``gen_update_elements`` and ``gen_access_elements``).  The
+    one-shot route draws once and needs no arena.  An arena keeps one
     geometrically grown buffer per named slot and hands out prefix
     views, so after warm-up a steady-state slab performs zero
     expansion allocations.  Replay itself needs no scratch: its

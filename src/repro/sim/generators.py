@@ -10,27 +10,30 @@ Both produce bulk :class:`~repro.sim.events.EventStream` tapes for a
 whole horizon — statistically identical to step-by-step generation
 but far faster, and trivially reproducible from a seed.
 
-Both also expose a raw ``draw_window(start, end)`` primitive for the
-streaming slab pipeline: it performs exactly the draws ``generate``
-would for a window of the same length (Poisson counts, then uniform
-instants, then — for requests — one uniform per element pick), but
-returns plain arrays without the per-stream sort so the caller can
-fuse the cross-kind merge into a single stable argsort.  Element
-picks use precomputed-CDF ``searchsorted`` sampling, which consumes
-the identical ``rng.random`` variates ``rng.choice(p=...)`` would and
+Both also expose the primitives of
+:class:`~repro.sim.simulation.Simulation`'s two tape routes.
+``draw_window(start, end)`` (one-shot; every update generator,
+:class:`~repro.sim.bursty.BurstyUpdateGenerator` included, has it)
+performs exactly the draws ``generate`` would for a window of the same
+length (Poisson counts, then uniform instants, then — for requests —
+one uniform per element pick), but returns plain arrays without the
+per-stream sort so :func:`~repro.sim.events.merge_kind_blocks` fuses
+the cross-kind merge into a single stable argsort.  Element picks use
+precomputed-CDF ``searchsorted`` sampling, which consumes the
+identical ``rng.random`` variates ``rng.choice(p=...)`` would and
 returns the identical indices — verified bit-for-bit — while hoisting
 the O(n) CDF build out of the per-call path.
 
-``draw_window_sorted(start, end)`` is the streaming fast path proper:
-it produces each window already time-ordered in O(n) — exponential
-spacings give the Poisson arrival instants as ready-made order
-statistics, and a shuffled multiset of per-element counts replaces
-both ``np.repeat``-then-sort and per-event CDF lookups.  The result
-is *statistically* identical to ``draw_window`` plus a stable sort
-(exactly, not approximately — superposition and order-statistics
-identities, no discretization), but consumes a different rng stream,
-so slabbed and one-shot horizons agree in distribution rather than
-bit for bit.
+``draw_window_sorted(start, end)`` is the streaming slab route
+(``chunk_periods``): it produces each window already time-ordered in
+O(n) — exponential spacings give the Poisson arrival instants as
+ready-made order statistics, and a shuffled multiset of per-element
+counts replaces both ``np.repeat``-then-sort and per-event CDF
+lookups.  The result is *statistically* identical to ``draw_window``
+plus a stable sort (exactly, not approximately — superposition and
+order-statistics identities, no discretization), but consumes a
+different rng stream, so slabbed and one-shot horizons agree in
+distribution rather than bit for bit.
 """
 
 from __future__ import annotations
@@ -79,9 +82,7 @@ class UpdateGenerator:
         self._rates = catalog.change_rates / period_length  # per clock unit
         self._rng = rng
 
-    def draw_window(self, start: float, end: float, *,
-                    rng: np.random.Generator | None = None,
-                    arena: Any = None,
+    def draw_window(self, start: float, end: float
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Raw update draws for ``[start, end)`` — unsorted.
 
@@ -94,11 +95,6 @@ class UpdateGenerator:
         Args:
             start: Window start in clock time.
             end: Window end, > ``start``.
-            rng: Generator to draw from (defaults to the constructor
-                rng; streaming slabs pass per-slab spawn children).
-            arena: Optional :class:`~repro.sim.fastpath.ReplayArena`;
-                when given, the element-id expansion reuses its
-                scratch buffer instead of allocating.
 
         Returns:
             ``(times, elements)`` — unsorted float64/int64 arrays.
@@ -106,16 +102,10 @@ class UpdateGenerator:
         if end <= start:
             raise ValidationError(
                 f"window end must exceed start, got [{start}, {end})")
-        rng = self._rng if rng is None else rng
-        counts = rng.poisson(self._rates * (end - start))
-        total = int(counts.sum())
-        if arena is None:
-            elements = np.repeat(np.arange(self._rates.shape[0],
-                                           dtype=np.int64), counts)
-        else:
-            elements = _repeat_arange_into(
-                counts, arena.take("gen_update_elements", total, np.int64))
-        times = rng.uniform(start, end, size=total)
+        counts = self._rng.poisson(self._rates * (end - start))
+        elements = np.repeat(np.arange(self._rates.shape[0],
+                                       dtype=np.int64), counts)
+        times = self._rng.uniform(start, end, size=int(counts.sum()))
         return times, elements
 
     def draw_window_sorted(self, start: float, end: float, *,
@@ -208,8 +198,7 @@ class RequestGenerator:
         self._rate = rate
         self._rng = rng
 
-    def draw_window(self, start: float, end: float, *,
-                    rng: np.random.Generator | None = None,
+    def draw_window(self, start: float, end: float
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Raw access draws for ``[start, end)`` — times sorted.
 
@@ -220,8 +209,6 @@ class RequestGenerator:
         Args:
             start: Window start in clock time.
             end: Window end, > ``start``.
-            rng: Generator to draw from (defaults to the constructor
-                rng; streaming slabs pass per-slab spawn children).
 
         Returns:
             ``(times, elements)`` — float64 sorted times and the
@@ -230,7 +217,7 @@ class RequestGenerator:
         if end <= start:
             raise ValidationError(
                 f"window end must exceed start, got [{start}, {end})")
-        rng = self._rng if rng is None else rng
+        rng = self._rng
         count = int(rng.poisson(self._rate * (end - start)))
         times = np.sort(rng.uniform(start, end, size=count))
         elements = self._cdf.searchsorted(rng.random(count), side="right")

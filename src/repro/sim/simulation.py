@@ -36,10 +36,8 @@ from repro.faults.topology import Topology
 from repro.obs import registry as obs
 from repro.sim.events import (
     EventKind,
-    EventStream,
     merge_kind_blocks,
     merge_sorted_blocks,
-    merge_streams,
 )
 from repro.sim.evaluator import FreshnessMonitor, SimulationResult
 from repro.sim.fastpath import ReplayArena, StreamingReplay
@@ -147,11 +145,14 @@ class Simulation:
         rng: Seeded generator driving updates, requests and phases.
         period_length: Clock length of one sync period.
         phase_policy: How sync phases are staggered.
-        update_generator: Optional replacement source-update process
-            (anything with a ``generate(horizon) -> EventStream`` of
-            UPDATE events — e.g. :class:`~repro.sim.bursty.
-            BurstyUpdateGenerator` for model-misspecification
-            studies).  Defaults to the catalog's Poisson processes.
+        update_generator: Optional replacement source-update process:
+            anything with a raw ``draw_window(start, end) -> (times,
+            elements)`` primitive over UPDATE events, drawing from
+            the generator it was built with — e.g.
+            :class:`~repro.sim.bursty.BurstyUpdateGenerator` for
+            model-misspecification studies.  ``chunk_periods`` also
+            needs ``draw_window_sorted``.  Defaults to the catalog's
+            Poisson processes.
         fault_plan: Optional fault plan for the sync path.  None (or
             a quiet plan) keeps the classic fault-free path and is a
             true no-op: no extra random draws, bit-identical results.
@@ -223,6 +224,11 @@ class Simulation:
         if bandwidth_budget is not None and bandwidth_budget <= 0.0:
             raise ValidationError(
                 f"bandwidth_budget must be > 0, got {bandwidth_budget}")
+        if update_generator is not None and not callable(
+                getattr(update_generator, "draw_window", None)):
+            raise ValidationError(
+                "update_generator must offer a draw_window(start, end) "
+                f"method, got {type(update_generator).__name__}")
         remainder = fault_time_offset % period_length
         if fault_time_offset < 0.0 or min(
                 remainder, period_length - remainder) > 1e-9:
@@ -238,7 +244,6 @@ class Simulation:
         self._breaker = breaker
         self._shard_of = shard_of
         self._topology = topology
-        self._bandwidth_budget = bandwidth_budget
         self._fault_rng = fault_rng
         self._record_fault_trace = record_fault_trace
         self._fault_time_offset = fault_time_offset
@@ -246,6 +251,12 @@ class Simulation:
         # once here instead of per run (it used to be duplicated in
         # run() and the period tracker).
         self._planned_per_period = float(catalog.sizes @ frequencies)
+        # The channel's per-period attempt budget B: as given, else
+        # the planned spend (None — no ledger — for an empty plan).
+        self._budget = (bandwidth_budget if bandwidth_budget is not None
+                        else (self._planned_per_period
+                              if self._planned_per_period > 0.0
+                              else None))
         self._schedule = SyncSchedule.from_frequencies(
             frequencies, period_length=period_length,
             phase_policy=phase_policy, rng=rng)
@@ -261,10 +272,13 @@ class Simulation:
         """The timed Fixed-Order schedule the mirror executes."""
         return self._schedule
 
-    def build_tape(self, n_periods: float, *, fused: bool = True
+    def build_tape(self, n_periods: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Draw and merge the run's full event tape.
+        """Draw and merge the run's full event tape (one-shot route).
 
+        Raw ``draw_window`` pulls from the update and request
+        generators plus the schedule's syncs, fused by one stable
+        argsort in :func:`~repro.sim.events.merge_kind_blocks`.
         Consumes exactly the random draws :meth:`run` would before
         its replay starts (update stream first, then request stream),
         which is what lets the window-batched adaptive manager build
@@ -273,39 +287,21 @@ class Simulation:
 
         Args:
             n_periods: Number of periods the tape covers, > 0.
-            fused: Use the fused single-argsort merge over raw
-                ``draw_window`` pulls (bit-identical output and rng
-                consumption, roughly half the generation time).
-                Falls back to the per-stream sort +
-                :func:`~repro.sim.events.merge_streams` route
-                automatically for custom update generators that lack
-                ``draw_window``; pass False to force that legacy
-                route (the generation benchmark's baseline).
 
         Returns:
             ``(times, elements, kinds)`` merged in time order.
         """
         horizon = n_periods * self._period_length
-        draw_window = getattr(self._updates, "draw_window", None)
-        if fused and draw_window is not None:
-            update_times, update_elements = draw_window(0.0, horizon)
-            sync_times, sync_elements = \
-                self._schedule.events_until(horizon)
-            access_times, access_elements = \
-                self._requests.draw_window(0.0, horizon)
-            return merge_kind_blocks(
-                update_times, update_elements,
-                sync_times, sync_elements,
-                access_times, access_elements,
-                n_elements=self._catalog.n_elements)
+        update_times, update_elements = \
+            self._updates.draw_window(0.0, horizon)
         sync_times, sync_elements = self._schedule.events_until(horizon)
-        streams = [
-            self._updates.generate(horizon),
-            EventStream(kind=EventKind.SYNC, times=sync_times,
-                        elements=sync_elements),
-            self._requests.generate(horizon),
-        ]
-        return merge_streams(streams)
+        access_times, access_elements = \
+            self._requests.draw_window(0.0, horizon)
+        return merge_kind_blocks(
+            update_times, update_elements,
+            sync_times, sync_elements,
+            access_times, access_elements,
+            n_elements=self._catalog.n_elements)
 
     def fault_kernel_args(self) -> dict | None:
         """The kernel's fault-plan arguments, if the plan is eligible.
@@ -339,13 +335,9 @@ class Simulation:
             # (and managers); its admission order cannot be replayed
             # from a pre-drawn pool.
             return None
-        budget = (self._bandwidth_budget
-                  if self._bandwidth_budget is not None
-                  else (self._planned_per_period
-                        if self._planned_per_period > 0.0 else None))
         common = {
             "retry_policy": self._retry_policy,
-            "bandwidth_budget": budget,
+            "bandwidth_budget": self._budget,
             "rng": (self._fault_rng if self._fault_rng is not None
                     else self._rng),
         }
@@ -388,7 +380,8 @@ class Simulation:
                 statistically equivalent but not draw-identical to
                 ``chunk_periods=None`` (see docs/PERFORMANCE.md).
                 Requires a kernel-eligible plan and an update
-                generator with ``draw_window``.
+                generator with ``draw_window_sorted`` (so not
+                :class:`~repro.sim.bursty.BurstyUpdateGenerator`).
 
         Returns:
             The measured :class:`SimulationResult`.
@@ -433,10 +426,11 @@ class Simulation:
                 raise ValidationError(
                     f"chunk_periods cannot replay this fault plan "
                     f"{unsupported}")
-            if not hasattr(self._updates, "draw_window"):
+            if not hasattr(self._updates, "draw_window_sorted"):
                 raise ValidationError(
                     "chunk_periods requires an update generator with "
-                    "a draw_window(start, end) primitive")
+                    "a draw_window_sorted(start, end, rng=, arena=) "
+                    "primitive")
         if engine == "fastpath" and not kernel_plan:
             raise ValidationError(
                 f"engine='fastpath' cannot replay this fault plan "
@@ -465,12 +459,10 @@ class Simulation:
                     n_periods,
                     granularity,
                     where="Simulation.run")
-                budget = (kernel_faults["bandwidth_budget"]
-                          if kernel_faults is not None else None)
-                if budget is not None:
+                if kernel_faults is not None and self._budget is not None:
                     check_attempt_budget(
                         result.attempted_bandwidth,
-                        budget,
+                        self._budget,
                         float(np.ceil(n_periods)),
                         granularity,
                         where="Simulation.run")
@@ -484,12 +476,7 @@ class Simulation:
         monitor = FreshnessMonitor(self._catalog.n_elements, horizon)
 
         channel: SyncChannel | None = None
-        budget: float | None = None
         if self._fault_plan is not None and not self._fault_plan.is_quiet:
-            budget = (self._bandwidth_budget
-                      if self._bandwidth_budget is not None
-                      else (planned_per_period
-                            if planned_per_period > 0.0 else None))
             channel = SyncChannel(
                 mirror, plan=self._fault_plan,
                 rng=(self._fault_rng if self._fault_rng is not None
@@ -497,7 +484,7 @@ class Simulation:
                 retry_policy=self._retry_policy,
                 breaker=self._breaker, shard_of=self._shard_of,
                 topology=self._topology,
-                bandwidth_budget=budget,
+                bandwidth_budget=self._budget,
                 period_length=self._period_length,
                 record_trace=self._record_fault_trace)
 
@@ -594,7 +581,7 @@ class Simulation:
                 n_periods,
                 granularity,
                 where="Simulation.run")
-            if channel is not None and budget is not None:
+            if channel is not None and self._budget is not None:
                 # Attempt accounting: every attempt, initial or
                 # retry, is gated by the channel's period ledger, so
                 # attempted bandwidth can never exceed B per period
@@ -602,7 +589,7 @@ class Simulation:
                 # horizon's partial last period).
                 check_attempt_budget(
                     channel.attempted_bandwidth,
-                    budget,
+                    self._budget,
                     float(np.ceil(n_periods)),
                     granularity,
                     where="Simulation.run")
@@ -702,10 +689,9 @@ class Simulation:
         schedule window, sorted request window) and merges the three
         pre-sorted streams in O(slab) position arithmetic — no
         argsort anywhere on the slab path — so peak memory is the
-        replay carry plus one slab's tape.  Generators lacking
-        ``draw_window_sorted`` (custom update processes exposing only
-        the raw ``draw_window`` primitive) fall back to unsorted
-        draws fused by one stable argsort.
+        replay carry plus one slab's tape.  :meth:`run` has already
+        checked that the update generator offers
+        ``draw_window_sorted``.
         """
         if chunk_periods is None:
             with obs.span("sim.generate"):
@@ -725,8 +711,6 @@ class Simulation:
                 for _ in range(n_slabs)]
 
         arena = ReplayArena()
-        n_elements = self._catalog.n_elements
-        sorted_draws = hasattr(self._updates, "draw_window_sorted")
         for slab, child in enumerate(children):
             first = slab * chunk
             last = min(first + chunk, n_periods)
@@ -735,29 +719,15 @@ class Simulation:
             with obs.span("sim.generate"):
                 sync_times, sync_elements = \
                     self._schedule.events_between(start, end)
-                if sorted_draws:
-                    update_times, update_elements = \
-                        self._updates.draw_window_sorted(
-                            start, end, rng=child, arena=arena)
-                    access_times, access_elements = \
-                        self._requests.draw_window_sorted(
-                            start, end, rng=child, arena=arena)
-                    tape = merge_sorted_blocks(
-                        update_times, update_elements,
-                        sync_times, sync_elements,
-                        access_times, access_elements,
-                        n_elements=n_elements)
-                else:
-                    update_times, update_elements = \
-                        self._updates.draw_window(start, end,
-                                                  rng=child,
-                                                  arena=arena)
-                    access_times, access_elements = \
-                        self._requests.draw_window(start, end,
-                                                   rng=child)
-                    tape = merge_kind_blocks(
-                        update_times, update_elements,
-                        sync_times, sync_elements,
-                        access_times, access_elements,
-                        n_elements=n_elements, arena=arena)
+                update_times, update_elements = \
+                    self._updates.draw_window_sorted(
+                        start, end, rng=child, arena=arena)
+                access_times, access_elements = \
+                    self._requests.draw_window_sorted(
+                        start, end, rng=child, arena=arena)
+                tape = merge_sorted_blocks(
+                    update_times, update_elements,
+                    sync_times, sync_elements,
+                    access_times, access_elements,
+                    n_elements=self._catalog.n_elements)
             yield tape, last - first, slab == n_slabs - 1

@@ -8,7 +8,9 @@ import pytest
 from repro.analysis.sensitivity import burstiness_robustness
 from repro.errors import ValidationError
 from repro.sim.bursty import BurstyUpdateGenerator
-from repro.sim.events import EventKind
+from repro.sim.events import EventKind, EventStream
+from repro.sim.generators import RequestGenerator
+from repro.sim.simulation import Simulation
 from repro.workloads.catalog import Catalog
 from repro.workloads.presets import ExperimentSetup
 
@@ -77,6 +79,55 @@ class TestBurstyUpdateGenerator:
                                           rng=rng)
         with pytest.raises(ValidationError):
             generator.generate(0.0)
+
+
+class TestBurstyTape:
+    @pytest.mark.parametrize("burstiness", [0.0, 0.7])
+    def test_build_tape_matches_per_stream_merge(self, burstiness):
+        """The fused one-shot tape of a bursty world equals sorting
+        each stream on its own and lexsorting the union by (time,
+        kind) — bit for bit, dtypes included, from the same draws."""
+        rng = np.random.default_rng(5)
+        n = 40
+        rates = rng.uniform(0.0, 3.0, n)
+        rates[::6] = 0.0
+        catalog = Catalog(access_probabilities=rng.dirichlet(np.ones(n)),
+                          change_rates=rates)
+        frequencies = rng.uniform(0.0, 2.0, n)
+        horizon = 3.5
+
+        def world():
+            rng = np.random.default_rng(11)
+            updates = BurstyUpdateGenerator(catalog, burstiness=burstiness,
+                                            rng=rng)
+            sim = Simulation(catalog, frequencies, request_rate=80.0,
+                             rng=rng, update_generator=updates)
+            return sim, updates, rng
+
+        sim, _, _ = world()
+        got = sim.build_tape(horizon)
+
+        sim, updates, rng = world()
+        sync_times, sync_elements = sim.schedule.events_until(horizon)
+        streams = [
+            updates.generate(horizon),
+            EventStream(kind=EventKind.SYNC, times=sync_times,
+                        elements=sync_elements),
+            RequestGenerator(catalog, rate=80.0, rng=rng).generate(
+                horizon),
+        ]
+        times = np.concatenate([stream.times for stream in streams])
+        elements = np.concatenate([stream.elements for stream in streams])
+        kinds = np.concatenate([
+            np.full(len(stream), int(stream.kind), dtype=np.int8)
+            for stream in streams])
+        order = np.lexsort((kinds, times))
+        want = (times[order], elements[order], kinds[order])
+
+        assert len(streams[0]) > 0
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == want_array.dtype
+            np.testing.assert_array_equal(got_array, want_array)
 
 
 class TestBurstinessRobustness:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError, ValidationError
-from repro.sim.events import EventKind, EventStream, merge_streams
+from repro.sim.events import EventKind, EventStream, merge_kind_blocks
 from repro.sim.mirror import Mirror
 from repro.sim.source import Source
 
@@ -30,29 +30,34 @@ class TestEventStream:
 
 
 class TestMergeStreams:
+    """Per-kind streams merge into one tape (``merge_kind_blocks``)."""
+
+    @staticmethod
+    def merge(updates=(), syncs=(), accesses=()):
+        """Merge ``(times, elements)`` pairs, one per kind."""
+        blocks = []
+        for block in (updates, syncs, accesses):
+            times, elements = block if block else ([], [])
+            blocks += [np.array(times, dtype=float),
+                       np.array(elements, dtype=np.int64)]
+        return merge_kind_blocks(*blocks, n_elements=4)
+
     def test_time_ordering(self):
-        updates = EventStream(kind=EventKind.UPDATE,
-                              times=np.array([0.5, 2.0]),
-                              elements=np.array([0, 0]))
-        syncs = EventStream(kind=EventKind.SYNC,
-                            times=np.array([1.0]),
-                            elements=np.array([0]))
-        times, elements, kinds = merge_streams([updates, syncs])
+        times, elements, kinds = self.merge(updates=([2.0, 0.5], [0, 0]),
+                                            syncs=([1.0], [0]))
         assert times.tolist() == [0.5, 1.0, 2.0]
         assert kinds.tolist() == [0, 1, 0]
 
     def test_tie_break_update_sync_access(self):
-        at_one = lambda kind: EventStream(  # noqa: E731
-            kind=kind, times=np.array([1.0]), elements=np.array([0]))
-        times, _, kinds = merge_streams([
-            at_one(EventKind.ACCESS), at_one(EventKind.UPDATE),
-            at_one(EventKind.SYNC)])
+        times, _, kinds = self.merge(updates=([1.0], [0]),
+                                     syncs=([1.0], [0]),
+                                     accesses=([1.0], [0]))
         assert kinds.tolist() == [int(EventKind.UPDATE),
                                   int(EventKind.SYNC),
                                   int(EventKind.ACCESS)]
 
     def test_empty_input(self):
-        times, elements, kinds = merge_streams([])
+        times, elements, kinds = self.merge()
         assert times.size == 0
         assert elements.size == 0
         assert kinds.size == 0

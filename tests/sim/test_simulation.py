@@ -72,6 +72,21 @@ class TestSimulationMechanics:
         with pytest.raises(ValidationError):
             sim.run(n_periods=0)
 
+    def test_rejects_update_generator_without_draw_window(
+            self, sim_catalog):
+        """An update process offering only ``generate`` is refused at
+        construction, before any draw, not mid-run."""
+        plan = PerceivedFreshener().plan(sim_catalog, 25.0)
+
+        class GenerateOnly:
+            def generate(self, horizon):
+                raise AssertionError("never drawn")
+
+        with pytest.raises(ValidationError, match="draw_window"):
+            Simulation(sim_catalog, plan.frequencies, request_rate=50.0,
+                       rng=np.random.default_rng(0),
+                       update_generator=GenerateOnly())
+
     def test_wasted_sync_fraction_in_range(self, sim_catalog):
         plan = PerceivedFreshener().plan(sim_catalog, 25.0)
         sim = Simulation(sim_catalog, plan.frequencies,

@@ -27,6 +27,7 @@ from repro.faults.retry import RetryPolicy
 from repro.obs import registry as obs
 from repro.sim import events as events_mod
 from repro.sim import fastpath
+from repro.sim.bursty import BurstyUpdateGenerator
 from repro.sim.events import merge_kind_blocks, merge_sorted_blocks
 from repro.sim.fastpath import ReplayArena, ReplayCarry, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
@@ -269,6 +270,12 @@ class TestChunkedRun:
             sim.run(2.0, chunk_periods=1.5)
         with pytest.raises(ValidationError):
             sim.run(2.0, engine="reference", chunk_periods=1)
+        bursty = make_sim(catalog, frequencies, 1, "quiet",
+                          update_generator=BurstyUpdateGenerator(
+                              catalog, burstiness=0.5,
+                              rng=np.random.default_rng(1)))
+        with pytest.raises(ValidationError, match="draw_window_sorted"):
+            bursty.run(2.0, chunk_periods=1)
 
 
     def test_oversized_slab_names_the_chunk_that_fits(self,
