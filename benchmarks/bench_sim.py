@@ -50,6 +50,27 @@ KERNEL_SIZES = (1_000, 10_000)
 CLAIM_SIZE = 10_000
 CLAIM_SPEEDUP = 5.0
 
+#: Faulted-replay scenario: 20% i.i.d. loss with bounded retries (the
+#: ``repro chaos`` workhorse), asserted >=3x at paper scale.
+FAULTED_CLAIM_SPEEDUP = 3.0
+FAULTED_LOSS = 0.2
+
+#: Bursty-replay scenario: Gilbert–Elliott loss (5% chance a sync
+#: enters a burst, bursts end with probability 40% per attempt) plus
+#: bounded retries, which routes the resolver onto the exact-walk
+#: path — the representative retryable-GE configuration.
+BURST_P_GOOD_TO_BAD = 0.05
+BURST_P_BAD_TO_GOOD = 0.4
+
+#: Scenario-specific keys of each kernel-bench scenario's rows.
+SCENARIO_ROW_KEYS = {
+    "quiet": {},
+    "iid20": {"scenario": "iid20", "loss": FAULTED_LOSS},
+    "burst": {"scenario": "burst",
+              "p_good_to_bad": BURST_P_GOOD_TO_BAD,
+              "p_bad_to_good": BURST_P_BAD_TO_GOOD},
+}
+
 SWEEP_POINTS = 16
 
 SWEEP_SETUP = ExperimentSetup(n_objects=40, updates_per_period=80.0,
@@ -57,12 +78,26 @@ SWEEP_SETUP = ExperimentSetup(n_objects=40, updates_per_period=80.0,
                               update_std_dev=1.0)
 
 
-def _engine_timing(catalog, frequencies, *, engine: str,
+def _fault_kwargs(scenario: str) -> dict:
+    """A scenario's fault setup, built fresh for every run (a
+    Gilbert–Elliott plan carries per-element chain state)."""
+    if scenario == "quiet":
+        return {}
+    plan = (FaultPlan.iid(FAULTED_LOSS) if scenario == "iid20"
+            else FaultPlan.bursty(BURST_P_GOOD_TO_BAD,
+                                  BURST_P_BAD_TO_GOOD))
+    return {"fault_plan": plan,
+            "retry_policy": RetryPolicy(max_retries=3),
+            "fault_rng": np.random.default_rng(11)}
+
+
+def _engine_timing(catalog, frequencies, *, scenario: str, engine: str,
                    n_periods: float, request_rate: float) -> dict:
     """One full run; replay-only seconds come from the sim.run span."""
     sim = Simulation(catalog, frequencies,
                      request_rate=request_rate,
-                     rng=np.random.default_rng(7))
+                     rng=np.random.default_rng(7),
+                     **_fault_kwargs(scenario))
     with obs.telemetry() as registry:
         start = time.perf_counter()
         result = sim.run(n_periods, engine=engine)
@@ -74,13 +109,15 @@ def _engine_timing(catalog, frequencies, *, engine: str,
             "result": result}
 
 
-def _kernel_row(n: int) -> dict:
+def _kernel_row(n: int, scenario: str) -> dict:
+    """Reference loop vs kernel on one scenario's identical tape."""
     setup = ExperimentSetup(n_objects=n, updates_per_period=2.0 * n,
                             syncs_per_period=0.5 * n, theta=1.0,
                             update_std_dev=2.0)
     catalog = build_catalog(setup, seed=0)
     plan = PerceivedFreshener().plan(catalog, setup.syncs_per_period)
-    kwargs = dict(n_periods=10.0, request_rate=float(n))
+    kwargs = dict(scenario=scenario, n_periods=10.0,
+                  request_rate=float(n))
     # Warm caches (imports, allocator) off the small engine first so
     # the measured pair sees comparable conditions.
     _engine_timing(catalog, plan.frequencies, engine="fastpath",
@@ -93,201 +130,57 @@ def _kernel_row(n: int) -> dict:
     assert fast_result.monitored_perceived_freshness == \
         ref_result.monitored_perceived_freshness
     assert fast_result.n_syncs == ref_result.n_syncs
-    assert np.array_equal(
-        fast_result.element_time_freshness.view(np.uint64),
-        ref_result.element_time_freshness.view(np.uint64))
-    return {
-        "n_elements": n,
-        "n_events": int(ref_result.n_updates + ref_result.n_syncs
-                        + ref_result.n_accesses),
-        "reference_replay_seconds": reference["replay_seconds"],
-        "fastpath_replay_seconds": fastpath["replay_seconds"],
-        "reference_generation_seconds": reference["generation_seconds"],
-        "fastpath_generation_seconds": fastpath["generation_seconds"],
-        "reference_total_seconds": reference["total_seconds"],
-        "fastpath_total_seconds": fastpath["total_seconds"],
-        "kernel_speedup": (reference["replay_seconds"]
-                           / fastpath["replay_seconds"]),
-        "end_to_end_speedup": (reference["total_seconds"]
-                               / fastpath["total_seconds"]),
-    }
-
-
-def test_kernel_speedup_bench(benchmark):
-    """Fastpath must beat the reference replay >=5x at paper scale."""
-    rows = benchmark.pedantic(
-        lambda: [_kernel_row(n) for n in KERNEL_SIZES],
-        rounds=1, iterations=1)
-    claim = next(r for r in rows if r["n_elements"] == CLAIM_SIZE)
-    assert claim["kernel_speedup"] >= CLAIM_SPEEDUP, claim
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = _load_payload()
-    payload["kernel"] = {"rows": rows,
-                         "claim_speedup": CLAIM_SPEEDUP,
-                         "claim_n_elements": CLAIM_SIZE}
-    _write_payload(payload)
-
-
-#: Faulted-replay scenario: 20% i.i.d. loss with bounded retries (the
-#: ``repro chaos`` workhorse), asserted >=3x at paper scale.
-FAULTED_CLAIM_SPEEDUP = 3.0
-FAULTED_LOSS = 0.2
-
-
-def _faulted_engine_timing(catalog, frequencies, *, engine: str,
-                           n_periods: float,
-                           request_rate: float) -> dict:
-    sim = Simulation(catalog, frequencies,
-                     request_rate=request_rate,
-                     rng=np.random.default_rng(7),
-                     fault_plan=FaultPlan.iid(FAULTED_LOSS),
-                     retry_policy=RetryPolicy(max_retries=3),
-                     fault_rng=np.random.default_rng(11))
-    with obs.telemetry() as registry:
-        start = time.perf_counter()
-        result = sim.run(n_periods, engine=engine)
-        total = time.perf_counter() - start
-    _, replay = registry.span_totals["sim.run"]
-    generation = registry.span_totals.get("sim.generate", (0, 0.0))[1]
-    return {"engine": engine, "total_seconds": total,
-            "replay_seconds": replay, "generation_seconds": generation,
-            "result": result}
-
-
-def _faulted_row(n: int) -> dict:
-    setup = ExperimentSetup(n_objects=n, updates_per_period=2.0 * n,
-                            syncs_per_period=0.5 * n, theta=1.0,
-                            update_std_dev=2.0)
-    catalog = build_catalog(setup, seed=0)
-    plan = PerceivedFreshener().plan(catalog, setup.syncs_per_period)
-    kwargs = dict(n_periods=10.0, request_rate=float(n))
-    _faulted_engine_timing(catalog, plan.frequencies,
-                           engine="fastpath", **kwargs)
-    reference = _faulted_engine_timing(catalog, plan.frequencies,
-                                       engine="reference", **kwargs)
-    fastpath = _faulted_engine_timing(catalog, plan.frequencies,
-                                      engine="fastpath", **kwargs)
-    ref_result, fast_result = reference["result"], fastpath["result"]
-    assert fast_result.monitored_perceived_freshness == \
-        ref_result.monitored_perceived_freshness
-    assert fast_result.n_syncs == ref_result.n_syncs
     assert fast_result.failed_polls == ref_result.failed_polls
     assert fast_result.retries == ref_result.retries
     assert np.array_equal(
         fast_result.element_time_freshness.view(np.uint64),
         ref_result.element_time_freshness.view(np.uint64))
-    return {
-        "n_elements": n,
-        "scenario": "iid20",
-        "loss": FAULTED_LOSS,
-        "n_events": int(ref_result.n_updates + ref_result.n_syncs
-                        + ref_result.n_accesses),
-        "attempted_polls": int(ref_result.attempted_polls),
-        "failed_polls": int(ref_result.failed_polls),
-        "reference_replay_seconds": reference["replay_seconds"],
-        "fastpath_replay_seconds": fastpath["replay_seconds"],
-        "reference_generation_seconds": reference["generation_seconds"],
-        "fastpath_generation_seconds": fastpath["generation_seconds"],
-        "reference_total_seconds": reference["total_seconds"],
-        "fastpath_total_seconds": fastpath["total_seconds"],
-        "kernel_speedup": (reference["replay_seconds"]
-                           / fastpath["replay_seconds"]),
-        "end_to_end_speedup": (reference["total_seconds"]
-                               / fastpath["total_seconds"]),
-    }
+    row = {"n_elements": n, **SCENARIO_ROW_KEYS[scenario],
+           "n_events": int(ref_result.n_updates + ref_result.n_syncs
+                           + ref_result.n_accesses)}
+    if scenario != "quiet":
+        row["attempted_polls"] = int(ref_result.attempted_polls)
+        row["failed_polls"] = int(ref_result.failed_polls)
+    for timing in ("replay", "generation", "total"):
+        for arm in (reference, fastpath):
+            row[f"{arm['engine']}_{timing}_seconds"] = \
+                arm[f"{timing}_seconds"]
+    row["kernel_speedup"] = (reference["replay_seconds"]
+                             / fastpath["replay_seconds"])
+    row["end_to_end_speedup"] = (reference["total_seconds"]
+                                 / fastpath["total_seconds"])
+    return row
+
+
+def _record_kernel_rows(benchmark, section: str, scenario: str,
+                        claim_speedup: float) -> None:
+    """Run one scenario's rows, assert its claim, record its section."""
+    rows = benchmark.pedantic(
+        lambda: [_kernel_row(n, scenario) for n in KERNEL_SIZES],
+        rounds=1, iterations=1)
+    claim = next(r for r in rows if r["n_elements"] == CLAIM_SIZE)
+    assert claim["kernel_speedup"] >= claim_speedup, claim
+    RESULTS_DIR.mkdir(exist_ok=True)
+    payload = _load_payload()
+    payload[section] = {"rows": rows,
+                        "claim_speedup": claim_speedup,
+                        "claim_n_elements": CLAIM_SIZE}
+    if scenario != "quiet":
+        payload[section]["scenario"] = scenario
+    _write_payload(payload)
+
+
+def test_kernel_speedup_bench(benchmark):
+    """Fastpath must beat the reference replay >=5x at paper scale."""
+    _record_kernel_rows(benchmark, "kernel", "quiet", CLAIM_SPEEDUP)
 
 
 def test_faulted_kernel_speedup_bench(benchmark):
     """The faulted kernel must beat the loop >=3x on iid20 at paper
     scale (lossy replay does strictly more work per sync than quiet
     replay — the ledger walk — so its bar sits below the quiet 5x)."""
-    rows = benchmark.pedantic(
-        lambda: [_faulted_row(n) for n in KERNEL_SIZES],
-        rounds=1, iterations=1)
-    claim = next(r for r in rows if r["n_elements"] == CLAIM_SIZE)
-    assert claim["kernel_speedup"] >= FAULTED_CLAIM_SPEEDUP, claim
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = _load_payload()
-    payload["faulted_kernel"] = {
-        "rows": rows,
-        "claim_speedup": FAULTED_CLAIM_SPEEDUP,
-        "claim_n_elements": CLAIM_SIZE,
-        "scenario": "iid20",
-    }
-    _write_payload(payload)
-
-
-#: Bursty-replay scenario: Gilbert–Elliott loss (5% chance a sync
-#: enters a burst, bursts end with probability 40% per attempt) plus
-#: bounded retries, which routes the resolver onto the exact-walk
-#: path — the representative retryable-GE configuration.
-BURST_P_GOOD_TO_BAD = 0.05
-BURST_P_BAD_TO_GOOD = 0.4
-
-
-def _bursty_engine_timing(catalog, frequencies, *, engine: str,
-                          n_periods: float,
-                          request_rate: float) -> dict:
-    sim = Simulation(catalog, frequencies,
-                     request_rate=request_rate,
-                     rng=np.random.default_rng(7),
-                     fault_plan=FaultPlan.bursty(BURST_P_GOOD_TO_BAD,
-                                                 BURST_P_BAD_TO_GOOD),
-                     retry_policy=RetryPolicy(max_retries=3),
-                     fault_rng=np.random.default_rng(11))
-    with obs.telemetry() as registry:
-        start = time.perf_counter()
-        result = sim.run(n_periods, engine=engine)
-        total = time.perf_counter() - start
-    _, replay = registry.span_totals["sim.run"]
-    generation = registry.span_totals.get("sim.generate", (0, 0.0))[1]
-    return {"engine": engine, "total_seconds": total,
-            "replay_seconds": replay, "generation_seconds": generation,
-            "result": result}
-
-
-def _bursty_row(n: int) -> dict:
-    setup = ExperimentSetup(n_objects=n, updates_per_period=2.0 * n,
-                            syncs_per_period=0.5 * n, theta=1.0,
-                            update_std_dev=2.0)
-    catalog = build_catalog(setup, seed=0)
-    plan = PerceivedFreshener().plan(catalog, setup.syncs_per_period)
-    kwargs = dict(n_periods=10.0, request_rate=float(n))
-    _bursty_engine_timing(catalog, plan.frequencies,
-                          engine="fastpath", **kwargs)
-    reference = _bursty_engine_timing(catalog, plan.frequencies,
-                                      engine="reference", **kwargs)
-    fastpath = _bursty_engine_timing(catalog, plan.frequencies,
-                                     engine="fastpath", **kwargs)
-    ref_result, fast_result = reference["result"], fastpath["result"]
-    assert fast_result.monitored_perceived_freshness == \
-        ref_result.monitored_perceived_freshness
-    assert fast_result.n_syncs == ref_result.n_syncs
-    assert fast_result.failed_polls == ref_result.failed_polls
-    assert fast_result.retries == ref_result.retries
-    assert np.array_equal(
-        fast_result.element_time_freshness.view(np.uint64),
-        ref_result.element_time_freshness.view(np.uint64))
-    return {
-        "n_elements": n,
-        "scenario": "burst",
-        "p_good_to_bad": BURST_P_GOOD_TO_BAD,
-        "p_bad_to_good": BURST_P_BAD_TO_GOOD,
-        "n_events": int(ref_result.n_updates + ref_result.n_syncs
-                        + ref_result.n_accesses),
-        "attempted_polls": int(ref_result.attempted_polls),
-        "failed_polls": int(ref_result.failed_polls),
-        "reference_replay_seconds": reference["replay_seconds"],
-        "fastpath_replay_seconds": fastpath["replay_seconds"],
-        "reference_generation_seconds": reference["generation_seconds"],
-        "fastpath_generation_seconds": fastpath["generation_seconds"],
-        "reference_total_seconds": reference["total_seconds"],
-        "fastpath_total_seconds": fastpath["total_seconds"],
-        "kernel_speedup": (reference["replay_seconds"]
-                           / fastpath["replay_seconds"]),
-        "end_to_end_speedup": (reference["total_seconds"]
-                               / fastpath["total_seconds"]),
-    }
+    _record_kernel_rows(benchmark, "faulted_kernel", "iid20",
+                        FAULTED_CLAIM_SPEEDUP)
 
 
 def test_bursty_kernel_speedup_bench(benchmark):
@@ -295,20 +188,8 @@ def test_bursty_kernel_speedup_bench(benchmark):
     burst scenario at paper scale (the chain walk does strictly more
     per-sync work than the stateless i.i.d. resolve, so it shares
     the faulted 3x bar rather than the quiet 5x)."""
-    rows = benchmark.pedantic(
-        lambda: [_bursty_row(n) for n in KERNEL_SIZES],
-        rounds=1, iterations=1)
-    claim = next(r for r in rows if r["n_elements"] == CLAIM_SIZE)
-    assert claim["kernel_speedup"] >= FAULTED_CLAIM_SPEEDUP, claim
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = _load_payload()
-    payload["bursty_kernel"] = {
-        "rows": rows,
-        "claim_speedup": FAULTED_CLAIM_SPEEDUP,
-        "claim_n_elements": CLAIM_SIZE,
-        "scenario": "burst",
-    }
-    _write_payload(payload)
+    _record_kernel_rows(benchmark, "bursty_kernel", "burst",
+                        FAULTED_CLAIM_SPEEDUP)
 
 
 #: Scaling-sweep sizes: the 10⁵ rows also time the reference loop

@@ -26,10 +26,11 @@ layer bypasses it entirely and consumes no random draws, so results
 are bit-identical to a fault-free run.
 
 Plans with a fixed per-attempt draw shape — a single i.i.d. model or
-a single Gilbert–Elliott model (:meth:`FaultPlan.iid_profile`,
-:meth:`FaultPlan.ge_profile`) — are resolved in bulk ahead of the
-vectorized replay (:func:`repro.sim.fastpath.resolve_tape_faults`);
-every other plan runs on the per-event reference loop.
+a single Gilbert–Elliott model, as
+:func:`repro.sim.simulation.kernel_fault_model` decides — are
+resolved in bulk ahead of the vectorized replay
+(:func:`repro.sim.fastpath.resolve_tape_faults`); every other plan
+runs on the per-event reference loop.
 """
 
 from __future__ import annotations
@@ -378,66 +379,6 @@ class FaultPlan:
             if drawn.is_failure:
                 return drawn
         return PollOutcome.OK
-
-    def iid_profile(self) -> tuple[float, PollOutcome] | None:
-        """The plan's stateless per-attempt loss profile, if it has one.
-
-        A plan is *stateless per attempt* when its draws depend on
-        nothing but the attempt itself: exactly one
-        :class:`IIDFaultModel` (not a subclass), no outage windows,
-        and a retryable failure outcome.  Such plans consume exactly
-        one uniform draw per attempt with a fixed failure
-        probability, which is what lets the vectorized resolver
-        (:func:`repro.sim.fastpath.resolve_iid_faults`) pre-draw
-        every outcome and keep the replay kernel bit-identical to
-        the per-event loop.
-        Gilbert–Elliott chains, latency draws, outage windows and
-        multi-model compositions are stateful or variable-draw and
-        return None.
-
-        Returns:
-            ``(failure_probability, failure_outcome)`` when the plan
-            qualifies, else None.
-        """
-        if self.outages or len(self.models) != 1:
-            return None
-        model = self.models[0]
-        if type(model) is not IIDFaultModel:
-            return None
-        if not model.failure_outcome.is_retryable:
-            # An UNREACHABLE failure fast-fails without burning
-            # bandwidth — different ledger semantics than the
-            # retry/burn path the kernel vectorizes.
-            return None
-        return model.failure_probability, model.failure_outcome
-
-    def ge_profile(self) -> GilbertElliottFaultModel | None:
-        """The plan's single Gilbert–Elliott model, if that is all it is.
-
-        The bursty analogue of :meth:`iid_profile`: exactly one
-        :class:`GilbertElliottFaultModel` (not a subclass), no outage
-        windows, and a retryable failure outcome.  Such plans consume
-        exactly two uniform draws per attempt (transition, loss) plus
-        one jitter draw per retry — a fixed per-attempt draw shape —
-        which is what lets the scan-vectorized GE resolver
-        (:func:`repro.sim.fastpath.resolve_ge_faults`) pre-draw the
-        fault stream and keep the replay kernel bit-identical to the
-        per-event loop.
-        The chain state itself is *stateful across attempts*, but it
-        is threaded through the kernel explicitly via
-        :meth:`GilbertElliottFaultModel.chain_states`.
-
-        Returns:
-            The model when the plan qualifies, else None.
-        """
-        if self.outages or len(self.models) != 1:
-            return None
-        model = self.models[0]
-        if type(model) is not GilbertElliottFaultModel:
-            return None
-        if not model.failure_outcome.is_retryable:
-            return None
-        return model
 
     @classmethod
     def quiet(cls) -> "FaultPlan":

@@ -41,7 +41,7 @@ from repro.sim.fastpath import (
     replay_window_tapes,
     resolve_tape_faults,
 )
-from repro.sim.simulation import Simulation
+from repro.sim.simulation import Simulation, kernel_fault_model
 from repro.workloads.catalog import Catalog
 
 __all__ = ["PeriodReport", "AdaptiveMirrorManager"]
@@ -626,31 +626,16 @@ class AdaptiveMirrorManager:
     def _batchable(self) -> bool:
         """Whether replan windows may share one kernel call.
 
-        Fault-free loops always qualify.  Faulty loops qualify when
-        the plan has a vectorized resolver — a single i.i.d. model
-        or a single retryable Gilbert–Elliott chain — with no
-        breaker, no topology and no shared admission gate.  The
-        fault rng may be dedicated *or* shared with the workload
-        stream: the batched loop resolves each period's faults right
-        after drawing that period's tape, which reproduces the
-        per-period interleaving exactly.
+        Fault-free loops always qualify; faulty loops qualify when
+        :func:`~repro.sim.simulation.kernel_fault_model` accepts the
+        fault setup.  The fault rng may be dedicated *or* shared with
+        the workload stream: the batched loop resolves each period's
+        faults right after drawing that period's tape, which
+        reproduces the per-period interleaving exactly.
         """
-        if not self._faulty:
-            return True
-        if self._breaker is not None:
-            return False
-        if self._topology is not None:
-            # Hop ledgers and path latency keep topology runs on the
-            # per-period reference loop.
-            return False
-        if self._retry_policy is not None and \
-                self._retry_policy.admission_gate is not None:
-            # The herding gate's token bucket is shared across
-            # attempts in wall order; no pre-drawn pool replays it.
-            return False
-        assert self._fault_plan is not None
-        return (self._fault_plan.iid_profile() is not None
-                or self._fault_plan.ge_profile() is not None)
+        return not self._faulty or kernel_fault_model(
+            self._fault_plan, self._retry_policy, self._breaker,
+            self._topology) is not None
 
     def _run_window(self, first_period: int, window: int,
                     replanned: bool, believed_pf: float,

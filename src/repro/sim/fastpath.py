@@ -17,15 +17,16 @@ differ only in how they slice the tape:
   adaptive-manager window as its own one-slab replay.
 
 Faults enter through one resolver, :func:`resolve_tape_faults`,
-before the replay: it dispatches on ``fault_args["kind"]`` to
-:func:`resolve_iid_faults` (one i.i.d. model, no outages or breaker)
-or :func:`resolve_ge_faults` (one Gilbert–Elliott model), which
-decide every scheduled sync's attempts and success; the failed syncs
-are then dropped from the slab and the survivors replay through the
-fault-free copy-state machine unchanged.  Stateful plans the
-resolvers cannot pre-draw — latency draws, outage windows, breakers,
+before the replay: it dispatches on the type of
+``fault_args["model"]`` to :func:`resolve_iid_faults` (one i.i.d.
+model) or :func:`resolve_ge_faults` (one Gilbert–Elliott model).
+Both run on one core, :func:`_resolve_on_pool`, which decides every
+scheduled sync's attempts and success; the failed syncs are then
+dropped from the slab and the survivors replay through the
+fault-free copy-state machine unchanged.  Stateful plans the core
+cannot pre-draw — latency draws, outage windows, breakers,
 topologies, multi-model plans — stay on the reference loop;
-:meth:`Simulation.run` dispatches.
+:func:`repro.sim.simulation.kernel_fault_model` decides.
 
 How the loop is vectorized
 --------------------------
@@ -73,9 +74,9 @@ Bit-identity notes (all verified by the equivalence suite):
 The one sequential piece of fault resolution is the per-period
 bandwidth ledger: how many draws a sync consumes depends on where
 earlier syncs left the pool cursor and the ledger, so the cursor walk
-is a tight O(n_syncs) scalar scan over precomputed attempt tables.
-The Gilbert–Elliott chain is stateful across attempts, but its draw
-shape is fixed (transition, loss, jitter per retry); on the
+is a tight O(total attempts) scalar scan over precomputed outcome
+flags.  The Gilbert–Elliott chain is stateful across attempts, but
+its draw shape is fixed (transition, loss, jitter per retry); on the
 retry-free, denial-free route its evolution is a segmented
 Hillis–Steele scan, and its per-element state is threaded explicitly
 (:meth:`~repro.faults.model.GilbertElliottFaultModel.chain_states`).
@@ -97,7 +98,11 @@ from repro.contracts import (
     contracts_enabled,
 )
 from repro.errors import SimulationError
-from repro.faults.model import PollOutcome
+from repro.faults.model import (
+    GilbertElliottFaultModel,
+    IIDFaultModel,
+    PollOutcome,
+)
 from repro.faults.retry import RetryPolicy
 from repro.obs import registry as obs
 from repro.sim.events import EventKind
@@ -162,7 +167,7 @@ def _last_position_at_or_before(candidate_positions: np.ndarray,
 
 @dataclass
 class FaultResolution:
-    """Per-sync outcome of the vectorized i.i.d. fault resolution.
+    """Per-sync outcome of the vectorized fault resolution.
 
     Arrays have one entry per *scheduled* sync in tape order.
 
@@ -192,6 +197,183 @@ class FaultResolution:
 
 
 # seedflow: pair=repro.faults.channel.SyncChannel.sync
+def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
+                     sizes: np.ndarray, *,
+                     thresholds: tuple[float, ...],
+                     initial_bad: np.ndarray | None,
+                     failure_outcome: PollOutcome,
+                     retry_policy: RetryPolicy | None,
+                     bandwidth_budget: float | None,
+                     period_length: float,
+                     rng: np.random.Generator,
+                     record_trace: bool
+                     ) -> tuple[FaultResolution, np.ndarray | None]:
+    """The fault-resolution core behind both public resolvers.
+
+    ``initial_bad`` selects the model.  None means an i.i.d. plan:
+    ``thresholds`` is ``(failure_probability,)`` and each attempt
+    takes one outcome draw.  A per-element chain state means a
+    Gilbert–Elliott plan: ``thresholds`` is ``(p_good_to_bad,
+    p_bad_to_good, loss_good, loss_bad)`` and each attempt takes a
+    transition draw, then a loss draw against the new state.  Each
+    retry adds one jitter draw, so consecutive attempts of one sync
+    sit ``stride`` pool positions apart (2 for i.i.d., 3 for GE).
+
+    Pre-draws an oversized uniform pool from ``rng`` (one vectorized
+    call), then walks the syncs once to place each sync's draw cursor
+    and charge its attempts against the per-period bandwidth ledger —
+    the one sequential piece, O(total attempts).  A retry-free GE
+    batch in which no period can deny instead evolves its chains with
+    a segmented scan (:func:`_ge_scan_states`).  Finally the bit
+    generator is rewound and re-advanced by exactly the draws the
+    reference :class:`~repro.faults.channel.SyncChannel` would have
+    consumed, so downstream draws see an identical stream.
+
+    Returns:
+        ``(resolution, final_bad)`` — the per-sync
+        :class:`FaultResolution` and the per-element chain state
+        after the batch (None for i.i.d. plans).
+    """
+    ge = initial_bad is not None
+    stride = 3 if ge else 2
+    m = int(sync_times.shape[0])
+    max_attempts = (1 if retry_policy is None
+                    else retry_policy.max_retries + 1)
+    width = stride * max_attempts - 1
+    final_bad = (None if initial_bad is None
+                 else np.asarray(initial_bad, dtype=bool).copy())
+
+    if m == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return FaultResolution(
+            attempts=empty, success=np.zeros(0, dtype=bool),
+            denied=np.zeros(0, dtype=bool), offsets=empty.copy(),
+            consumed=empty.copy(), denied_retries=0,
+            trace=[] if record_trace else None), final_bad
+
+    state = rng.bit_generator.state
+    pool = rng.random(m * width + width)
+    sync_sizes = sizes[sync_elements]
+    periods = (sync_times / period_length).astype(np.int64)
+
+    scan_route = ge and max_attempts == 1
+    if scan_route and bandwidth_budget is not None:
+        # The scan needs every sync to make its one attempt.  A
+        # denial in period P happens iff the period's sequential
+        # spend fold exceeds B at some prefix; spends are
+        # nonnegative, so that is iff the period *total* (the same
+        # left-fold, via bincount) exceeds B.  When any period can
+        # deny, fall through to the exact ledger walk.
+        period_spend = np.bincount(periods - periods[0],
+                                   weights=sync_sizes)
+        scan_route = bool((period_spend <= bandwidth_budget).all())
+
+    denied_retries = 0
+    if scan_route:
+        assert final_bad is not None
+        p_good_to_bad, p_bad_to_good, loss_good, loss_bad = thresholds
+        # Retry-free and denial-free: sync i's draws sit at pool
+        # positions 2i (transition) and 2i+1 (loss), unconditionally.
+        order, state_after, final_bad = _ge_scan_states(
+            sync_elements, pool < p_good_to_bad, pool < p_bad_to_good,
+            final_bad)
+        success = np.empty(m, dtype=bool)
+        success[order] = pool[order * 2 + 1] >= np.where(
+            state_after, loss_bad, loss_good)
+        attempts = np.ones(m, dtype=np.int64)
+        offsets = np.arange(m, dtype=np.int64) * 2
+        cursor = 2 * m
+    else:
+        if final_bad is None:
+            ok_list = (pool >= thresholds[0]).tolist()
+        else:
+            p_good_to_bad, p_bad_to_good, loss_good, loss_bad = thresholds
+            flip_good_list = (pool < p_good_to_bad).tolist()
+            flip_bad_list = (pool < p_bad_to_good).tolist()
+            ok_good_list = (pool >= loss_good).tolist()
+            ok_bad_list = (pool >= loss_bad).tolist()
+            bad_list = final_bad.tolist()
+            element_list = sync_elements.tolist()
+        size_list = sync_sizes.tolist()
+        period_list = periods.tolist()
+        out_attempts = [0] * m
+        out_success = [False] * m
+        out_offsets = [0] * m
+        cursor = 0
+        current_period = 0
+        spent = 0.0
+        budget = bandwidth_budget
+        for i in range(m):
+            period = period_list[i]
+            if period > current_period:
+                current_period = period
+                spent = 0.0
+            size = size_list[i]
+            if budget is not None and spent + size > budget:
+                continue  # denied outright: zero attempts, zero draws
+            out_offsets[i] = cursor
+            if ge:
+                element = element_list[i]
+                bad = bad_list[element]
+            draw = cursor
+            attempts_made = 0
+            while True:
+                attempts_made += 1
+                if ge:
+                    # Transition first (the flip probability depends
+                    # on the in-state), then the loss draw against
+                    # the new state — the reference model's order.
+                    bad = ((not flip_bad_list[draw]) if bad
+                           else flip_good_list[draw])
+                    ok = (ok_bad_list[draw + 1] if bad
+                          else ok_good_list[draw + 1])
+                else:
+                    ok = ok_list[draw]
+                if budget is not None:
+                    spent += size
+                if ok or attempts_made == max_attempts:
+                    break
+                if budget is not None and spent + size > budget:
+                    denied_retries += 1
+                    break
+                draw += stride
+            if ge:
+                bad_list[element] = bad
+            out_attempts[i] = attempts_made
+            out_success[i] = ok
+            cursor += stride * attempts_made - 1
+        attempts = np.asarray(out_attempts, dtype=np.int64)
+        success = np.asarray(out_success, dtype=bool)
+        offsets = np.asarray(out_offsets, dtype=np.int64)
+        if ge:
+            final_bad = np.asarray(bad_list, dtype=bool)
+
+    # Rewind the oversized pool draw, then advance by exactly what the
+    # reference channel consumed (array and scalar draws advance the
+    # PCG64 state identically).
+    rng.bit_generator.state = state
+    if cursor:
+        # Data-dependent on purpose: re-advances the rewound stream
+        # by exactly the reference channel's consumption, so this
+        # branch *restores* draw parity rather than breaking it.
+        rng.random(cursor)  # freshlint: disable=FL013
+
+    trace: list[tuple[float, int, str]] | None = None
+    if record_trace:
+        trace = _build_trace(
+            sync_times, sync_elements, attempts, success, offsets,
+            pool, failure_outcome=failure_outcome,
+            retry_policy=retry_policy, draw_stride=stride)
+
+    made = attempts > 0
+    return FaultResolution(
+        attempts=attempts, success=success, denied=~made,
+        offsets=offsets,
+        consumed=np.where(made, stride * attempts - 1, 0),
+        denied_retries=denied_retries, trace=trace), final_bad
+
+
+# seedflow: pair=repro.faults.channel.SyncChannel.sync
 def resolve_iid_faults(sync_times: np.ndarray,
                        sync_elements: np.ndarray,
                        sizes: np.ndarray, *,
@@ -203,17 +385,11 @@ def resolve_iid_faults(sync_times: np.ndarray,
                        rng: np.random.Generator,
                        record_trace: bool = False
                        ) -> FaultResolution:
-    """Resolve every scheduled sync's fault outcome in one pass.
+    """Resolve every scheduled sync's fate under an i.i.d. channel.
 
-    Pre-draws an oversized uniform pool from ``rng`` (one vectorized
-    call), classifies every possible attempt start position into
-    "first success at attempt k / no success", then walks the syncs
-    once to place each sync's draw cursor and charge its attempts
-    against the per-period bandwidth ledger — the only inherently
-    sequential part, a tight O(n_syncs) scalar scan.  Finally the bit
-    generator is rewound and re-advanced by exactly the number of
-    draws the reference :class:`~repro.faults.channel.SyncChannel`
-    would have consumed, so downstream draws see an identical stream.
+    Each attempt takes one outcome draw, failing below
+    ``failure_probability``; each retry adds one jitter draw.  Runs
+    on the shared core, :func:`_resolve_on_pool`.
 
     Args:
         sync_times: Scheduled sync times *on the fault clock* (local
@@ -237,100 +413,13 @@ def resolve_iid_faults(sync_times: np.ndarray,
     Returns:
         The per-sync :class:`FaultResolution`.
     """
-    m = int(sync_times.shape[0])
-    max_attempts = (1 if retry_policy is None
-                    else retry_policy.max_retries + 1)
-    width = 2 * max_attempts - 1
-
-    if m == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return FaultResolution(
-            attempts=empty, success=np.zeros(0, dtype=bool),
-            denied=np.zeros(0, dtype=bool), offsets=empty.copy(),
-            consumed=empty.copy(), denied_retries=0,
-            trace=[] if record_trace else None)
-
-    state = rng.bit_generator.state
-    pool = rng.random(m * width + width)
-    pool_span = m * width
-    # ok_cols[t, k]: would the (k+1)-th attempt of a sync whose first
-    # draw sits at pool position t succeed?  Attempt draws are spaced
-    # two apart because each retry interleaves one jitter draw.
-    fail = pool < failure_probability
-    ok_cols = np.empty((pool_span + 1, max_attempts), dtype=bool)
-    for k in range(max_attempts):
-        ok_cols[:, k] = ~fail[2 * k: 2 * k + pool_span + 1]
-    any_ok = ok_cols.any(axis=1)
-    # Attempts the retry policy would allow from each position: stop
-    # at the first success, else exhaust all max_attempts columns.
-    desired = np.where(any_ok, ok_cols.argmax(axis=1) + 1,
-                       max_attempts)
-
-    # --- the ledger walk (the one sequential piece) ------------------
-    desired_list = desired.tolist()
-    any_ok_list = any_ok.tolist()
-    size_list = sizes[sync_elements].tolist()
-    period_list = (sync_times / period_length).astype(np.int64).tolist()
-    out_attempts = [0] * m
-    out_success = [False] * m
-    out_offsets = [0] * m
-    denied_retries = 0
-    cursor = 0
-    current_period = 0
-    spent = 0.0
-    budget = bandwidth_budget
-    for i in range(m):
-        period = period_list[i]
-        if period > current_period:
-            current_period = period
-            spent = 0.0
-        size = size_list[i]
-        if budget is not None and spent + size > budget:
-            continue  # denied outright: zero attempts, zero draws
-        goal = desired_list[cursor]
-        out_offsets[i] = cursor
-        if budget is None:
-            attempts = goal
-        else:
-            attempts = 1
-            spent += size
-            while attempts < goal:
-                if spent + size > budget:
-                    denied_retries += 1
-                    break
-                attempts += 1
-                spent += size
-        out_attempts[i] = attempts
-        out_success[i] = any_ok_list[cursor] and attempts == goal
-        cursor += 2 * attempts - 1
-
-    attempts_arr = np.asarray(out_attempts, dtype=np.int64)
-    success_arr = np.asarray(out_success, dtype=bool)
-    offsets_arr = np.asarray(out_offsets, dtype=np.int64)
-    made = attempts_arr > 0
-    consumed_arr = np.where(made, 2 * attempts_arr - 1, 0)
-
-    # Rewind the oversized pool draw, then advance by exactly what the
-    # reference channel consumed (array and scalar draws advance the
-    # PCG64 state identically).
-    rng.bit_generator.state = state
-    if cursor:
-        # Data-dependent on purpose: re-advances the rewound stream
-        # by exactly the reference channel's consumption, so this
-        # branch *restores* draw parity rather than breaking it.
-        rng.random(cursor)  # freshlint: disable=FL013
-
-    trace: list[tuple[float, int, str]] | None = None
-    if record_trace:
-        trace = _build_trace(
-            sync_times, sync_elements, attempts_arr, success_arr,
-            offsets_arr, pool, failure_outcome=failure_outcome,
-            retry_policy=retry_policy)
-
-    return FaultResolution(
-        attempts=attempts_arr, success=success_arr,
-        denied=~made, offsets=offsets_arr, consumed=consumed_arr,
-        denied_retries=denied_retries, trace=trace)
+    resolution, _ = _resolve_on_pool(
+        sync_times, sync_elements, sizes,
+        thresholds=(failure_probability,), initial_bad=None,
+        failure_outcome=failure_outcome, retry_policy=retry_policy,
+        bandwidth_budget=bandwidth_budget, period_length=period_length,
+        rng=rng, record_trace=record_trace)
+    return resolution
 
 
 def _build_trace(sync_times: np.ndarray, sync_elements: np.ndarray,
@@ -465,19 +554,12 @@ def resolve_ge_faults(sync_times: np.ndarray,
                       ) -> tuple[FaultResolution, np.ndarray]:
     """Resolve every sync's fate under a Gilbert–Elliott channel.
 
-    The reference channel consumes, per attempt, one transition draw
-    (compared against the current state's flip probability) and one
-    loss draw (compared against the new state's loss probability),
-    plus one jitter draw per retry — a fixed shape, so the whole
-    stream is pre-drawn in one call and classified against all four
-    thresholds in bulk.  What remains sequential is only the chain
-    itself.  On the retry-free, denial-free route that sequence is an
-    associative function composition and runs as a segmented scan
-    (:func:`_ge_scan_states`); otherwise a tight O(total attempts)
-    cursor walk over the precomputed bit tables places each sync's
-    draws and charges the period ledger, exactly like the i.i.d.
-    resolver.  The bit generator is then rewound and re-advanced by
-    the reference channel's exact consumption.
+    Each attempt takes one transition draw (against the current
+    state's flip probability) and one loss draw (against the new
+    state's loss probability); each retry adds one jitter draw.
+    Runs on the shared core, :func:`_resolve_on_pool`, which threads
+    the chain state explicitly and takes the segmented-scan route
+    when the batch is retry-free and no period can deny.
 
     Args:
         sync_times: Scheduled sync times on the fault clock, in clock
@@ -508,139 +590,15 @@ def resolve_ge_faults(sync_times: np.ndarray,
         model (:meth:`~repro.faults.model.GilbertElliottFaultModel.
         set_chain_states`).
     """
-    m = int(sync_times.shape[0])
-    max_attempts = (1 if retry_policy is None
-                    else retry_policy.max_retries + 1)
-    width = 3 * max_attempts - 1
-    final_bad = np.asarray(initial_bad, dtype=bool).copy()
-
-    if m == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return FaultResolution(
-            attempts=empty, success=np.zeros(0, dtype=bool),
-            denied=np.zeros(0, dtype=bool), offsets=empty.copy(),
-            consumed=empty.copy(), denied_retries=0,
-            trace=[] if record_trace else None), final_bad
-
-    state = rng.bit_generator.state
-    pool = rng.random(m * width + width)
-    flip_good = pool < p_good_to_bad
-    flip_bad = pool < p_bad_to_good
-    fail_good = pool < loss_good
-    fail_bad = pool < loss_bad
-
-    scan_route = max_attempts == 1
-    if scan_route and bandwidth_budget is not None:
-        # The scan needs every sync to make its one attempt.  A
-        # denial in period P happens iff the period's sequential
-        # spend fold exceeds B at some prefix; spends are
-        # nonnegative, so that is iff the period *total* (the same
-        # left-fold, via bincount) exceeds B.  When any period can
-        # deny, fall through to the exact ledger walk.
-        period_index = (sync_times / period_length).astype(np.int64)
-        period_index -= int(period_index[0])
-        period_spend = np.bincount(period_index,
-                                   weights=sizes[sync_elements])
-        scan_route = bool((period_spend <= bandwidth_budget).all())
-
-    denied_retries = 0
-    if scan_route:
-        # Retry-free and denial-free: sync i's draws sit at pool
-        # positions 2i (transition) and 2i+1 (loss), unconditionally.
-        order, state_after, final_bad = _ge_scan_states(
-            sync_elements, flip_good, flip_bad, final_bad)
-        loss_at = order * 2 + 1
-        failed_sorted = np.where(state_after, fail_bad[loss_at],
-                                 fail_good[loss_at])
-        success_arr = np.empty(m, dtype=bool)
-        success_arr[order] = ~failed_sorted
-        attempts_arr = np.ones(m, dtype=np.int64)
-        offsets_arr = np.arange(m, dtype=np.int64) * 2
-        consumed_arr = np.full(m, 2, dtype=np.int64)
-        cursor = 2 * m
-    else:
-        flip_good_list = flip_good.tolist()
-        flip_bad_list = flip_bad.tolist()
-        fail_good_list = fail_good.tolist()
-        fail_bad_list = fail_bad.tolist()
-        size_list = sizes[sync_elements].tolist()
-        period_list = (sync_times
-                       / period_length).astype(np.int64).tolist()
-        element_list = sync_elements.tolist()
-        bad_list = final_bad.tolist()
-        out_attempts = [0] * m
-        out_success = [False] * m
-        out_offsets = [0] * m
-        cursor = 0
-        current_period = 0
-        spent = 0.0
-        budget = bandwidth_budget
-        for i in range(m):
-            period = period_list[i]
-            if period > current_period:
-                current_period = period
-                spent = 0.0
-            size = size_list[i]
-            if budget is not None and spent + size > budget:
-                continue  # denied outright: zero attempts, zero draws
-            element = element_list[i]
-            bad = bad_list[element]
-            out_offsets[i] = cursor
-            attempts = 0
-            success = False
-            draw = cursor
-            while True:
-                # Transition first (flip probability depends on the
-                # in-state), then the loss draw against the new state
-                # — the reference model's exact order.
-                bad = ((not flip_bad_list[draw]) if bad
-                       else flip_good_list[draw])
-                attempts += 1
-                if budget is not None:
-                    spent += size
-                if not (fail_bad_list[draw + 1] if bad
-                        else fail_good_list[draw + 1]):
-                    success = True
-                    break
-                if attempts >= max_attempts:
-                    break
-                if budget is not None and spent + size > budget:
-                    denied_retries += 1
-                    break
-                draw += 3
-            bad_list[element] = bad
-            out_attempts[i] = attempts
-            out_success[i] = success
-            cursor += 3 * attempts - 1
-        attempts_arr = np.asarray(out_attempts, dtype=np.int64)
-        success_arr = np.asarray(out_success, dtype=bool)
-        offsets_arr = np.asarray(out_offsets, dtype=np.int64)
-        consumed_arr = np.where(attempts_arr > 0,
-                                3 * attempts_arr - 1, 0)
-        final_bad = np.asarray(bad_list, dtype=bool)
-
-    # Rewind the oversized pool draw, then advance by exactly what
-    # the reference channel consumed.
-    rng.bit_generator.state = state
-    if cursor:
-        # Data-dependent on purpose: re-advances the rewound stream
-        # by exactly the reference channel's consumption, so this
-        # branch *restores* draw parity rather than breaking it.
-        rng.random(cursor)  # freshlint: disable=FL013
-
-    trace: list[tuple[float, int, str]] | None = None
-    if record_trace:
-        trace = _build_trace(
-            sync_times, sync_elements, attempts_arr, success_arr,
-            offsets_arr, pool, failure_outcome=failure_outcome,
-            retry_policy=retry_policy, draw_stride=3)
-
-    return FaultResolution(
-        attempts=attempts_arr, success=success_arr,
-        denied=attempts_arr == 0, offsets=offsets_arr,
-        consumed=consumed_arr, denied_retries=denied_retries,
-        trace=trace), final_bad
-
+    resolution, final_bad = _resolve_on_pool(
+        sync_times, sync_elements, sizes,
+        thresholds=(p_good_to_bad, p_bad_to_good, loss_good, loss_bad),
+        initial_bad=initial_bad, failure_outcome=failure_outcome,
+        retry_policy=retry_policy, bandwidth_budget=bandwidth_budget,
+        period_length=period_length, rng=rng,
+        record_trace=record_trace)
+    assert final_bad is not None
+    return resolution, final_bad
 
 
 def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
@@ -649,14 +607,14 @@ def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
                     initial_bad: np.ndarray | None,
                     record_trace: bool
                     ) -> tuple[FaultResolution, np.ndarray | None]:
-    """Dispatch one batch of scheduled syncs to its plan's resolver.
+    """Dispatch one batch of scheduled syncs to its model's resolver.
 
-    The one place that reads ``fault_args["kind"]``; see
-    :func:`resolve_tape_faults` for the arguments.  ``sync_times``
-    are already on the fault clock.
+    The one place that reads the type of ``fault_args["model"]``;
+    see :func:`resolve_tape_faults` for the arguments.
+    ``sync_times`` are already on the fault clock.
     """
-    if fault_args["kind"] == "ge":
-        model = fault_args["model"]
+    model = fault_args["model"]
+    if isinstance(model, GilbertElliottFaultModel):
         if initial_bad is None:
             initial_bad = model.chain_states(sizes.shape[0])
         return resolve_ge_faults(
@@ -664,7 +622,7 @@ def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
             p_good_to_bad=model.p_good_to_bad,
             p_bad_to_good=model.p_bad_to_good,
             loss_good=model.loss_good, loss_bad=model.loss_bad,
-            failure_outcome=fault_args["failure_outcome"],
+            failure_outcome=model.failure_outcome,
             initial_bad=initial_bad,
             retry_policy=fault_args["retry_policy"],
             bandwidth_budget=fault_args["bandwidth_budget"],
@@ -672,8 +630,8 @@ def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
             record_trace=record_trace)
     resolution = resolve_iid_faults(
         sync_times, sync_elements, sizes,
-        failure_probability=fault_args["failure_probability"],
-        failure_outcome=fault_args["failure_outcome"],
+        failure_probability=model.failure_probability,
+        failure_outcome=model.failure_outcome,
         retry_policy=fault_args["retry_policy"],
         bandwidth_budget=fault_args["bandwidth_budget"],
         period_length=period_length, rng=fault_args["rng"],
@@ -691,8 +649,10 @@ def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
                                    np.ndarray | None]:
     """Resolve one tape's scheduled syncs under a kernel fault plan.
 
-    Dispatches on ``fault_args["kind"]``: ``"iid"`` to
-    :func:`resolve_iid_faults`, ``"ge"`` to
+    Dispatches on the type of ``fault_args["model"]``: an
+    :class:`~repro.faults.model.IIDFaultModel` to
+    :func:`resolve_iid_faults`, a
+    :class:`~repro.faults.model.GilbertElliottFaultModel` to
     :func:`resolve_ge_faults`.  The batched manager calls this right
     after building each period's tape, so shared-fault-rng plans
     consume workload and fault draws in exactly the per-period
@@ -1320,8 +1280,9 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     return fresh_before_global, run_start_global, becomes_fresh_global
 
 
-#: ``sim.engine.*`` label per kernel fault-plan kind.
-_FAULT_ENGINES = {"iid": "fastpath_faulted", "ge": "fastpath_ge"}
+#: ``sim.engine.*`` label per kernel fault-model type.
+_FAULT_ENGINES = {IIDFaultModel: "fastpath_faulted",
+                  GilbertElliottFaultModel: "fastpath_ge"}
 
 
 class StreamingReplay:
@@ -1346,8 +1307,8 @@ class StreamingReplay:
             boundary).
         fault_args: Dispatch arguments from
             :meth:`repro.sim.simulation.Simulation.fault_kernel_args`
-            (``kind`` ``"iid"`` or ``"ge"`` plus model, retry policy,
-            budget, rng), or None for fault-free replay.
+            (model, retry policy, budget, rng), or None for
+            fault-free replay.
         fault_time_offset: Clock offset added to sync times on the
             fault clock and to ledger stamps, in clock units (whole
             periods).
@@ -1375,7 +1336,7 @@ class StreamingReplay:
         self._engine = "fastpath"
         if fault_args is not None:
             self._faults = _FaultAccounting.start(n)
-            self._engine = _FAULT_ENGINES[fault_args["kind"]]
+            self._engine = _FAULT_ENGINES[type(fault_args["model"])]
         self._trace: list[tuple[float, int, str]] | None = (
             [] if record_fault_trace and fault_args is not None
             else None)
@@ -1568,7 +1529,7 @@ class StreamingReplay:
         if obs.telemetry_enabled():
             if faults is not None:
                 assert self._fault_args is not None
-                faults.emit(self._fault_args["failure_outcome"])
+                faults.emit(self._fault_args["model"].failure_outcome)
             _emit_monitor_close(element_freshness, element_age,
                                 carry.n_accesses,
                                 carry.fresh_accesses, horizon)
@@ -1716,9 +1677,9 @@ def replay_window_tapes(catalog: Catalog, frequencies: np.ndarray,
     Returns:
         ``(results, consumed)`` — one :class:`SimulationResult` per
         period and the number of fault-rng draws consumed per period
-        (all zeros when fault-free), which the manager uses to rewind
-        the fault stream when a mid-window replan trigger forces a
-        rollback.
+        (all zeros when fault-free).  The manager does not read
+        ``consumed``: it rolls back by restoring bit-generator state
+        snapshots.
     """
     if resolutions is not None:
         if fault_args is None:

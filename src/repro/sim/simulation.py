@@ -30,7 +30,12 @@ from repro.core.scheduler import PhasePolicy, SyncSchedule
 from repro.errors import ValidationError
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.channel import SyncChannel
-from repro.faults.model import FaultPlan, PollOutcome
+from repro.faults.model import (
+    FaultPlan,
+    GilbertElliottFaultModel,
+    IIDFaultModel,
+    PollOutcome,
+)
 from repro.faults.retry import RetryPolicy
 from repro.faults.topology import Topology
 from repro.obs import registry as obs
@@ -46,7 +51,55 @@ from repro.sim.mirror import Mirror
 from repro.sim.source import Source
 from repro.workloads.catalog import Catalog
 
-__all__ = ["Simulation"]
+__all__ = ["Simulation", "kernel_fault_model"]
+
+
+def kernel_fault_model(fault_plan: FaultPlan | None,
+                       retry_policy: RetryPolicy | None,
+                       breaker: CircuitBreaker | None,
+                       topology: Topology | None
+                       ) -> IIDFaultModel | GilbertElliottFaultModel | None:
+    """The fault model the vectorized kernel resolves, if any.
+
+    The one kernel-eligibility decision: :meth:`Simulation.run`'s
+    engine dispatch and the adaptive manager's window batching both
+    read it.  A plan qualifies when it is exactly one
+    :class:`~repro.faults.model.IIDFaultModel` or one
+    :class:`~repro.faults.model.GilbertElliottFaultModel` (the exact
+    type, not a subclass) with a retryable failure outcome and no
+    outage windows, and the channel has no breaker, no relay
+    topology and no retry admission gate.  Those models draw a fixed
+    number of uniforms per attempt, which is what lets
+    :mod:`repro.sim.fastpath` pre-draw the fault stream.  Everything
+    else stays on the reference loop: latency draws and multi-model
+    plans draw a variable count, outages, breakers and hop ledgers
+    are stateful per attempt, an ``UNREACHABLE`` outcome fast-fails
+    without burning bandwidth, and the gate's token bucket is shared
+    across runs in wall order.
+
+    Args:
+        fault_plan: The channel's fault plan, or None.
+        retry_policy: The channel's retry policy, or None.
+        breaker: The channel's circuit breaker, or None.
+        topology: The channel's relay topology, or None.
+
+    Returns:
+        The plan's single kernel-resolvable model, else None (also
+        for a quiet or absent plan).
+    """
+    if (fault_plan is None or fault_plan.outages
+            or len(fault_plan.models) != 1
+            or breaker is not None or topology is not None
+            or (retry_policy is not None
+                and retry_policy.admission_gate is not None)):
+        return None
+    model = fault_plan.models[0]
+    if type(model) is not IIDFaultModel \
+            and type(model) is not GilbertElliottFaultModel:
+        return None
+    if not model.failure_outcome.is_retryable:
+        return None
+    return model
 
 
 class _PeriodTracker:
@@ -306,50 +359,26 @@ class Simulation:
     def fault_kernel_args(self) -> dict | None:
         """The kernel's fault-plan arguments, if the plan is eligible.
 
-        Returns None when the simulation is fault-free or its plan
-        needs the reference loop (multi-model, latency, outages, a
-        breaker, a relay topology, or a gated retry policy whose
-        shared token bucket is cross-run stateful); otherwise the
-        ``fault_args`` the vectorized routes in
-        :mod:`repro.sim.fastpath` take (:class:`~repro.sim.fastpath.
-        StreamingReplay`, :func:`~repro.sim.fastpath.
-        replay_window_tapes`, :func:`~repro.sim.fastpath.
-        resolve_tape_faults`).  This is their only producer, and it
-        always sets ``"kind"``: ``"iid"`` (plus the failure
-        probability) or ``"ge"`` (plus the single Gilbert–Elliott
-        model, whose chain state the kernel threads explicitly).
-        Both kinds carry the failure outcome, the shared retry
-        policy, the budget and the fault rng.
+        Returns None when :func:`kernel_fault_model` finds no model
+        the kernel can resolve; otherwise the ``fault_args`` the
+        vectorized routes in :mod:`repro.sim.fastpath` take
+        (:class:`~repro.sim.fastpath.StreamingReplay`,
+        :func:`~repro.sim.fastpath.replay_window_tapes`,
+        :func:`~repro.sim.fastpath.resolve_tape_faults`): the
+        ``"model"`` (whose type picks the resolver, and which
+        carries the failure probabilities and outcome), the shared
+        ``"retry_policy"``, the ``"bandwidth_budget"`` and the fault
+        ``"rng"``.  This is their only producer.
         """
-        if self._fault_plan is None or self._fault_plan.is_quiet:
+        model = kernel_fault_model(self._fault_plan, self._retry_policy,
+                                   self._breaker, self._topology)
+        if model is None:
             return None
-        if self._breaker is not None:
-            return None
-        if self._topology is not None:
-            # Hop ledgers and path latency are per-attempt stateful
-            # effects the vectorized kernel cannot replay.
-            return None
-        if self._retry_policy is not None and \
-                self._retry_policy.admission_gate is not None:
-            # The herding gate's token bucket is shared across runs
-            # (and managers); its admission order cannot be replayed
-            # from a pre-drawn pool.
-            return None
-        common = {
-            "retry_policy": self._retry_policy,
-            "bandwidth_budget": self._budget,
-            "rng": (self._fault_rng if self._fault_rng is not None
-                    else self._rng),
-        }
-        profile = self._fault_plan.iid_profile()
-        if profile is not None:
-            return {"kind": "iid", "failure_probability": profile[0],
-                    "failure_outcome": profile[1], **common}
-        model = self._fault_plan.ge_profile()
-        if model is not None:
-            return {"kind": "ge", "model": model,
-                    "failure_outcome": model.failure_outcome, **common}
-        return None
+        return {"model": model,
+                "retry_policy": self._retry_policy,
+                "bandwidth_budget": self._budget,
+                "rng": (self._fault_rng if self._fault_rng is not None
+                        else self._rng)}
 
     def run(self, n_periods: float, *,
             engine: str = "auto",
@@ -400,19 +429,16 @@ class Simulation:
         if n_periods <= 0.0:
             raise ValidationError(f"n_periods must be > 0, got {n_periods}")
         # A quiet (or absent) fault plan bypasses the channel
-        # entirely and consumes no extra random draws.  Stateless
-        # i.i.d. loss and single retryable Gilbert–Elliott plans
-        # resolve their faults in the kernel; everything else
-        # (latency/multi-model/outages/breaker/topology/gated
-        # retries) stays on the loop.
+        # entirely and consumes no extra random draws.  A plan
+        # kernel_fault_model accepts resolves its faults in the
+        # kernel; everything else stays on the loop.
         fault_free = self._fault_plan is None or self._fault_plan.is_quiet
-        kernel_faults = (None if fault_free
-                         else self.fault_kernel_args())
+        kernel_faults = self.fault_kernel_args()
         kernel_plan = fault_free or kernel_faults is not None
         unsupported = ("(latency draws, multiple models, outage "
                        "windows, a breaker, a relay topology, a gated "
-                       "retry policy or a non-retryable "
-                       "Gilbert–Elliott outcome)")
+                       "retry policy or a non-retryable failure "
+                       "outcome)")
         if chunk_periods is not None:
             if int(chunk_periods) != chunk_periods or chunk_periods < 1:
                 raise ValidationError(

@@ -32,9 +32,10 @@ from repro.faults.model import (
 )
 from repro.faults.retry import RetryPolicy
 from repro.obs import registry as obs
+from repro.runtime.manager import AdaptiveMirrorManager
 from repro.sim.bursty import BurstyUpdateGenerator
 from repro.sim.fastpath import replay_window_tapes
-from repro.sim.simulation import Simulation
+from repro.sim.simulation import Simulation, kernel_fault_model
 from repro.workloads.catalog import Catalog
 from repro.workloads.presets import ExperimentSetup, build_catalog
 
@@ -297,6 +298,20 @@ class TestDispatch:
             with pytest.raises(ValidationError):
                 sim.run(n_periods=2.0, engine="fastpath")
 
+    @pytest.mark.parametrize(
+        "factory,batchable",
+        [(factory, expected != "reference")
+         for factory, expected in _DISPATCH_MATRIX])
+    def test_manager_batches_exactly_the_kernel_plans(
+            self, preset_catalog, factory, batchable):
+        """The adaptive manager batches replan windows through the
+        kernel for exactly the plans auto dispatch sends there."""
+        manager = AdaptiveMirrorManager(
+            preset_catalog, 20.0, request_rate=40.0,
+            rng=np.random.default_rng(0),
+            fault_plan=factory() if factory is not None else None)
+        assert manager._batchable() is batchable
+
     def test_auto_iid_exercises_faults(self, preset_catalog):
         plan = PerceivedFreshener().plan(preset_catalog, 20.0)
         auto = run_engine(preset_catalog, plan.frequencies,
@@ -311,6 +326,50 @@ class TestDispatch:
                          rng=np.random.default_rng(0))
         with pytest.raises(ValidationError):
             sim.run(n_periods=2.0, engine="turbo")
+
+
+class _SubclassedIIDFaultModel(IIDFaultModel):
+    """Same draws as its parent, but the kernel only trusts the exact
+    type: an override could change the per-attempt draw shape."""
+
+
+class TestKernelFaultModel:
+    """``kernel_fault_model`` is the one kernel-eligibility decision."""
+
+    @pytest.mark.parametrize("factory",
+                             [_iid_plan, _iid_timeout_plan, _ge_plan])
+    def test_single_retryable_model_is_returned(self, factory):
+        plan = factory()
+        assert kernel_fault_model(plan, RetryPolicy(max_retries=2),
+                                  None, None) is plan.models[0]
+
+    @pytest.mark.parametrize("plan", [
+        None,
+        FaultPlan.quiet(),
+        FaultPlan(models=(_SubclassedIIDFaultModel(0.3),)),
+        _iid_unreachable_plan(),
+        _ge_unreachable_plan(),
+        _outage_plan(),
+        _multi_iid_plan(),
+        _latency_plan(),
+    ])
+    def test_reference_only_plans_are_refused(self, plan):
+        assert kernel_fault_model(plan, None, None, None) is None
+
+    @pytest.mark.parametrize("factory", [_iid_plan, _ge_plan])
+    def test_channel_state_refuses_an_eligible_plan(self, factory):
+        """A breaker, a relay topology or a shared admission gate
+        makes attempts stateful, whatever the plan."""
+        from repro.faults.breaker import CircuitBreaker
+        from repro.faults.retry import RetryAdmissionGate
+        from repro.faults.topology import Topology
+        gated = RetryPolicy(max_retries=2, admission_gate=(
+            RetryAdmissionGate(capacity=4.0, refill_rate=2.0)))
+        assert kernel_fault_model(factory(), None, CircuitBreaker(2),
+                                  None) is None
+        assert kernel_fault_model(factory(), None, None,
+                                  Topology.build(8)) is None
+        assert kernel_fault_model(factory(), gated, None, None) is None
 
 
 class TestFaultedBitIdentity:
@@ -628,7 +687,8 @@ class TestWindowReplay:
                 fault_time_offset=float(1 + j))
             tapes.append(sim.build_tape(1))
             fault_args = sim.fault_kernel_args()
-        assert fault_args is not None and fault_args["kind"] == "ge"
+        assert fault_args is not None and \
+            type(fault_args["model"]) is GilbertElliottFaultModel
         windowed, consumed = replay_window_tapes(
             sized_catalog, frequencies, tapes, period_length=1.0,
             first_global_period=2, fault_args=fault_args)

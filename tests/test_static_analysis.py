@@ -251,6 +251,8 @@ def test_kernel_pair_annotations_are_registered() -> None:
         "repro.faults.channel.SyncChannel.sync"
     assert paired.get("repro.sim.fastpath.resolve_ge_faults") == \
         "repro.faults.channel.SyncChannel.sync"
+    assert paired.get("repro.sim.fastpath._resolve_on_pool") == \
+        "repro.faults.channel.SyncChannel.sync"
 
 
 def test_bad_fixtures_are_not_in_the_linted_tree() -> None:
