@@ -27,7 +27,6 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.core.selection import SpaceConstrainedFreshener
 from repro.errors import ValidationError
-from repro.faults.breaker import CircuitBreaker
 from repro.faults.scenarios import CHAOS_SCENARIOS, ChaosScenario
 from repro.obs import registry as obs
 from repro.parallel import parallel_map, seed_rng
@@ -132,18 +131,9 @@ def _run_arm(catalog: Catalog, scenario: ChaosScenario, *,
              request_rate: float, n_periods: int, seed: int,
              replan_every: int) -> list[PeriodReport]:
     """One chaos arm (module-level so ``jobs>1`` can pickle it)."""
-    plan = (scenario.plan(catalog.n_elements, float(n_periods))
-            if faulty else None)
-    breaker = None
-    shard_of = None
-    topology = (scenario.topology(catalog.n_elements)
-                if faulty else None)
-    if faulty and scenario.breaker_threshold is not None:
-        breaker = CircuitBreaker(
-            scenario.n_shards(catalog.n_elements),
-            failure_threshold=scenario.breaker_threshold,
-            cooldown=scenario.breaker_cooldown)
-        shard_of = scenario.shard_of(catalog.n_elements)
+    channel = (scenario.manager_kwargs(catalog.n_elements,
+                                       float(n_periods))
+               if faulty else {})
     freshener = None
     if scenario.selection_capacity_fraction is not None:
         # The §7 space-constrained path, in *every* arm (including
@@ -156,14 +146,9 @@ def _run_arm(catalog: Catalog, scenario: ChaosScenario, *,
         catalog, bandwidth, request_rate=request_rate,
         rng=seed_rng(seed),
         freshener=freshener,
-        fault_plan=plan,
-        retry_policy=(scenario.retry_policy_for_run()
-                      if faulty else None),
-        breaker=breaker,
-        shard_of=shard_of,
-        topology=topology,
         fault_aware=fault_aware,
-        replan_every=replan_every)
+        replan_every=replan_every,
+        **channel)
     return manager.run(n_periods)
 
 

@@ -309,28 +309,16 @@ def _adapt_scenario_task(scenario_name: str | None, *, seed: int,
         ``(title, reports)`` for the CLI table.
     """
     from repro.analysis.chaos import CHAOS_SETUP
-    from repro.faults.breaker import CircuitBreaker
     from repro.faults.scenarios import CHAOS_SCENARIOS
     from repro.runtime.manager import AdaptiveMirrorManager
     from repro.workloads.presets import build_catalog
 
     catalog = build_catalog(CHAOS_SETUP, seed=seed)
-    kwargs = {}
+    kwargs: dict = {}
     title = "adaptive loop (fault-free)"
     if scenario_name is not None:
-        scenario = CHAOS_SCENARIOS[scenario_name]
-        kwargs["fault_plan"] = scenario.plan(catalog.n_elements,
-                                             float(periods))
-        kwargs["retry_policy"] = scenario.retry_policy_for_run()
-        topology = scenario.topology(catalog.n_elements)
-        if topology is not None:
-            kwargs["topology"] = topology
-        if scenario.breaker_threshold is not None:
-            kwargs["breaker"] = CircuitBreaker(
-                scenario.n_shards(catalog.n_elements),
-                failure_threshold=scenario.breaker_threshold,
-                cooldown=scenario.breaker_cooldown)
-            kwargs["shard_of"] = scenario.shard_of(catalog.n_elements)
+        kwargs = CHAOS_SCENARIOS[scenario_name].manager_kwargs(
+            catalog.n_elements, float(periods))
         title = f"adaptive loop under chaos scenario {scenario_name!r}"
     manager = AdaptiveMirrorManager(
         catalog, CHAOS_SETUP.syncs_per_period,

@@ -21,6 +21,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from repro.faults.breaker import CircuitBreaker
 from repro.faults.correlated import CorrelatedFaultModel, NodeOutage
 from repro.faults.model import (
     FaultPlan,
@@ -73,7 +74,9 @@ class ChaosScenario:
             the §7 space-constrained path
             (:class:`~repro.core.selection.SpaceConstrainedFreshener`)
             at this fraction of the catalog's total size
-            (dimensionless, in ``(0, 1]``).
+            (dimensionless, in ``(0, 1]``).  It applies to chaos
+            arms only: :meth:`manager_kwargs` leaves the planner to
+            the caller, and ``repro adapt`` keeps its default one.
     """
 
     name: str
@@ -87,6 +90,29 @@ class ChaosScenario:
     gate_capacity: float | None = None
     gate_refill_rate: float = 1.0
     selection_capacity_fraction: float | None = None
+
+    def manager_kwargs(self, n_elements: int, horizon: float) -> dict:
+        """Fresh fault-channel keyword arguments for one manager run.
+
+        ``fault_plan``, ``retry_policy``, ``topology``, ``breaker``
+        and ``shard_of`` for
+        :class:`~repro.runtime.manager.AdaptiveMirrorManager`, None
+        where the scenario has no such part; ``horizon`` is in
+        period units.
+        """
+        breaker = None
+        shard_of = None
+        if self.breaker_threshold is not None:
+            breaker = CircuitBreaker(
+                self.n_shards(n_elements),
+                failure_threshold=self.breaker_threshold,
+                cooldown=self.breaker_cooldown)
+            shard_of = self.shard_of(n_elements)
+        return {"fault_plan": self.plan(n_elements, horizon),
+                "retry_policy": self.retry_policy_for_run(),
+                "topology": self.topology(n_elements),
+                "breaker": breaker,
+                "shard_of": shard_of}
 
     def plan(self, n_elements: int, horizon: float) -> FaultPlan:
         """Build a fresh fault plan for one run.

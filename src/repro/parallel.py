@@ -51,7 +51,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.obs import registry as obs
 
-__all__ = ["parallel_map", "resolve_jobs", "seed_rng"]
+__all__ = ["parallel_map", "resolve_jobs", "seed_rng", "spawn_rngs"]
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
@@ -82,6 +82,24 @@ def seed_rng(seed: int) -> np.random.Generator:
     independently-spawned sequence.
     """
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def spawn_rngs(rng: np.random.Generator, n: int
+               ) -> list[np.random.Generator]:
+    """``n`` child generators of ``rng``, in spawn order.
+
+    ``rng.spawn(n)`` keys them off ``rng``'s seed sequence without
+    advancing its draw stream.  A generator with no seed sequence (a
+    hand-built bit generator) cannot spawn; its children are derived
+    by drawing one seed each from ``rng`` through a
+    :class:`numpy.random.SeedSequence`, so they stay CRN-disciplined.
+    """
+    try:
+        return rng.spawn(n)
+    except (AttributeError, TypeError, ValueError):
+        return [np.random.default_rng(np.random.SeedSequence(
+                    int(rng.integers(np.iinfo(np.int64).max))))
+                for _ in range(n)]
 
 
 def _timed(fn: Callable[[ItemT], ResultT], item: ItemT

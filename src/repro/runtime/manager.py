@@ -35,6 +35,7 @@ from repro.faults.model import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.faults.topology import Topology
 from repro.obs import registry as obs
+from repro.parallel import spawn_rngs
 from repro.runtime.beliefs import BeliefState
 from repro.sim.evaluator import SimulationResult
 from repro.sim.fastpath import (
@@ -269,16 +270,7 @@ class AdaptiveMirrorManager:
         # draw stream, so fault-free runs stay bit-identical.
         self._fault_rng: np.random.Generator | None = None
         if self._faulty and not share_fault_rng:
-            try:
-                self._fault_rng = rng.spawn(1)[0]
-            except (AttributeError, TypeError, ValueError):
-                # No seed sequence to spawn from (hand-built bit
-                # generator): derive a child the draw-consuming way,
-                # routing the drawn seed through a SeedSequence so the
-                # child is still CRN-disciplined.
-                self._fault_rng = np.random.default_rng(
-                    np.random.SeedSequence(
-                        int(rng.integers(np.iinfo(np.int64).max))))
+            self._fault_rng = spawn_rngs(rng, 1)[0]
         self._planned_profile: np.ndarray | None = None
         self._frequencies: np.ndarray | None = None
         self._periods_since_replan = 0

@@ -957,13 +957,13 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
 class ReplayArena:
     """Reusable scratch buffers for slab-by-slab tape generation.
 
-    A chunked run draws one slab of events after another, and each
+    A chunked run draws one period of events after another, and each
     ``draw_window_sorted`` call (:mod:`repro.sim.generators`) expands
-    per-element counts into index arrays of about the slab's size
+    per-element counts into index arrays of about the period's size
     (slots ``gen_update_elements`` and ``gen_access_elements``).  The
     one-shot route draws once and needs no arena.  An arena keeps one
     geometrically grown buffer per named slot and hands out prefix
-    views, so after warm-up a steady-state slab performs zero
+    views, so after warm-up a steady-state period performs zero
     expansion allocations.  Replay itself needs no scratch: its
     cross-slab state is the :class:`ReplayCarry`.
     """
@@ -1374,7 +1374,11 @@ class StreamingReplay:
         self._feed(times, elements, kinds, n_periods=n_periods)
 
     def finish(self) -> SimulationResult:
-        """Flush the horizon and assemble the result."""
+        """Flush the horizon and assemble the result.
+
+        With contracts on, also checks the run's sync conservation
+        and, under a fault budget, its attempt budget.
+        """
         return self._finish()
 
     # The routes inside this module call the private pair below, not
@@ -1552,6 +1556,20 @@ class StreamingReplay:
                     (faults.failed_polls / faults.attempted_polls
                      if faults.attempted_polls else 0.0))
 
+        if contracts_enabled():
+            # The kernel's one copy of the run contracts.
+            granularity = float(
+                self._sizes[self._frequencies > 0.0].sum())
+            check_sync_conservation(
+                carry.bandwidth_used, self._planned, self._n_periods,
+                granularity, where="StreamingReplay.finish")
+            budget = (self._fault_args or {}).get("bandwidth_budget")
+            if faults is not None and budget is not None:
+                check_attempt_budget(
+                    faults.attempted_bandwidth, budget,
+                    float(np.ceil(self._n_periods)), granularity,
+                    where="StreamingReplay.finish")
+
         return SimulationResult(
             catalog=catalog,
             frequencies=self._frequencies,
@@ -1594,8 +1612,7 @@ class StreamingReplay:
 def replay_fastpath(catalog: Catalog, frequencies: np.ndarray,
                     times: np.ndarray, elements: np.ndarray,
                     kinds: np.ndarray, *, horizon: float,
-                    period_length: float, n_periods: float,
-                    ledger_time_offset: float = 0.0
+                    period_length: float, n_periods: float
                     ) -> SimulationResult:
     """Replay a merged fault-free event tape as one slab.
 
@@ -1609,10 +1626,6 @@ def replay_fastpath(catalog: Catalog, frequencies: np.ndarray,
         horizon: Total simulated clock time.
         period_length: Clock length of one sync period.
         n_periods: Periods simulated (may be fractional).
-        ledger_time_offset: Added to event times when feeding the
-            freshness ledger, in clock units (whole periods), so
-            per-period manager runs stamp the ledger on the global
-            clock.
 
     Returns:
         A :class:`SimulationResult` bit-identical to the reference
@@ -1620,8 +1633,7 @@ def replay_fastpath(catalog: Catalog, frequencies: np.ndarray,
     """
     replay = StreamingReplay(catalog, frequencies,
                              period_length=period_length,
-                             n_periods=n_periods,
-                             fault_time_offset=ledger_time_offset)
+                             n_periods=n_periods)
     # Flush to the caller's horizon (normally n_periods·period_length).
     replay._horizon = float(horizon)
     replay._feed(times, elements, kinds, n_periods=n_periods)
@@ -1690,12 +1702,6 @@ def replay_window_tapes(catalog: Catalog, frequencies: np.ndarray,
             raise SimulationError(
                 "replay_window_tapes: expected one resolution per "
                 f"tape, got {len(resolutions)} for {len(tapes)}")
-    do_contracts = contracts_enabled()
-    planned = float(np.asarray(catalog.sizes, dtype=float)
-                    @ frequencies)
-    granularity = float(catalog.sizes[frequencies > 0.0].sum())
-    budget = (fault_args["bandwidth_budget"]
-              if fault_args is not None else None)
 
     results: list[SimulationResult] = []
     consumed: list[int] = []
@@ -1708,16 +1714,7 @@ def replay_window_tapes(catalog: Catalog, frequencies: np.ndarray,
         replay._feed(times, elements, kinds, n_periods=1.0,
                      resolution=(resolutions[j] if resolutions
                                  is not None else None))
-        result = replay._finish()
-        if do_contracts:
-            check_sync_conservation(
-                result.bandwidth_used, planned, 1.0, granularity,
-                where="replay_window_tapes")
-            if budget is not None:
-                check_attempt_budget(
-                    result.attempted_bandwidth, budget, 1.0,
-                    granularity, where="replay_window_tapes")
-        results.append(result)
+        results.append(replay._finish())
         consumed.append(0 if replay._faults is None
                         else replay._faults.draws)
     return results, consumed

@@ -24,16 +24,18 @@ identical ``rng.random`` variates ``rng.choice(p=...)`` would and
 returns the identical indices — verified bit-for-bit — while hoisting
 the O(n) CDF build out of the per-call path.
 
-``draw_window_sorted(start, end)`` is the streaming slab route
-(``chunk_periods``): it produces each window already time-ordered in
-O(n) — exponential spacings give the Poisson arrival instants as
-ready-made order statistics, and a shuffled multiset of per-element
-counts replaces both ``np.repeat``-then-sort and per-event CDF
-lookups.  The result is *statistically* identical to ``draw_window``
-plus a stable sort (exactly, not approximately — superposition and
-order-statistics identities, no discretization), but consumes a
-different rng stream, so slabbed and one-shot horizons agree in
-distribution rather than bit for bit.
+``draw_window_sorted(start, end, rng=)`` is the streaming route
+(``chunk_periods``), called once per period with that period's own
+spawn child, so a streamed tape never depends on the slab size.  It
+produces each window already time-ordered in O(n) — exponential
+spacings give the Poisson arrival instants as ready-made order
+statistics, and a shuffled multiset of per-element counts replaces
+both ``np.repeat``-then-sort and per-event CDF lookups.  The result
+is *statistically* identical to ``draw_window`` plus a stable sort
+(exactly, not approximately — superposition and order-statistics
+identities, no discretization), but consumes a different rng stream,
+so streamed and one-shot horizons agree in distribution rather than
+bit for bit.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class UpdateGenerator:
             start: Window start in clock time.
             end: Window end, > ``start``.
             rng: Generator to draw from (defaults to the constructor
-                rng; streaming slabs pass per-slab spawn children).
+                rng; streaming runs pass each period's spawn child).
             arena: Optional :class:`~repro.sim.fastpath.ReplayArena`;
                 when given, the element-id expansion reuses its
                 scratch buffer instead of allocating.
@@ -244,7 +246,7 @@ class RequestGenerator:
             start: Window start in clock time.
             end: Window end, > ``start``.
             rng: Generator to draw from (defaults to the constructor
-                rng; streaming slabs pass per-slab spawn children).
+                rng; streaming runs pass each period's spawn child).
             arena: Optional :class:`~repro.sim.fastpath.ReplayArena`;
                 when given, the element-id expansion reuses its
                 scratch buffer instead of allocating.

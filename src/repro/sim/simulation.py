@@ -39,6 +39,7 @@ from repro.faults.model import (
 from repro.faults.retry import RetryPolicy
 from repro.faults.topology import Topology
 from repro.obs import registry as obs
+from repro.parallel import spawn_rngs
 from repro.sim.events import (
     EventKind,
     merge_kind_blocks,
@@ -402,14 +403,16 @@ class Simulation:
                 tests and debugging, not for correctness.
             chunk_periods: When given, generate and replay the
                 horizon in slabs of this many periods, keeping peak
-                memory O(slab) instead of O(horizon).  Without it
-                the whole tape is one slab.  Replay of a given tape
-                is bit-identical either way; *generation* switches to
-                per-slab ``rng.spawn`` child streams, so results are
-                statistically equivalent but not draw-identical to
-                ``chunk_periods=None`` (see docs/PERFORMANCE.md).
-                Requires a kernel-eligible plan and an update
-                generator with ``draw_window_sorted`` (so not
+                memory O(slab) instead of O(horizon).  Generation is
+                then keyed per period (one spawn child each), so
+                every ``chunk_periods`` yields the bit-identical
+                result: the knob only trades memory.  Without it the
+                whole tape is one slab drawn by :meth:`build_tape`,
+                whose one-shot draw order makes results statistically
+                equivalent but not draw-identical to the streamed
+                tape (see docs/PERFORMANCE.md).  Requires a
+                kernel-eligible plan and an update generator with
+                ``draw_window_sorted`` (so not
                 :class:`~repro.sim.bursty.BurstyUpdateGenerator`).
 
         Returns:
@@ -476,22 +479,6 @@ class Simulation:
                     streaming.feed(*tape, n_periods=slab_periods)
                     if last:
                         result = streaming.finish()
-            if contracts_enabled():
-                scheduled = self._frequencies > 0.0
-                granularity = float(self._catalog.sizes[scheduled].sum())
-                check_sync_conservation(
-                    result.bandwidth_used,
-                    planned_per_period,
-                    n_periods,
-                    granularity,
-                    where="Simulation.run")
-                if kernel_faults is not None and self._budget is not None:
-                    check_attempt_budget(
-                        result.attempted_bandwidth,
-                        self._budget,
-                        float(np.ceil(n_periods)),
-                        granularity,
-                        where="Simulation.run")
             return result
 
         horizon = n_periods * self._period_length
@@ -709,15 +696,17 @@ class Simulation:
 
         Yields ``(tape, slab_periods, last)`` per slab.  Without
         ``chunk_periods`` the whole horizon is one slab, drawn by
-        :meth:`build_tape`.  With it, each slab of ``chunk_periods``
-        periods draws its own events from an ``rng.spawn`` child
-        (canonical chunked draw order: sorted update window, sync
-        schedule window, sorted request window) and merges the three
-        pre-sorted streams in O(slab) position arithmetic — no
-        argsort anywhere on the slab path — so peak memory is the
-        replay carry plus one slab's tape.  :meth:`run` has already
-        checked that the update generator offers
-        ``draw_window_sorted``.
+        :meth:`build_tape`.  With it, generation is keyed per period:
+        period ``p`` draws from the ``p``-th spawn child of the run's
+        rng (canonical streaming order: sync schedule window, then
+        sorted update and request windows from that one child) and
+        merges the three pre-sorted streams with no argsort.  A slab
+        concatenates its periods' tapes rather than re-merging them
+        (a re-merge could reorder a cross-kind tie at a period
+        boundary), so the tape depends on the seed and horizon only
+        and peak memory is the replay carry plus one slab.
+        :meth:`run` has already checked that the update generator
+        offers ``draw_window_sorted``.
         """
         if chunk_periods is None:
             with obs.span("sim.generate"):
@@ -725,35 +714,34 @@ class Simulation:
             yield tape, n_periods, True
             return
         chunk = int(chunk_periods)
-        n_slabs = int(np.ceil(n_periods / chunk))
-        try:
-            children = self._rng.spawn(n_slabs)
-        except (AttributeError, TypeError, ValueError):
-            # Hand-built bit generator without a seed sequence:
-            # derive children the draw-consuming way.
-            children = [
-                np.random.default_rng(np.random.SeedSequence(
-                    int(self._rng.integers(np.iinfo(np.int64).max))))
-                for _ in range(n_slabs)]
-
+        n_whole = int(np.ceil(n_periods))
+        children = spawn_rngs(self._rng, n_whole)
         arena = ReplayArena()
-        for slab, child in enumerate(children):
-            first = slab * chunk
-            last = min(first + chunk, n_periods)
-            start = first * self._period_length
-            end = last * self._period_length
+        for first in range(0, n_whole, chunk):
+            stop = min(first + chunk, n_whole)
             with obs.span("sim.generate"):
-                sync_times, sync_elements = \
-                    self._schedule.events_between(start, end)
-                update_times, update_elements = \
-                    self._updates.draw_window_sorted(
-                        start, end, rng=child, arena=arena)
-                access_times, access_elements = \
-                    self._requests.draw_window_sorted(
-                        start, end, rng=child, arena=arena)
-                tape = merge_sorted_blocks(
-                    update_times, update_elements,
-                    sync_times, sync_elements,
-                    access_times, access_elements,
-                    n_elements=self._catalog.n_elements)
-            yield tape, last - first, slab == n_slabs - 1
+                tapes = []
+                for period in range(first, stop):
+                    start = period * self._period_length
+                    end = min(period + 1, n_periods) * self._period_length
+                    sync_times, sync_elements = \
+                        self._schedule.events_between(start, end)
+                    update_times, update_elements = \
+                        self._updates.draw_window_sorted(
+                            start, end, rng=children[period], arena=arena)
+                    access_times, access_elements = \
+                        self._requests.draw_window_sorted(
+                            start, end, rng=children[period], arena=arena)
+                    tapes.append(merge_sorted_blocks(
+                        update_times, update_elements,
+                        sync_times, sync_elements,
+                        access_times, access_elements,
+                        n_elements=self._catalog.n_elements))
+                if len(tapes) == 1:
+                    tape = tapes[0]
+                else:
+                    times, elements, kinds = zip(*tapes)
+                    tape = (np.concatenate(times),
+                            np.concatenate(elements),
+                            np.concatenate(kinds))
+            yield tape, min(stop, n_periods) - first, stop == n_whole

@@ -1,18 +1,20 @@
 """Streaming slab engine: bit-identity, sorted draws, chunked runs.
 
-The contract under test has two distinct strengths, per the module
-docs: the *replay* layer (``StreamingReplay`` fed slab-split tapes)
-is bit-identical to one-shot replay of the concatenated tape — every
+The *replay* layer (``StreamingReplay`` fed slab-split tapes) is
+bit-identical to one-shot replay of the concatenated tape — every
 result field, the telemetry tape, the freshness ledger and the
-post-run fault-rng / Gilbert–Elliott chain state — while the
-*generation* layer (``chunk_periods`` drawing per-slab spawn
-children) is deterministic and statistically, not bitwise,
-equivalent to the one-shot stream.
+post-run fault-rng / Gilbert–Elliott chain state.  The streamed
+*generation* layer (``chunk_periods``) draws each period from its own
+spawn child, so ``run(H, chunk_periods=K)`` is bit-identical for
+every K; it is statistically, not bitwise, equivalent to the
+one-shot stream (``chunk_periods=None``), which uses another draw
+order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -55,8 +57,8 @@ def make_sim(catalog, frequencies, seed, mode, **extra):
                       retry_policy=RetryPolicy(max_retries=2),
                       fault_rng=np.random.default_rng(seed + 7))
     kwargs.update(extra)
-    return Simulation(catalog, frequencies, request_rate=60.0,
-                      rng=np.random.default_rng(seed), **kwargs)
+    kwargs.setdefault("rng", np.random.default_rng(seed))
+    return Simulation(catalog, frequencies, request_rate=60.0, **kwargs)
 
 
 def assert_results_identical(ref: SimulationResult,
@@ -220,25 +222,71 @@ class TestChunkedRun:
         frequencies = rng.uniform(0.0, 2.0, n)
         return catalog, frequencies
 
-    @pytest.mark.parametrize("mode", ["quiet", "iid", "ge"])
+    def traced_run(self, mode, n_periods, chunk):
+        """One same-seed run at ``chunk_periods=chunk`` with telemetry
+        on: its result, telemetry, post-run state of the rng the
+        faults drew from, and Gilbert–Elliott chain."""
+        catalog, frequencies = self.setup_world()
+        fault_mode = mode.removeprefix("shared_")
+        extra: dict = {}
+        if mode != fault_mode:
+            # Faults draw from the workload rng itself.
+            extra["fault_rng"] = None
+        if mode == "seedless":
+            # A bit generator with no seed sequence cannot spawn, so
+            # the per-period children are derived by drawing.
+            fault_mode = "iid"
+            extra["rng"] = np.random.Generator(
+                np.random.RandomState(13)._bit_generator)
+            extra["fault_rng"] = None
+        sim = make_sim(catalog, frequencies, 13, fault_mode,
+                       record_fault_trace=fault_mode != "quiet",
+                       **extra)
+        obs.reset_telemetry()
+        obs.enable_telemetry()
+        try:
+            result = sim.run(n_periods, chunk_periods=chunk)
+            grab = grab_telemetry()
+        finally:
+            obs.disable_telemetry()
+        fault_rng = (sim._fault_rng if sim._fault_rng is not None
+                     else sim._rng)
+        chain = (sim._fault_plan.models[0].chain_states(
+                     catalog.n_elements).tobytes()
+                 if fault_mode == "ge" else None)
+        # pickle: an MT19937 state holds an array (no plain ==).
+        return (result, grab, pickle.dumps(fault_rng.bit_generator.state),
+                chain)
+
+    @pytest.mark.parametrize("mode", ["quiet", "iid", "ge", "shared_iid",
+                                      "shared_ge", "seedless"])
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_chunked_run_deterministic(self, mode, chunk):
-        """Two same-seed chunked runs are bit-identical (fresh fault
-        rngs built per run — the spawn keys are derived, not
-        shared)."""
-        catalog, frequencies = self.setup_world()
-        first = make_sim(catalog, frequencies, 13, mode).run(
-            2.5, chunk_periods=chunk)
-        second = make_sim(catalog, frequencies, 13, mode).run(
-            2.5, chunk_periods=chunk)
-        assert_results_identical(first, second)
+        """``run(H, chunk_periods=K)`` is determined by the seed and
+        the horizon alone: generation is keyed per period, so every
+        K — one period, two, and the whole horizon (3 = ⌈H⌉ for both
+        the ragged H=2.5 and the whole H=3.0) — gives the K=1 run bit
+        for bit.  Compared: every result field, the telemetry events,
+        counters, gauges and ledger, the post-run state of the rng
+        the faults drew from (a dedicated one; the workload rng when
+        shared; a seedless workload rng whose children are derived)
+        and the Gilbert–Elliott chain.  K=1 against itself checks
+        that two same-seed runs agree."""
+        for n_periods in (2.5, 3.0):
+            reference = self.traced_run(mode, n_periods, 1)
+            got = self.traced_run(mode, n_periods, chunk)
+            context = (mode, chunk, n_periods)
+            assert_results_identical(reference[0], got[0])
+            assert reference[1] == got[1], context
+            assert reference[2] == got[2], context
+            assert reference[3] == got[3], context
 
     @pytest.mark.parametrize("mode", ["quiet", "iid"])
     def test_chunked_run_statistically_matches_one_shot(self, mode):
-        """Chunked generation uses spawn children, so streams differ
-        bitwise from one-shot — but schedules are deterministic
-        (n_syncs exact) and the Poisson workloads must agree within
-        sampling error."""
+        """Chunked generation draws per-period spawn children, so
+        streams differ bitwise from one-shot — but schedules are
+        deterministic (n_syncs exact) and the Poisson workloads must
+        agree within sampling error."""
         catalog, frequencies = self.setup_world(n=2000, seed=8)
         one_shot = make_sim(catalog, frequencies, 17, mode).run(4.0)
         chunked = make_sim(catalog, frequencies, 17, mode).run(
@@ -251,15 +299,6 @@ class TestChunkedRun:
             assert abs(a - b) < 6.0 * sigma, (attr, a, b)
         assert abs(one_shot.monitored_perceived_freshness
                    - chunked.monitored_perceived_freshness) < 0.05
-
-    def test_chunk_sizes_agree_on_schedule(self):
-        """Different slab sizes redraw the workload but replay the
-        same deterministic sync schedule."""
-        catalog, frequencies = self.setup_world()
-        runs = [make_sim(catalog, frequencies, 29, "quiet").run(
-                    3.0, chunk_periods=chunk)
-                for chunk in (1, 2, 3)]
-        assert len({run.n_syncs for run in runs}) == 1
 
     def test_chunk_periods_validated(self):
         catalog, frequencies = self.setup_world(n=10)

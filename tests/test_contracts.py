@@ -170,6 +170,33 @@ def test_simulation_runs_clean_under_conservation_contract(rng) -> None:
     assert result.bandwidth_used <= 20.0 * 10.0 + catalog.sizes.sum()
 
 
+def test_streaming_replay_checks_sync_conservation(rng) -> None:
+    """A tape that syncs far past the plan fails the conservation
+    contract in ``StreamingReplay.finish``, the kernel's one copy."""
+    from repro.sim.events import EventKind
+    from repro.sim.fastpath import StreamingReplay
+
+    catalog = random_catalog(rng, 3)
+    frequencies = np.array([1.0, 0.0, 0.0])
+    # Ten syncs of element 0 in one period: 10 size units against a
+    # plan of 1 plus 1 unit of granularity slack.
+    times = np.linspace(0.05, 0.95, 10)
+    elements = np.zeros(10, dtype=np.int32)
+    kinds = np.full(10, int(EventKind.SYNC), dtype=np.int8)
+
+    def replay() -> None:
+        streaming = StreamingReplay(catalog, frequencies,
+                                    period_length=1.0, n_periods=1.0)
+        streaming.feed(times, elements, kinds, n_periods=1.0)
+        streaming.finish()
+
+    with contracts(False):
+        replay()
+    with contracts():
+        with pytest.raises(ContractViolationError, match="conservation"):
+            replay()
+
+
 def test_incremental_warm_solve_checks_bracket(rng) -> None:
     from repro.core.incremental import IncrementalSolver
 

@@ -20,7 +20,14 @@ from repro.analysis.sensitivity import burstiness_robustness
 from repro.core.freshener import PerceivedFreshener
 from repro.errors import ValidationError
 from repro.obs import registry as obs
-from repro.parallel import parallel_map, resolve_jobs, seed_rng
+from repro.faults.model import FaultPlan
+from repro.parallel import (
+    parallel_map,
+    resolve_jobs,
+    seed_rng,
+    spawn_rngs,
+)
+from repro.runtime.manager import AdaptiveMirrorManager
 from repro.workloads.presets import ExperimentSetup, build_catalog
 
 #: A deliberately tiny workload so spawn-based tests stay quick.
@@ -64,6 +71,41 @@ class TestExecutor:
         a = seed_rng(12345).random(64)
         b = np.random.default_rng(12345).random(64)
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_spawn_rngs_spawns_or_derives(self):
+        """A seeded generator spawns without advancing its stream; a
+        seedless one (a bit generator with no seed sequence) cannot
+        spawn, so its children are derived by drawing, reproducibly.
+        The adaptive manager's dedicated fault rng is the first
+        child either way."""
+        seeded = seed_rng(5)
+        before = seeded.bit_generator.state
+        children = spawn_rngs(seeded, 3)
+        assert seeded.bit_generator.state == before
+        for child, twin in zip(children, seed_rng(5).spawn(3)):
+            assert np.array_equal(child.random(4), twin.random(4))
+
+        def seedless():
+            return np.random.Generator(
+                np.random.RandomState(5)._bit_generator)
+
+        with pytest.raises(TypeError):
+            seedless().spawn(1)
+        parent = seedless()
+        children = spawn_rngs(parent, 3)
+        drawn = seedless()
+        for child in children:
+            twin = np.random.default_rng(np.random.SeedSequence(
+                int(drawn.integers(np.iinfo(np.int64).max))))
+            assert np.array_equal(child.random(4), twin.random(4))
+        assert parent.random() == drawn.random()
+
+        catalog = build_catalog(TINY, seed=1)
+        manager = AdaptiveMirrorManager(
+            catalog, TINY.syncs_per_period, request_rate=50.0,
+            rng=seedless(), fault_plan=FaultPlan.iid(0.2))
+        assert np.array_equal(manager._fault_rng.random(4),
+                              spawn_rngs(seedless(), 1)[0].random(4))
 
     def test_telemetry_counts_tasks_and_times_them(self):
         with obs.telemetry() as registry:
