@@ -169,16 +169,6 @@ class AdaptiveMirrorManager:
             polls, while blindly polling a down shard costs nothing
             (unreachable fast-fails are free), so the replanner
             should only give up on outages that persist.
-        share_fault_rng: When True, skip spawning the dedicated
-            fault generator and draw fault outcomes from the main
-            ``rng`` stream, interleaved with the workload draws —
-            the single-stream discipline some callers (and older
-            seeds) expect.  Costs the common-random-numbers
-            alignment across fault-free/blind/aware comparisons,
-            but window batching still applies: the batched loop
-            resolves each period's faults right after drawing its
-            tape, preserving the per-period interleaving bit for
-            bit.
     """
 
     def __init__(self, true_catalog: Catalog, bandwidth: float, *,
@@ -197,8 +187,7 @@ class AdaptiveMirrorManager:
                  replan_loss_drift: float = 0.05,
                  max_loss_compensation: float = 0.95,
                  probe_frequency: float = 2.0,
-                 outage_confirmation: int = 2,
-                 share_fault_rng: bool = False) -> None:
+                 outage_confirmation: int = 2) -> None:
         if bandwidth <= 0.0:
             raise ValidationError(
                 f"bandwidth must be > 0, got {bandwidth}")
@@ -269,7 +258,7 @@ class AdaptiveMirrorManager:
         # child from the seed sequence without advancing the parent's
         # draw stream, so fault-free runs stay bit-identical.
         self._fault_rng: np.random.Generator | None = None
-        if self._faulty and not share_fault_rng:
+        if self._faulty:
             self._fault_rng = spawn_rngs(rng, 1)[0]
         self._planned_profile: np.ndarray | None = None
         self._frequencies: np.ndarray | None = None
@@ -327,11 +316,10 @@ class AdaptiveMirrorManager:
         attempted = result.attempted_poll_counts
         failed = result.failed_poll_counts
         unreachable = result.unreachable_poll_counts
-        if attempted is None or failed is None or unreachable is None:
-            self._beliefs.observe_faults(
-                result.attempted_polls - result.unreachable_polls,
-                result.failed_polls - result.unreachable_polls)
-            return
+        # Both engines report per-element counts on every faulted run,
+        # and this runs only for a non-quiet plan.
+        assert (attempted is not None and failed is not None
+                and unreachable is not None)
         wire_attempts = attempted - unreachable
         wire_failures = failed - unreachable
         outage = self._current_outage()
@@ -620,10 +608,7 @@ class AdaptiveMirrorManager:
 
         Fault-free loops always qualify; faulty loops qualify when
         :func:`~repro.sim.simulation.kernel_fault_model` accepts the
-        fault setup.  The fault rng may be dedicated *or* shared with
-        the workload stream: the batched loop resolves each period's
-        faults right after drawing that period's tape, which
-        reproduces the per-period interleaving exactly.
+        fault setup.
         """
         return not self._faulty or kernel_fault_model(
             self._fault_plan, self._retry_policy, self._breaker,

@@ -10,7 +10,7 @@ Evaluator <repro.sim.evaluator.FreshnessMonitor>` observes everything.
 """
 
 from repro.sim.bursty import BurstyUpdateGenerator
-from repro.sim.events import EventKind, EventStream
+from repro.sim.events import EventKind
 from repro.sim.evaluator import FreshnessMonitor, SimulationResult
 from repro.sim.generators import RequestGenerator, UpdateGenerator
 from repro.sim.mirror import Mirror
@@ -29,7 +29,6 @@ from repro.sim.source import Source
 __all__ = [
     "BurstyUpdateGenerator",
     "EventKind",
-    "EventStream",
     "FreshnessMonitor",
     "LinkReplayResult",
     "Mirror",

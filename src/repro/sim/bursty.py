@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.sim.events import EventKind, EventStream
 from repro.workloads.catalog import Catalog
 
 __all__ = ["BurstyUpdateGenerator"]
@@ -107,23 +106,6 @@ class BurstyUpdateGenerator:
         if not all_times:
             return np.empty(0), np.empty(0, dtype=np.int64)
         return np.concatenate(all_times), np.concatenate(all_elements)
-
-    def generate(self, horizon: float) -> EventStream:
-        """All update events in ``[0, horizon)``.
-
-        Args:
-            horizon: Clock length of the simulated window, > 0.
-
-        Returns:
-            A time-sorted UPDATE stream whose per-element long-run
-            rate matches the catalog's (in expectation).
-        """
-        if horizon <= 0.0:
-            raise ValidationError(f"horizon must be > 0, got {horizon}")
-        times, elements = self.draw_window(0.0, horizon)
-        order = np.argsort(times, kind="stable")
-        return EventStream(kind=EventKind.UPDATE, times=times[order],
-                           elements=elements[order])
 
     def _element_times(self, on_rate: float, start: float,
                        end: float) -> np.ndarray:

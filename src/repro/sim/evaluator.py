@@ -13,21 +13,62 @@ system activity* by monitoring updates and user requests.  Here:
 
 The paper verifies its results with both modes; the integration tests
 do the same by asserting the two agree within sampling error.
+
+Both simulation engines — the per-event reference loop in
+:meth:`repro.sim.simulation.Simulation.run` and the vectorized
+:class:`repro.sim.fastpath.StreamingReplay` — step events their own
+way but package a finished run here: :func:`flush_to_horizon` closes
+the open intervals, :class:`SimulationResult` derives the four
+monitored metrics from the raw totals, :func:`close_run` emits the
+``monitor.*``/``sim.*`` telemetry and checks the run contracts, and
+:func:`emit_period` writes each ``sim.period`` event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.contracts import (
+    check_attempt_budget,
+    check_sync_conservation,
+    contracts_enabled,
+)
 from repro.core.freshness import FreshnessModel
 from repro.core.metrics import general_freshness, perceived_freshness
 from repro.errors import SimulationError
 from repro.obs import registry as obs
 from repro.workloads.catalog import Catalog
 
-__all__ = ["FreshnessMonitor", "SimulationResult"]
+__all__ = ["FreshnessMonitor", "SimulationResult", "close_run",
+           "emit_period", "flush_to_horizon"]
+
+
+def flush_to_horizon(fresh_time: np.ndarray, age_integral: np.ndarray,
+                     fresh: np.ndarray, stale_since: np.ndarray,
+                     last_time: np.ndarray, horizon: float) -> None:
+    """Fold every element's open interval out to the horizon, in place.
+
+    From each element's ``last_time`` to ``horizon``, a fresh copy
+    adds fresh time and a stale one adds its age trapezoid (from its
+    ``stale_since``).  The squares are array ``** 2`` on purpose: both
+    engines flush through this one function, which keeps the
+    vectorized replay bit-identical to the reference loop.
+
+    Raises:
+        SimulationError: When an event lies beyond the horizon.
+    """
+    remaining = horizon - last_time
+    if (remaining < -1e-9).any():
+        raise SimulationError("events were recorded beyond the horizon")
+    fresh_time += np.maximum(remaining, 0.0) * fresh
+    stale = ~fresh & (remaining > 0.0)
+    if stale.any():
+        since = stale_since[stale]
+        start = last_time[stale]
+        age_integral[stale] += 0.5 * (
+            (horizon - since) ** 2 - (start - since) ** 2)
 
 
 class FreshnessMonitor:
@@ -97,27 +138,10 @@ class FreshnessMonitor:
         """Flush the open intervals out to the horizon."""
         if self._closed:
             return
-        remaining = self._horizon - self._last_time
-        if (remaining < -1e-9).any():
-            raise SimulationError("events were recorded beyond the horizon")
-        self._fresh_time += np.maximum(remaining, 0.0) * self._fresh
-        stale = ~self._fresh & (remaining > 0.0)
-        if stale.any():
-            since = self._stale_since[stale]
-            start = self._last_time[stale]
-            self._age_integral[stale] += 0.5 * (
-                (self._horizon - since) ** 2 - (start - since) ** 2)
+        flush_to_horizon(self._fresh_time, self._age_integral,
+                         self._fresh, self._stale_since, self._last_time,
+                         self._horizon)
         self._closed = True
-        if obs.telemetry_enabled():
-            total = int(self._total_accesses.sum())
-            fresh = int(self._fresh_accesses.sum())
-            obs.gauge_set("monitor.mean_time_freshness",
-                          float((self._fresh_time / self._horizon).mean()))
-            obs.gauge_set("monitor.mean_time_age",
-                          float((self._age_integral / self._horizon).mean()))
-            obs.event("monitor.close", horizon=self._horizon,
-                      accesses=total, fresh_accesses=fresh,
-                      fresh_fraction=(fresh / total if total else 1.0))
 
     def element_time_freshness(self) -> np.ndarray:
         """Observed time-averaged freshness per element."""
@@ -151,10 +175,13 @@ class SimulationResult:
         n_updates: Update events applied.
         n_syncs: Sync operations performed.
         n_accesses: User accesses served.
+        fresh_accesses: Accesses that saw fresh data.
         useful_syncs: Syncs that actually found a changed object.
         bandwidth_used: Total sync bandwidth spent.
         monitored_perceived_freshness: Fraction of accesses that saw
-            fresh data (Definition 3/4, the user-visible score).
+            fresh data (Definition 3/4, the user-visible score), or
+            ``monitored_time_perceived`` when nothing was accessed.
+            Derived from the other fields, like the three below.
         monitored_time_perceived: Profile-weighted time-averaged
             freshness observed (Σ pᵢ·observed F̄ᵢ).
         monitored_general_freshness: Unweighted mean of observed
@@ -212,14 +239,15 @@ class SimulationResult:
     n_updates: int
     n_syncs: int
     n_accesses: int
+    fresh_accesses: int
     useful_syncs: int
     bandwidth_used: float
-    monitored_perceived_freshness: float
-    monitored_time_perceived: float
-    monitored_general_freshness: float
+    monitored_perceived_freshness: float = field(init=False)
+    monitored_time_perceived: float = field(init=False)
+    monitored_general_freshness: float = field(init=False)
     element_time_freshness: np.ndarray
     element_time_age: np.ndarray
-    monitored_perceived_age: float
+    monitored_perceived_age: float = field(init=False)
     access_counts: np.ndarray
     poll_counts: np.ndarray
     changed_poll_counts: np.ndarray
@@ -237,6 +265,21 @@ class SimulationResult:
     unreachable_poll_counts: np.ndarray | None = None
     unreachable_elements: np.ndarray | None = None
     fault_trace: tuple[tuple[float, int, str], ...] | None = None
+
+    def __post_init__(self) -> None:
+        p = self.catalog.access_probabilities
+        time_perceived = float(p @ self.element_time_freshness)
+        derived = {
+            "monitored_perceived_freshness": (
+                self.fresh_accesses / self.n_accesses
+                if self.n_accesses else time_perceived),
+            "monitored_time_perceived": time_perceived,
+            "monitored_general_freshness": float(
+                self.element_time_freshness.mean()),
+            "monitored_perceived_age": float(p @ self.element_time_age),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def analytic(self, *, model: FreshnessModel | None = None
                  ) -> tuple[float, float]:
@@ -266,3 +309,95 @@ class SimulationResult:
         if self.attempted_polls == 0:
             return 0.0
         return self.failed_polls / self.attempted_polls
+
+
+def close_run(result: SimulationResult, *, engine: str,
+              n_periods: float,
+              attempt_budget: float | None) -> SimulationResult:
+    """The run epilogue both engines share; returns ``result``.
+
+    With telemetry on, emits the ``monitor.*`` close-time gauges and
+    event, then the ``sim.*`` run summary, counting the run under
+    ``sim.engine.<engine>``.  With contracts on, checks the sync
+    conservation law and, given a faulted run's ``attempt_budget``
+    (size units per period; None without a fault channel or budget),
+    the attempt budget; a violation names the engine.
+    """
+    # A faulted run always carries per-element attempt counts.
+    faulted = result.attempted_poll_counts is not None
+    if obs.telemetry_enabled():
+        obs.gauge_set("monitor.mean_time_freshness",
+                      float(result.element_time_freshness.mean()))
+        obs.gauge_set("monitor.mean_time_age",
+                      float(result.element_time_age.mean()))
+        obs.event("monitor.close", horizon=result.horizon,
+                  accesses=result.n_accesses,
+                  fresh_accesses=result.fresh_accesses,
+                  fresh_fraction=(result.fresh_accesses / result.n_accesses
+                                  if result.n_accesses else 1.0))
+        obs.counter_add("sim.runs")
+        obs.counter_add(f"sim.engine.{engine}")
+        obs.counter_add("sim.syncs", result.n_syncs)
+        obs.counter_add("sim.useful_syncs", result.useful_syncs)
+        obs.counter_add("sim.updates", result.n_updates)
+        obs.counter_add("sim.accesses", result.n_accesses)
+        obs.gauge_set("sim.bandwidth_used", result.bandwidth_used)
+        obs.gauge_set("sim.monitored_perceived_freshness",
+                      result.monitored_perceived_freshness)
+        obs.gauge_set("sim.monitored_general_freshness",
+                      result.monitored_general_freshness)
+        if faulted:
+            obs.gauge_set("sim.attempted_bandwidth",
+                          result.attempted_bandwidth)
+            obs.gauge_set("sim.poll_failure_fraction",
+                          result.poll_failure_fraction)
+    if contracts_enabled():
+        # Conservation law (ROADMAP): the schedule may not spend more
+        # sync bandwidth than planned, up to Fixed-Order granularity
+        # (at most one extra sync per scheduled element over the
+        # horizon).  Every attempt, initial or retry, is gated by the
+        # channel's period ledger, so attempted bandwidth can never
+        # exceed B per period either (the slack only covers ceil
+        # effects at a partial last period).
+        sizes = result.catalog.sizes
+        granularity = float(sizes[result.frequencies > 0.0].sum())
+        where = f"sim.engine.{engine}"
+        check_sync_conservation(
+            result.bandwidth_used, float(sizes @ result.frequencies),
+            n_periods, granularity, where=where)
+        if attempt_budget is not None:
+            check_attempt_budget(
+                result.attempted_bandwidth, attempt_budget,
+                float(np.ceil(n_periods)), granularity, where=where)
+    return result
+
+
+def emit_period(period: int, *, syncs: int, bandwidth: float,
+                planned: float, updates: int, accesses: int,
+                fresh_accesses: int, mean_freshness: float,
+                failed_polls: int, retries: int) -> None:
+    """Emit one ``"sim.period"`` event and its period metrics.
+
+    The one schema of the per-period series the paper's figures are
+    built from.  Every argument but ``planned`` (the schedule's
+    planned spend per period, which ``budget_utilization`` divides
+    by) is the period's own total, in the event's units;
+    ``mean_freshness`` is the mirror's instantaneous mean freshness
+    at the period's end.
+    """
+    utilization = bandwidth / planned if planned else 0.0
+    obs.event(
+        "sim.period",
+        period=obs.element_label(period),
+        syncs=syncs,
+        bandwidth=bandwidth,
+        budget_utilization=utilization,
+        updates=updates,
+        accesses=accesses,
+        fresh_fraction=(fresh_accesses / accesses if accesses else 1.0),
+        mean_freshness=mean_freshness,
+        failed_polls=failed_polls,
+        retries=retries,
+    )
+    obs.counter_add("sim.periods")
+    obs.gauge_set("sim.budget_utilization", utilization)

@@ -13,21 +13,19 @@ simultaneous-event semantics deterministic.
 Memory discipline: a tape is three parallel arrays (structure of
 arrays) — float64 times, int32 element ids, int8 kinds — 13 bytes
 per event instead of 24, which is what keeps 10⁶-element replay
-windows resident.  Element ids are validated to fit int32 (2³¹
-elements is far past the catalog sizes the solvers handle).
+windows resident.  The merges validate that element ids fit int32
+(2³¹ elements is far past the catalog sizes the solvers handle).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["EventKind", "EventStream", "merge_kind_blocks",
-           "merge_sorted_blocks"]
+__all__ = ["EventKind", "merge_kind_blocks", "merge_sorted_blocks"]
 
 
 class EventKind(IntEnum):
@@ -36,49 +34,6 @@ class EventKind(IntEnum):
     UPDATE = 0
     SYNC = 1
     ACCESS = 2
-
-
-@dataclass(frozen=True)
-class EventStream:
-    """A homogeneous, time-sorted stream of events.
-
-    Attributes:
-        kind: The event kind shared by the whole stream.
-        times: Event instants, nondecreasing.
-        elements: Element index per event.
-    """
-
-    kind: EventKind
-    times: np.ndarray
-    elements: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        raw_elements = np.asarray(self.elements)
-        if (raw_elements.size
-                and raw_elements.dtype.kind in "iu"
-                and int(raw_elements.max())
-                >= np.iinfo(np.int32).max):
-            raise ValidationError(
-                "element ids must fit int32 (SoA tape layout)")
-        elements = raw_elements.astype(np.int32)
-        if times.ndim != 1 or elements.ndim != 1:
-            raise ValidationError("times and elements must be 1-D")
-        if times.shape != elements.shape:
-            raise ValidationError(
-                f"times {times.shape} and elements {elements.shape} must "
-                "have equal length")
-        if times.size and (np.diff(times) < 0.0).any():
-            raise ValidationError("event times must be nondecreasing")
-        times = times.copy()
-        # astype above already produced a private copy of elements.
-        times.flags.writeable = False
-        elements.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "elements", elements)
-
-    def __len__(self) -> int:
-        return int(self.times.shape[0])
 
 
 #: Below this many events the two-pass bucket sort's extra gathers

@@ -16,6 +16,15 @@ differ only in how they slice the tape:
 * :func:`replay_window_tapes` replays each one-period tape of an
   adaptive-manager window as its own one-slab replay.
 
+Only the stepping is the kernel's own.  A finished run is packaged by
+:mod:`repro.sim.evaluator`, exactly as the reference loop's is: the
+carry is flushed by :func:`~repro.sim.evaluator.flush_to_horizon`,
+the result derives its monitored metrics, and
+:func:`~repro.sim.evaluator.close_run` emits the ``monitor.*`` and
+``sim.*`` telemetry and checks the run contracts; each slab's
+per-period counts go out through
+:func:`~repro.sim.evaluator.emit_period`.
+
 Faults enter through one resolver, :func:`resolve_tape_faults`,
 before the replay: it dispatches on the type of
 ``fault_args["model"]`` to :func:`resolve_iid_faults` (one i.i.d.
@@ -56,11 +65,11 @@ Bit-identity notes (all verified by the equivalence suite):
   bit-exactly — left folds compose — so slab-by-slab replay of a tape
   is bit-identical to the reference loop over the whole tape.
 * The reference loop squares *scalars* (``(time - since) ** 2`` on
-  ``np.float64`` goes through libm ``pow``), while the monitor's
-  ``close()`` squares *arrays* (``** 2`` lowers to ``x*x``).  These
-  differ in the last bit for ~0.1% of inputs, so the kernel uses
+  ``np.float64`` goes through libm ``pow``), while the horizon flush
+  squares *arrays* (``** 2`` lowers to ``x*x``).  These differ in the
+  last bit for ~0.1% of inputs, so the kernel uses
   ``np.float_power`` (bit-equal to scalar ``pow``) for per-event
-  trapezoids and array ``** 2`` for the horizon flush.
+  trapezoids and shares the loop's flush.
 * Adding the ``0.0`` increments the loop never performs is safe here:
   no accumulator can hold ``-0.0``.
 * ``Generator.random(n)`` produces the same values *and* the same
@@ -92,11 +101,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.contracts import (
-    check_attempt_budget,
-    check_sync_conservation,
-    contracts_enabled,
-)
 from repro.errors import SimulationError
 from repro.faults.model import (
     GilbertElliottFaultModel,
@@ -106,7 +110,12 @@ from repro.faults.model import (
 from repro.faults.retry import RetryPolicy
 from repro.obs import registry as obs
 from repro.sim.events import EventKind
-from repro.sim.evaluator import SimulationResult
+from repro.sim.evaluator import (
+    SimulationResult,
+    close_run,
+    emit_period,
+    flush_to_horizon,
+)
 from repro.workloads.catalog import Catalog
 
 __all__ = ["ReplayArena", "ReplayCarry", "StreamingReplay",
@@ -654,9 +663,9 @@ def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
     :func:`resolve_iid_faults`, a
     :class:`~repro.faults.model.GilbertElliottFaultModel` to
     :func:`resolve_ge_faults`.  The batched manager calls this right
-    after building each period's tape, so shared-fault-rng plans
-    consume workload and fault draws in exactly the per-period
-    reference order.
+    after building each period's tape, so a fault rng shared with
+    the workload stream would consume its draws in exactly the
+    per-period reference order.
 
     Gilbert–Elliott plans are resolved against an explicit
     ``initial_bad`` chain state and the model object is *not*
@@ -787,21 +796,6 @@ class _FaultAccounting:
                 obs.counter_add(name, total)
 
 
-def _emit_monitor_close(element_freshness: np.ndarray,
-                        element_age: np.ndarray, n_accesses: int,
-                        fresh_accesses: int, horizon: float) -> None:
-    """Emit the monitor's close-time gauges and event."""
-    obs.gauge_set("monitor.mean_time_freshness",
-                  float(element_freshness.mean()))
-    obs.gauge_set("monitor.mean_time_age",
-                  float(element_age.mean()))
-    obs.event("monitor.close", horizon=horizon,
-              accesses=n_accesses,
-              fresh_accesses=fresh_accesses,
-              fresh_fraction=(fresh_accesses / n_accesses
-                              if n_accesses else 1.0))
-
-
 def _fold_ledger_bulk(fold, elements: np.ndarray,
                       times: np.ndarray) -> None:
     """Fold one kind of ledger event per element through the cap.
@@ -867,10 +861,12 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
                         ) -> None:
     """Emit the per-period ``"sim.period"`` telemetry series.
 
-    Reproduces the reference loop's :class:`_PeriodTracker` output:
-    one event per completed (or final partial) period with the same
-    integer counts, the same sequentially folded bandwidth, and the
-    mirror's instantaneous mean freshness at each period boundary.
+    Counts what the reference loop's ``_PeriodTracker`` counts event
+    by event — per-period integer counts, the sequentially folded
+    bandwidth and the mirror's instantaneous mean freshness at each
+    period boundary — with bincounts, and emits one event per
+    completed (or final partial) period through
+    :func:`~repro.sim.evaluator.emit_period`.
     ``failed_per_period`` / ``retries_per_period`` carry the faulted
     path's per-period attempt accounting (zeros when None).
 
@@ -933,25 +929,17 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
         retries_per_period = np.zeros(n_buckets, dtype=np.int64)
 
     for period in range(n_buckets):
-        accesses = int(accesses_per_period[period])
-        fresh = int(fresh_accesses_per_period[period])
-        bandwidth = float(bandwidth_per_period[period])
-        utilization = bandwidth / planned if planned else 0.0
-        obs.event(
-            "sim.period",
-            period=obs.element_label(first_period + period),
+        emit_period(
+            first_period + period,
             syncs=int(syncs_per_period[period]),
-            bandwidth=bandwidth,
-            budget_utilization=utilization,
+            bandwidth=float(bandwidth_per_period[period]),
+            planned=planned,
             updates=int(updates_per_period[period]),
-            accesses=accesses,
-            fresh_fraction=(fresh / accesses if accesses else 1.0),
+            accesses=int(accesses_per_period[period]),
+            fresh_accesses=int(fresh_accesses_per_period[period]),
             mean_freshness=float(mean_freshness[period]),
             failed_polls=int(failed_per_period[period]),
-            retries=int(retries_per_period[period]),
-        )
-        obs.counter_add("sim.periods")
-        obs.gauge_set("sim.budget_utilization", utilization)
+            retries=int(retries_per_period[period]))
 
 
 class ReplayArena:
@@ -1291,12 +1279,15 @@ class StreamingReplay:
     Feed consecutive slabs of the merged event tape (run clock, split
     at period boundaries) with :meth:`feed`, then call :meth:`finish`
     for the :class:`SimulationResult`.  Every vectorized route runs
-    through this class: a one-shot replay is a single slab.  The
-    result — including telemetry series, freshness ledger, fault
-    accounting, fault trace and post-run fault-rng / Gilbert–Elliott
-    chain state — is bit-identical to the reference loop over the
-    concatenated tape, for any split, while holding only O(slab)
-    transient memory plus the O(n) :class:`ReplayCarry`.
+    through this class: a one-shot replay is a single slab.
+    :meth:`finish` hands the carry to the evaluator's run epilogue
+    (:func:`~repro.sim.evaluator.flush_to_horizon`,
+    :func:`~repro.sim.evaluator.close_run`), the one the reference
+    loop uses.  The result — including telemetry series, freshness
+    ledger, fault accounting, fault trace and post-run fault-rng /
+    Gilbert–Elliott chain state — is bit-identical to the reference
+    loop over the concatenated tape, for any split, while holding
+    only O(slab) transient memory plus the O(n) :class:`ReplayCarry`.
 
     Args:
         catalog: The simulated workload.
@@ -1376,8 +1367,11 @@ class StreamingReplay:
     def finish(self) -> SimulationResult:
         """Flush the horizon and assemble the result.
 
-        With contracts on, also checks the run's sync conservation
-        and, under a fault budget, its attempt budget.
+        Runs the shared epilogue,
+        :func:`~repro.sim.evaluator.close_run`: telemetry on emits
+        the run's ``monitor.*``/``sim.*`` summary, contracts on check
+        its sync conservation and, under a fault budget, its attempt
+        budget.
         """
         return self._finish()
 
@@ -1500,112 +1494,53 @@ class StreamingReplay:
                 f"expected {self._n_periods}")
         self._finished = True
         carry = self._carry
-        horizon = self._horizon
-        catalog = self._catalog
         faults = self._faults
         if self._chain is not None:
             assert self._fault_args is not None
             self._fault_args["model"].set_chain_states(self._chain)
+        flush_to_horizon(carry.fresh_time, carry.age_integral, carry.fresh,
+                         carry.stale_since, carry.last_time, self._horizon)
 
-        # Horizon flush, folded into the (now final) carry: mirrors
-        # FreshnessMonitor.close() exactly (array ** 2 here on
-        # purpose — close() squares arrays).
-        remaining = horizon - carry.last_time
-        if (remaining < -1e-9).any():
-            raise SimulationError(
-                "events were recorded beyond the horizon")
-        carry.fresh_time += np.maximum(remaining, 0.0) * carry.fresh
-        stale = ~carry.fresh & (remaining > 0.0)
-        if stale.any():
-            since = carry.stale_since[stale]
-            start = carry.last_time[stale]
-            carry.age_integral[stale] += 0.5 * (
-                (horizon - since) ** 2 - (start - since) ** 2)
-        element_freshness = carry.fresh_time / horizon
-        element_age = carry.age_integral / horizon
-
-        p = catalog.access_probabilities
-        perceived_by_accesses = (
-            carry.fresh_accesses / carry.n_accesses
-            if carry.n_accesses
-            else float(p @ element_freshness))
-
-        if obs.telemetry_enabled():
-            if faults is not None:
-                assert self._fault_args is not None
+        fields: dict = {"attempted_polls": carry.n_syncs,
+                        "attempted_bandwidth": carry.bandwidth_used}
+        budget = None
+        if faults is not None:
+            assert self._fault_args is not None
+            if obs.telemetry_enabled():
                 faults.emit(self._fault_args["model"].failure_outcome)
-            _emit_monitor_close(element_freshness, element_age,
-                                carry.n_accesses,
-                                carry.fresh_accesses, horizon)
-            obs.counter_add("sim.runs")
-            obs.counter_add(f"sim.engine.{self._engine}")
-            obs.counter_add("sim.syncs", carry.n_syncs)
-            obs.counter_add("sim.useful_syncs", carry.useful_syncs)
-            obs.counter_add("sim.updates", carry.n_updates)
-            obs.counter_add("sim.accesses", carry.n_accesses)
-            obs.gauge_set("sim.bandwidth_used", carry.bandwidth_used)
-            obs.gauge_set("sim.monitored_perceived_freshness",
-                          float(perceived_by_accesses))
-            obs.gauge_set("sim.monitored_general_freshness",
-                          float(element_freshness.mean()))
-            if faults is not None:
-                obs.gauge_set("sim.attempted_bandwidth",
-                              faults.attempted_bandwidth)
-                obs.gauge_set(
-                    "sim.poll_failure_fraction",
-                    (faults.failed_polls / faults.attempted_polls
-                     if faults.attempted_polls else 0.0))
-
-        if contracts_enabled():
-            # The kernel's one copy of the run contracts.
-            granularity = float(
-                self._sizes[self._frequencies > 0.0].sum())
-            check_sync_conservation(
-                carry.bandwidth_used, self._planned, self._n_periods,
-                granularity, where="StreamingReplay.finish")
-            budget = (self._fault_args or {}).get("bandwidth_budget")
-            if faults is not None and budget is not None:
-                check_attempt_budget(
-                    faults.attempted_bandwidth, budget,
-                    float(np.ceil(self._n_periods)), granularity,
-                    where="StreamingReplay.finish")
-
-        return SimulationResult(
-            catalog=catalog,
-            frequencies=self._frequencies,
-            horizon=horizon,
-            period_length=self._period_length,
-            n_updates=carry.n_updates,
-            n_syncs=carry.n_syncs,
-            n_accesses=carry.n_accesses,
-            useful_syncs=carry.useful_syncs,
-            bandwidth_used=carry.bandwidth_used,
-            monitored_perceived_freshness=float(perceived_by_accesses),
-            monitored_time_perceived=float(p @ element_freshness),
-            monitored_general_freshness=float(element_freshness.mean()),
-            element_time_freshness=element_freshness,
-            element_time_age=element_age,
-            monitored_perceived_age=float(p @ element_age),
-            access_counts=carry.access_counts,
-            poll_counts=carry.poll_counts,
-            changed_poll_counts=carry.changed_poll_counts,
-            attempted_polls=(carry.n_syncs if faults is None
-                             else faults.attempted_polls),
-            failed_polls=0 if faults is None else faults.failed_polls,
-            retries=0 if faults is None else faults.retries,
-            denied_polls=0 if faults is None else faults.denied_polls,
-            attempted_bandwidth=(carry.bandwidth_used if faults is None
-                                 else faults.attempted_bandwidth),
-            attempted_poll_counts=(None if faults is None
-                                   else faults.attempted_poll_counts),
-            failed_poll_counts=(None if faults is None
-                                else faults.failed_poll_counts),
-            unreachable_poll_counts=(
-                None if faults is None
-                else np.zeros(catalog.n_elements, dtype=np.int64)),
-            fault_trace=(None if self._trace is None
-                         else tuple(self._trace)),
-        )
+            budget = self._fault_args["bandwidth_budget"]
+            fields.update(
+                attempted_polls=faults.attempted_polls,
+                failed_polls=faults.failed_polls,
+                retries=faults.retries,
+                denied_polls=faults.denied_polls,
+                attempted_bandwidth=faults.attempted_bandwidth,
+                attempted_poll_counts=faults.attempted_poll_counts,
+                failed_poll_counts=faults.failed_poll_counts,
+                unreachable_poll_counts=np.zeros(
+                    self._catalog.n_elements, dtype=np.int64),
+                fault_trace=(None if self._trace is None
+                             else tuple(self._trace)))
+        return close_run(
+            SimulationResult(
+                catalog=self._catalog,
+                frequencies=self._frequencies,
+                horizon=self._horizon,
+                period_length=self._period_length,
+                n_updates=carry.n_updates,
+                n_syncs=carry.n_syncs,
+                n_accesses=carry.n_accesses,
+                fresh_accesses=carry.fresh_accesses,
+                useful_syncs=carry.useful_syncs,
+                bandwidth_used=carry.bandwidth_used,
+                element_time_freshness=carry.fresh_time / self._horizon,
+                element_time_age=carry.age_integral / self._horizon,
+                access_counts=carry.access_counts,
+                poll_counts=carry.poll_counts,
+                changed_poll_counts=carry.changed_poll_counts,
+                **fields),
+            engine=self._engine, n_periods=self._n_periods,
+            attempt_budget=budget)
 
 
 # seedflow: pair=repro.sim.simulation.Simulation.run

@@ -6,19 +6,17 @@
 * :class:`RequestGenerator` drives the mirror: a Poisson stream of
   user accesses whose element choice follows the master profile.
 
-Both produce bulk :class:`~repro.sim.events.EventStream` tapes for a
-whole horizon — statistically identical to step-by-step generation
-but far faster, and trivially reproducible from a seed.
-
-Both also expose the primitives of
-:class:`~repro.sim.simulation.Simulation`'s two tape routes.
+Both expose the primitives of
+:class:`~repro.sim.simulation.Simulation`'s two tape routes, as plain
+``(times, elements)`` arrays — far faster than step-by-step
+generation, and reproducible from a seed.
 ``draw_window(start, end)`` (one-shot; every update generator,
 :class:`~repro.sim.bursty.BurstyUpdateGenerator` included, has it)
-performs exactly the draws ``generate`` would for a window of the same
-length (Poisson counts, then uniform instants, then — for requests —
-one uniform per element pick), but returns plain arrays without the
-per-stream sort so :func:`~repro.sim.events.merge_kind_blocks` fuses
-the cross-kind merge into a single stable argsort.  Element picks use
+draws a window in the canonical order (Poisson counts, then uniform
+instants, then — for requests — one uniform per element pick) and
+leaves update times unsorted, so
+:func:`~repro.sim.events.merge_kind_blocks` fuses the cross-kind
+merge into a single stable argsort.  Element picks use
 precomputed-CDF ``searchsorted`` sampling, which consumes the
 identical ``rng.random`` variates ``rng.choice(p=...)`` would and
 returns the identical indices — verified bit-for-bit — while hoisting
@@ -45,7 +43,6 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.sim.events import EventKind, EventStream
 from repro.workloads.catalog import Catalog
 
 __all__ = ["UpdateGenerator", "RequestGenerator"]
@@ -159,23 +156,6 @@ class UpdateGenerator:
         times += start
         return times, elements
 
-    def generate(self, horizon: float) -> EventStream:
-        """All update events in ``[0, horizon)``.
-
-        Args:
-            horizon: Clock length of the simulated window, > 0.
-
-        Returns:
-            A time-sorted UPDATE stream.
-        """
-        if horizon <= 0.0:
-            raise ValidationError(f"horizon must be > 0, got {horizon}")
-        times, elements = self.draw_window(0.0, horizon)
-        order = np.argsort(times, kind="stable")
-        return EventStream(kind=EventKind.UPDATE, times=times[order],
-                           elements=elements[order])
-
-
 class RequestGenerator:
     """Poisson user-request stream following the master profile.
 
@@ -274,18 +254,3 @@ class RequestGenerator:
         times *= (end - start) / spans[count]
         times += start
         return times, elements
-
-    def generate(self, horizon: float) -> EventStream:
-        """All access events in ``[0, horizon)``.
-
-        Args:
-            horizon: Clock length of the simulated window, > 0.
-
-        Returns:
-            A time-sorted ACCESS stream.
-        """
-        if horizon <= 0.0:
-            raise ValidationError(f"horizon must be > 0, got {horizon}")
-        times, elements = self.draw_window(0.0, horizon)
-        return EventStream(kind=EventKind.ACCESS, times=times,
-                           elements=elements)

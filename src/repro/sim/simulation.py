@@ -21,11 +21,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.contracts import (
-    check_attempt_budget,
-    check_sync_conservation,
-    contracts_enabled,
-)
 from repro.core.scheduler import PhasePolicy, SyncSchedule
 from repro.errors import ValidationError
 from repro.faults.breaker import CircuitBreaker
@@ -45,7 +40,12 @@ from repro.sim.events import (
     merge_kind_blocks,
     merge_sorted_blocks,
 )
-from repro.sim.evaluator import FreshnessMonitor, SimulationResult
+from repro.sim.evaluator import (
+    FreshnessMonitor,
+    SimulationResult,
+    close_run,
+    emit_period,
+)
 from repro.sim.fastpath import ReplayArena, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
 from repro.sim.mirror import Mirror
@@ -107,11 +107,10 @@ class _PeriodTracker:
     """Per-period telemetry accumulator for :meth:`Simulation.run`.
 
     Only instantiated when telemetry is enabled, so the event loop
-    pays a single ``is not None`` test per event otherwise.  Emits one
-    ``"sim.period"`` event per completed sync period carrying the
-    series the paper's figures are built from: syncs issued, budget
-    utilization, accesses and their fresh fraction, and the mirror's
-    instantaneous mean freshness at the period boundary.
+    pays a single ``is not None`` test per event otherwise.  Counts
+    each period's events one at a time and hands the totals, with the
+    mirror's instantaneous mean freshness at the period boundary, to
+    :func:`~repro.sim.evaluator.emit_period`.
     """
 
     __slots__ = ("_sizes", "_period_length", "_mirror", "_planned",
@@ -161,24 +160,12 @@ class _PeriodTracker:
         self._flush()
 
     def _flush(self) -> None:
-        utilization = (self.bandwidth / self._planned
-                       if self._planned else 0.0)
-        obs.event(
-            "sim.period",
-            period=obs.element_label(self._period),
-            syncs=self.syncs,
-            bandwidth=self.bandwidth,
-            budget_utilization=utilization,
-            updates=self.updates,
-            accesses=self.accesses,
-            fresh_fraction=(self.fresh_accesses / self.accesses
-                            if self.accesses else 1.0),
+        emit_period(
+            self._period, syncs=self.syncs, bandwidth=self.bandwidth,
+            planned=self._planned, updates=self.updates,
+            accesses=self.accesses, fresh_accesses=self.fresh_accesses,
             mean_freshness=float(self._mirror.freshness_vector().mean()),
-            failed_polls=self.failed_polls,
-            retries=self.retries,
-        )
-        obs.counter_add("sim.periods")
-        obs.gauge_set("sim.budget_utilization", utilization)
+            failed_polls=self.failed_polls, retries=self.retries)
         self.syncs = 0
         self.bandwidth = 0.0
         self.updates = 0
@@ -464,7 +451,6 @@ class Simulation:
             raise ValidationError(
                 f"engine='fastpath' cannot replay this fault plan "
                 f"{unsupported}; use 'auto' or 'reference'")
-        planned_per_period = self._planned_per_period
 
         if kernel_plan and engine != "reference":
             streaming = StreamingReplay(
@@ -511,7 +497,7 @@ class Simulation:
         sync_kind = int(EventKind.SYNC)
         # Per-period series tracker: hoisted to a local so the event
         # loop pays one bool test per event when telemetry is off.
-        tracker = (_PeriodTracker(self._catalog, planned_per_period,
+        tracker = (_PeriodTracker(self._catalog, self._planned_per_period,
                                   self._period_length, mirror)
                    if obs.telemetry_enabled() else None)
         sim_span = obs.span("sim.run")
@@ -581,113 +567,52 @@ class Simulation:
                 tracker.finish(n_periods)
         monitor.close()
 
-        if contracts_enabled():
-            # Conservation law (ROADMAP): the schedule may not spend
-            # more sync bandwidth than planned, up to Fixed-Order
-            # granularity (at most one extra sync per scheduled
-            # element over the horizon).
-            scheduled = self._frequencies > 0.0
-            granularity = float(self._catalog.sizes[scheduled].sum())
-            check_sync_conservation(
-                mirror.bandwidth_used,
-                planned_per_period,
-                n_periods,
-                granularity,
-                where="Simulation.run")
-            if channel is not None and self._budget is not None:
-                # Attempt accounting: every attempt, initial or
-                # retry, is gated by the channel's period ledger, so
-                # attempted bandwidth can never exceed B per period
-                # (granularity slack only covers ceil effects at the
-                # horizon's partial last period).
-                check_attempt_budget(
-                    channel.attempted_bandwidth,
-                    self._budget,
-                    float(np.ceil(n_periods)),
-                    granularity,
-                    where="Simulation.run")
-
-        element_freshness = monitor.element_time_freshness()
-        element_age = monitor.element_time_age()
-        p = self._catalog.access_probabilities
-        perceived_by_accesses = (fresh_accesses / n_accesses
-                                 if n_accesses else float(p @ element_freshness))
-        if tracker is not None:
-            obs.counter_add("sim.runs")
-            obs.counter_add("sim.engine.reference")
-            obs.counter_add("sim.syncs", mirror.total_syncs)
-            obs.counter_add("sim.useful_syncs", useful_syncs)
-            obs.counter_add("sim.updates", n_updates)
-            obs.counter_add("sim.accesses", n_accesses)
-            obs.gauge_set("sim.bandwidth_used", mirror.bandwidth_used)
-            obs.gauge_set("sim.monitored_perceived_freshness",
-                          float(perceived_by_accesses))
-            obs.gauge_set("sim.monitored_general_freshness",
-                          float(element_freshness.mean()))
-            if channel is not None:
-                obs.gauge_set("sim.attempted_bandwidth",
-                              channel.attempted_bandwidth)
-                obs.gauge_set(
-                    "sim.poll_failure_fraction",
-                    (channel.failed_polls / channel.attempted_polls
-                     if channel.attempted_polls else 0.0))
-                if self._topology is not None:
-                    ages = channel.hop_ages(
-                        horizon + self._fault_time_offset)
-                    obs.gauge_set("faults.topology.max_hop_age",
-                                  float(ages.max()))
-        return SimulationResult(
-            catalog=self._catalog,
-            frequencies=self._frequencies,
-            horizon=horizon,
-            period_length=self._period_length,
-            n_updates=n_updates,
-            n_syncs=mirror.total_syncs,
-            n_accesses=n_accesses,
-            useful_syncs=useful_syncs,
-            bandwidth_used=mirror.bandwidth_used,
-            monitored_perceived_freshness=float(perceived_by_accesses),
-            monitored_time_perceived=float(p @ element_freshness),
-            monitored_general_freshness=float(element_freshness.mean()),
-            element_time_freshness=element_freshness,
-            element_time_age=element_age,
-            monitored_perceived_age=float(p @ element_age),
-            access_counts=monitor.access_counts(),
-            poll_counts=polls,
-            changed_poll_counts=changed_polls,
-            attempted_polls=(channel.attempted_polls
-                             if channel is not None
-                             else mirror.total_syncs),
-            failed_polls=(channel.failed_polls
-                          if channel is not None else 0),
-            unreachable_polls=(channel.unreachable_polls
-                               if channel is not None else 0),
-            retries=channel.retries if channel is not None else 0,
-            breaker_skips=(channel.breaker_skips
-                           if channel is not None else 0),
-            denied_polls=(channel.denied_polls
-                          if channel is not None else 0),
-            hop_denied=(channel.hop_denied
-                        if channel is not None else 0),
-            suppressed_retries=(channel.suppressed_retries
-                                if channel is not None else 0),
-            attempted_bandwidth=(channel.attempted_bandwidth
-                                 if channel is not None
-                                 else mirror.bandwidth_used),
-            attempted_poll_counts=(channel.attempted_poll_counts()
-                                   if channel is not None else None),
-            failed_poll_counts=(channel.failed_poll_counts()
-                                if channel is not None else None),
-            unreachable_poll_counts=(channel.unreachable_poll_counts()
-                                     if channel is not None else None),
-            unreachable_elements=(channel.unreachable_mask()
-                                  if channel is not None
-                                  and self._breaker is not None
-                                  else None),
-            fault_trace=(tuple(channel.trace())
-                         if channel is not None
-                         and self._record_fault_trace else None),
-        )
+        fields: dict = {"attempted_polls": mirror.total_syncs,
+                        "attempted_bandwidth": mirror.bandwidth_used}
+        if channel is not None:
+            fields.update(
+                attempted_polls=channel.attempted_polls,
+                failed_polls=channel.failed_polls,
+                unreachable_polls=channel.unreachable_polls,
+                retries=channel.retries,
+                breaker_skips=channel.breaker_skips,
+                denied_polls=channel.denied_polls,
+                hop_denied=channel.hop_denied,
+                suppressed_retries=channel.suppressed_retries,
+                attempted_bandwidth=channel.attempted_bandwidth,
+                attempted_poll_counts=channel.attempted_poll_counts(),
+                failed_poll_counts=channel.failed_poll_counts(),
+                unreachable_poll_counts=channel.unreachable_poll_counts(),
+                unreachable_elements=(channel.unreachable_mask()
+                                      if self._breaker is not None
+                                      else None),
+                fault_trace=(tuple(channel.trace())
+                             if self._record_fault_trace else None))
+        result = close_run(
+            SimulationResult(
+                catalog=self._catalog,
+                frequencies=self._frequencies,
+                horizon=horizon,
+                period_length=self._period_length,
+                n_updates=n_updates,
+                n_syncs=mirror.total_syncs,
+                n_accesses=n_accesses,
+                fresh_accesses=fresh_accesses,
+                useful_syncs=useful_syncs,
+                bandwidth_used=mirror.bandwidth_used,
+                element_time_freshness=monitor.element_time_freshness(),
+                element_time_age=monitor.element_time_age(),
+                access_counts=monitor.access_counts(),
+                poll_counts=polls,
+                changed_poll_counts=changed_polls,
+                **fields),
+            engine="reference", n_periods=n_periods,
+            attempt_budget=self._budget if channel is not None else None)
+        if (tracker is not None and channel is not None
+                and self._topology is not None):
+            ages = channel.hop_ages(horizon + self._fault_time_offset)
+            obs.gauge_set("faults.topology.max_hop_age", float(ages.max()))
+        return result
 
     def _tape_slabs(self, n_periods: float, chunk_periods: int | None
                     ) -> Iterator[tuple[tuple[np.ndarray, np.ndarray,

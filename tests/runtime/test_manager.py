@@ -231,27 +231,6 @@ class TestBatchedWindows:
 
         self._reports_equal(runner(1), runner(None))
 
-    @pytest.mark.parametrize("kind", ["iid", "ge"])
-    def test_shared_fault_rng_batched_matches_sequential(
-            self, world, kind):
-        """share_fault_rng=True interleaves workload and fault draws
-        on one stream; the batched loop resolves each period's
-        faults right after its tape, so it must still match."""
-        from repro.faults.model import GilbertElliottFaultModel
-
-        def plan():
-            if kind == "iid":
-                return FaultPlan.iid(0.25)
-            return FaultPlan(
-                models=(GilbertElliottFaultModel(0.2, 0.5),))
-
-        def runner(batch):
-            return make_manager(
-                world, fault_plan=plan(), share_fault_rng=True,
-                replan_every=4).run(12, batch=batch)
-
-        self._reports_equal(runner(1), runner(None))
-
     def test_ge_drift_rollback_matches_sequential(self, world):
         """A mid-window drift replan on a GE plan must restore the
         fault stream *and* the chain-state snapshot before re-running

@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.sensitivity import burstiness_robustness
 from repro.errors import ValidationError
 from repro.sim.bursty import BurstyUpdateGenerator
-from repro.sim.events import EventKind, EventStream
+from repro.sim.events import EventKind
 from repro.sim.generators import RequestGenerator
 from repro.sim.simulation import Simulation
 from repro.workloads.catalog import Catalog
@@ -25,16 +25,16 @@ class TestBurstyUpdateGenerator:
     def test_zero_burstiness_is_poisson_like(self, catalog, rng):
         generator = BurstyUpdateGenerator(catalog, burstiness=0.0,
                                           rng=rng)
-        stream = generator.generate(200.0)
-        counts = np.bincount(stream.elements, minlength=3)
+        _, elements = generator.draw_window(0.0, 200.0)
+        counts = np.bincount(elements, minlength=3)
         expected = catalog.change_rates * 200.0
         assert np.allclose(counts, expected, rtol=0.15)
 
     def test_long_run_rate_preserved_under_bursts(self, catalog, rng):
         generator = BurstyUpdateGenerator(catalog, burstiness=0.8,
                                           rng=rng)
-        stream = generator.generate(500.0)
-        counts = np.bincount(stream.elements, minlength=3)
+        _, elements = generator.draw_window(0.0, 500.0)
+        counts = np.bincount(elements, minlength=3)
         expected = catalog.change_rates * 500.0
         # MMPP has higher variance than Poisson; allow a wider band.
         assert np.allclose(counts, expected, rtol=0.3)
@@ -42,10 +42,13 @@ class TestBurstyUpdateGenerator:
     def test_stream_sorted_and_typed(self, catalog, rng):
         generator = BurstyUpdateGenerator(catalog, burstiness=0.5,
                                           rng=rng)
-        stream = generator.generate(20.0)
-        assert stream.kind is EventKind.UPDATE
-        assert (np.diff(stream.times) >= 0.0).all()
-        assert stream.times.max() < 20.0
+        times, elements = generator.draw_window(0.0, 20.0)
+        assert times.dtype == np.float64 and elements.dtype == np.int64
+        # Element-major: each element's own times come back sorted.
+        for element in range(3):
+            own = times[elements == element]
+            assert (np.diff(own) >= 0.0).all()
+        assert times.min() >= 0.0 and times.max() < 20.0
 
     def test_bursts_raise_interarrival_dispersion(self, catalog):
         """The coefficient of variation of gaps must exceed 1 (the
@@ -54,8 +57,8 @@ class TestBurstyUpdateGenerator:
                       change_rates=np.array([5.0]))
         bursty = BurstyUpdateGenerator(
             hot, burstiness=0.9, rng=np.random.default_rng(0))
-        stream = bursty.generate(2000.0)
-        gaps = np.diff(stream.times)
+        times, _ = bursty.draw_window(0.0, 2000.0)
+        gaps = np.diff(np.sort(times, kind="stable"))
         cv = gaps.std() / gaps.mean()
         assert cv > 1.3
 
@@ -64,8 +67,8 @@ class TestBurstyUpdateGenerator:
                           change_rates=np.array([0.0, 2.0]))
         generator = BurstyUpdateGenerator(catalog, burstiness=0.5,
                                           rng=rng)
-        stream = generator.generate(50.0)
-        assert (stream.elements != 0).all()
+        _, elements = generator.draw_window(0.0, 50.0)
+        assert (elements != 0).all()
 
     def test_validation(self, catalog, rng):
         with pytest.raises(ValidationError):
@@ -78,7 +81,24 @@ class TestBurstyUpdateGenerator:
         generator = BurstyUpdateGenerator(catalog, burstiness=0.5,
                                           rng=rng)
         with pytest.raises(ValidationError):
-            generator.generate(0.0)
+            generator.draw_window(0.0, 0.0)
+
+
+def per_stream_tape(streams):
+    """Oracle for the fused tape: stably time-sort each ``(kind,
+    times, elements)`` stream on its own, then lexsort the union by
+    (time, kind) — the SoA dtypes included."""
+    times, elements, kinds = [], [], []
+    for kind, stream_times, stream_elements in streams:
+        order = np.argsort(stream_times, kind="stable")
+        times.append(np.asarray(stream_times, dtype=float)[order])
+        elements.append(np.asarray(stream_elements)[order].astype(np.int32))
+        kinds.append(np.full(order.shape[0], int(kind), dtype=np.int8))
+    times, elements, kinds = (np.concatenate(times),
+                              np.concatenate(elements),
+                              np.concatenate(kinds))
+    order = np.lexsort((kinds, times))
+    return times[order], elements[order], kinds[order]
 
 
 class TestBurstyTape:
@@ -108,23 +128,15 @@ class TestBurstyTape:
         got = sim.build_tape(horizon)
 
         sim, updates, rng = world()
-        sync_times, sync_elements = sim.schedule.events_until(horizon)
         streams = [
-            updates.generate(horizon),
-            EventStream(kind=EventKind.SYNC, times=sync_times,
-                        elements=sync_elements),
-            RequestGenerator(catalog, rate=80.0, rng=rng).generate(
-                horizon),
+            (EventKind.UPDATE, *updates.draw_window(0.0, horizon)),
+            (EventKind.SYNC, *sim.schedule.events_until(horizon)),
+            (EventKind.ACCESS, *RequestGenerator(
+                catalog, rate=80.0, rng=rng).draw_window(0.0, horizon)),
         ]
-        times = np.concatenate([stream.times for stream in streams])
-        elements = np.concatenate([stream.elements for stream in streams])
-        kinds = np.concatenate([
-            np.full(len(stream), int(stream.kind), dtype=np.int8)
-            for stream in streams])
-        order = np.lexsort((kinds, times))
-        want = (times[order], elements[order], kinds[order])
+        want = per_stream_tape(streams)
 
-        assert len(streams[0]) > 0
+        assert len(streams[0][1]) > 0
         for got_array, want_array in zip(got, want):
             assert got_array.dtype == want_array.dtype
             np.testing.assert_array_equal(got_array, want_array)

@@ -6,27 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError, ValidationError
-from repro.sim.events import EventKind, EventStream, merge_kind_blocks
+from repro.sim.events import EventKind, merge_kind_blocks, merge_sorted_blocks
 from repro.sim.mirror import Mirror
 from repro.sim.source import Source
-
-
-class TestEventStream:
-    def test_valid_stream(self):
-        stream = EventStream(kind=EventKind.UPDATE,
-                             times=np.array([0.0, 1.0]),
-                             elements=np.array([0, 1]))
-        assert len(stream) == 2
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValidationError):
-            EventStream(kind=EventKind.SYNC, times=np.array([1.0, 0.0]),
-                        elements=np.array([0, 1]))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            EventStream(kind=EventKind.SYNC, times=np.array([1.0]),
-                        elements=np.array([0, 1]))
 
 
 class TestMergeStreams:
@@ -61,6 +43,14 @@ class TestMergeStreams:
         assert times.size == 0
         assert elements.size == 0
         assert kinds.size == 0
+
+    @pytest.mark.parametrize("merge", [merge_kind_blocks,
+                                       merge_sorted_blocks])
+    def test_rejects_ids_past_int32(self, merge):
+        empty = (np.empty(0), np.empty(0, dtype=np.int64))
+        with pytest.raises(ValidationError, match="int32"):
+            merge(*empty, *empty, *empty,
+                  n_elements=int(np.iinfo(np.int32).max))
 
 
 class TestSource:

@@ -888,32 +888,88 @@ class TestDegenerateTapes:
 
 
 class TestTelemetryParity:
-    """Both engines must emit the same period series and gauges."""
+    """Both engines must emit the same telemetry: every non-span
+    event (``sim.period``, ``monitor.close``), every counter but the
+    ``sim.engine.*`` dispatch label, every gauge and the ledger."""
 
     @staticmethod
-    def _tape(preset_catalog, engine: str, n_periods: float):
+    def _faults(mode: str) -> dict:
+        """A fresh kernel-eligible fault setup (Gilbert–Elliott models
+        carry chain state, so each run needs its own): i.i.d. loss
+        with retries against a budget tighter than the plan's spend
+        (denials), and one Gilbert–Elliott channel on each resolver
+        route — retry-free under an ample budget (the segmented scan)
+        and with retries (the ledger walk)."""
+        if mode == "iid":
+            return dict(fault_plan=FaultPlan.iid(0.3),
+                        retry_policy=RetryPolicy(max_retries=2),
+                        bandwidth_budget=14.0)
+        plan = FaultPlan.bursty(0.2, 0.4, loss_bad=0.9)
+        if mode == "ge_scan":
+            return dict(fault_plan=plan, bandwidth_budget=200.0)
+        return dict(fault_plan=plan,
+                    retry_policy=RetryPolicy(max_retries=2))
+
+    @staticmethod
+    def _tape(preset_catalog, engine: str, n_periods: float, **kwargs):
         plan = PerceivedFreshener().plan(preset_catalog, 20.0)
         with obs.telemetry() as registry:
             run_engine(preset_catalog, plan.frequencies, engine=engine,
-                       seed=83, n_periods=n_periods)
-        periods = [{k: v for k, v in record.items()
-                    if k not in ("seq", "t")}
-                   for record in registry.events_of_kind("sim.period")]
-        return periods, dict(registry.counters), dict(registry.gauges)
+                       seed=83, n_periods=n_periods, **kwargs)
+        events = [{k: v for k, v in record.items()
+                   if k not in ("seq", "t")}
+                  for record in registry.events if record["kind"] != "span"]
+        counters = dict(registry.counters)
+        engines = {name: counters.pop(name) for name in list(counters)
+                   if name.startswith("sim.engine.")}
+        return (events, counters, dict(registry.gauges),
+                registry.ledger, engines)
+
+    def _assert_parity(self, preset_catalog, n_periods, label,
+                       mode=None):
+        def kwargs():
+            return {} if mode is None else self._faults(mode)
+
+        fast = self._tape(preset_catalog, "fastpath", n_periods,
+                          **kwargs())
+        reference = self._tape(preset_catalog, "reference", n_periods,
+                               **kwargs())
+        assert len(fast[0]) == int(np.ceil(n_periods)) + 1
+        assert [event["kind"] for event in fast[0]][-1] == "monitor.close"
+        for fast_part, reference_part in zip(fast[:4], reference[:4]):
+            assert fast_part == reference_part
+        # The dispatch-decision counters differ by design.
+        assert fast[4] == {f"sim.engine.{label}": 1.0}
+        assert reference[4] == {"sim.engine.reference": 1.0}
+        return fast
 
     @pytest.mark.parametrize("n_periods", [6.0, 4.5])
     def test_period_series_match(self, preset_catalog, n_periods):
-        fast_periods, fast_counters, fast_gauges = self._tape(
-            preset_catalog, "fastpath", n_periods)
-        ref_periods, ref_counters, ref_gauges = self._tape(
-            preset_catalog, "reference", n_periods)
-        assert fast_periods == ref_periods
-        assert fast_gauges == ref_gauges
-        # The dispatch-decision counters differ by design; every
-        # other counter must agree bit for bit.
-        assert fast_counters.pop("sim.engine.fastpath") == 1.0
-        assert ref_counters.pop("sim.engine.reference") == 1.0
-        assert fast_counters == ref_counters
+        self._assert_parity(preset_catalog, n_periods, "fastpath")
+
+    @pytest.mark.parametrize("mode", ["iid", "ge_scan", "ge_walk"])
+    def test_faulted_telemetry_matches(self, preset_catalog, mode,
+                                       monkeypatch):
+        import repro.sim.fastpath as fastpath
+
+        scans = []
+        scan = fastpath._ge_scan_states
+
+        def counted_scan(*args, **kwargs):
+            scans.append(1)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(fastpath, "_ge_scan_states", counted_scan)
+        label = "fastpath_faulted" if mode == "iid" else "fastpath_ge"
+        events, counters, _, _, _ = self._assert_parity(
+            preset_catalog, 4.5, label, mode)
+        # The kernel's Gilbert–Elliott resolver took the named route.
+        assert bool(scans) == (mode == "ge_scan")
+        assert sum(event.get("failed_polls", 0) for event in events) > 0
+        if mode == "iid":
+            assert counters.get("faults.denied_polls", 0.0) > 0
+        if mode != "ge_scan":
+            assert counters.get("faults.retries", 0.0) > 0
 
 
 class TestLedgerParity:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import SimulationError, ValidationError
 from repro.sim.evaluator import FreshnessMonitor
-from repro.sim.events import EventKind
 from repro.sim.generators import RequestGenerator, UpdateGenerator
 from repro.workloads.catalog import Catalog
 
@@ -21,52 +20,59 @@ def catalog():
 class TestUpdateGenerator:
     def test_counts_match_rates(self, catalog, rng):
         generator = UpdateGenerator(catalog, rng=rng)
-        stream = generator.generate(200.0)
-        counts = np.bincount(stream.elements, minlength=3)
+        _, elements = generator.draw_window(0.0, 200.0)
+        counts = np.bincount(elements, minlength=3)
         expected = catalog.change_rates * 200.0
         assert np.allclose(counts, expected, rtol=0.15)
 
     def test_stream_sorted_and_typed(self, catalog, rng):
-        stream = UpdateGenerator(catalog, rng=rng).generate(10.0)
-        assert stream.kind is EventKind.UPDATE
-        assert (np.diff(stream.times) >= 0.0).all()
-        assert stream.times.max() < 10.0
+        """The raw window is typed and in range; the sorted window is
+        time-ordered without a sort."""
+        generator = UpdateGenerator(catalog, rng=rng)
+        times, elements = generator.draw_window(0.0, 10.0)
+        assert times.dtype == np.float64 and elements.dtype == np.int64
+        assert times.shape == elements.shape
+        assert times.min() >= 0.0 and times.max() < 10.0
+        times, elements = generator.draw_window_sorted(0.0, 10.0)
+        assert (np.diff(times) >= 0.0).all()
+        assert times.max() < 10.0
+        assert set(elements.tolist()) <= {0, 1, 2}
 
     def test_period_length_scales_rates(self, catalog, rng):
         # Rates are per period: doubling the period halves the
         # per-clock-unit rate.
         slow = UpdateGenerator(catalog, period_length=2.0, rng=rng)
-        stream = slow.generate(200.0)
+        times, _ = slow.draw_window(0.0, 200.0)
         expected = catalog.change_rates.sum() * 100.0
-        assert len(stream) == pytest.approx(expected, rel=0.15)
+        assert len(times) == pytest.approx(expected, rel=0.15)
 
     def test_rejects_bad_parameters(self, catalog, rng):
         with pytest.raises(ValidationError):
             UpdateGenerator(catalog, period_length=0.0, rng=rng)
         with pytest.raises(ValidationError):
-            UpdateGenerator(catalog, rng=rng).generate(0.0)
+            UpdateGenerator(catalog, rng=rng).draw_window(0.0, 0.0)
 
     def test_reproducible(self, catalog):
-        one = UpdateGenerator(catalog,
-                              rng=np.random.default_rng(5)).generate(5.0)
-        two = UpdateGenerator(catalog,
-                              rng=np.random.default_rng(5)).generate(5.0)
-        assert np.array_equal(one.times, two.times)
+        one, _ = UpdateGenerator(
+            catalog, rng=np.random.default_rng(5)).draw_window(0.0, 5.0)
+        two, _ = UpdateGenerator(
+            catalog, rng=np.random.default_rng(5)).draw_window(0.0, 5.0)
+        assert np.array_equal(one, two)
 
 
 class TestRequestGenerator:
     def test_profile_respected(self, catalog, rng):
         generator = RequestGenerator(catalog, rate=500.0, rng=rng)
-        stream = generator.generate(20.0)
-        counts = np.bincount(stream.elements, minlength=3)
+        _, elements = generator.draw_window(0.0, 20.0)
+        counts = np.bincount(elements, minlength=3)
         empirical = counts / counts.sum()
         assert np.allclose(empirical, catalog.access_probabilities,
                            atol=0.02)
 
     def test_rate_respected(self, catalog, rng):
-        stream = RequestGenerator(catalog, rate=100.0,
-                                  rng=rng).generate(50.0)
-        assert len(stream) == pytest.approx(5000, rel=0.1)
+        times, _ = RequestGenerator(catalog, rate=100.0,
+                                    rng=rng).draw_window(0.0, 50.0)
+        assert len(times) == pytest.approx(5000, rel=0.1)
 
     def test_rejects_bad_rate(self, catalog, rng):
         with pytest.raises(ValidationError):

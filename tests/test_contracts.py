@@ -172,7 +172,8 @@ def test_simulation_runs_clean_under_conservation_contract(rng) -> None:
 
 def test_streaming_replay_checks_sync_conservation(rng) -> None:
     """A tape that syncs far past the plan fails the conservation
-    contract in ``StreamingReplay.finish``, the kernel's one copy."""
+    contract when ``StreamingReplay.finish`` runs the shared epilogue,
+    and the violation names the kernel's engine."""
     from repro.sim.events import EventKind
     from repro.sim.fastpath import StreamingReplay
 
@@ -193,7 +194,8 @@ def test_streaming_replay_checks_sync_conservation(rng) -> None:
     with contracts(False):
         replay()
     with contracts():
-        with pytest.raises(ContractViolationError, match="conservation"):
+        with pytest.raises(ContractViolationError,
+                           match="sim.engine.fastpath.*conservation"):
             replay()
 
 
