@@ -629,13 +629,15 @@ class AdaptiveMirrorManager:
         bit-identical to the sequential loop.  Tapes are drawn in
         groups of at most ``slab_periods`` periods (default: the
         ``_SLAB_ELEMENT_BUDGET`` ceiling over the element count), so
-        peak memory is O(group) rather than O(window), and each
-        group goes to :func:`~repro.sim.fastpath.replay_window_tapes`,
-        which replays every period as its own one-period run of the
-        replay kernel; observations fold period by period.  Reports
-        are bit-identical to an unsplit window: tapes are drawn in
-        period order either way, and each period's result does not
-        depend on how periods share a call.
+        peak memory is O(group) rather than O(window).  Period ``g``
+        of a group is replayed — a one-period run of the replay
+        kernel through :func:`~repro.sim.fastpath.replay_window_tapes`
+        — only after folding period ``g − 1`` has accepted it, so a
+        rolled-back tail is drawn but never replayed and the run's
+        ``sim.*``/``faults.*`` telemetry and ledger count exactly the
+        reported periods.  Reports are bit-identical to an unsplit
+        window: tapes are drawn in period order either way, and each
+        period's result does not depend on the grouping.
 
         If folding period ``j`` leaves the beliefs wanting a replan,
         the not-yet-folded tail is *rolled back*: the fault rng and
@@ -703,13 +705,7 @@ class AdaptiveMirrorManager:
                         first_period + folded + g - 1),
                     initial_bad=chain)
                 resolutions.append(resolution)
-            with obs.span("manager.simulate"):
-                results, _consumed = replay_window_tapes(
-                    self._true_catalog, self._frequencies, tapes,
-                    period_length=1.0,
-                    first_global_period=first_period + folded,
-                    fault_args=fault_args, resolutions=resolutions)
-            for g, result in enumerate(results):
+            for g in range(group):
                 if g > 0:  # g == 0 was probed at the group boundary
                     pending, divergence = self._would_replan()
                     if pending:
@@ -719,7 +715,6 @@ class AdaptiveMirrorManager:
                             if chain_snapshots[g] is not None:
                                 fault_args["model"].set_chain_states(
                                     chain_snapshots[g])
-                            chain = chain_snapshots[g]
                         self._rng.bit_generator.state = rng_states[g]
                         rolled_back = True
                         if obs.telemetry_enabled():
@@ -727,18 +722,28 @@ class AdaptiveMirrorManager:
                                 "manager.window_rollbacks")
                             obs.counter_add(
                                 "manager.rolled_back_periods",
-                                len(results) - g)
+                                group - g)
                         break
                     replanned = False
                     believed_pf = perceived_freshness(
                         self._beliefs.believed_catalog(),
                         self._frequencies)
+                # Replay only once the fold before has accepted the
+                # period, so a rolled-back tail emits no telemetry.
+                with obs.span("manager.simulate"):
+                    (result,), _consumed = replay_window_tapes(
+                        self._true_catalog, self._frequencies,
+                        [tapes[g]], period_length=1.0,
+                        first_global_period=first_period + folded + g,
+                        fault_args=fault_args,
+                        resolutions=(None if resolutions is None
+                                     else [resolutions[g]]))
                 self._fold_observations(result)
                 reports.append(self._make_report(
                     first_period + folded + g, replanned,
                     believed_pf, divergence, result))
             if not rolled_back:
-                folded += len(results)
+                folded += group
         if chain is not None and not rolled_back \
                 and fault_args is not None:
             # The accepted prefix is final: commit the threaded

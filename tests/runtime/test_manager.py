@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core.freshener import PartitionedFreshener, PerceivedFreshener
 from repro.errors import ValidationError
-from repro.faults.model import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.runtime.manager import AdaptiveMirrorManager
 from repro.workloads.presets import ExperimentSetup, build_catalog
+
+from tests.sim.differential import check_manager
 
 SETUP = ExperimentSetup(n_objects=80, updates_per_period=160.0,
                         syncs_per_period=40.0, theta=1.2,
@@ -176,152 +176,78 @@ class TestRateDrift:
 
 
 class TestBatchedWindows:
-    """run(batch=...) must be bit-identical to the sequential loop."""
-
-    @staticmethod
-    def _reports_equal(sequential, batched):
-        assert len(sequential) == len(batched)
-        for seq, bat in zip(sequential, batched):
-            assert dataclasses.asdict(seq) == dataclasses.asdict(bat)
+    """run(batch=...) must be bit-identical to the sequential loop —
+    reports and telemetry alike (the differential harness's manager
+    rows)."""
 
     def test_fault_free_batched_matches_sequential(self, world):
-        sequential = make_manager(world, replan_every=3).run(
-            12, batch=1)
-        batched = make_manager(world, replan_every=3).run(12)
-        self._reports_equal(sequential, batched)
+        check_manager(partial(make_manager, world), "none", periods=12,
+                      runs=[{}], replan_every=3)
 
     def test_iid_batched_matches_sequential(self, world):
-        def runner(batch):
-            return make_manager(
-                world, fault_plan=FaultPlan.iid(0.25),
-                retry_policy=RetryPolicy(max_retries=3),
-                replan_every=4).run(12, batch=batch)
+        check_manager(partial(make_manager, world), "iid_loss0.3",
+                      periods=12, runs=[{}], replan_every=4)
 
-        self._reports_equal(runner(1), runner(None))
+    @staticmethod
+    def _drift(world, setup, **run):
+        """Drift-triggered mid-window replans exercise the rollback
+        path: the rewound streams must replay the discarded periods
+        exactly as the sequential loop first ran them, and the
+        discarded periods must leave no telemetry behind."""
+        sequential, (batched,) = check_manager(
+            partial(make_manager, world), setup, periods=14, runs=[run],
+            replan_every=0, replan_divergence=0.03)
+        assert any(report.replanned for report in sequential.results[1:])
+        assert batched.counters["manager.window_rollbacks"] > 0
 
     def test_drift_rollback_matches_sequential(self, world):
-        """Drift-triggered mid-window replans exercise the rollback
-        path: the rewound rng must replay the discarded periods
-        exactly as the sequential loop first ran them."""
-        def runner(batch):
-            return make_manager(
-                world, fault_plan=FaultPlan.iid(0.25),
-                retry_policy=RetryPolicy(max_retries=3),
-                replan_every=0, replan_divergence=0.03).run(
-                14, batch=batch)
+        self._drift(world, "iid_loss0.3", batch=8)
 
-        sequential = runner(1)
-        batched = runner(8)
-        assert any(r.replanned for r in sequential[1:])
-        self._reports_equal(sequential, batched)
+    def test_quiet_drift_rollback_matches_sequential(self, world):
+        self._drift(world, "none", batch=8)
 
     def test_ge_batched_matches_sequential(self, world):
-        """Gilbert–Elliott plans batch through the scan kernel now;
-        the windowed run must stay bit-identical, chain threading
-        included."""
-        from repro.faults.model import GilbertElliottFaultModel
-
-        def runner(batch):
-            return make_manager(
-                world,
-                fault_plan=FaultPlan(
-                    models=(GilbertElliottFaultModel(0.2, 0.5),)),
-                retry_policy=RetryPolicy(max_retries=2),
-                replan_every=4).run(12, batch=batch)
-
-        self._reports_equal(runner(1), runner(None))
+        """Gilbert–Elliott plans batch through the kernel, chain
+        threading included."""
+        check_manager(partial(make_manager, world), "ge_walk",
+                      periods=12, runs=[{}], replan_every=4)
 
     def test_ge_drift_rollback_matches_sequential(self, world):
-        """A mid-window drift replan on a GE plan must restore the
-        fault stream *and* the chain-state snapshot before re-running
-        the tail."""
-        from repro.faults.model import GilbertElliottFaultModel
-
-        def runner(batch):
-            return make_manager(
-                world,
-                fault_plan=FaultPlan(
-                    models=(GilbertElliottFaultModel(0.25, 0.4),)),
-                retry_policy=RetryPolicy(max_retries=2),
-                replan_every=0, replan_divergence=0.03).run(
-                14, batch=batch)
-
-        sequential = runner(1)
-        batched = runner(8)
-        assert any(r.replanned for r in sequential[1:])
-        self._reports_equal(sequential, batched)
+        """A rollback on a GE plan restores the fault stream *and*
+        the chain-state snapshot before re-running the tail."""
+        self._drift(world, "ge_walk", batch=8)
 
     def test_gated_retries_fall_back_to_sequential(self, world):
         """A shared admission gate keeps the loop per-period (its
-        token bucket is cross-attempt stateful) — and reports must
-        still agree because batch collapses to the sequential
-        path."""
-        from repro.faults.retry import RetryAdmissionGate
-
-        def runner(batch):
-            manager = make_manager(
-                world, fault_plan=FaultPlan.iid(0.25),
-                retry_policy=RetryPolicy(
-                    max_retries=2,
-                    admission_gate=RetryAdmissionGate(
-                        capacity=4.0, refill_rate=2.0)),
-                replan_every=4)
-            assert not manager._batchable()
-            return manager.run(6, batch=batch)
-
-        self._reports_equal(runner(1), runner(4))
+        token bucket is cross-attempt stateful), so batch collapses
+        to the sequential path."""
+        check_manager(partial(make_manager, world), "gated_iid",
+                      periods=6, runs=[dict(batch=4)], replan_every=4)
 
     def test_batch_validated(self, world):
         with pytest.raises(ValidationError):
             make_manager(world).run(3, batch=0)
 
+
 class TestSlabGroups:
     """Window batching split into slab groups stays bit-identical."""
 
-    @staticmethod
-    def _reports_equal(left, right):
-        assert len(left) == len(right)
-        for a, b in zip(left, right):
-            assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
     @pytest.mark.parametrize("kind", ["quiet", "iid", "ge"])
     def test_slabbed_window_matches_unsplit(self, world, kind):
-        """Splitting a window's kernel calls into 2-period slabs must
-        not change any report: tapes are drawn in period order either
-        way, and per-period results do not depend on the grouping."""
-        from repro.faults.model import GilbertElliottFaultModel
-
-        def runner(slab_periods):
-            kwargs = {}
-            if kind == "iid":
-                kwargs = dict(fault_plan=FaultPlan.iid(0.25),
-                              retry_policy=RetryPolicy(max_retries=3))
-            elif kind == "ge":
-                kwargs = dict(
-                    fault_plan=FaultPlan(
-                        models=(GilbertElliottFaultModel(0.2, 0.5),)),
-                    retry_policy=RetryPolicy(max_retries=2))
-            return make_manager(world, replan_every=4, **kwargs).run(
-                12, batch=4, slab_periods=slab_periods)
-
-        unsplit = runner(None)
-        self._reports_equal(unsplit, runner(2))
-        self._reports_equal(unsplit, runner(1))
+        """Splitting a window's kernel calls into 2- or 1-period slab
+        groups changes no report and no telemetry: tapes are drawn in
+        period order either way."""
+        setup = {"quiet": "none", "iid": "iid_loss0.3", "ge": "ge_walk"}
+        check_manager(partial(make_manager, world), setup[kind],
+                      periods=12, replan_every=4,
+                      runs=[dict(batch=4, slab_periods=slab)
+                            for slab in (None, 2, 1)])
 
     def test_slabbed_drift_rollback_matches_sequential(self, world):
-        """A drift replan landing mid-slab-group must roll the tail
-        back exactly as the unsplit window does."""
-        def runner(batch, slab_periods=None):
-            return make_manager(
-                world, fault_plan=FaultPlan.iid(0.25),
-                retry_policy=RetryPolicy(max_retries=3),
-                replan_every=0, replan_divergence=0.03).run(
-                14, batch=batch, slab_periods=slab_periods)
-
-        sequential = runner(1)
-        slabbed = runner(8, slab_periods=3)
-        assert any(r.replanned for r in sequential[1:])
-        self._reports_equal(sequential, slabbed)
+        """A drift replan landing mid-slab-group rolls the tail back
+        exactly as the unsplit window does."""
+        TestBatchedWindows._drift(world, "iid_loss0.3", batch=8,
+                                  slab_periods=3)
 
     def test_slab_periods_validated(self, world):
         with pytest.raises(ValidationError):

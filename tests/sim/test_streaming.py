@@ -1,9 +1,10 @@
 """Streaming slab engine: bit-identity, sorted draws, chunked runs.
 
 The *replay* layer (``StreamingReplay`` fed slab-split tapes) is
-bit-identical to one-shot replay of the concatenated tape — every
-result field, the telemetry tape, the freshness ledger and the
-post-run fault-rng / Gilbert–Elliott chain state.  The streamed
+bit-identical to the reference loop over the concatenated tape —
+every result field, the telemetry tape, the freshness ledger and the
+post-run fault-rng / Gilbert–Elliott chain state (the ``slab*`` routes
+of :mod:`tests.sim.differential`).  The streamed
 *generation* layer (``chunk_periods``) draws each period from its own
 spawn child, so ``run(H, chunk_periods=K)`` is bit-identical for
 every K; it is statistically, not bitwise, equivalent to the
@@ -14,7 +15,6 @@ order.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import re
 
 import numpy as np
@@ -24,239 +24,73 @@ from hypothesis import strategies as st
 
 from repro.core.scheduler import SyncSchedule
 from repro.errors import SimulationError, ValidationError
-from repro.faults.model import FaultPlan
-from repro.faults.retry import RetryPolicy
-from repro.obs import registry as obs
 from repro.sim import events as events_mod
 from repro.sim import fastpath
-from repro.sim.bursty import BurstyUpdateGenerator
 from repro.sim.events import merge_kind_blocks, merge_sorted_blocks
 from repro.sim.fastpath import ReplayArena, ReplayCarry, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
-from repro.sim.simulation import Simulation, SimulationResult
-from repro.workloads.catalog import Catalog
 
-
-def random_catalog(rng, n, sized=False):
-    weights = rng.uniform(0.01, 1.0, n)
-    rates = rng.uniform(0.05, 8.0, n)
-    sizes = rng.uniform(0.2, 5.0, n) if sized else None
-    return Catalog(access_probabilities=weights / weights.sum(),
-                   change_rates=rates, sizes=sizes)
-
-
-def make_sim(catalog, frequencies, seed, mode, **extra):
-    kwargs: dict = {}
-    if mode == "iid":
-        kwargs = dict(fault_plan=FaultPlan.iid(0.3),
-                      retry_policy=RetryPolicy(max_retries=2),
-                      fault_rng=np.random.default_rng(seed + 7))
-    elif mode == "ge":
-        kwargs = dict(fault_plan=FaultPlan.bursty(
-                          0.2, 0.4, loss_good=0.05, loss_bad=0.9),
-                      retry_policy=RetryPolicy(max_retries=2),
-                      fault_rng=np.random.default_rng(seed + 7))
-    kwargs.update(extra)
-    kwargs.setdefault("rng", np.random.default_rng(seed))
-    return Simulation(catalog, frequencies, request_rate=60.0, **kwargs)
-
-
-def assert_results_identical(ref: SimulationResult,
-                             got: SimulationResult) -> None:
-    """Field-by-field bit comparison of two simulation results."""
-    for field in dataclasses.fields(SimulationResult):
-        a = getattr(ref, field.name)
-        b = getattr(got, field.name)
-        if field.name == "catalog":
-            assert a is b or np.array_equal(a.change_rates,
-                                            b.change_rates), field.name
-        elif isinstance(a, np.ndarray):
-            assert b is not None, field.name
-            assert a.dtype == b.dtype, field.name
-            assert a.tobytes() == b.tobytes(), field.name
-        else:
-            assert a == b, (field.name, a, b)
-
-
-def grab_telemetry():
-    """Registry contents with span timings stripped (wall clock)."""
-    registry = obs.get_registry()
-    events = [dict(event) for event in registry.events
-              if event.get("kind") != "span"]
-    for event in events:
-        event.pop("t", None)
-        event.pop("seq", None)
-    ledger = (registry.ledger.snapshot()
-              if hasattr(registry.ledger, "snapshot") else None)
-    return (events, dict(registry.counters), dict(registry.gauges),
-            ledger)
-
-
-def split_feed(streaming, tape, n_periods, chunk):
-    """Feed a full tape slab by slab, splitting at period bounds."""
-    times, elements, kinds = tape
-    done = 0.0
-    while done < n_periods - 1e-12:
-        last = min(done + chunk, n_periods)
-        lo = np.searchsorted(times, done, side="left")
-        hi = np.searchsorted(times, last, side="left")
-        streaming.feed(times[lo:hi], elements[lo:hi], kinds[lo:hi],
-                       n_periods=last - done)
-        done = last
-    return streaming.finish()
+from tests.conftest import random_catalog
+from tests.sim.differential import (
+    SETUPS,
+    WORLDS,
+    World,
+    check,
+    random_world,
+    simulations,
+    sweep,
+)
 
 
 class TestStreamingReplayBitIdentity:
-    """Slab-split replay of one tape ≡ the one-shot kernel."""
+    """Slab-split replay of one tape ≡ the reference loop."""
 
     @pytest.mark.parametrize("mode", ["quiet", "iid", "ge"])
     def test_chunked_replay_matches_one_shot(self, mode):
-        """Sweep random worlds and chunk sizes (ragged finals
-        included): results, telemetry, ledger, fault trace and
-        post-run fault-rng state must all be bit-identical."""
-        rng0 = np.random.default_rng(5)
-        for trial in range(6):
-            n = int(rng0.integers(3, 30))
-            catalog = random_catalog(rng0, n,
-                                     sized=bool(rng0.integers(0, 2)))
-            frequencies = rng0.uniform(0.0, 4.0, n)
-            n_periods = float(rng0.choice([2.0, 3.0, 2.5]))
-            chunk = int(rng0.integers(1, 4))
-            seed = int(rng0.integers(0, 2**31))
-            trace = mode != "quiet"
+        """Six random worlds per fault family, each fed in random
+        slab sizes (ragged finals included)."""
+        for seed in range(6):
+            sweep(seed, mode, slab=True)
 
-            obs.reset_telemetry()
-            obs.enable_telemetry()
-            try:
-                ref_sim = make_sim(catalog, frequencies, seed, mode,
-                                   record_fault_trace=trace)
-                ref = ref_sim.run(n_periods=n_periods)
-                ref_grab = grab_telemetry()
-                ref_fault_state = (
-                    ref_sim._fault_rng.bit_generator.state
-                    if mode != "quiet" else None)
-
-                obs.reset_telemetry()
-                obs.enable_telemetry()
-                sim = make_sim(catalog, frequencies, seed, mode,
-                               record_fault_trace=trace)
-                tape = sim.build_tape(n_periods)
-                streaming = StreamingReplay(
-                    catalog, frequencies, period_length=1.0,
-                    n_periods=n_periods,
-                    fault_args=sim.fault_kernel_args(),
-                    record_fault_trace=trace)
-                chunked = split_feed(streaming, tape, n_periods,
-                                     chunk)
-                got_grab = grab_telemetry()
-            finally:
-                obs.disable_telemetry()
-
-            context = (mode, trial, chunk, n_periods)
-            assert_results_identical(ref, chunked)
-            assert ref_grab == got_grab, context
-            if mode != "quiet":
-                assert (sim._fault_rng.bit_generator.state
-                        == ref_fault_state), context
-
-    @given(seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
-           chunk=st.integers(min_value=1, max_value=4),
-           mode=st.sampled_from(["quiet", "iid", "ge"]),
-           n_periods=st.sampled_from([2.0, 2.5, 3.0]))
+    @given(seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_chunked_replay_property(self, seed, chunk, mode,
-                                     n_periods):
-        """Hypothesis sweep: any (world, chunk, fault route, ragged
-        or whole horizon) — slab-fed replay of one tape must equal
-        the one-shot result field for field."""
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 25))
-        catalog = random_catalog(rng, n,
-                                 sized=bool(rng.integers(0, 2)))
-        frequencies = rng.uniform(0.0, 4.0, n)
-        ref = make_sim(catalog, frequencies, seed, mode).run(
-            n_periods=n_periods)
-        sim = make_sim(catalog, frequencies, seed, mode)
-        tape = sim.build_tape(n_periods)
-        streaming = StreamingReplay(
-            catalog, frequencies, period_length=1.0,
-            n_periods=n_periods, fault_args=sim.fault_kernel_args())
-        chunked = split_feed(streaming, tape, n_periods, chunk)
-        assert_results_identical(ref, chunked)
+    def test_chunked_replay_property(self, seed):
+        sweep(seed, slab=True)
 
     def test_carry_footprint_constant_across_slabs(self):
         """The cross-slab state is O(elements): feeding more slabs
         must not grow it."""
-        rng = np.random.default_rng(3)
-        catalog = random_catalog(rng, 50)
-        frequencies = rng.uniform(0.5, 3.0, 50)
-        sim = make_sim(catalog, frequencies, 9, "quiet")
-        n_periods = 4.0
-        tape = sim.build_tape(n_periods)
-        times, elements, kinds = tape
-        streaming = StreamingReplay(catalog, frequencies,
-                                    period_length=1.0,
-                                    n_periods=n_periods)
+        world = World(random_world(50, 3), seed=9)
+        times, elements, kinds = simulations(
+            world, SETUPS["none"])[0].build_tape(world.horizon)
+        streaming = StreamingReplay(*world.built, period_length=1.0,
+                                    n_periods=world.horizon)
         baseline = streaming.carry.nbytes()
-        done = 0.0
         sizes = []
-        while done < n_periods:
-            last = done + 1.0
-            lo = np.searchsorted(times, done, side="left")
-            hi = np.searchsorted(times, last, side="left")
+        for start in range(world.periods):
+            lo, hi = np.searchsorted(times, [start, start + 1.0])
             streaming.feed(times[lo:hi], elements[lo:hi],
                            kinds[lo:hi], n_periods=1.0)
             sizes.append(streaming.carry.nbytes())
-            done = last
         assert len(sizes) >= 3
         assert all(size == baseline for size in sizes), sizes
         streaming.finish()
 
 
+def _simulation(n: int, catalog_seed: int, setup: str = "none",
+                **world):
+    world = World(random_world(n, catalog_seed), request_rate=60.0,
+                  **world)
+    return simulations(world, SETUPS[setup])[0]
+
+
 class TestChunkedRun:
     """``Simulation.run(chunk_periods=K)`` end to end."""
 
-    def setup_world(self, n=400, seed=21):
-        rng = np.random.default_rng(seed)
-        catalog = random_catalog(rng, n, sized=True)
-        frequencies = rng.uniform(0.0, 2.0, n)
-        return catalog, frequencies
-
-    def traced_run(self, mode, n_periods, chunk):
-        """One same-seed run at ``chunk_periods=chunk`` with telemetry
-        on: its result, telemetry, post-run state of the rng the
-        faults drew from, and Gilbert–Elliott chain."""
-        catalog, frequencies = self.setup_world()
-        fault_mode = mode.removeprefix("shared_")
-        extra: dict = {}
-        if mode != fault_mode:
-            # Faults draw from the workload rng itself.
-            extra["fault_rng"] = None
-        if mode == "seedless":
-            # A bit generator with no seed sequence cannot spawn, so
-            # the per-period children are derived by drawing.
-            fault_mode = "iid"
-            extra["rng"] = np.random.Generator(
-                np.random.RandomState(13)._bit_generator)
-            extra["fault_rng"] = None
-        sim = make_sim(catalog, frequencies, 13, fault_mode,
-                       record_fault_trace=fault_mode != "quiet",
-                       **extra)
-        obs.reset_telemetry()
-        obs.enable_telemetry()
-        try:
-            result = sim.run(n_periods, chunk_periods=chunk)
-            grab = grab_telemetry()
-        finally:
-            obs.disable_telemetry()
-        fault_rng = (sim._fault_rng if sim._fault_rng is not None
-                     else sim._rng)
-        chain = (sim._fault_plan.models[0].chain_states(
-                     catalog.n_elements).tobytes()
-                 if fault_mode == "ge" else None)
-        # pickle: an MT19937 state holds an array (no plain ==).
-        return (result, grab, pickle.dumps(fault_rng.bit_generator.state),
-                chain)
+    #: Fault mode → harness setup row: dedicated or shared fault rng.
+    _SETUPS = {"quiet": "none", "iid": "iid_dedicated", "ge": "ge_trace",
+               "shared_iid": "iid_trace", "shared_ge": "ge_shared",
+               "seedless": "iid_trace"}
 
     @pytest.mark.parametrize("mode", ["quiet", "iid", "ge", "shared_iid",
                                       "shared_ge", "seedless"])
@@ -266,20 +100,13 @@ class TestChunkedRun:
         the horizon alone: generation is keyed per period, so every
         K — one period, two, and the whole horizon (3 = ⌈H⌉ for both
         the ragged H=2.5 and the whole H=3.0) — gives the K=1 run bit
-        for bit.  Compared: every result field, the telemetry events,
-        counters, gauges and ledger, the post-run state of the rng
-        the faults drew from (a dedicated one; the workload rng when
-        shared; a seedless workload rng whose children are derived)
-        and the Gilbert–Elliott chain.  K=1 against itself checks
-        that two same-seed runs agree."""
-        for n_periods in (2.5, 3.0):
-            reference = self.traced_run(mode, n_periods, 1)
-            got = self.traced_run(mode, n_periods, chunk)
-            context = (mode, chunk, n_periods)
-            assert_results_identical(reference[0], got[0])
-            assert reference[1] == got[1], context
-            assert reference[2] == got[2], context
-            assert reference[3] == got[3], context
+        for bit, whichever rng the faults draw from (a seedless
+        workload rng derives its per-period children by drawing).
+        K=1 against itself checks that two same-seed runs agree."""
+        for name in ("streamed", "streamed_h3"):
+            world = dataclasses.replace(WORLDS[name],
+                                        seedless=mode == "seedless")
+            check(world, self._SETUPS[mode], routes=(f"chunk{chunk}",))
 
     @pytest.mark.parametrize("mode", ["quiet", "iid"])
     def test_chunked_run_statistically_matches_one_shot(self, mode):
@@ -287,9 +114,9 @@ class TestChunkedRun:
         streams differ bitwise from one-shot — but schedules are
         deterministic (n_syncs exact) and the Poisson workloads must
         agree within sampling error."""
-        catalog, frequencies = self.setup_world(n=2000, seed=8)
-        one_shot = make_sim(catalog, frequencies, 17, mode).run(4.0)
-        chunked = make_sim(catalog, frequencies, 17, mode).run(
+        setup = "none" if mode == "quiet" else "iid_dedicated"
+        one_shot = _simulation(2000, 8, setup, seed=17).run(4.0)
+        chunked = _simulation(2000, 8, setup, seed=17).run(
             4.0, chunk_periods=1)
         assert chunked.n_syncs == one_shot.n_syncs
         for attr in ("n_updates", "n_accesses"):
@@ -301,42 +128,35 @@ class TestChunkedRun:
                    - chunked.monitored_perceived_freshness) < 0.05
 
     def test_chunk_periods_validated(self):
-        catalog, frequencies = self.setup_world(n=10)
-        sim = make_sim(catalog, frequencies, 1, "quiet")
+        sim = _simulation(10, 21)
         with pytest.raises(ValidationError):
             sim.run(2.0, chunk_periods=0)
         with pytest.raises(ValidationError):
             sim.run(2.0, chunk_periods=1.5)
         with pytest.raises(ValidationError):
             sim.run(2.0, engine="reference", chunk_periods=1)
-        bursty = make_sim(catalog, frequencies, 1, "quiet",
-                          update_generator=BurstyUpdateGenerator(
-                              catalog, burstiness=0.5,
-                              rng=np.random.default_rng(1)))
+        bursty = _simulation(10, 21, bursty=True)
         with pytest.raises(ValidationError, match="draw_window_sorted"):
             bursty.run(2.0, chunk_periods=1)
-
 
     def test_oversized_slab_names_the_chunk_that_fits(self,
                                                      monkeypatch):
         """A slab past the kernel's int32 limit fails with a typed
         error naming the events per period and the largest
         ``chunk_periods`` that fits — and that chunk size runs."""
-        catalog, frequencies = self.setup_world(n=50, seed=4)
         monkeypatch.setattr(fastpath, "_SLAB_EVENT_LIMIT", 1000)
         with pytest.raises(SimulationError,
                            match=r"events per period.*chunk_periods=(\d+)"
                            ) as raised:
-            make_sim(catalog, frequencies, 3, "iid").run(6.0)
+            _simulation(50, 4, "iid_dedicated", seed=3).run(6.0)
         fits = int(re.search(r"chunk_periods=(\d+)",
                              str(raised.value)).group(1))
         assert 1 <= fits < 6
-        make_sim(catalog, frequencies, 3, "iid").run(
+        _simulation(50, 4, "iid_dedicated", seed=3).run(
             6.0, chunk_periods=fits)
         monkeypatch.setattr(fastpath, "_SLAB_EVENT_LIMIT", 10)
         with pytest.raises(SimulationError, match="even one period"):
-            make_sim(catalog, frequencies, 3, "quiet").run(
-                6.0, chunk_periods=1)
+            _simulation(50, 4, seed=3).run(6.0, chunk_periods=1)
 
 
 class TestEventsBetween:

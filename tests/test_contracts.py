@@ -36,14 +36,7 @@ from repro.core.solver import solve_core_problem, solve_weighted_problem
 from repro.numerics.waterfill import waterfill
 from repro.workloads import Catalog
 
-
-def random_catalog(rng: np.random.Generator, n: int, *,
-                   sized: bool = False) -> Catalog:
-    weights = rng.uniform(0.01, 1.0, size=n)
-    rates = rng.uniform(0.05, 8.0, size=n)
-    sizes = rng.uniform(0.2, 5.0, size=n) if sized else None
-    return Catalog(access_probabilities=weights / weights.sum(),
-                   change_rates=rates, sizes=sizes)
+from tests.conftest import random_catalog
 
 
 @pytest.fixture(autouse=True)
