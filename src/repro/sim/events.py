@@ -69,6 +69,31 @@ def _stable_time_argsort(times: np.ndarray) -> np.ndarray:
     return coarse[refine]
 
 
+def _kind_ordered(update_times: np.ndarray,
+                  update_elements: np.ndarray,
+                  sync_times: np.ndarray,
+                  sync_elements: np.ndarray,
+                  access_times: np.ndarray,
+                  access_elements: np.ndarray,
+                  n_elements: int,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SoA concatenation [updates, syncs, accesses] both merges
+    stably time-sort: the block layout is the same-instant priority."""
+    if n_elements >= np.iinfo(np.int32).max:
+        raise ValidationError(
+            "element ids must fit int32 (SoA tape layout)")
+    counts = (update_times.shape[0], sync_times.shape[0],
+              access_times.shape[0])
+    times = np.concatenate((update_times, sync_times, access_times),
+                           dtype=np.float64, casting="unsafe")
+    elements = np.concatenate(
+        (update_elements, sync_elements, access_elements),
+        dtype=np.int32, casting="unsafe")
+    kinds = np.repeat(np.array([EventKind.UPDATE, EventKind.SYNC,
+                                EventKind.ACCESS], dtype=np.int8), counts)
+    return times, elements, kinds
+
+
 def merge_sorted_blocks(update_times: np.ndarray,
                         update_elements: np.ndarray,
                         sync_times: np.ndarray,
@@ -80,14 +105,12 @@ def merge_sorted_blocks(update_times: np.ndarray,
     """Merge three already-sorted streams into one SoA tape, O(n).
 
     The streaming slab pipeline draws each stream pre-sorted (see
-    ``draw_window_sorted``), which turns the cross-kind merge into
-    position arithmetic: an event's final slot is its own stream rank
-    plus the number of events from the other two streams that land
-    before it, counted by ``searchsorted`` with sides chosen to
-    encode the update < sync < access same-instant priority.  Sorted
-    needles keep every search sequential and cache-resident, so the
-    merge costs a few O(n) passes instead of the full-tape stable
-    argsort :func:`merge_kind_blocks` pays.
+    ``draw_window_sorted``), so the kind-ordered concatenation
+    [updates, syncs, accesses] is three sorted runs.  numpy's stable
+    sort of float64 keys is a timsort, which finds those runs and
+    merges them in O(n) — the same tape :func:`merge_kind_blocks`
+    builds, with the same update < sync < access tie order from the
+    block layout, but without its radix pass over unsorted times.
 
     Args:
         update_times: Sorted update instants.
@@ -102,43 +125,11 @@ def merge_sorted_blocks(update_times: np.ndarray,
         ``(times, elements, kinds)`` — float64 / int32 / int8 arrays
         sorted by time with kind priority breaking ties.
     """
-    if n_elements >= np.iinfo(np.int32).max:
-        raise ValidationError(
-            "element ids must fit int32 (SoA tape layout)")
-    n_updates = update_times.shape[0]
-    n_syncs = sync_times.shape[0]
-    n_accesses = access_times.shape[0]
-    total = n_updates + n_syncs + n_accesses
-    # Rank within the merged tape: own-stream index, plus events from
-    # the other streams that apply strictly earlier.  "left" against
-    # a lower-priority stream counts strictly-smaller times only (at
-    # a tie this event goes first); "right" against a higher-priority
-    # stream also counts equal times (at a tie this event goes last).
-    update_slots = (np.arange(n_updates)
-                    + np.searchsorted(sync_times, update_times, "left")
-                    + np.searchsorted(access_times, update_times,
-                                      "left"))
-    sync_slots = (np.arange(n_syncs)
-                  + np.searchsorted(update_times, sync_times, "right")
-                  + np.searchsorted(access_times, sync_times, "left"))
-    access_slots = (np.arange(n_accesses)
-                    + np.searchsorted(update_times, access_times,
-                                      "right")
-                    + np.searchsorted(sync_times, access_times,
-                                      "right"))
-    times = np.empty(total)
-    elements = np.empty(total, dtype=np.int32)
-    kinds = np.empty(total, dtype=np.int8)
-    times[update_slots] = update_times
-    times[sync_slots] = sync_times
-    times[access_slots] = access_times
-    elements[update_slots] = update_elements
-    elements[sync_slots] = sync_elements
-    elements[access_slots] = access_elements
-    kinds[update_slots] = int(EventKind.UPDATE)
-    kinds[sync_slots] = int(EventKind.SYNC)
-    kinds[access_slots] = int(EventKind.ACCESS)
-    return times, elements, kinds
+    times, elements, kinds = _kind_ordered(
+        update_times, update_elements, sync_times, sync_elements,
+        access_times, access_elements, n_elements)
+    order = np.argsort(times, kind="stable")
+    return times[order], elements[order], kinds[order]
 
 
 def merge_kind_blocks(update_times: np.ndarray,
@@ -173,25 +164,8 @@ def merge_kind_blocks(update_times: np.ndarray,
         ``(times, elements, kinds)`` — float64 / int32 / int8 arrays
         sorted by time with kind priority breaking ties.
     """
-    if n_elements >= np.iinfo(np.int32).max:
-        raise ValidationError(
-            "element ids must fit int32 (SoA tape layout)")
-    n_updates = update_times.shape[0]
-    n_syncs = sync_times.shape[0]
-    n_accesses = access_times.shape[0]
-    total = n_updates + n_syncs + n_accesses
-    times = np.empty(total)
-    elements = np.empty(total, dtype=np.int32)
-    kinds = np.empty(total, dtype=np.int8)
-    bounds = (n_updates, n_updates + n_syncs, total)
-    times[:bounds[0]] = update_times
-    times[bounds[0]:bounds[1]] = sync_times
-    times[bounds[1]:] = access_times
-    elements[:bounds[0]] = update_elements
-    elements[bounds[0]:bounds[1]] = sync_elements
-    elements[bounds[1]:] = access_elements
-    kinds[:bounds[0]] = int(EventKind.UPDATE)
-    kinds[bounds[0]:bounds[1]] = int(EventKind.SYNC)
-    kinds[bounds[1]:] = int(EventKind.ACCESS)
+    times, elements, kinds = _kind_ordered(
+        update_times, update_elements, sync_times, sync_elements,
+        access_times, access_elements, n_elements)
     order = _stable_time_argsort(times)
     return times[order], elements[order], kinds[order]

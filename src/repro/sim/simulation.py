@@ -625,7 +625,8 @@ class Simulation:
         period ``p`` draws from the ``p``-th spawn child of the run's
         rng (canonical streaming order: sync schedule window, then
         sorted update and request windows from that one child) and
-        merges the three pre-sorted streams with no argsort.  A slab
+        merges the three pre-sorted streams with one run-merging
+        stable sort (:func:`~repro.sim.events.merge_sorted_blocks`).  A slab
         concatenates its periods' tapes rather than re-merging them
         (a re-merge could reorder a cross-kind tie at a period
         boundary), so the tape depends on the seed and horizon only

@@ -69,6 +69,17 @@ class TestBitIdentity:
         check("h4.5", "quiet")
 
 
+class TestWideCatalog:
+    """A catalog past 2¹⁶ elements: ids with a nonzero high half."""
+
+    @pytest.mark.parametrize("setup", ["none", "iid_dedicated", "ge_scan"])
+    def test_routes_match_reference(self, setup):
+        result = check("wide", setup, routes=("auto", "slab1")).results[0]
+        high = slice(1 << 16, None)
+        assert result.poll_counts[high].sum() > 0
+        assert result.access_counts[high].sum() > 0
+
+
 class TestPropertyRandomCatalogs:
     @given(seed=SEEDS)
     @settings(max_examples=15, deadline=None)

@@ -223,14 +223,41 @@ class TestStableTimeArgsort:
                               self.direct(times))
 
 
+def _searchsorted_merge(update_times, update_elements, sync_times,
+                       sync_elements, access_times, access_elements):
+    """The position-arithmetic merge ``merge_sorted_blocks`` replaced,
+    kept as an oracle: each event's slot is its own stream rank plus
+    the events of the other two streams that apply before it."""
+    slots = (np.arange(update_times.size)
+             + np.searchsorted(sync_times, update_times, "left")
+             + np.searchsorted(access_times, update_times, "left"),
+             np.arange(sync_times.size)
+             + np.searchsorted(update_times, sync_times, "right")
+             + np.searchsorted(access_times, sync_times, "left"),
+             np.arange(access_times.size)
+             + np.searchsorted(update_times, access_times, "right")
+             + np.searchsorted(sync_times, access_times, "right"))
+    total = update_times.size + sync_times.size + access_times.size
+    times = np.empty(total)
+    elements = np.empty(total, dtype=np.int32)
+    kinds = np.empty(total, dtype=np.int8)
+    streams = ((update_times, update_elements),
+               (sync_times, sync_elements),
+               (access_times, access_elements))
+    for kind, (slot, (t, e)) in enumerate(zip(slots, streams)):
+        times[slot], elements[slot], kinds[slot] = t, e, kind
+    return times, elements, kinds
+
+
 class TestMergeSortedBlocks:
     def test_matches_merge_kind_blocks(self):
-        """Position-arithmetic merge of three pre-sorted streams ≡
-        the argsort merge, across tie-heavy random tapes (grid times
-        force cross-kind ties, exercising the update < sync < access
-        priority)."""
+        """The run-merging sort of three pre-sorted streams ≡ the
+        argsort merge ≡ the searchsorted merge, across tie-heavy
+        random tapes: grid times force cross-kind ties (the update <
+        sync < access priority) and within-kind duplicate times, and
+        each stream in turn is left empty."""
         rng = np.random.default_rng(6)
-        for trial in range(60):
+        for trial in range(240):
             n = int(rng.integers(2, 20))
 
             def stream(count):
@@ -239,15 +266,17 @@ class TestMergeSortedBlocks:
                 elements = rng.integers(0, n, count)
                 return times, elements.astype(np.int64)
 
-            updates = stream(int(rng.integers(0, 30)))
-            syncs = stream(int(rng.integers(0, 30)))
-            accesses = stream(int(rng.integers(0, 30)))
-            got = merge_sorted_blocks(*updates, *syncs, *accesses,
-                                      n_elements=n)
-            want = merge_kind_blocks(*updates, *syncs, *accesses,
-                                     n_elements=n)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b), trial
+            streams = [stream(int(rng.integers(1, 30)))
+                       for _ in range(3)]
+            if trial % 4 < 3:
+                streams[trial % 4] = stream(0)
+            blocks = [array for pair in streams for array in pair]
+            got = merge_sorted_blocks(*blocks, n_elements=n)
+            for want in (merge_kind_blocks(*blocks, n_elements=n),
+                         _searchsorted_merge(*blocks)):
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype, trial
+                    assert np.array_equal(a, b), trial
 
 
 class TestSortedDraws:

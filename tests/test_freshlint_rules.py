@@ -23,7 +23,7 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "freshlint"
 #: Everything is in scope; nothing is excused as a test/entry point.
 STRICT = LintConfig(entry_point_globs=(), test_globs=(),
                     library_globs=("*",), solver_globs=("*",),
-                    clock_globs=("*",))
+                    clock_globs=("*",), replay_globs=("*",))
 
 
 def codes_in(path: Path, config: LintConfig = STRICT) -> list[str]:
@@ -38,7 +38,8 @@ def test_registry_codes_are_unique_and_sorted() -> None:
     codes = [rule.code for rule in ALL_RULES]
     assert codes == sorted(set(codes))
     assert codes == ["FL001", "FL002", "FL003", "FL004", "FL005",
-                     "FL006", "FL007", "FL008", "FL009", "FL010"]
+                     "FL006", "FL007", "FL008", "FL009", "FL010",
+                     "FL015"]
 
 
 def test_rule_by_code_round_trips() -> None:
@@ -261,6 +262,29 @@ def test_fl010_exempts_tests_and_entry_points() -> None:
 
 
 # ---------------------------------------------------------------------------
+# FL015 — stable argsorts on replay paths
+
+
+def test_fl015_flags_every_unstable_argsort() -> None:
+    codes = codes_in(FIXTURES / "bad_fl015_unstable_argsort.py")
+    # default kind, explicit quicksort method call, imported kind=None
+    assert codes.count("FL015") == 3
+    assert set(codes) == {"FL015"}
+
+
+def test_fl015_clean_on_stable_kind_and_radix_helper() -> None:
+    assert codes_in(FIXTURES / "good_fl015_stable_argsort.py") == []
+
+
+def test_fl015_scoped_to_replay_paths() -> None:
+    outside = LintConfig(entry_point_globs=(), test_globs=(),
+                         library_globs=("*",), solver_globs=("*",),
+                         replay_globs=())
+    assert "FL015" not in codes_in(
+        FIXTURES / "bad_fl015_unstable_argsort.py", outside)
+
+
+# ---------------------------------------------------------------------------
 # pragmas, select/ignore, syntax errors
 
 
@@ -292,7 +316,7 @@ def test_run_paths_walks_directories() -> None:
     assert {v.code for v in violations} >= {"FL001", "FL002", "FL003",
                                             "FL004", "FL005", "FL006",
                                             "FL007", "FL008", "FL009",
-                                            "FL010"}
+                                            "FL010", "FL015"}
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,19 @@ def test_kernel_modules_sit_in_the_strict_scopes(
     assert context.is_library
 
 
+@pytest.mark.parametrize("relative", [
+    "src/repro/sim/grouping.py", "src/repro/faults/grouping.py",
+    "src/repro/runtime/grouping.py", "src/repro/core/scheduler.py"])
+def test_gate_catches_unstable_argsort_on_replay_paths(
+        tmp_path_factory: pytest.TempPathFactory, relative: str) -> None:
+    """An argsort without kind="stable" seeded into any replay-path
+    module trips FL015 under the default (unwidened) config."""
+    root = _seed_tree(tmp_path_factory.mktemp("seeded_tree"), relative,
+                      "bad_fl015_unstable_argsort.py")
+    violations = run_paths([root / "src"], root=root)
+    assert "FL015" in {v.code for v in violations}
+
+
 def test_gate_catches_dtype_indiscipline_in_events_module(
         tmp_path_factory: pytest.TempPathFactory) -> None:
     """FL014 must police the tape layout, not just the kernels:

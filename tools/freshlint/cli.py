@@ -40,8 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freshlint",
         description=("Domain-aware static analysis for the data-"
-                     "freshening codebase (per-file rules FL001-FL010,"
-                     " project-wide seedflow rules FL011-FL014)."),
+                     "freshening codebase (per-file rules FL001-FL010"
+                     " and FL015, project-wide seedflow rules"
+                     " FL011-FL014)."),
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint "

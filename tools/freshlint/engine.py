@@ -139,6 +139,14 @@ class LintConfig:
         "src/repro/sim/fastpath.py",
         "src/repro/sim/events.py",
     )
+    #: Replay paths: FL015 requires every ``argsort`` to be stable,
+    #: since bit-identity with the reference loop rests on tie order.
+    replay_globs: tuple[str, ...] = (
+        "src/repro/sim/*.py",
+        "src/repro/faults/*.py",
+        "src/repro/runtime/*.py",
+        "src/repro/core/scheduler.py",
+    )
     select: tuple[str, ...] = ()
     ignore: tuple[str, ...] = ()
 
@@ -197,6 +205,12 @@ class ModuleContext:
         """True for vectorized-kernel modules (FL014 scope)."""
         return _match_any(self.relative_path, str(self.path),
                           self.config.kernel_globs)
+
+    @property
+    def is_replay_path(self) -> bool:
+        """True where every argsort must be stable (FL015 scope)."""
+        return _match_any(self.relative_path, str(self.path),
+                          self.config.replay_globs)
 
     @property
     def is_package_init(self) -> bool:

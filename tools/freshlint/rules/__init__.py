@@ -13,6 +13,7 @@ from freshlint.rules.fl007_print import NoPrintInLibrary
 from freshlint.rules.fl008_import_cycles import ImportCycles
 from freshlint.rules.fl009_wall_clock import WallClockRead
 from freshlint.rules.fl010_retry_discipline import RetryDiscipline
+from freshlint.rules.fl015_stable_argsort import StableArgsort
 
 __all__ = [
     "ALL_RULES",
@@ -24,6 +25,7 @@ __all__ = [
     "NoPrintInLibrary",
     "RetryDiscipline",
     "Rule",
+    "StableArgsort",
     "UnitsInDocstring",
     "UnseededRandomness",
     "WallClockRead",
@@ -41,6 +43,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ImportCycles(),
     WallClockRead(),
     RetryDiscipline(),
+    StableArgsort(),
 )
 
 
