@@ -328,7 +328,7 @@ def _streaming_rows() -> list[dict]:
     adapt = _scaling_point(
         1_000_000, "quiet", "auto",
         extra={"mode": "adapt", "n_periods": 4, "batch": 4,
-               "slab_periods": 2, "freshener": "partitioned"})
+               "freshener": "partitioned"})
     assert adapt["n_periods"] == 4, adapt
     rows.append({
         "n_elements": 1_000_000,
@@ -367,8 +367,8 @@ def test_streaming_bench(benchmark):
 
     Three subprocess rows: a 10⁷-element quiet replay streamed in
     one-period slabs under a hard 4 GiB address-space ceiling (exact
-    ``ru_maxrss`` recorded), the adaptive manager loop window-batched
-    through the slab engine at 10⁶ elements, and a tape-generation
+    ``ru_maxrss`` recorded), the adaptive manager loop on its kernel
+    route at 10⁶ elements, and a tape-generation
     row timing the two routes at 10⁶ elements: sorted slabs
     (``generation_seconds``) and the fused one-shot build
     (``fused_generation_seconds``)."""

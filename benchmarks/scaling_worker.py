@@ -19,8 +19,10 @@ Config keys (defaults in parentheses): ``n_elements``, ``scenario``
 (0.3), ``request_factor`` (0.5), ``rlimit_bytes`` (none),
 ``chunk_periods`` (none — a positive integer routes the run through
 the streaming slab engine), ``mode`` (``run`` | ``adapt`` — the
-latter drives an :class:`AdaptiveMirrorManager` window-batched loop
-through the slab engine instead of a bare simulation),
+latter drives an :class:`AdaptiveMirrorManager` loop, one period at
+a time, instead of a bare simulation), ``batch`` (4 — the manager's
+replay route in ``adapt`` mode: 1 runs each period through
+``Simulation.run``, anything else through the kernel route),
 ``compare_generation`` (false — additionally time the one-shot
 fused tape build, ``Simulation.build_tape``, on a fresh same-seed
 simulation, beside the slab route's ``generation_seconds``),
@@ -125,11 +127,8 @@ def run_point(config: dict) -> dict:
             rng=np.random.default_rng(7), **manager_kwargs)
         with obs.telemetry() as registry:
             start = time.perf_counter()
-            reports = manager.run(
-                int(n_periods),
-                batch=int(config.get("batch", 4)),
-                slab_periods=(int(config["slab_periods"])
-                              if "slab_periods" in config else None))
+            reports = manager.run(int(n_periods),
+                                  batch=int(config.get("batch", 4)))
             total = time.perf_counter() - start
         _, replay = registry.span_totals["manager.simulate"]
         series = np.array([report.monitored_pf for report in reports])

@@ -28,8 +28,8 @@ are bit-identical to a fault-free run.
 Plans with a fixed per-attempt draw shape — a single i.i.d. model or
 a single Gilbert–Elliott model, as
 :func:`repro.sim.simulation.kernel_fault_model` decides — are
-resolved in bulk ahead of the vectorized replay
-(:func:`repro.sim.fastpath.resolve_tape_faults`); every other plan
+resolved in bulk, one slab at a time, inside the vectorized replay
+(:class:`repro.sim.fastpath.StreamingReplay`); every other plan
 runs on the per-event reference loop.
 """
 

@@ -38,21 +38,11 @@ from repro.obs import registry as obs
 from repro.parallel import spawn_rngs
 from repro.runtime.beliefs import BeliefState
 from repro.sim.evaluator import SimulationResult
-from repro.sim.fastpath import (
-    replay_window_tapes,
-    resolve_tape_faults,
-)
+from repro.sim.fastpath import replay_window_tapes
 from repro.sim.simulation import Simulation, kernel_fault_model
 from repro.workloads.catalog import Catalog
 
 __all__ = ["PeriodReport", "AdaptiveMirrorManager"]
-
-#: Window batching splits each replan window into slab groups of at
-#: most this many (periods × elements), so a 10⁶-element adapt run
-#: holds a few periods' tapes at a time instead of the whole window.
-#: Derived from element count only — the manager may not read the
-#: true catalog's rates.
-_SLAB_ELEMENT_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -449,15 +439,11 @@ class AdaptiveMirrorManager:
                           effective_bandwidth=effective)
         return float(believed_pf)
 
-    def _pending_triggers(self) -> tuple[float, bool, bool, bool,
-                                         bool]:
-        """The replan triggers as seen from the current beliefs.
+    def _decide_replan(self) -> tuple[bool, float, float]:
+        """Run one period's replan decision (and the replan itself).
 
         Returns:
-            ``(divergence, drift_due, cadence_due, loss_due,
-            outage_due)``; pure — no state is touched, so the
-            window-batched runner can probe for a mid-window replan
-            after each fold without committing to one.
+            ``(replanned, believed_pf, divergence)``.
         """
         if self._planned_profile is None:
             divergence = 1.0
@@ -473,28 +459,6 @@ class AdaptiveMirrorManager:
                     > self._replan_loss_drift)
         outage_due = (self._frequencies is not None
                       and self._outage_changed())
-        return divergence, drift_due, cadence_due, loss_due, outage_due
-
-    def _would_replan(self) -> tuple[bool, float]:
-        """Whether the next period's decision would replan, and why.
-
-        Returns:
-            ``(pending, divergence)``.
-        """
-        divergence, drift, cadence, loss, outage = \
-            self._pending_triggers()
-        pending = (self._frequencies is None or drift or cadence
-                   or loss or outage)
-        return pending, divergence
-
-    def _decide_replan(self) -> tuple[bool, float, float]:
-        """Run one period's replan decision (and the replan itself).
-
-        Returns:
-            ``(replanned, believed_pf, divergence)``.
-        """
-        divergence, drift_due, cadence_due, loss_due, outage_due = \
-            self._pending_triggers()
         replanned = (self._frequencies is None or drift_due
                      or cadence_due or loss_due or outage_due)
         if replanned:
@@ -595,16 +559,35 @@ class AdaptiveMirrorManager:
         Returns:
             The :class:`PeriodReport`.
         """
+        return self._step(period, kernel=False)
+
+    def _step(self, period: int, *, kernel: bool) -> PeriodReport:
+        """Decide, simulate, fold and report one period.
+
+        ``kernel`` picks the replay route: the period's
+        ``Simulation.build_tape(1)`` replayed by
+        :func:`~repro.sim.fastpath.replay_window_tapes`, or
+        ``Simulation.run(1)``.  Both draw the same tape and fault
+        stream and commit the Gilbert–Elliott chain back to the plan,
+        so the report and telemetry are the same either way.
+        """
         replanned, believed_pf, divergence = self._decide_replan()
         simulation = self._build_simulation(period)
         with obs.span("manager.simulate"):
-            result = simulation.run(n_periods=1)
+            if kernel:
+                (result,), _consumed = replay_window_tapes(
+                    self._true_catalog, self._frequencies,
+                    [simulation.build_tape(1)], period_length=1.0,
+                    first_global_period=period,
+                    fault_args=simulation.fault_kernel_args())
+            else:
+                result = simulation.run(n_periods=1)
         self._fold_observations(result)
         return self._make_report(period, replanned, believed_pf,
                                  divergence, result)
 
     def _batchable(self) -> bool:
-        """Whether replan windows may share one kernel call.
+        """Whether periods may replay through the kernel route.
 
         Fault-free loops always qualify; faulty loops qualify when
         :func:`~repro.sim.simulation.kernel_fault_model` accepts the
@@ -614,167 +597,18 @@ class AdaptiveMirrorManager:
             self._fault_plan, self._retry_policy, self._breaker,
             self._topology) is not None
 
-    def _run_window(self, first_period: int, window: int,
-                    replanned: bool, believed_pf: float,
-                    divergence: float,
-                    slab_periods: int | None = None
-                    ) -> list[PeriodReport]:
-        """Run up to ``window`` periods through slab-grouped kernel calls.
-
-        Builds each period's event tape in the exact order the
-        per-period loop would (so the workload stream is CRN-
-        identical) and resolves that period's faults immediately
-        after its tape — workload draws then fault draws, period by
-        period, which keeps even a *shared* fault stream
-        bit-identical to the sequential loop.  Tapes are drawn in
-        groups of at most ``slab_periods`` periods (default: the
-        ``_SLAB_ELEMENT_BUDGET`` ceiling over the element count), so
-        peak memory is O(group) rather than O(window).  Period ``g``
-        of a group is replayed — a one-period run of the replay
-        kernel through :func:`~repro.sim.fastpath.replay_window_tapes`
-        — only after folding period ``g − 1`` has accepted it, so a
-        rolled-back tail is drawn but never replayed and the run's
-        ``sim.*``/``faults.*`` telemetry and ledger count exactly the
-        reported periods.  Reports are bit-identical to an unsplit
-        window: tapes are drawn in period order either way, and each
-        period's result does not depend on the grouping.
-
-        If folding period ``j`` leaves the beliefs wanting a replan,
-        the not-yet-folded tail is *rolled back*: the fault rng and
-        the Gilbert–Elliott chain state restore to their snapshots
-        from just before period ``j``'s resolution, then the
-        workload rng rewinds to the snapshot taken before period
-        ``j``'s tape was drawn (on a shared stream both are one
-        generator and the workload snapshot is the earlier position,
-        so it must win) — the caller then replans and re-simulates
-        the tail, bit-identical to the sequential loop.  A replan
-        pending exactly at a group boundary simply stops before the
-        next group is drawn — the generators are already positioned
-        where the rollback would put them, so nothing is wasted (and
-        the rollback counters only ever count *drawn* periods).
-
-        Returns:
-            Reports for the accepted prefix (>= 1 period).
-        """
-        assert self._frequencies is not None
-        if slab_periods is None:
-            slab_periods = max(
-                1, _SLAB_ELEMENT_BUDGET
-                // max(self._true_catalog.n_elements, 1))
-        sizes = np.asarray(self._true_catalog.sizes, dtype=float)
-        fault_args = None
-        chain: np.ndarray | None = None
-        reports: list[PeriodReport] = []
-        rolled_back = False
-        folded = 0
-        while folded < window and not rolled_back:
-            if folded > 0:
-                pending, divergence = self._would_replan()
-                if pending:
-                    # Group-boundary stop: the next group was never
-                    # drawn, so the generators already sit where a
-                    # rollback would rewind them.
-                    break
-                replanned = False
-                believed_pf = perceived_freshness(
-                    self._beliefs.believed_catalog(),
-                    self._frequencies)
-            group = min(slab_periods, window - folded)
-            rng_states = []
-            fault_states: list = []
-            chain_snapshots: list[np.ndarray | None] = []
-            tapes = []
-            resolutions = [] if self._faulty else None
-            for g in range(group):
-                rng_states.append(self._rng.bit_generator.state)
-                simulation = self._build_simulation(
-                    first_period + folded + g)
-                tapes.append(simulation.build_tape(1))
-                if resolutions is None:
-                    continue
-                if fault_args is None:
-                    fault_args = simulation.fault_kernel_args()
-                    assert fault_args is not None  # _batchable() gated
-                fault_states.append(
-                    fault_args["rng"].bit_generator.state)
-                chain_snapshots.append(chain)
-                resolution, chain = resolve_tape_faults(
-                    tapes[-1], sizes, fault_args=fault_args,
-                    period_length=1.0,
-                    fault_clock_offset=float(
-                        first_period + folded + g - 1),
-                    initial_bad=chain)
-                resolutions.append(resolution)
-            for g in range(group):
-                if g > 0:  # g == 0 was probed at the group boundary
-                    pending, divergence = self._would_replan()
-                    if pending:
-                        if fault_args is not None:
-                            fault_args["rng"].bit_generator.state = \
-                                fault_states[g]
-                            if chain_snapshots[g] is not None:
-                                fault_args["model"].set_chain_states(
-                                    chain_snapshots[g])
-                        self._rng.bit_generator.state = rng_states[g]
-                        rolled_back = True
-                        if obs.telemetry_enabled():
-                            obs.counter_add(
-                                "manager.window_rollbacks")
-                            obs.counter_add(
-                                "manager.rolled_back_periods",
-                                group - g)
-                        break
-                    replanned = False
-                    believed_pf = perceived_freshness(
-                        self._beliefs.believed_catalog(),
-                        self._frequencies)
-                # Replay only once the fold before has accepted the
-                # period, so a rolled-back tail emits no telemetry.
-                with obs.span("manager.simulate"):
-                    (result,), _consumed = replay_window_tapes(
-                        self._true_catalog, self._frequencies,
-                        [tapes[g]], period_length=1.0,
-                        first_global_period=first_period + folded + g,
-                        fault_args=fault_args,
-                        resolutions=(None if resolutions is None
-                                     else [resolutions[g]]))
-                self._fold_observations(result)
-                reports.append(self._make_report(
-                    first_period + folded + g, replanned,
-                    believed_pf, divergence, result))
-            if not rolled_back:
-                folded += group
-        if chain is not None and not rolled_back \
-                and fault_args is not None:
-            # The accepted prefix is final: commit the threaded
-            # chain state so the next window (or a reference run)
-            # picks up where the channel left off.  After a mid-
-            # group rollback the model was already restored to the
-            # pre-rollback snapshot above.
-            fault_args["model"].set_chain_states(chain)
-        return reports
-
     def run(self, n_periods: int, *,
-            batch: int | None = None,
-            slab_periods: int | None = None) -> list[PeriodReport]:
-        """Run the loop for ``n_periods`` periods.
+            batch: int | None = None) -> list[PeriodReport]:
+        """Run the loop for ``n_periods`` periods, one at a time.
 
         Args:
             n_periods: Number of periods, >= 1.
-            batch: Maximum periods per replan window.  ``None`` (the
-                default) picks ``replan_every`` when a cadence is
-                set, else 16; ``1`` forces the sequential per-period
-                loop.  Batching applies only when the fault setup
-                has a vectorized resolver (see :meth:`_batchable`);
-                reports are
-                bit-identical either way — a mid-window replan
-                trigger rolls the unfolded tail back and re-runs it
-                under the new schedule.
-            slab_periods: Maximum periods per kernel call within a
-                window (the streaming slab size).  ``None`` derives
-                it from the element count so one group's tapes stay
-                within the ``_SLAB_ELEMENT_BUDGET`` memory ceiling;
-                reports are bit-identical for any value.
+            batch: Replay route.  ``1`` runs every period through
+                ``Simulation.run``; any other value (and ``None``, the
+                default) replays kernel-eligible periods (see
+                :meth:`_batchable`) through
+                :func:`~repro.sim.fastpath.replay_window_tapes`.
+                Reports and telemetry are the same either way.
 
         Returns:
             One :class:`PeriodReport` per period.
@@ -785,30 +619,6 @@ class AdaptiveMirrorManager:
         if batch is not None and batch < 1:
             raise ValidationError(
                 f"batch must be >= 1, got {batch}")
-        if slab_periods is not None and slab_periods < 1:
-            raise ValidationError(
-                f"slab_periods must be >= 1, got {slab_periods}")
-        if batch is None:
-            batch = (self._replan_every if self._replan_every > 0
-                     else 16)
-        if batch == 1 or not self._batchable():
-            return [self.run_period(period)
-                    for period in range(1, n_periods + 1)]
-        reports: list[PeriodReport] = []
-        period = 1
-        while period <= n_periods:
-            replanned, believed_pf, divergence = self._decide_replan()
-            window = min(batch, n_periods - period + 1)
-            if self._replan_every > 0:
-                # The cadence trigger's firing period is known in
-                # advance — stop the window there instead of paying
-                # for a rollback.
-                window = min(window, max(
-                    self._replan_every - self._periods_since_replan,
-                    1))
-            accepted = self._run_window(period, window, replanned,
-                                        believed_pf, divergence,
-                                        slab_periods=slab_periods)
-            reports.extend(accepted)
-            period += len(accepted)
-        return reports
+        kernel = batch != 1 and self._batchable()
+        return [self._step(period, kernel=kernel)
+                for period in range(1, n_periods + 1)]

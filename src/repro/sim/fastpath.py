@@ -13,8 +13,9 @@ differ only in how they slice the tape:
   assembles the result once, from the carry;
 * :func:`replay_fastpath` is one slab, fed from
   :meth:`ReplayCarry.start`;
-* :func:`replay_window_tapes` replays each one-period tape of an
-  adaptive-manager window as its own one-slab replay.
+* :func:`replay_window_tapes` replays each one-period tape it is
+  given as its own one-slab run; the adaptive manager hands it one
+  period at a time.
 
 Only the stepping is the kernel's own.  A finished run is packaged by
 :mod:`repro.sim.evaluator`, exactly as the reference loop's is: the
@@ -25,17 +26,21 @@ the result derives its monitored metrics, and
 per-period counts go out through
 :func:`~repro.sim.evaluator.emit_period`.
 
-Faults enter through one resolver, :func:`resolve_tape_faults`,
-before the replay: it dispatches on the type of
-``fault_args["model"]`` to :func:`resolve_iid_faults` (one i.i.d.
+Faults are resolved inside :class:`StreamingReplay`, slab by slab,
+before the replay: one dispatch on the type of
+``fault_args["model"]`` picks :func:`resolve_iid_faults` (one i.i.d.
 model) or :func:`resolve_ge_faults` (one Gilbert–Elliott model).
-Both run on one core, :func:`_resolve_on_pool`, which decides every
-scheduled sync's attempts and success; the failed syncs are then
-dropped from the slab and the survivors replay through the
-fault-free copy-state machine unchanged.  Stateful plans the core
-cannot pre-draw — latency draws, outage windows, breakers,
-topologies, multi-model plans — stay on the reference loop;
-:func:`repro.sim.simulation.kernel_fault_model` decides.
+The replay reads the Gilbert–Elliott chain state from the model and
+commits it back when the run finishes.  :func:`resolve_tape_faults`
+is the same dispatch over one whole tape, for callers that drop the
+failed syncs themselves.  Both resolvers run on one core,
+:func:`_resolve_on_pool`, which decides every scheduled sync's
+attempts and success; the failed syncs are then dropped from the slab
+and the survivors replay through the fault-free copy-state machine
+unchanged.  Stateful plans the core cannot pre-draw — latency draws,
+outage windows, breakers, topologies, multi-model plans — stay on the
+reference loop; :func:`repro.sim.simulation.kernel_fault_model`
+decides.
 
 How the loop is vectorized
 --------------------------
@@ -647,7 +652,9 @@ def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
 
     The one place that reads the type of ``fault_args["model"]``;
     see :func:`resolve_tape_faults` for the arguments.
-    ``sync_times`` are already on the fault clock.
+    ``sync_times`` are already on the fault clock; ``initial_bad`` is
+    the Gilbert–Elliott chain state entering the batch, or None to
+    read it from the model.
     """
     model = fault_args["model"]
     if isinstance(model, GilbertElliottFaultModel):
@@ -679,8 +686,7 @@ def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
                                     np.ndarray],
                         sizes: np.ndarray, *, fault_args: dict,
                         period_length: float,
-                        fault_clock_offset: float,
-                        initial_bad: np.ndarray | None = None
+                        fault_clock_offset: float
                         ) -> tuple[FaultResolution,
                                    np.ndarray | None]:
     """Resolve one tape's scheduled syncs under a kernel fault plan.
@@ -689,16 +695,10 @@ def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
     :class:`~repro.faults.model.IIDFaultModel` to
     :func:`resolve_iid_faults`, a
     :class:`~repro.faults.model.GilbertElliottFaultModel` to
-    :func:`resolve_ge_faults`.  The batched manager calls this right
-    after building each period's tape, so a fault rng shared with
-    the workload stream would consume its draws in exactly the
-    per-period reference order.
-
-    Gilbert–Elliott plans are resolved against an explicit
-    ``initial_bad`` chain state and the model object is *not*
-    mutated: the caller threads the returned state into the next
-    call and commits it to the model once it is final (a mid-window
-    rollback then just drops the tail states).
+    :func:`resolve_ge_faults`.  Gilbert–Elliott plans start from the
+    model's chain state, and the model object is *not* mutated: a
+    caller that carries on commits the returned state to the model
+    (``set_chain_states``).
 
     Args:
         tape: One ``(times, elements, kinds)`` merged tape.
@@ -708,9 +708,6 @@ def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
         period_length: Clock length of one sync period.
         fault_clock_offset: Added to event times on the fault clock,
             in clock units (whole periods).
-        initial_bad: Gilbert–Elliott chain state entering the
-            tape, or None to read it from the plan model
-            (ignored for i.i.d. plans).
 
     Returns:
         ``(resolution, final_bad)`` where ``final_bad`` is the chain
@@ -722,7 +719,7 @@ def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
     return _resolve_faults(
         times[sync_positions] + fault_clock_offset,
         elements[sync_positions], sizes, fault_args=fault_args,
-        period_length=period_length, initial_bad=initial_bad,
+        period_length=period_length, initial_bad=None,
         record_trace=False)
 
 
@@ -1407,14 +1404,8 @@ class StreamingReplay:
     # does) sees each replay once.
 
     def _feed(self, times: np.ndarray, elements: np.ndarray,
-              kinds: np.ndarray, *, n_periods: float,
-              resolution: FaultResolution | None = None) -> None:
-        """:meth:`feed`, optionally with the slab's faults resolved.
-
-        ``resolution`` covers the slab's scheduled syncs in tape
-        order (from :func:`resolve_tape_faults`); without it the slab
-        is resolved here, on the plan's fault rng.
-        """
+              kinds: np.ndarray, *, n_periods: float) -> None:
+        """:meth:`feed`."""
         if self._finished:
             raise SimulationError(
                 "StreamingReplay.feed after finish()")
@@ -1450,19 +1441,13 @@ class StreamingReplay:
             assert self._fault_args is not None
             sync_positions = np.flatnonzero(kinds == int(EventKind.SYNC))
             sync_elements = elements[sync_positions]
-            if resolution is None:
-                resolution, self._chain = _resolve_faults(
-                    times[sync_positions] + self._fault_time_offset,
-                    sync_elements, self._sizes,
-                    fault_args=self._fault_args,
-                    period_length=self._period_length,
-                    initial_bad=self._chain,
-                    record_trace=self._trace is not None)
-            elif resolution.success.shape[0] != sync_positions.shape[0]:
-                raise SimulationError(
-                    f"resolution covers {resolution.success.shape[0]} "
-                    f"syncs but the slab schedules "
-                    f"{sync_positions.shape[0]}")
+            resolution, self._chain = _resolve_faults(
+                times[sync_positions] + self._fault_time_offset,
+                sync_elements, self._sizes,
+                fault_args=self._fault_args,
+                period_length=self._period_length,
+                initial_bad=self._chain,
+                record_trace=self._trace is not None)
             self._faults.add(resolution, sync_elements, self._sizes)
             if self._trace is not None and resolution.trace is not None:
                 self._trace.extend(resolution.trace)
@@ -1608,63 +1593,40 @@ def replay_window_tapes(catalog: Catalog, frequencies: np.ndarray,
                                           np.ndarray]], *,
                         period_length: float,
                         first_global_period: int,
-                        fault_args: dict | None = None,
-                        resolutions: (list[FaultResolution]
-                                      | None) = None
+                        fault_args: dict | None = None
                         ) -> tuple[list[SimulationResult], list[int]]:
     """Replay consecutive one-period tapes as one-period runs.
 
-    The window-batched adaptive manager generates one event tape per
-    period (preserving the per-period draw order, so common-random-
-    number seeds line up with per-period runs), then hands a group of
-    them here.  Period ``j`` replays as one slab of its own, exactly
-    as ``Simulation.run(1)`` with the matching ``fault_time_offset``
-    would replay it, so each result is bit-identical to running the
-    period separately.
+    The adaptive manager's kernel route hands it one period's tape
+    (from :meth:`~repro.sim.simulation.Simulation.build_tape`) at a
+    time.  Period ``j`` replays as one slab of its own, exactly as
+    ``Simulation.run(1)`` with the matching ``fault_time_offset``
+    would replay it, faults resolved inside the replay on
+    ``fault_args["rng"]`` and the Gilbert–Elliott chain read from and
+    committed back to the plan model, so each result is bit-identical
+    to running the period separately.
 
     Args:
         catalog: The simulated workload (all periods share it).
-        frequencies: Per-element sync frequencies, in syncs/period
-            (constant within a replan window by construction).
+        frequencies: Per-element sync frequencies, in syncs/period.
         tapes: One ``(times, elements, kinds)`` merged tape per
             period, with *local* times in ``[0, period_length)``.
         period_length: Clock length of one sync period.
-        first_global_period: 1-based global index of the window's
-            first period; period ``j`` of the window runs on the
-            fault clock at offset
+        first_global_period: 1-based global index of the first
+            period; period ``j`` runs on the fault clock at offset
             ``(first_global_period + j − 1) · period_length``.
         fault_args: The dispatch arguments from
             :meth:`repro.sim.simulation.Simulation.fault_kernel_args`,
-            or None for a fault-free window.  Unless ``resolutions``
-            is supplied, each period's faults are resolved on
-            ``fault_args["rng"]`` after every tape was drawn, so the
-            fault rng must be *dedicated* (not shared with the
-            workload rng) for the draws to match per-period runs.
-        resolutions: Pre-computed per-period fault resolutions from
-            :func:`resolve_tape_faults`, one per tape, produced by
-            interleaving resolution with tape construction.  With
-            these the shared-stream restriction above disappears —
-            the draws already happened in per-period order — and
-            this function consumes no RNG.  Requires ``fault_args``
-            for the accounting metadata (outcome, budget).
+            or None for fault-free tapes.  Faults are resolved after
+            every tape was drawn, so the fault rng must be
+            *dedicated* (not shared with the workload rng) for the
+            draws to match per-period runs of more than one tape.
 
     Returns:
         ``(results, consumed)`` — one :class:`SimulationResult` per
         period and the number of fault-rng draws consumed per period
-        (all zeros when fault-free).  The manager does not read
-        ``consumed``: it rolls back by restoring bit-generator state
-        snapshots.
+        (all zeros when fault-free).
     """
-    if resolutions is not None:
-        if fault_args is None:
-            raise SimulationError(
-                "replay_window_tapes: resolutions requires "
-                "fault_args for the accounting metadata")
-        if len(resolutions) != len(tapes):
-            raise SimulationError(
-                "replay_window_tapes: expected one resolution per "
-                f"tape, got {len(resolutions)} for {len(tapes)}")
-
     results: list[SimulationResult] = []
     consumed: list[int] = []
     for j, (times, elements, kinds) in enumerate(tapes):
@@ -1673,9 +1635,7 @@ def replay_window_tapes(catalog: Catalog, frequencies: np.ndarray,
             n_periods=1.0, fault_args=fault_args,
             fault_time_offset=(first_global_period - 1 + j)
             * period_length)
-        replay._feed(times, elements, kinds, n_periods=1.0,
-                     resolution=(resolutions[j] if resolutions
-                                 is not None else None))
+        replay._feed(times, elements, kinds, n_periods=1.0)
         results.append(replay._finish())
         consumed.append(0 if replay._faults is None
                         else replay._faults.draws)

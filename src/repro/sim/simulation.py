@@ -63,8 +63,8 @@ def kernel_fault_model(fault_plan: FaultPlan | None,
     """The fault model the vectorized kernel resolves, if any.
 
     The one kernel-eligibility decision: :meth:`Simulation.run`'s
-    engine dispatch and the adaptive manager's window batching both
-    read it.  A plan qualifies when it is exactly one
+    engine dispatch and the adaptive manager's per-period replay
+    route both read it.  A plan qualifies when it is exactly one
     :class:`~repro.faults.model.IIDFaultModel` or one
     :class:`~repro.faults.model.GilbertElliottFaultModel` (the exact
     type, not a subclass) with a retryable failure outcome and no
@@ -322,9 +322,10 @@ class Simulation:
         argsort in :func:`~repro.sim.events.merge_kind_blocks`.
         Consumes exactly the random draws :meth:`run` would before
         its replay starts (update stream first, then request stream),
-        which is what lets the window-batched adaptive manager build
-        several periods' tapes back to back and keep the workload
-        stream bit-identical to per-period runs.
+        which is what lets the adaptive manager's kernel route draw
+        a period's tape here, replay it through
+        :func:`~repro.sim.fastpath.replay_window_tapes` and stay
+        bit-identical to ``run(1)``.
 
         Args:
             n_periods: Number of periods the tape covers, > 0.
@@ -350,8 +351,9 @@ class Simulation:
         Returns None when :func:`kernel_fault_model` finds no model
         the kernel can resolve; otherwise the ``fault_args`` the
         vectorized routes in :mod:`repro.sim.fastpath` take
-        (:class:`~repro.sim.fastpath.StreamingReplay`,
-        :func:`~repro.sim.fastpath.replay_window_tapes`,
+        (:class:`~repro.sim.fastpath.StreamingReplay` and
+        :func:`~repro.sim.fastpath.replay_window_tapes`, which
+        resolve each slab's faults inside the replay, and
         :func:`~repro.sim.fastpath.resolve_tape_faults`): the
         ``"model"`` (whose type picks the resolver, and which
         carries the failure probabilities and outcome), the shared

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ import pytest
 from repro.core.freshener import PartitionedFreshener, PerceivedFreshener
 from repro.errors import ValidationError
 from repro.runtime.manager import AdaptiveMirrorManager
+from repro.sim.simulation import Simulation
 from repro.workloads.presets import ExperimentSetup, build_catalog
 
-from tests.sim.differential import check_manager
+from tests.sim.differential import SETUPS, check_manager, setup_kwargs
 
 SETUP = ExperimentSetup(n_objects=80, updates_per_period=160.0,
                         syncs_per_period=40.0, theta=1.2,
@@ -176,9 +178,9 @@ class TestRateDrift:
 
 
 class TestBatchedWindows:
-    """run(batch=...) must be bit-identical to the sequential loop —
-    reports and telemetry alike (the differential harness's manager
-    rows)."""
+    """The kernel route (any batch but 1) must be bit-identical to the
+    batch=1 loop — reports and telemetry alike (the differential
+    harness's manager rows)."""
 
     def test_fault_free_batched_matches_sequential(self, world):
         check_manager(partial(make_manager, world), "none", periods=12,
@@ -190,15 +192,27 @@ class TestBatchedWindows:
 
     @staticmethod
     def _drift(world, setup, **run):
-        """Drift-triggered mid-window replans exercise the rollback
-        path: the rewound streams must replay the discarded periods
-        exactly as the sequential loop first ran them, and the
-        discarded periods must leave no telemetry behind."""
-        sequential, (batched,) = check_manager(
+        """Drift-triggered replans land between periods: the batched
+        loop draws exactly one tape per reported period, so nothing
+        is ever drawn ahead and thrown away."""
+        drawn = []
+        build_tape = Simulation.build_tape
+
+        def counted(self, n_periods):
+            drawn.append(n_periods)
+            return build_tape(self, n_periods)
+
+        with patch.object(Simulation, "build_tape", counted):
+            manager = make_manager(world, replan_every=0,
+                                   replan_divergence=0.03,
+                                   **setup_kwargs(SETUPS[setup]))
+            reports = manager.run(14, **run)
+        assert len(reports) == 14
+        assert drawn == [1] * 14
+        sequential, _ = check_manager(
             partial(make_manager, world), setup, periods=14, runs=[run],
             replan_every=0, replan_divergence=0.03)
         assert any(report.replanned for report in sequential.results[1:])
-        assert batched.counters["manager.window_rollbacks"] > 0
 
     def test_drift_rollback_matches_sequential(self, world):
         self._drift(world, "iid_loss0.3", batch=8)
@@ -207,48 +221,23 @@ class TestBatchedWindows:
         self._drift(world, "none", batch=8)
 
     def test_ge_batched_matches_sequential(self, world):
-        """Gilbert–Elliott plans batch through the kernel, chain
-        threading included."""
+        """Gilbert–Elliott plans take the kernel route, the chain
+        carried from period to period through the plan model."""
         check_manager(partial(make_manager, world), "ge_walk",
                       periods=12, runs=[{}], replan_every=4)
 
     def test_ge_drift_rollback_matches_sequential(self, world):
-        """A rollback on a GE plan restores the fault stream *and*
-        the chain-state snapshot before re-running the tail."""
+        """Drift replans on a GE plan: the replanned period picks up
+        the chain state the period before committed."""
         self._drift(world, "ge_walk", batch=8)
 
     def test_gated_retries_fall_back_to_sequential(self, world):
-        """A shared admission gate keeps the loop per-period (its
-        token bucket is cross-attempt stateful), so batch collapses
-        to the sequential path."""
+        """A shared admission gate keeps every period on
+        ``Simulation.run`` (its token bucket is cross-attempt
+        stateful), whatever ``batch`` says."""
         check_manager(partial(make_manager, world), "gated_iid",
                       periods=6, runs=[dict(batch=4)], replan_every=4)
 
     def test_batch_validated(self, world):
         with pytest.raises(ValidationError):
             make_manager(world).run(3, batch=0)
-
-
-class TestSlabGroups:
-    """Window batching split into slab groups stays bit-identical."""
-
-    @pytest.mark.parametrize("kind", ["quiet", "iid", "ge"])
-    def test_slabbed_window_matches_unsplit(self, world, kind):
-        """Splitting a window's kernel calls into 2- or 1-period slab
-        groups changes no report and no telemetry: tapes are drawn in
-        period order either way."""
-        setup = {"quiet": "none", "iid": "iid_loss0.3", "ge": "ge_walk"}
-        check_manager(partial(make_manager, world), setup[kind],
-                      periods=12, replan_every=4,
-                      runs=[dict(batch=4, slab_periods=slab)
-                            for slab in (None, 2, 1)])
-
-    def test_slabbed_drift_rollback_matches_sequential(self, world):
-        """A drift replan landing mid-slab-group rolls the tail back
-        exactly as the unsplit window does."""
-        TestBatchedWindows._drift(world, "iid_loss0.3", batch=8,
-                                  slab_periods=3)
-
-    def test_slab_periods_validated(self, world):
-        with pytest.raises(ValidationError):
-            make_manager(world).run(3, slab_periods=0)

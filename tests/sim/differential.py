@@ -16,15 +16,16 @@ and compares one :class:`Observation` per side with
 dtypes included), every non-span telemetry event, the counters, the
 gauges, the freshness ledger, the post-run workload and fault rng
 states and the Gilbert–Elliott chain states.  :func:`check_manager`
-holds the batched adaptive manager to its ``batch=1`` loop the same
-way, and :func:`sweep` draws random cases for the hypothesis sweeps.
+holds the adaptive manager's kernel route (any ``batch`` but 1: each
+period's tape replayed by ``replay_window_tapes``) to its ``batch=1``
+loop (each period through ``Simulation.run``) the same way, every
+counter included, and :func:`sweep` draws random cases for the
+hypothesis sweeps.
 
-Two routes cannot be held to the reference loop yet, because they
-draw their workload in another order: ``chunk*`` (``chunk_periods=K``)
-is compared with ``chunk_periods=1`` until every draw is keyed by
-(stream, period), and the batched manager with ``batch=1`` until the
-window batcher is deleted; those two changes convert or delete these
-rows.
+``chunk*`` (``chunk_periods=K``) cannot be held to the reference loop
+yet, because it draws its workload in another order: it is compared
+with ``chunk_periods=1`` until every draw is keyed by (stream,
+period).  The manager rows go with the ``batch`` knob.
 """
 
 from __future__ import annotations
@@ -53,11 +54,7 @@ from repro.faults.retry import RetryAdmissionGate, RetryPolicy
 from repro.obs import registry as obs
 from repro.sim import fastpath
 from repro.sim.bursty import BurstyUpdateGenerator
-from repro.sim.fastpath import (
-    StreamingReplay,
-    replay_window_tapes,
-    resolve_tape_faults,
-)
+from repro.sim.fastpath import StreamingReplay, replay_window_tapes
 from repro.sim.simulation import Simulation
 from repro.workloads.catalog import Catalog
 from repro.workloads.presets import ExperimentSetup, build_catalog
@@ -77,7 +74,8 @@ class Setup:
             so every run gets its own plan), or None for no plan.
         label: The ``sim.engine.*`` label auto dispatch must pick.
             Exactly the non-``reference`` setups are accepted by
-            ``engine="fastpath"`` and batched by the manager.
+            ``engine="fastpath"`` and replayed on the manager's kernel
+            route.
         retries: ``RetryPolicy.max_retries``, or None for no policy.
         budget: Bandwidth budget as a fraction of the planned spend.
         gated: Whether retries pass a shared admission gate.
@@ -501,7 +499,7 @@ def _slab(k: int, world: World, setup: Setup) -> Observation:
 
 
 def _per_period(world: World, setup: Setup) -> Observation:
-    """Oracle of the window routes: one reference run per period,
+    """Oracle of the window route: one reference run per period,
     with the fault-rng state recorded after each.  Window replays
     record no fault trace, so neither side does."""
     setup = dataclasses.replace(setup, trace=False)
@@ -552,44 +550,6 @@ def _window(world: World, setup: Setup) -> Observation:
     return _assert_engine(observation, setup.label)
 
 
-def _window_interleaved(world: World, setup: Setup) -> Observation:
-    """Per-period tapes with their faults resolved right after each
-    tape, on whatever stream the setup draws from, then replayed by
-    ``replay_window_tapes`` — the batched manager's order."""
-    setup = dataclasses.replace(setup, trace=False)
-    sims = simulations(world, setup, periods=world.periods)
-    sizes = np.asarray(world.built[0].sizes, dtype=float)
-    fault_args = sims[0].fault_kernel_args()
-
-    def go():
-        tapes, resolutions, chain = [], [], None
-        for sim in sims:
-            tapes.append(sim.build_tape(1))
-            if fault_args is not None:
-                resolution, chain = resolve_tape_faults(
-                    tapes[-1], sizes, fault_args=fault_args,
-                    period_length=world.period_length,
-                    fault_clock_offset=sim._fault_time_offset,
-                    initial_bad=chain)
-                resolutions.append(resolution)
-        results, _ = replay_window_tapes(
-            *world.built, tapes, period_length=world.period_length,
-            first_global_period=first_period(world),
-            fault_args=fault_args,
-            resolutions=resolutions if fault_args is not None else None)
-        if chain is not None:
-            fault_args["model"].set_chain_states(chain)
-        return results
-    observation = observe(go, sims, world.label_cap)
-    observation.prefix = []
-    return _assert_engine(observation, setup.label)
-
-
-def _no_prefix(observation: Observation) -> Observation:
-    """For a route whose prefix states are not observed."""
-    return dataclasses.replace(observation, prefix=[])
-
-
 def _no_workload_state(observation: Observation) -> Observation:
     """For a route that draws its workload in another order."""
     return dataclasses.replace(observation, states=observation.states[1:])
@@ -628,8 +588,6 @@ ROUTES: dict[str, Route] = {
     "chained": Route(partial(runs, count=2), _reference_twice),
     "window": Route(_window, _per_period, needs_dedicated=True,
                     streams=True),
-    "window_interleaved": Route(_window_interleaved, _per_period,
-                                streams=True, adapt=_no_prefix),
     # Held to chunk_periods=1, not to the reference loop, until the
     # one-shot route draws per-period keyed tapes too.
     **{f"chunk{k}": Route(partial(runs, chunk=k), _chunk1, streams=True)
@@ -643,7 +601,7 @@ ROUTES: dict[str, Route] = {
 
 #: What :func:`check` runs unless told otherwise.
 DEFAULT_ROUTES = ("auto", "slab1", "slab2", "chained", "window",
-                  "window_interleaved", "chunk2")
+                  "chunk2")
 
 
 @contextlib.contextmanager
@@ -694,8 +652,8 @@ def check_manager(make: Callable[..., Any], setup: Setup | str, *,
                   periods: int, runs: list[dict], **knobs: Any
                   ) -> tuple[Observation, list[Observation]]:
     """Hold each batched run in ``runs`` (``run()`` keyword sets) to
-    the ``batch=1`` loop: reports and telemetry (minus the window
-    counters), one simulated run per reported period.
+    the ``batch=1`` loop: reports and telemetry, every counter
+    included, one simulated run per reported period.
 
     Returns the ``batch=1`` observation and the batched ones.
     """
@@ -711,16 +669,8 @@ def check_manager(make: Callable[..., Any], setup: Setup | str, *,
     sequential = run(batch=1)
     batched = [run(**kwargs) for kwargs in runs]
     for kwargs, observation in zip(runs, batched):
-        assert_same(_no_window_counters(observation), sequential, kwargs)
+        assert_same(observation, sequential, kwargs)
     return sequential, batched
-
-
-def _no_window_counters(observation: Observation) -> Observation:
-    """Drop the counters only the batched loop keeps."""
-    window = ("manager.window_rollbacks", "manager.rolled_back_periods")
-    return dataclasses.replace(observation, counters={
-        name: value for name, value in observation.counters.items()
-        if name not in window})
 
 
 # ---------------------------------------------------------------------------

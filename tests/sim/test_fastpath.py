@@ -141,8 +141,8 @@ class TestDispatch:
 
     @pytest.mark.parametrize("name", _rows(lambda setup: setup.kernel))
     def test_manager_batches_exactly_the_kernel_plans(self, name):
-        """The adaptive manager batches replan windows through the
-        kernel for exactly the setups auto dispatch sends there."""
+        """The adaptive manager's kernel route takes exactly the
+        setups auto dispatch sends to the kernel."""
         manager = AdaptiveMirrorManager(
             WORLDS["default"].built[0], 20.0, request_rate=40.0,
             rng=np.random.default_rng(0), **setup_kwargs(SETUPS[name]))
@@ -274,10 +274,9 @@ class TestGEBitIdentity:
 
 
 class TestWindowReplay:
-    """Per-period window replay vs separate per-period runs: faults
-    resolved inside the window (``window``, whose ``consumed`` counts
-    must rewind the fault rng to each accepted prefix) or resolved
-    right after each tape (``window_interleaved``)."""
+    """Per-period window replay vs separate per-period runs, faults
+    resolved inside the window; the ``consumed`` counts must rewind
+    the fault rng to each accepted prefix."""
 
     @pytest.mark.parametrize("faulty,budget_scale", [
         (False, None), (True, None), (True, 0.5)])
@@ -286,13 +285,10 @@ class TestWindowReplay:
         setup = SETUPS["iid_loss0.3" if faulty else "none"]
         if budget_scale is not None:
             setup = dataclasses.replace(setup, budget=budget_scale)
-        check("sized", setup, routes=("window", "window_interleaved"))
+        check("sized", setup, routes=("window",))
 
     def test_ge_window_matches_per_period_runs(self):
-        check("sized", "ge_walk", routes=("window", "window_interleaved"))
-
-    def test_interleaved_resolutions_shared_stream(self):
-        check("sized", "ge_shared", routes=("window_interleaved",))
+        check("sized", "ge_walk", routes=("window",))
 
     def test_consumed_rewinds_fault_stream(self):
         check("cap10", "iid_dedicated", routes=("window",))
@@ -305,7 +301,7 @@ class TestDegenerateTapes:
 
     _ROUTES = {"oneshot": ("auto", "slab1", "chained"),
                "chunk1": ("chunk1_reference",),
-               "window": ("window", "window_interleaved")}
+               "window": ("window",)}
     _SETUPS = {"quiet": "none", "iid": "iid_loss1.0", "ge": "ge_fail"}
 
     @pytest.mark.parametrize("mode", ["quiet", "iid", "ge"])
