@@ -18,8 +18,9 @@ Both simulation engines — the per-event reference loop in
 :meth:`repro.sim.simulation.Simulation.run` and the vectorized
 :class:`repro.sim.fastpath.StreamingReplay` — step events their own
 way but package a finished run here: :func:`flush_to_horizon` closes
-the open intervals, :class:`SimulationResult` derives the four
-monitored metrics from the raw totals, :func:`close_run` emits the
+the open intervals, :class:`SimulationResult` derives the run's
+totals from its per-element counts and the four monitored metrics
+from the raw totals, :func:`close_run` emits the
 ``monitor.*``/``sim.*`` telemetry and checks the run contracts, and
 :func:`emit_period` writes each ``sim.period`` event.
 """
@@ -173,10 +174,13 @@ class SimulationResult:
         horizon: Simulated clock time.
         period_length: Clock length of one period.
         n_updates: Update events applied.
-        n_syncs: Sync operations performed.
-        n_accesses: User accesses served.
+        n_syncs: Sync operations performed, ``Σ poll_counts``
+            (derived from the per-element counts, like the totals
+            below written as sums).
+        n_accesses: User accesses served, ``Σ access_counts``.
         fresh_accesses: Accesses that saw fresh data.
-        useful_syncs: Syncs that actually found a changed object.
+        useful_syncs: Syncs that actually found a changed object,
+            ``Σ changed_poll_counts``.
         bandwidth_used: Total sync bandwidth spent.
         monitored_perceived_freshness: Fraction of accesses that saw
             fresh data (Definition 3/4, the user-visible score), or
@@ -198,12 +202,14 @@ class SimulationResult:
             element — together with ``poll_counts``, the censored
             observations change-rate estimators consume.
         attempted_polls: Poll attempts made on the wire, including
-            retries (equals ``n_syncs`` on a fault-free run).
+            retries, ``Σ attempted_poll_counts`` (``n_syncs`` on a
+            fault-free run).
         failed_polls: Attempts that failed (timeout, error, or
-            unreachable); 0 on a fault-free run.
+            unreachable), ``Σ failed_poll_counts`` (0 fault-free).
         unreachable_polls: Failed attempts that never reached the
             wire (``unreachable`` fast-fails, free of bandwidth) —
-            exclude them from transfer-loss estimates.
+            exclude them from transfer-loss estimates;
+            ``Σ unreachable_poll_counts`` (0 fault-free).
         retries: Attempts beyond each scheduled sync's first; 0
             without a retry policy.
         breaker_skips: Scheduled syncs fast-failed by an open
@@ -215,8 +221,9 @@ class SimulationResult:
         suppressed_retries: Retries refused by the shared herding
             admission gate; 0 without a gated retry policy.
         attempted_bandwidth: Bandwidth burned across every attempt,
-            in size units (equals ``bandwidth_used`` on a fault-free
-            run — failed transfers burn budget without refreshing).
+            in size units (derived on a fault-free run: then it is
+            ``bandwidth_used``; failed transfers burn budget without
+            refreshing).
         attempted_poll_counts: Attempts per element, or None on a
             fault-free run.
         failed_poll_counts: Failed attempts per element, or None on
@@ -237,10 +244,10 @@ class SimulationResult:
     horizon: float
     period_length: float
     n_updates: int
-    n_syncs: int
-    n_accesses: int
+    n_syncs: int = field(init=False)
+    n_accesses: int = field(init=False)
     fresh_accesses: int
-    useful_syncs: int
+    useful_syncs: int = field(init=False)
     bandwidth_used: float
     monitored_perceived_freshness: float = field(init=False)
     monitored_time_perceived: float = field(init=False)
@@ -251,9 +258,9 @@ class SimulationResult:
     access_counts: np.ndarray
     poll_counts: np.ndarray
     changed_poll_counts: np.ndarray
-    attempted_polls: int = 0
-    failed_polls: int = 0
-    unreachable_polls: int = 0
+    attempted_polls: int = field(init=False)
+    failed_polls: int = field(init=False)
+    unreachable_polls: int = field(init=False)
     retries: int = 0
     breaker_skips: int = 0
     denied_polls: int = 0
@@ -267,17 +274,35 @@ class SimulationResult:
     fault_trace: tuple[tuple[float, int, str], ...] | None = None
 
     def __post_init__(self) -> None:
+        n_syncs = int(self.poll_counts.sum())
+        n_accesses = int(self.access_counts.sum())
         p = self.catalog.access_probabilities
         time_perceived = float(p @ self.element_time_freshness)
         derived = {
+            "n_syncs": n_syncs,
+            "n_accesses": n_accesses,
+            "useful_syncs": int(self.changed_poll_counts.sum()),
             "monitored_perceived_freshness": (
-                self.fresh_accesses / self.n_accesses
-                if self.n_accesses else time_perceived),
+                self.fresh_accesses / n_accesses
+                if n_accesses else time_perceived),
             "monitored_time_perceived": time_perceived,
             "monitored_general_freshness": float(
                 self.element_time_freshness.mean()),
             "monitored_perceived_age": float(p @ self.element_time_age),
         }
+        if self.attempted_poll_counts is None:
+            # Fault-free: every sync is one successful attempt.
+            derived.update(attempted_polls=n_syncs, failed_polls=0,
+                           unreachable_polls=0,
+                           attempted_bandwidth=self.bandwidth_used)
+        else:
+            assert (self.failed_poll_counts is not None
+                    and self.unreachable_poll_counts is not None)
+            derived.update(
+                attempted_polls=int(self.attempted_poll_counts.sum()),
+                failed_polls=int(self.failed_poll_counts.sum()),
+                unreachable_polls=int(
+                    self.unreachable_poll_counts.sum()))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 

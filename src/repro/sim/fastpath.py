@@ -58,6 +58,9 @@ segment operations:
   update/sync strictly before it (a segmented running maximum over
   state-change positions), or from the carried flag when no in-slab
   state change precedes it;
+* poll change detection reads that flag: a copy is fresh exactly when
+  it matches the source (Definition 1), so a successful poll finds a
+  new version exactly when the copy was stale before it;
 * stale-run start times (``stale_since``) carry forward from each
   run-opening update by the same trick;
 * fresh-time and age-integral increments are computed for every event
@@ -106,12 +109,12 @@ ledger resets in the same places the reference channel resets it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.faults.model import (
     GilbertElliottFaultModel,
     IIDFaultModel,
@@ -728,10 +731,7 @@ class _FaultAccounting:
     """Channel-equivalent attempt/failure accounting, folded per slab.
 
     Attributes:
-        attempted_polls: Attempts made, retries included.
         made_polls: Scheduled syncs that made at least one attempt.
-        successful_polls: Scheduled syncs whose last attempt
-            succeeded.
         denied_polls: Scheduled syncs the period budget denied
             outright.
         denied_retries: Retries the period budget refused.
@@ -742,9 +742,7 @@ class _FaultAccounting:
         draws: Fault-rng draws the resolutions consumed.
     """
 
-    attempted_polls: int
     made_polls: int
-    successful_polls: int
     denied_polls: int
     denied_retries: int
     attempted_bandwidth: float
@@ -755,8 +753,7 @@ class _FaultAccounting:
     @classmethod
     def start(cls, n_elements: int) -> "_FaultAccounting":
         """Nothing attempted yet."""
-        return cls(attempted_polls=0, made_polls=0, successful_polls=0,
-                   denied_polls=0, denied_retries=0,
+        return cls(made_polls=0, denied_polls=0, denied_retries=0,
                    attempted_bandwidth=0.0,
                    attempted_poll_counts=np.zeros(n_elements,
                                                   dtype=np.int64),
@@ -765,24 +762,16 @@ class _FaultAccounting:
                    draws=0)
 
     @property
-    def failed_polls(self) -> int:
-        """Attempts that failed."""
-        return self.attempted_polls - self.successful_polls
-
-    @property
     def retries(self) -> int:
         """Attempts beyond each sync's first."""
-        return self.attempted_polls - self.made_polls
+        return int(self.attempted_poll_counts.sum()) - self.made_polls
 
     def add(self, resolution: FaultResolution,
             sync_elements: np.ndarray, sizes: np.ndarray) -> None:
         """Fold one slab's resolution into the totals."""
         attempts = resolution.attempts
         n_elements = self.attempted_poll_counts.shape[0]
-        self.attempted_polls += int(attempts.sum())
         self.made_polls += int(np.count_nonzero(attempts))
-        self.successful_polls += int(
-            np.count_nonzero(resolution.success))
         self.denied_polls += int(np.count_nonzero(resolution.denied))
         self.denied_retries += resolution.denied_retries
         self.draws += int(resolution.consumed.sum())
@@ -807,15 +796,20 @@ class _FaultAccounting:
         The reference channel bumps each counter once per attempt;
         the aggregated adds land on the same totals.  Zero totals are
         skipped so counters that never fired stay absent, as in the
-        reference.
+        reference.  Every attempt but a sync's successful last one
+        failed, so the successful syncs are the attempts minus the
+        failures.
         """
-        failed_syncs = self.made_polls - self.successful_polls
+        failed_polls = int(self.failed_poll_counts.sum())
+        successful_polls = (int(self.attempted_poll_counts.sum())
+                            - failed_polls)
         for name, total in (
-                (f"faults.{failure_outcome.value}", self.failed_polls),
+                (f"faults.{failure_outcome.value}", failed_polls),
                 ("faults.retries", self.retries),
                 ("faults.denied_polls", self.denied_polls),
                 ("faults.denied_retries", self.denied_retries),
-                ("faults.failed_syncs", failed_syncs)):
+                ("faults.failed_syncs",
+                 self.made_polls - successful_polls)):
             if total:
                 obs.counter_add(name, total)
 
@@ -848,35 +842,30 @@ def _fold_ledger_bulk(fold, elements: np.ndarray,
 
 
 def _emit_ledger(times: np.ndarray, elements: np.ndarray,
-                 kinds: np.ndarray,
-                 run_start_global: np.ndarray | None, *,
+                 kinds: np.ndarray, fresh_before: np.ndarray, *,
                  time_offset: float) -> None:
     """Feed the freshness ledger from a (kept) replay tape.
 
     Mirrors the reference loop's per-event hooks: every sync still on
     the tape is a *successful* refresh (the faulted paths drop failed
-    syncs before replay), and every run-opening update
-    (``run_start``) opens a stale run.  Times shift by
-    ``time_offset`` onto the global fault clock, matching the
-    ``time + fault_time_offset`` stamps the reference loop records.
+    syncs before replay), and every update that finds its copy fresh
+    (``fresh_before``, tape order, from :func:`_replay_tape_chunk`)
+    opens a stale run.  Times shift by ``time_offset`` onto the
+    global fault clock, matching the ``time + fault_time_offset``
+    stamps the reference loop records.
     """
-    if times.shape[0] == 0 or run_start_global is None:
-        return
     ledger = obs.get_registry().ledger
     sync_mask = kinds == int(EventKind.SYNC)
+    run_start = (kinds == int(EventKind.UPDATE)) & fresh_before
     _fold_ledger_bulk(ledger.record_refresh, elements[sync_mask],
                       times[sync_mask] + time_offset)
-    _fold_ledger_bulk(ledger.record_stale,
-                      elements[run_start_global],
-                      times[run_start_global] + time_offset)
+    _fold_ledger_bulk(ledger.record_stale, elements[run_start],
+                      times[run_start] + time_offset)
 
 
 def _emit_period_series(times: np.ndarray, elements: np.ndarray,
                         kinds: np.ndarray, sizes: np.ndarray,
-                        fresh_before_global: np.ndarray | None,
-                        run_start_global: np.ndarray | None,
-                        becomes_fresh_global: np.ndarray | None,
-                        n_elements: int, *,
+                        fresh_before: np.ndarray, n_elements: int, *,
                         period_length: float, n_periods: float,
                         planned: float,
                         failed_per_period: np.ndarray | None,
@@ -891,6 +880,8 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
     period boundary — with bincounts, and emits one event per
     completed (or final partial) period through
     :func:`~repro.sim.evaluator.emit_period`.
+    ``fresh_before`` is the replay's fresh-before flag per event, in
+    tape order, from which the fresh-copy level follows.
     ``failed_per_period`` / ``retries_per_period`` carry the faulted
     path's per-period attempt accounting (zeros when None).
 
@@ -899,53 +890,36 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
     ``n_periods`` counts the *slab's* periods, and ``initial_fresh``
     is the instantaneous fresh-copy count entering the slab.
     """
-    last_period = max(int(np.ceil(n_periods)) - 1, 0)
-    n_buckets = last_period + 1
-    n_events = int(times.shape[0])
+    n_buckets = max(int(np.ceil(n_periods)) - 1, 0) + 1
+    period_index = ((times / period_length).astype(np.int64)
+                    - first_period)
+    global_update = kinds == int(EventKind.UPDATE)
+    global_sync = kinds == int(EventKind.SYNC)
+    global_access = ~global_update & ~global_sync
 
-    if n_events:
-        assert (fresh_before_global is not None
-                and run_start_global is not None
-                and becomes_fresh_global is not None)
-        period_index = ((times / period_length).astype(np.int64)
-                        - first_period)
-        update_kind = int(EventKind.UPDATE)
-        sync_kind = int(EventKind.SYNC)
-        global_update = kinds == update_kind
-        global_sync = kinds == sync_kind
-        global_access = ~global_update & ~global_sync
+    def per_period(mask: np.ndarray) -> np.ndarray:
+        return np.bincount(period_index[mask], minlength=n_buckets)
 
-        def per_period(mask: np.ndarray) -> np.ndarray:
-            return np.bincount(period_index[mask], minlength=n_buckets)
+    syncs_per_period = per_period(global_sync)
+    updates_per_period = per_period(global_update)
+    accesses_per_period = per_period(global_access)
+    fresh_accesses_per_period = per_period(global_access & fresh_before)
+    bandwidth_per_period = np.bincount(
+        period_index[global_sync],
+        weights=sizes[elements[global_sync]], minlength=n_buckets)
 
-        syncs_per_period = per_period(global_sync)
-        updates_per_period = per_period(global_update)
-        accesses_per_period = per_period(global_access)
-        fresh_accesses_per_period = per_period(
-            global_access & fresh_before_global)
-        bandwidth_per_period = np.bincount(
-            period_index[global_sync],
-            weights=sizes[elements[global_sync]], minlength=n_buckets)
-
-        # Instantaneous fresh-copy count after each event: −1 when a
-        # run-opening update stales a copy, +1 when a sync refreshes
-        # a stale one.
-        delta = np.zeros(n_events, dtype=np.int64)
-        delta[run_start_global] = -1
-        delta[becomes_fresh_global] = 1
-        fresh_count = initial_fresh + np.cumsum(delta)
-        boundary = np.searchsorted(period_index,
-                                   np.arange(n_buckets), side="right") - 1
-        mean_freshness = np.where(
-            boundary >= 0,
-            fresh_count[np.maximum(boundary, 0)], initial_fresh
-        ) / n_elements
-    else:
-        zeros = np.zeros(n_buckets, dtype=np.int64)
-        syncs_per_period = updates_per_period = zeros
-        accesses_per_period = fresh_accesses_per_period = zeros
-        bandwidth_per_period = np.zeros(n_buckets)
-        mean_freshness = np.full(n_buckets, initial_fresh / n_elements)
+    # Instantaneous fresh-copy level before the slab and after each
+    # event: −1 when a run-opening update stales a copy, +1 when a
+    # sync refreshes a stale one.  A period ends at its last event,
+    # or at the level entering the slab when none precedes it.
+    delta = np.zeros(times.shape[0] + 1, dtype=np.int64)
+    delta[0] = initial_fresh
+    delta[1:][global_update & fresh_before] = -1
+    delta[1:][global_sync & ~fresh_before] = 1
+    level = np.cumsum(delta)
+    boundary = np.searchsorted(period_index, np.arange(n_buckets),
+                               side="right")
+    mean_freshness = level[boundary] / n_elements
 
     if failed_per_period is None:
         failed_per_period = np.zeros(n_buckets, dtype=np.int64)
@@ -1027,41 +1001,28 @@ class ReplayCarry:
             finite leftover that the kernel never reads).
         last_time: Time of each element's last event so far, in clock
             units (0 before any event).
-        versions: Source updates seen per element so far.
-        last_polled_version: Source version observed at each
-            element's last successful poll (0 before any).
         fresh_time: Folded fresh clock time per element so far.
         age_integral: Folded age integral per element so far.
         poll_counts: Successful polls per element so far.
-        changed_poll_counts: Polls that found a new version.
+        changed_poll_counts: Polls that found a new version (the
+            copy was stale before the poll).
         access_counts: Accesses per element so far.
         n_updates: Update events so far, tape-wide.
-        n_syncs: Successful sync events so far, tape-wide.
-        n_accesses: Access events so far, tape-wide.
-        useful_syncs: Syncs that found a new version, tape-wide.
         fresh_accesses: Accesses that saw fresh data, tape-wide.
         bandwidth_used: Folded sync bandwidth so far, in size units.
-        fresh_count: Instantaneous fresh-copy count after the last
-            event (the period telemetry series' running level).
     """
 
     fresh: np.ndarray
     stale_since: np.ndarray
     last_time: np.ndarray
-    versions: np.ndarray
-    last_polled_version: np.ndarray
     fresh_time: np.ndarray
     age_integral: np.ndarray
     poll_counts: np.ndarray
     changed_poll_counts: np.ndarray
     access_counts: np.ndarray
     n_updates: int
-    n_syncs: int
-    n_accesses: int
-    useful_syncs: int
     fresh_accesses: int
     bandwidth_used: float
-    fresh_count: int
 
     @classmethod
     def start(cls, n_elements: int) -> "ReplayCarry":
@@ -1070,26 +1031,19 @@ class ReplayCarry:
             fresh=np.ones(n_elements, dtype=bool),
             stale_since=np.zeros(n_elements),
             last_time=np.zeros(n_elements),
-            versions=np.zeros(n_elements, dtype=np.int64),
-            last_polled_version=np.zeros(n_elements, dtype=np.int64),
             fresh_time=np.zeros(n_elements),
             age_integral=np.zeros(n_elements),
             poll_counts=np.zeros(n_elements, dtype=np.int64),
             changed_poll_counts=np.zeros(n_elements, dtype=np.int64),
             access_counts=np.zeros(n_elements, dtype=np.int64),
-            n_updates=0, n_syncs=0, n_accesses=0,
-            useful_syncs=0, fresh_accesses=0,
-            bandwidth_used=0.0, fresh_count=n_elements,
+            n_updates=0, fresh_accesses=0, bandwidth_used=0.0,
         )
 
     def nbytes(self) -> int:
         """Bytes held by the per-element carry arrays."""
-        return sum(
-            getattr(self, field).nbytes
-            for field in ("fresh", "stale_since", "last_time",
-                          "versions", "last_polled_version",
-                          "fresh_time", "age_integral", "poll_counts",
-                          "changed_poll_counts", "access_counts"))
+        values = (getattr(self, field.name) for field in fields(self))
+        return sum(value.nbytes for value in values
+                   if isinstance(value, np.ndarray))
 
 
 def _fold_with_carry(carry_values: np.ndarray, bins: np.ndarray,
@@ -1112,16 +1066,18 @@ def _fold_with_carry(carry_values: np.ndarray, bins: np.ndarray,
 
 def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
                        times: np.ndarray, elements: np.ndarray,
-                       kinds: np.ndarray
-                       ) -> tuple[np.ndarray | None, np.ndarray | None,
-                                  np.ndarray | None]:
+                       kinds: np.ndarray) -> np.ndarray:
     """Fold one slab of a (kept) tape into the carry state.
 
-    The replay kernel.  Wherever the reference loop's state comes from
-    before the slab, the kernel reads the carry: the fresh flag where
-    no in-slab state change precedes an event, ``stale_since`` where
-    no in-slab run start precedes it, the last event time at segment
-    starts, and the version counters under the poll bookkeeping.
+    The replay kernel.  Its one per-event state is the fresh flag
+    before each event, and the rest derives from it: a poll finds a
+    change exactly when the copy was stale before it (Definition 1),
+    and the telemetry series and the ledger read stale-run opens and
+    refreshes off the returned flag.  Wherever the reference loop's
+    state comes from before the slab, the kernel reads the carry: the
+    fresh flag where no in-slab state change precedes an event,
+    ``stale_since`` where no in-slab run start precedes it, and the
+    last event time at segment starts.
     Folding slabs ``[0,a) [a,b) …`` of a tape through one carry is
     bit-identical to the reference loop over the whole tape.  The
     caller keeps slabs below :data:`_SLAB_EVENT_LIMIT` events.
@@ -1134,12 +1090,12 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
         kinds: :class:`~repro.sim.events.EventKind` per slab event.
 
     Returns:
-        ``(fresh_before, run_start, becomes_fresh)`` flags in *tape*
-        order for the telemetry series, or all None for an empty slab.
+        The fresh-before flag of each event in *tape* order, for the
+        telemetry series and the ledger.
     """
     n_events = int(times.shape[0])
     if not n_events:
-        return None, None, None
+        return np.zeros(0, dtype=bool)
     n_elements = int(carry.fresh.shape[0])
     update_kind = int(EventKind.UPDATE)
     sync_kind = int(EventKind.SYNC)
@@ -1210,53 +1166,26 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
                                           age_increment, ~fresh_before)
     del fold_bins  # n + events indices: keep them out of the peak
 
-    # Poll bookkeeping on absolute source versions: the carried update
-    # count anchors in-slab cumulative counts, and a slab-opening poll
-    # compares against the carried last-polled version.
-    updates_so_far = np.cumsum(is_update, dtype=np.int32)
-    updates_before = ((updates_so_far - is_update)
-                      - (updates_so_far[segment_start_of]
-                         - is_update[segment_start_of]))
+    # Definition 1: a copy is fresh exactly when it matches the source,
+    # so a successful poll finds a new version exactly when the copy
+    # was stale just before it.
     sync_positions = np.flatnonzero(is_sync)
     sync_elements = element_of[sync_positions]
-    sync_versions = (updates_before[sync_positions]
-                     + carry.versions[sync_elements])
-    previous_versions = np.zeros_like(sync_versions)
-    if sync_versions.shape[0]:
-        previous_versions[1:] = sync_versions[:-1]
-        first_poll = np.empty(sync_versions.shape[0], dtype=bool)
-        first_poll[0] = True
-        np.not_equal(sync_elements[1:], sync_elements[:-1],
-                     out=first_poll[1:])
-        previous_versions[first_poll] = carry.last_polled_version[
-            sync_elements[first_poll]]
-    changed = sync_versions > previous_versions
+    changed = ~fresh_before[sync_positions]
 
     # Final per-element state for the next slab (read the old carry
     # before overwriting it).
     final_state_change = last_state_change[segment_end_positions]
-    carry_fresh_present = carry.fresh[present]
     final_fresh = np.where(
         final_state_change >= 0,
         kind_of[np.maximum(final_state_change, 0)] == sync_kind,
-        carry_fresh_present)
+        carry.fresh[present])
     final_since = since_position[segment_end_positions]
     carry.stale_since[present] = np.where(
         final_since >= 0, time_of[np.maximum(final_since, 0)],
         carry.stale_since[present])
     carry.fresh[present] = final_fresh
     carry.last_time[present] = time_of[segment_end_positions]
-    carry.versions[present] += (
-        updates_so_far[segment_end_positions]
-        - updates_so_far[segment_start_positions]
-        + is_update[segment_start_positions])
-    if sync_versions.shape[0]:
-        last_poll = np.empty(sync_elements.shape[0], dtype=bool)
-        last_poll[-1] = True
-        np.not_equal(sync_elements[1:], sync_elements[:-1],
-                     out=last_poll[:-1])
-        carry.last_polled_version[sync_elements[last_poll]] = (
-            sync_versions[last_poll])
 
     carry.poll_counts += np.bincount(
         sync_elements, minlength=n_elements).astype(np.int64)
@@ -1266,15 +1195,9 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     carry.access_counts += np.bincount(
         element_of[access_positions],
         minlength=n_elements).astype(np.int64)
-    access_fresh = fresh_before[access_positions]
-    becomes_fresh = is_sync & ~fresh_before
     carry.n_updates += int(np.count_nonzero(is_update))
-    carry.n_syncs += int(sync_positions.shape[0])
-    carry.n_accesses += int(access_positions.shape[0])
-    carry.useful_syncs += int(np.count_nonzero(changed))
-    carry.fresh_accesses += int(np.count_nonzero(access_fresh))
-    carry.fresh_count += (int(np.count_nonzero(becomes_fresh))
-                          - int(np.count_nonzero(run_start)))
+    carry.fresh_accesses += int(np.count_nonzero(
+        fresh_before[access_positions]))
 
     # Bandwidth folds over syncs in *global* time order.
     sync_sizes = sizes[elements[kinds == sync_kind]]
@@ -1285,11 +1208,7 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
 
     fresh_before_global = np.empty(n_events, dtype=bool)
     fresh_before_global[order] = fresh_before
-    run_start_global = np.empty(n_events, dtype=bool)
-    run_start_global[order] = run_start
-    becomes_fresh_global = np.empty(n_events, dtype=bool)
-    becomes_fresh_global[order] = becomes_fresh
-    return fresh_before_global, run_start_global, becomes_fresh_global
+    return fresh_before_global
 
 
 #: ``sim.engine.*`` label per kernel fault-model type.
@@ -1473,21 +1392,21 @@ class StreamingReplay:
             elements = elements[kept]
             kinds = kinds[kept]
 
-        fresh_base = self._carry.fresh_count
-        fresh_before, run_start, becomes_fresh = _replay_tape_chunk(
+        initial_fresh = (int(np.count_nonzero(self._carry.fresh))
+                         if telemetry_on else 0)
+        fresh_before = _replay_tape_chunk(
             self._carry, self._sizes, times, elements, kinds)
         if telemetry_on:
             _emit_period_series(
-                times, elements, kinds, self._sizes,
-                fresh_before, run_start, becomes_fresh,
+                times, elements, kinds, self._sizes, fresh_before,
                 self._catalog.n_elements,
                 period_length=self._period_length,
                 n_periods=n_periods, planned=self._planned,
                 failed_per_period=failed_per_period,
                 retries_per_period=retries_per_period,
                 first_period=first_period,
-                initial_fresh=fresh_base)
-            _emit_ledger(times, elements, kinds, run_start,
+                initial_fresh=initial_fresh)
+            _emit_ledger(times, elements, kinds, fresh_before,
                          time_offset=self._fault_time_offset)
 
         self._periods_done += n_periods
@@ -1513,17 +1432,14 @@ class StreamingReplay:
         flush_to_horizon(carry.fresh_time, carry.age_integral, carry.fresh,
                          carry.stale_since, carry.last_time, self._horizon)
 
-        fields: dict = {"attempted_polls": carry.n_syncs,
-                        "attempted_bandwidth": carry.bandwidth_used}
+        faulted: dict = {}
         budget = None
         if faults is not None:
             assert self._fault_args is not None
             if obs.telemetry_enabled():
                 faults.emit(self._fault_args["model"].failure_outcome)
             budget = self._fault_args["bandwidth_budget"]
-            fields.update(
-                attempted_polls=faults.attempted_polls,
-                failed_polls=faults.failed_polls,
+            faulted.update(
                 retries=faults.retries,
                 denied_polls=faults.denied_polls,
                 attempted_bandwidth=faults.attempted_bandwidth,
@@ -1540,17 +1456,14 @@ class StreamingReplay:
                 horizon=self._horizon,
                 period_length=self._period_length,
                 n_updates=carry.n_updates,
-                n_syncs=carry.n_syncs,
-                n_accesses=carry.n_accesses,
                 fresh_accesses=carry.fresh_accesses,
-                useful_syncs=carry.useful_syncs,
                 bandwidth_used=carry.bandwidth_used,
                 element_time_freshness=carry.fresh_time / self._horizon,
                 element_time_age=carry.age_integral / self._horizon,
                 access_counts=carry.access_counts,
                 poll_counts=carry.poll_counts,
                 changed_poll_counts=carry.changed_poll_counts,
-                **fields),
+                **faulted),
             engine=self._engine, n_periods=self._n_periods,
             attempt_budget=budget)
 
@@ -1570,19 +1483,27 @@ def replay_fastpath(catalog: Catalog, frequencies: np.ndarray,
         times: Merged event times, globally time-ordered.
         elements: Element id per merged event.
         kinds: :class:`~repro.sim.events.EventKind` per merged event.
-        horizon: Total simulated clock time.
+        horizon: Total simulated clock time; must equal
+            ``n_periods · period_length``.
         period_length: Clock length of one sync period.
         n_periods: Periods simulated (may be fractional).
 
     Returns:
         A :class:`SimulationResult` bit-identical to the reference
         loop's for the same tape.
+
+    Raises:
+        ValidationError: When ``horizon`` is not
+            ``n_periods · period_length``.
     """
+    expected = n_periods * period_length
+    if abs(horizon - expected) > 1e-9 * max(1.0, abs(expected)):
+        raise ValidationError(
+            f"horizon {horizon} must equal n_periods * period_length "
+            f"= {expected}")
     replay = StreamingReplay(catalog, frequencies,
                              period_length=period_length,
                              n_periods=n_periods)
-    # Flush to the caller's horizon (normally n_periods·period_length).
-    replay._horizon = float(horizon)
     replay._feed(times, elements, kinds, n_periods=n_periods)
     return replay._finish()
 

@@ -489,9 +489,7 @@ class Simulation:
                 period_length=self._period_length,
                 record_trace=self._record_fault_trace)
 
-        useful_syncs = 0
         n_updates = 0
-        n_accesses = 0
         fresh_accesses = 0
         polls = np.zeros(self._catalog.n_elements, dtype=np.int64)
         changed_polls = np.zeros(self._catalog.n_elements, dtype=np.int64)
@@ -525,7 +523,6 @@ class Simulation:
                     if channel is None:
                         polls[element] += 1
                         if mirror.sync(element):
-                            useful_syncs += 1
                             changed_polls[element] += 1
                         monitor.note_sync(element, time)
                         if tracker is not None:
@@ -544,7 +541,6 @@ class Simulation:
                             # the element changed.
                             polls[element] += 1
                             if report.changed:
-                                useful_syncs += 1
                                 changed_polls[element] += 1
                             monitor.note_sync(element, time)
                             if tracker is not None:
@@ -560,7 +556,6 @@ class Simulation:
                 else:
                     fresh = mirror.serve_access(element)
                     monitor.note_access(element, time, fresh)
-                    n_accesses += 1
                     if fresh:
                         fresh_accesses += 1
                     if tracker is not None:
@@ -569,13 +564,9 @@ class Simulation:
                 tracker.finish(n_periods)
         monitor.close()
 
-        fields: dict = {"attempted_polls": mirror.total_syncs,
-                        "attempted_bandwidth": mirror.bandwidth_used}
+        faulted: dict = {}
         if channel is not None:
-            fields.update(
-                attempted_polls=channel.attempted_polls,
-                failed_polls=channel.failed_polls,
-                unreachable_polls=channel.unreachable_polls,
+            faulted.update(
                 retries=channel.retries,
                 breaker_skips=channel.breaker_skips,
                 denied_polls=channel.denied_polls,
@@ -597,17 +588,14 @@ class Simulation:
                 horizon=horizon,
                 period_length=self._period_length,
                 n_updates=n_updates,
-                n_syncs=mirror.total_syncs,
-                n_accesses=n_accesses,
                 fresh_accesses=fresh_accesses,
-                useful_syncs=useful_syncs,
                 bandwidth_used=mirror.bandwidth_used,
                 element_time_freshness=monitor.element_time_freshness(),
                 element_time_age=monitor.element_time_age(),
                 access_counts=monitor.access_counts(),
                 poll_counts=polls,
                 changed_poll_counts=changed_polls,
-                **fields),
+                **faulted),
             engine="reference", n_periods=n_periods,
             attempt_budget=self._budget if channel is not None else None)
         if (tracker is not None and channel is not None

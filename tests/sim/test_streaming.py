@@ -58,14 +58,16 @@ class TestStreamingReplayBitIdentity:
         sweep(seed, slab=True)
 
     def test_carry_footprint_constant_across_slabs(self):
-        """The cross-slab state is O(elements): feeding more slabs
-        must not grow it."""
+        """The cross-slab state is O(elements) — 57 bytes each: the
+        fresh flag, three clock floats, two fold accumulators and
+        three counts — and feeding more slabs must not grow it."""
         world = World(random_world(50, 3), seed=9)
         times, elements, kinds = simulations(
             world, SETUPS["none"])[0].build_tape(world.horizon)
         streaming = StreamingReplay(*world.built, period_length=1.0,
                                     n_periods=world.horizon)
         baseline = streaming.carry.nbytes()
+        assert baseline == 57 * 50
         sizes = []
         for start in range(world.periods):
             lo, hi = np.searchsorted(times, [start, start + 1.0])
@@ -75,6 +77,32 @@ class TestStreamingReplayBitIdentity:
         assert len(sizes) >= 3
         assert all(size == baseline for size in sizes), sizes
         streaming.finish()
+
+    def test_replay_fastpath_matches_reference(self):
+        """The one-slab entry point equals the reference loop on the
+        same tape and flushes to ``n_periods · period_length``; a
+        ``horizon`` that disagrees is rejected, not flushed to."""
+        world = WORLDS["period2.5"]
+        tape = simulations(world, SETUPS["none"])[0].build_tape(
+            world.horizon)
+        reference = simulations(world, SETUPS["none"])[0].run(
+            world.horizon, engine="reference")
+        kwargs = dict(period_length=world.period_length,
+                      n_periods=world.horizon)
+        result = fastpath.replay_fastpath(
+            *world.built, *tape,
+            horizon=world.horizon * world.period_length, **kwargs)
+        for name in ("element_time_freshness", "element_time_age",
+                     "poll_counts", "changed_poll_counts",
+                     "access_counts"):
+            np.testing.assert_array_equal(getattr(result, name),
+                                          getattr(reference, name))
+        assert result.horizon == reference.horizon
+        assert result.useful_syncs == reference.useful_syncs > 0
+        for horizon in (world.horizon, 2 * reference.horizon):
+            with pytest.raises(ValidationError, match="horizon"):
+                fastpath.replay_fastpath(*world.built, *tape,
+                                         horizon=horizon, **kwargs)
 
 
 def _simulation(n: int, catalog_seed: int, setup: str = "none",
