@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from repro.errors import ScheduleError
+from repro.numerics.sorting import _stable_time_argsort
 
 __all__ = ["PhasePolicy", "SyncSchedule"]
 
@@ -34,6 +35,46 @@ class PhasePolicy(str, Enum):
 
 
 _GOLDEN = 0.6180339887498949
+
+
+def _first_index_at(bound: float, phase: np.ndarray, interval: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Least k >= 0 with ``phase + interval * k >= bound``, per element.
+
+    ``ceil((bound - phase) / interval)`` rounds twice, so it can land
+    an index off either way; comparing the sync-time expression itself
+    at k and k - 1 fixes that, and because the expression is monotone
+    in k the fixed index is exact.  Indices are whole floats (exact
+    below 2⁵³), so ``interval * k`` rounds as it does for int64 k.
+
+    Returns:
+        ``(k, time)`` — the index and its sync time per element.
+
+    Raises:
+        ScheduleError: When the index overflows (an interval too
+            small for the bound).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.ceil((bound - phase) / interval)
+    np.maximum(k, 0.0, out=k)
+    if not np.isfinite(k).all():
+        raise ScheduleError("sync count overflows the window")
+    time = interval * k
+    time += phase
+    early = np.flatnonzero(time < bound)
+    while early.size:
+        k[early] += 1.0
+        time[early] = phase[early] + interval[early] * k[early]
+        early = early[time[early] < bound]
+    previous = interval * (k - 1.0)
+    previous += phase
+    late = np.flatnonzero((previous >= bound) & (k > 0.0))
+    while late.size:
+        k[late] -= 1.0
+        time[late] = previous[late]
+        previous[late] = phase[late] + interval[late] * (k[late] - 1.0)
+        late = late[(previous[late] >= bound) & (k[late] > 0.0)]
+    return k, time
 
 
 @dataclass(frozen=True)
@@ -104,7 +145,10 @@ class SyncSchedule:
             phases = np.zeros_like(frequencies)
         elif policy is PhasePolicy.STAGGERED:
             n = frequencies.shape[0]
-            fractions = (np.arange(n) * _GOLDEN) % 1.0
+            # x - floor(x) is exact for x >= 0 (Sterbenz), so this is
+            # bit-identical to (x % 1.0) and several times faster.
+            fractions = np.arange(n) * _GOLDEN
+            fractions -= np.floor(fractions)
             phases = fractions * intervals
         else:
             if rng is None:
@@ -141,50 +185,33 @@ class SyncSchedule:
         if f <= 0.0:
             return np.empty(0)
         interval = self.period_length / f
+        if not np.isfinite(interval):
+            return np.empty(0)
         start = float(self.phases[element])
-        count = int(np.ceil(max(horizon - start, 0.0) / interval))
-        times = start + interval * np.arange(count)
-        return times[times < horizon]
-
-    def _expand_events(self, first_k: np.ndarray, counts: np.ndarray,
-                       active: np.ndarray, interval: np.ndarray,
-                       phase: np.ndarray, start: float, end: float,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize sync instants for per-element k-index ranges.
-
-        Event times are computed as ``phase + interval * k`` — the same
-        float operations :meth:`sync_times` performs — so every caller
-        produces bit-identical instants for the same (element, k) pair.
-        """
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        rep = np.repeat(np.arange(active.shape[0]), counts)
-        block_start = np.cumsum(counts) - counts
-        k = (np.arange(total, dtype=np.int64) - block_start[rep]
-             + first_k[rep])
-        times = phase[rep] + interval[rep] * k
-        keep = times < end
-        if start > 0.0:
-            keep &= times >= start
-        times = times[keep]
-        elements = active[rep[keep]].astype(np.int64, copy=False)
-        order = np.argsort(times, kind="stable")
-        return times[order], elements[order]
+        count, _ = _first_index_at(horizon, np.array([start]),
+                                   np.array([interval]))
+        return start + interval * np.arange(int(count[0]))
 
     def _active_intervals(self) -> tuple[np.ndarray, np.ndarray,
                                          np.ndarray]:
-        """Indices, true intervals and phases of schedulable elements."""
-        finite = np.isfinite(self.intervals())
-        active = np.flatnonzero((self.frequencies > 0.0) & finite)
+        """Indices, intervals and phases of schedulable elements.
+
+        An element is schedulable when ``T / f`` is finite: a
+        subnormal ``f`` overflows the interval to inf and never fires.
+        """
+        active = np.flatnonzero(self.frequencies > 0.0)
         with np.errstate(over="ignore"):
             interval = self.period_length / self.frequencies[active]
+        finite = np.isfinite(interval)
+        if not finite.all():
+            active = active[finite]
+            interval = interval[finite]
         return active, interval, self.phases[active]
 
     def events_until(self, horizon: float) -> tuple[np.ndarray, np.ndarray]:
         """All sync events in ``[0, horizon)``, time-ordered.
 
-        Vectorized across elements; output is bit-identical to
+        The window ``events_between(0, horizon)``; bit-identical to
         concatenating :meth:`sync_times` per element and stable-sorting
         by time (ties keep element order).
 
@@ -196,29 +223,28 @@ class SyncSchedule:
         """
         if horizon <= 0.0:
             raise ScheduleError(f"horizon must be > 0, got {horizon}")
-        active, interval, phase = self._active_intervals()
-        if active.size == 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        counts_f = np.ceil(np.maximum(horizon - phase, 0.0) / interval)
-        if not np.isfinite(counts_f).all():
-            raise ScheduleError("sync count overflows the horizon window")
-        return self._expand_events(
-            np.zeros(active.shape[0], dtype=np.int64),
-            counts_f.astype(np.int64), active, interval, phase,
-            0.0, horizon)
+        return self.events_between(0.0, horizon)
 
     def events_between(self, start: float, end: float
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Sync events in ``[start, end)`` — a streaming window.
 
         Lets an executor pull the schedule one slab at a time instead
-        of materializing an unbounded horizon.  Only the window's own
-        events are generated (plus a one-index guard band per element
-        against division rounding at the boundaries), so cost is
-        O(events in window), and adjacent windows partition the stream
-        exactly: each event's time is computed with the same float
-        operations in every window, then assigned by ``start <= t <
-        end`` on that shared value.
+        of materializing an unbounded horizon.  Element i's k-th sync
+        is at ``phaseᵢ + intervalᵢ * k`` (k ≥ 0), the same float
+        operations in every window and in :meth:`sync_times`.  That
+        expression is monotone in k (a rounded product and a rounded
+        sum of monotone terms), so the window holds exactly the
+        indices ``[k_lo, k_hi)``, where ``k_lo`` is the least k whose
+        time reaches ``start`` and ``k_hi`` the least whose time
+        reaches ``end``.  Each bound comes from one ceil-division,
+        corrected index by index by comparing that same expression
+        against the bound, so it is exact and no event outside the
+        window is generated.  Only elements with ``k_hi > k_lo`` are
+        expanded, so cost is O(active elements + events in window),
+        and adjacent windows partition the stream exactly: each event
+        falls in the one window whose ``start <= t < end`` holds for
+        its shared time value.  Ties sort in element order.
 
         Args:
             start: Window start, >= 0.
@@ -233,20 +259,28 @@ class SyncSchedule:
             raise ScheduleError(
                 f"end must exceed start, got [{start}, {end})")
         active, interval, phase = self._active_intervals()
-        if active.size == 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        end_count = np.ceil(np.maximum(end - phase, 0.0) / interval) + 1.0
         if start > 0.0:
-            first = np.maximum(
-                np.floor((start - phase) / interval) - 1.0, 0.0)
-        else:
-            first = np.zeros(active.shape[0])
-        counts_f = np.maximum(end_count - first, 0.0)
-        if not np.isfinite(counts_f).all():
-            raise ScheduleError("sync count overflows the window")
-        return self._expand_events(
-            first.astype(np.int64), counts_f.astype(np.int64),
-            active, interval, phase, start, end)
+            first, first_time = _first_index_at(start, phase, interval)
+        else:  # every sync time phase + interval * k is >= 0
+            first, first_time = np.zeros(active.shape[0]), phase
+        firing = np.flatnonzero(first_time < end)
+        if firing.size == 0:
+            return np.empty(0), np.empty(0, dtype=np.int64)
+        phase = phase[firing]
+        interval = interval[firing]
+        first = first[firing]
+        stop, _ = _first_index_at(end, phase, interval)
+        counts = (stop - first).astype(np.int64)
+        total = int(counts.sum())
+        block_start = np.cumsum(counts) - counts
+        k = np.arange(total, dtype=float)
+        k += np.repeat(first - block_start, counts)
+        times = np.repeat(interval, counts) * k
+        times += np.repeat(phase, counts)
+        elements = np.repeat(active[firing], counts).astype(np.int64,
+                                                             copy=False)
+        order = _stable_time_argsort(times)
+        return times[order], elements[order]
 
     def syncs_per_period(self) -> float:
         """Total sync operations per period, ``Σ fᵢ``."""

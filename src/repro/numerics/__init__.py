@@ -14,6 +14,8 @@ paper used.  It contains:
   used by the cluster-refinement step (paper §4.1.3).
 * :mod:`repro.numerics.waterfill` — generic water-filling machinery
   for separable concave resource allocation.
+* :mod:`repro.numerics.sorting` — the stable, radix-accelerated time
+  argsort that the sync schedule and the event-tape merge share.
 """
 
 from repro.numerics.kmeans import KMeansResult, kmeans, kmeans_iterate

@@ -775,20 +775,21 @@ class _FaultAccounting:
         self.denied_polls += int(np.count_nonzero(resolution.denied))
         self.denied_retries += resolution.denied_retries
         self.draws += int(resolution.consumed.sum())
-        # Every attempt burns its element's size; the channel's
-        # sequential += continues with the carry-prepend trick.
-        attempt_sizes = np.repeat(sizes[sync_elements], attempts)
+        # One entry per attempt, in sync order: every attempt burns
+        # its element's size; the channel's sequential += continues
+        # with the carry-prepend trick.
+        attempted_elements = np.repeat(sync_elements, attempts)
+        attempt_sizes = sizes[attempted_elements]
         self.attempted_bandwidth = float(np.bincount(
             np.zeros(attempt_sizes.shape[0] + 1, dtype=np.intp),
             weights=np.concatenate([[self.attempted_bandwidth],
                                     attempt_sizes]),
             minlength=1)[0])
-        self.attempted_poll_counts += np.bincount(
-            sync_elements, weights=attempts,
-            minlength=n_elements).astype(np.int64)
+        self.attempted_poll_counts += np.bincount(attempted_elements,
+                                                  minlength=n_elements)
         self.failed_poll_counts += np.bincount(
-            sync_elements, weights=attempts - resolution.success,
-            minlength=n_elements).astype(np.int64)
+            np.repeat(sync_elements, attempts - resolution.success),
+            minlength=n_elements)
 
     def emit(self, failure_outcome: PollOutcome) -> None:
         """Emit the ``faults.*`` counter totals the channel would have.
@@ -877,11 +878,17 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
     Counts what the reference loop's ``_PeriodTracker`` counts event
     by event — per-period integer counts, the sequentially folded
     bandwidth and the mirror's instantaneous mean freshness at each
-    period boundary — with bincounts, and emits one event per
-    completed (or final partial) period through
-    :func:`~repro.sim.evaluator.emit_period`.
+    period boundary — and emits one event per completed (or final
+    partial) period through :func:`~repro.sim.evaluator.emit_period`.
+    The tape is time-ordered, so each period is one slice of it,
+    bounded by ``searchsorted`` over the period index: counts are
+    ``count_nonzero`` over the slice's masks, and bandwidth folds the
+    slice's sync sizes through a zero-bin ``bincount`` from 0.0, the
+    same left fold the tracker's ``+=`` makes.
     ``fresh_before`` is the replay's fresh-before flag per event, in
-    tape order, from which the fresh-copy level follows.
+    tape order, from which the fresh-copy level follows: a period
+    ends at the level entering it, plus the syncs that refresh a
+    stale copy, minus the updates that stale a fresh one.
     ``failed_per_period`` / ``retries_per_period`` carry the faulted
     path's per-period attempt accounting (zeros when None).
 
@@ -893,51 +900,41 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
     n_buckets = max(int(np.ceil(n_periods)) - 1, 0) + 1
     period_index = ((times / period_length).astype(np.int64)
                     - first_period)
-    global_update = kinds == int(EventKind.UPDATE)
-    global_sync = kinds == int(EventKind.SYNC)
-    global_access = ~global_update & ~global_sync
+    ends = np.searchsorted(period_index, np.arange(n_buckets),
+                           side="right")
+    is_update = kinds == int(EventKind.UPDATE)
+    is_sync = kinds == int(EventKind.SYNC)
+    fresh_access = (kinds == int(EventKind.ACCESS)) & fresh_before
+    run_open = is_update & fresh_before
+    refresh = is_sync & ~fresh_before
 
-    def per_period(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(period_index[mask], minlength=n_buckets)
-
-    syncs_per_period = per_period(global_sync)
-    updates_per_period = per_period(global_update)
-    accesses_per_period = per_period(global_access)
-    fresh_accesses_per_period = per_period(global_access & fresh_before)
-    bandwidth_per_period = np.bincount(
-        period_index[global_sync],
-        weights=sizes[elements[global_sync]], minlength=n_buckets)
-
-    # Instantaneous fresh-copy level before the slab and after each
-    # event: −1 when a run-opening update stales a copy, +1 when a
-    # sync refreshes a stale one.  A period ends at its last event,
-    # or at the level entering the slab when none precedes it.
-    delta = np.zeros(times.shape[0] + 1, dtype=np.int64)
-    delta[0] = initial_fresh
-    delta[1:][global_update & fresh_before] = -1
-    delta[1:][global_sync & ~fresh_before] = 1
-    level = np.cumsum(delta)
-    boundary = np.searchsorted(period_index, np.arange(n_buckets),
-                               side="right")
-    mean_freshness = level[boundary] / n_elements
-
-    if failed_per_period is None:
-        failed_per_period = np.zeros(n_buckets, dtype=np.int64)
-    if retries_per_period is None:
-        retries_per_period = np.zeros(n_buckets, dtype=np.int64)
-
+    level = initial_fresh
+    begin = 0
     for period in range(n_buckets):
+        end = int(ends[period])
+        syncs = int(np.count_nonzero(is_sync[begin:end]))
+        updates = int(np.count_nonzero(is_update[begin:end]))
+        sync_sizes = sizes[elements[begin:end][is_sync[begin:end]]]
+        bandwidth = float(np.bincount(
+            np.zeros(sync_sizes.shape[0], dtype=np.intp),
+            weights=sync_sizes, minlength=1)[0])
+        level += (int(np.count_nonzero(refresh[begin:end]))
+                  - int(np.count_nonzero(run_open[begin:end])))
         emit_period(
             first_period + period,
-            syncs=int(syncs_per_period[period]),
-            bandwidth=float(bandwidth_per_period[period]),
+            syncs=syncs,
+            bandwidth=bandwidth,
             planned=planned,
-            updates=int(updates_per_period[period]),
-            accesses=int(accesses_per_period[period]),
-            fresh_accesses=int(fresh_accesses_per_period[period]),
-            mean_freshness=float(mean_freshness[period]),
-            failed_polls=int(failed_per_period[period]),
-            retries=int(retries_per_period[period]))
+            updates=updates,
+            accesses=end - begin - syncs - updates,
+            fresh_accesses=int(np.count_nonzero(
+                fresh_access[begin:end])),
+            mean_freshness=level / n_elements,
+            failed_polls=(0 if failed_per_period is None
+                          else int(failed_per_period[period])),
+            retries=(0 if retries_per_period is None
+                     else int(retries_per_period[period])))
+        begin = end
 
 
 class ReplayArena:
@@ -1187,14 +1184,12 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     carry.fresh[present] = final_fresh
     carry.last_time[present] = time_of[segment_end_positions]
 
-    carry.poll_counts += np.bincount(
-        sync_elements, minlength=n_elements).astype(np.int64)
-    carry.changed_poll_counts += np.bincount(
-        sync_elements[changed], minlength=n_elements).astype(np.int64)
+    carry.poll_counts += np.bincount(sync_elements, minlength=n_elements)
+    carry.changed_poll_counts += np.bincount(sync_elements[changed],
+                                             minlength=n_elements)
     access_positions = np.flatnonzero(is_access)
-    carry.access_counts += np.bincount(
-        element_of[access_positions],
-        minlength=n_elements).astype(np.int64)
+    carry.access_counts += np.bincount(element_of[access_positions],
+                                       minlength=n_elements)
     carry.n_updates += int(np.count_nonzero(is_update))
     carry.fresh_accesses += int(np.count_nonzero(
         fresh_before[access_positions]))
@@ -1376,14 +1371,13 @@ class StreamingReplay:
                                  / self._period_length)
                                 .astype(np.int64) - first_period)
                 failed_per_period = np.bincount(
-                    sync_buckets,
-                    weights=(resolution.attempts - resolution.success),
-                    minlength=n_buckets).astype(np.int64)
+                    np.repeat(sync_buckets, resolution.attempts
+                              - resolution.success),
+                    minlength=n_buckets)
                 retries_per_period = np.bincount(
-                    sync_buckets,
-                    weights=(resolution.attempts
-                             - (resolution.attempts > 0)),
-                    minlength=n_buckets).astype(np.int64)
+                    np.repeat(sync_buckets, resolution.attempts
+                              - (resolution.attempts > 0)),
+                    minlength=n_buckets)
             # One index gather instead of three boolean-mask scans.
             keep = np.ones(n_events, dtype=bool)
             keep[sync_positions[~resolution.success]] = False

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.scheduler import SyncSchedule
 from repro.errors import SimulationError, ValidationError
-from repro.sim import events as events_mod
+from repro.numerics import sorting
 from repro.sim import fastpath
 from repro.sim.events import merge_kind_blocks, merge_sorted_blocks
 from repro.sim.fastpath import ReplayArena, ReplayCarry, StreamingReplay
@@ -225,29 +225,29 @@ class TestStableTimeArgsort:
     def test_small_inputs_fall_through(self):
         rng = np.random.default_rng(0)
         times = rng.uniform(0.0, 10.0, 1000)
-        assert np.array_equal(events_mod._stable_time_argsort(times),
+        assert np.array_equal(sorting._stable_time_argsort(times),
                               self.direct(times))
 
     def test_large_random_and_tie_heavy(self):
         rng = np.random.default_rng(1)
-        big = events_mod._BUCKET_SORT_MIN + 1017
+        big = sorting._BUCKET_SORT_MIN + 1017
         smooth = rng.uniform(0.0, 4.0, big)
         ties = rng.integers(0, 50, big).astype(float) / 16.0
         for times in (smooth, ties):
             assert np.array_equal(
-                events_mod._stable_time_argsort(times),
+                sorting._stable_time_argsort(times),
                 self.direct(times))
 
     def test_degenerate_all_equal(self):
-        times = np.full(events_mod._BUCKET_SORT_MIN + 3, 2.5)
-        assert np.array_equal(events_mod._stable_time_argsort(times),
+        times = np.full(sorting._BUCKET_SORT_MIN + 3, 2.5)
+        assert np.array_equal(sorting._stable_time_argsort(times),
                               np.arange(times.shape[0]))
 
     def test_nonfinite_falls_back(self):
         rng = np.random.default_rng(4)
-        times = rng.uniform(0.0, 1.0, events_mod._BUCKET_SORT_MIN + 5)
+        times = rng.uniform(0.0, 1.0, sorting._BUCKET_SORT_MIN + 5)
         times[::1000] = np.inf
-        assert np.array_equal(events_mod._stable_time_argsort(times),
+        assert np.array_equal(sorting._stable_time_argsort(times),
                               self.direct(times))
 
 

@@ -12,6 +12,7 @@ skip rather than fail, keeping tier-1 runnable on the bare toolchain.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import shutil
@@ -30,9 +31,12 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "freshlint"
 LINTED_PATHS = ("src", "examples", "benchmarks", "tools")
 
 
-def _lint_repo() -> list:
+@functools.cache
+def _lint_repo() -> tuple:
+    """One freshlint pass over the linted tree, shared by the tests
+    that read it: the tree does not change during a test run."""
     paths = [REPO_ROOT / p for p in LINTED_PATHS if (REPO_ROOT / p).exists()]
-    return run_paths(paths, root=REPO_ROOT)
+    return tuple(run_paths(paths, root=REPO_ROOT))
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,7 @@ class LintConfig:
         "src/repro/faults/*.py",
         "src/repro/runtime/*.py",
         "src/repro/core/scheduler.py",
+        "src/repro/numerics/sorting.py",
     )
     select: tuple[str, ...] = ()
     ignore: tuple[str, ...] = ()
@@ -165,6 +166,8 @@ class ModuleContext:
     tree: ast.Module
     config: LintConfig
     lines: Sequence[str] = field(default_factory=tuple)
+    _aliases: dict[str, str] | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.lines:
@@ -225,8 +228,12 @@ class ModuleContext:
         ``{"rng": "numpy.random.default_rng"}``.  Only module-level
         and function-level imports reachable by :func:`ast.walk` are
         recorded; later bindings win, which is close enough for lint
-        purposes.
+        purposes.  The map is built on the first call and kept: every
+        call-target resolution reads it, so re-walking the module per
+        call would make a lint pass quadratic in the module size.
         """
+        if self._aliases is not None:
+            return self._aliases
         aliases: dict[str, str] = {}
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
@@ -241,6 +248,7 @@ class ModuleContext:
                         continue
                     local = name.asname or name.name
                     aliases[local] = f"{node.module}.{name.name}"
+        self._aliases = aliases
         return aliases
 
     def resolve_call_target(self, func: ast.expr) -> str | None:
