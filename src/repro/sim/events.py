@@ -62,6 +62,19 @@ def _kind_ordered(update_times: np.ndarray,
     return times, elements, kinds
 
 
+def _merge_runs(times: np.ndarray, elements: np.ndarray,
+                kinds: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stably time-sort a kind-ordered tape of three sorted runs.
+
+    numpy's stable sort of float64 keys is a timsort, which finds the
+    runs and merges them in O(n); ties keep the block order, which is
+    the update < sync < access priority.
+    """
+    order = np.argsort(times, kind="stable")
+    return times[order], elements[order], kinds[order]
+
+
 def merge_sorted_blocks(update_times: np.ndarray,
                         update_elements: np.ndarray,
                         sync_times: np.ndarray,
@@ -76,9 +89,9 @@ def merge_sorted_blocks(update_times: np.ndarray,
     ``draw_window_sorted``), so the kind-ordered concatenation
     [updates, syncs, accesses] is three sorted runs.  numpy's stable
     sort of float64 keys is a timsort, which finds those runs and
-    merges them in O(n) — the same tape :func:`merge_kind_blocks`
-    builds, with the same update < sync < access tie order from the
-    block layout, but without its radix pass over unsorted times.
+    merges them in O(n) — the run merge :func:`merge_kind_blocks`
+    ends with, with the same update < sync < access tie order from
+    the block layout, but without its sort of the raw update block.
 
     Args:
         update_times: Sorted update instants.
@@ -93,11 +106,9 @@ def merge_sorted_blocks(update_times: np.ndarray,
         ``(times, elements, kinds)`` — float64 / int32 / int8 arrays
         sorted by time with kind priority breaking ties.
     """
-    times, elements, kinds = _kind_ordered(
+    return _merge_runs(*_kind_ordered(
         update_times, update_elements, sync_times, sync_elements,
-        access_times, access_elements, n_elements)
-    order = np.argsort(times, kind="stable")
-    return times[order], elements[order], kinds[order]
+        access_times, access_elements, n_elements))
 
 
 def merge_kind_blocks(update_times: np.ndarray,
@@ -110,14 +121,15 @@ def merge_kind_blocks(update_times: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fuse raw per-kind draws into one time-ordered SoA tape.
 
-    One stable argsort over the kind-ordered concatenation [updates,
-    syncs, accesses]: the output equals stably time-sorting each
-    stream and lexsorting the union by (time, kind).  Within a kind
-    the stable sort preserves generation order, and at cross-kind
-    time ties the block layout supplies the update < sync < access
-    priority.  Update times may arrive unsorted (raw draws); sync and
-    access inputs are already time-sorted, which the stable sort
-    simply preserves.
+    Stable-sorts the raw update block alone (the bucketed radix sort
+    of :func:`~repro.numerics.sorting._stable_time_argsort`), then
+    merges the three sorted runs [updates, syncs, accesses] like
+    :func:`merge_sorted_blocks`.  A stable sort of a concatenation
+    equals a stable merge of its stably sorted blocks, so the output
+    equals one stable argsort over the kind-ordered concatenation:
+    within a kind generation order survives, and at cross-kind time
+    ties the block layout supplies the update < sync < access
+    priority.  Sync and access inputs are already time-sorted.
 
     Args:
         update_times: Raw (unsorted) update instants.
@@ -132,8 +144,8 @@ def merge_kind_blocks(update_times: np.ndarray,
         ``(times, elements, kinds)`` — float64 / int32 / int8 arrays
         sorted by time with kind priority breaking ties.
     """
-    times, elements, kinds = _kind_ordered(
-        update_times, update_elements, sync_times, sync_elements,
-        access_times, access_elements, n_elements)
-    order = _stable_time_argsort(times)
-    return times[order], elements[order], kinds[order]
+    update_order = _stable_time_argsort(update_times)
+    return _merge_runs(*_kind_ordered(
+        update_times[update_order], update_elements[update_order],
+        sync_times, sync_elements, access_times, access_elements,
+        n_elements))

@@ -63,8 +63,9 @@ segment operations:
   new version exactly when the copy was stale before it;
 * stale-run start times (``stale_since``) carry forward from each
   run-opening update by the same trick;
-* fresh-time and age-integral increments are computed for every event
-  at once and folded per element with :func:`numpy.bincount`.
+* fresh-time increments (at fresh events) and age-integral
+  increments (at stale events) are computed at once and each folded
+  per element with :func:`numpy.bincount`.
 
 Bit-identity notes (all verified by the equivalence suite):
 
@@ -72,17 +73,19 @@ Bit-identity notes (all verified by the equivalence suite):
   left-fold per bin in input order — unlike ``np.sum`` or
   ``np.add.reduceat``, which use pairwise summation and would break
   bit-identity with the loop's ``+=``.  Prepending each element's
-  carried accumulator as its bin's first weight continues the fold
-  bit-exactly — left folds compose — so slab-by-slab replay of a tape
-  is bit-identical to the reference loop over the whole tape.
+  nonzero carried accumulator as its bin's first weight continues the
+  fold bit-exactly — left folds compose — so slab-by-slab replay of a
+  tape is bit-identical to the reference loop over the whole tape.
 * The reference loop squares *scalars* (``(time - since) ** 2`` on
   ``np.float64`` goes through libm ``pow``), while the horizon flush
   squares *arrays* (``** 2`` lowers to ``x*x``).  These differ in the
   last bit for ~0.1% of inputs, so the kernel uses
   ``np.float_power`` (bit-equal to scalar ``pow``) for per-event
   trapezoids and shares the loop's flush.
-* Adding the ``0.0`` increments the loop never performs is safe here:
-  no accumulator can hold ``-0.0``.
+* Each fold adds only the increments the loop performs, and a zero
+  carry needs no prefix entry: ``bincount`` starts every bin at
+  ``0.0``, and ``0.0 + x`` is ``x`` for every ``x`` but ``-0.0``,
+  which no accumulator holds (every increment is at least ``+0.0``).
 * ``Generator.random(n)`` produces the same values *and* the same
   post-call state as ``n`` successive scalar ``random()`` calls, and
   ``Generator.uniform(low, high)`` consumes exactly one draw and
@@ -91,17 +94,24 @@ Bit-identity notes (all verified by the equivalence suite):
   generator, and re-advance it by the exact number of draws the
   reference channel would have consumed.
 
-The one sequential piece of fault resolution is the per-period
-bandwidth ledger: how many draws a sync consumes depends on where
-earlier syncs left the pool cursor and the ledger, so the cursor walk
-is a tight O(total attempts) scalar scan over precomputed outcome
-flags.  The Gilbert–Elliott chain is stateful across attempts, but
-its draw shape is fixed (transition, loss, jitter per retry); on the
-retry-free, denial-free route its evolution is a segmented
-Hillis–Steele scan, whose rounds stop at the longest element run
-rather than the batch size, and its per-element state is threaded
-explicitly
+How many draws a sync consumes depends on where earlier syncs left
+the pool cursor and the per-period bandwidth ledger.  For an i.i.d.
+plan that path needs no per-sync loop: only the syncs whose first
+draw fails move the cursor by more than one, and they form one orbit
+of a strictly increasing map over the failing pool positions, which
+pointer doubling enumerates; the ledger's spend is a ``np.cumsum``
+left fold, exact up to the first attempt it refuses
+(:func:`_resolve_iid_ledger`).  The Gilbert–Elliott chain is
+stateful across attempts, but its draw shape is fixed (transition,
+loss, jitter per retry); on the retry-free, denial-free route its
+evolution is a segmented Hillis–Steele scan, whose rounds stop at the
+longest element run rather than the batch size, and its per-element
+state is threaded explicitly
 (:meth:`~repro.faults.model.GilbertElliottFaultModel.chain_states`).
+What is left sequential is the scalar ledger walk
+(:func:`_walk_ledger`, O(attempts)): for Gilbert–Elliott plans with
+retries or possible denials, and for the rest of an i.i.d. period
+after its first refusal when some later sync could still fit.
 Each slab's pool starts exactly where the previous slab's consumption
 ended; slabs split at whole-period boundaries so the per-period
 ledger resets in the same places the reference channel resets it.
@@ -235,6 +245,249 @@ class FaultResolution:
     trace: list[tuple[float, int, str]] | None
 
 
+def _walk_ledger(first: int, stop: int, cursor: int, spent: float, *,
+                 size_list: list, period_list: list,
+                 budget: float | None, max_attempts: int,
+                 ok_list: list | None = None,
+                 chain: tuple[list, ...] | None = None,
+                 ) -> tuple[tuple[list, list, list], int, int]:
+    """Walk syncs ``[first, stop)`` through the bandwidth ledger.
+
+    The scalar form of the reference channel, O(attempts): each sync
+    is denied outright when ``spent + size`` exceeds the budget,
+    otherwise it takes attempts from the pool cursor until one
+    succeeds, it runs out of retries, or the ledger refuses a retry.
+    The ledger resets to 0 when the period changes; ``spent`` is its
+    fold so far in the first sync's period, so a walk may start
+    mid-period.  An i.i.d. plan passes ``ok_list`` (pool draw at or
+    above the failure probability).  A Gilbert–Elliott plan passes
+    ``chain``: the flip-out-of-good, flip-out-of-bad, ok-if-good and
+    ok-if-bad flags per pool draw, the per-element bad flags (updated
+    in place) and the syncs' elements.
+
+    Returns:
+        ``((attempts, success, offsets), cursor, denied_retries)`` —
+        one list entry per walked sync (offset 0 where denied), the
+        pool cursor after the walk and the refused retries.
+    """
+    ge = chain is not None
+    stride = 3 if ge else 2
+    if chain is not None:
+        (flip_good_list, flip_bad_list, ok_good_list, ok_bad_list,
+         bad_list, element_list) = chain
+    else:
+        assert ok_list is not None
+    count = stop - first
+    out_attempts = [0] * count
+    out_success = [False] * count
+    out_offsets = [0] * count
+    denied_retries = 0
+    current_period = period_list[first] if count else 0
+    for slot, i in enumerate(range(first, stop)):
+        period = period_list[i]
+        if period > current_period:
+            current_period = period
+            spent = 0.0
+        size = size_list[i]
+        if budget is not None and spent + size > budget:
+            continue  # denied outright: zero attempts, zero draws
+        out_offsets[slot] = cursor
+        if ge:
+            element = element_list[i]
+            bad = bad_list[element]
+        draw = cursor
+        attempts_made = 0
+        while True:
+            attempts_made += 1
+            if ge:
+                # Transition first (the flip probability depends on
+                # the in-state), then the loss draw against the new
+                # state — the reference model's order.
+                bad = ((not flip_bad_list[draw]) if bad
+                       else flip_good_list[draw])
+                ok = (ok_bad_list[draw + 1] if bad
+                      else ok_good_list[draw + 1])
+            else:
+                ok = ok_list[draw]
+            if budget is not None:
+                spent += size
+            if ok or attempts_made == max_attempts:
+                break
+            if budget is not None and spent + size > budget:
+                denied_retries += 1
+                break
+            draw += stride
+        if ge:
+            bad_list[element] = bad
+        out_attempts[slot] = attempts_made
+        out_success[slot] = ok
+        cursor += stride * attempts_made - 1
+    return (out_attempts, out_success, out_offsets), cursor, denied_retries
+
+
+def _iid_free_path(pool: np.ndarray, failure_probability: float,
+                   start: int, count: int, max_attempts: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``count`` i.i.d. syncs from pool cursor ``start``, no budget.
+
+    A sync whose first draw sits at position ``c`` makes ``K(c)``
+    attempts — one, plus the failures at ``c, c+2, …``, at most
+    ``max_attempts`` — and the next sync starts at ``c + 2K(c) − 1``.
+    A first draw that succeeds moves the cursor by one, so only the
+    failing first draws steer the path: over the failing positions
+    ``F``, ``g(f)`` is the first failing position at or after
+    ``f + 2K(f) − 1``.  The failing syncs are the orbit under ``g``
+    of the first failure at or after ``start``, enumerated by pointer
+    doubling in ⌈log₂ |orbit|⌉ rounds over ``F``.  A failing sync's
+    index is its position minus ``start`` minus twice the retries
+    before it; every other sync makes one attempt and succeeds.
+
+    ``K`` and ``F`` are computed on a window of the pool from
+    ``start``, about two draws per sync, doubled while the orbit
+    runs past its end (failure probabilities near 1).
+
+    Returns:
+        ``(attempts, success, offsets, cursor)`` — per-sync attempts,
+        final outcomes and first-draw positions, and the pool cursor
+        after the last sync.
+    """
+    reach = 2 * (max_attempts - 1)  # last retry draw past a first draw
+    limit = pool.shape[0] - reach
+    span = 2 * count + reach
+    while True:
+        stop = min(start + span, limit)
+        width = stop - start
+        failed = pool[start:stop + reach] < failure_probability
+        first = np.flatnonzero(failed[:width])
+        tries = np.ones(first.shape[0], dtype=np.int64)
+        retrying = np.ones(first.shape[0], dtype=bool)
+        for retry in range(max_attempts - 1):
+            retrying &= failed[first + 2 * retry]
+            tries += retrying
+        end = first.shape[0]  # "no failing draw left in the window"
+        # failing_before[p]: failing first draws before window position
+        # p — the index in `first` of the first one at or after p.
+        failing_before = np.zeros(width + 1, dtype=np.int64)
+        np.cumsum(failed[:width], out=failing_before[1:])
+        jump = np.append(failing_before[np.minimum(first + 2 * tries - 1,
+                                                   width)], end)
+        # Double the orbit until it leaves the window (reaches `end`)
+        # or its last member's sync index — window position minus
+        # twice the retries before it — reaches `count`.
+        orbit = np.zeros(min(end, 1), dtype=np.int64)
+        while (orbit.shape[0] and orbit[-1] != end
+               and first[orbit[-1]]
+               - 2 * int((tries[orbit[:-1]] - 1).sum()) < count):
+            orbit = np.concatenate((orbit, jump[orbit]))
+            jump = jump[jump]
+        orbit = orbit[orbit < end]
+        retries = tries[orbit] - 1
+        index = first[orbit] - 2 * (np.cumsum(retries) - retries)
+        kept = int(np.searchsorted(index, count))
+        if kept < orbit.shape[0]:
+            break  # a failing sync past the batch bounds the path
+        # The successes after the last failing sync must fit the window.
+        if kept:
+            tail = first[orbit[-1]] + 2 * tries[orbit[-1]] - 1
+            tail += count - index[-1] - 1
+        else:
+            tail = count
+        if tail <= width:
+            break
+        # The pool holds every draw the batch can consume.
+        assert stop < limit
+        span *= 2
+    orbit = orbit[:kept]
+    index = index[:kept]
+    attempts = np.ones(count, dtype=np.int64)
+    attempts[index] = tries[orbit]
+    success = np.ones(count, dtype=bool)
+    success[index] = ~failed[first[orbit] + 2 * (tries[orbit] - 1)]
+    retries = attempts - 1
+    offsets = np.arange(start, start + count, dtype=np.int64)
+    offsets += 2 * (np.cumsum(retries) - retries)
+    cursor = start + count + 2 * int(retries.sum())
+    return attempts, success, offsets, cursor
+
+
+def _resolve_iid_ledger(pool: np.ndarray, failure_probability: float,
+                        sync_sizes: np.ndarray, periods: np.ndarray, *,
+                        budget: float | None, max_attempts: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   int, int]:
+    """The i.i.d. ledger walk, period by period, without a sync loop.
+
+    Each period first takes the unconstrained path
+    (:func:`_iid_free_path`).  The period's spend is a sequential
+    fold, ``np.cumsum`` of the per-attempt sizes (a left fold, the
+    same as ``spent += size``), and attempt ``a``'s ledger check
+    ``spent + size > B`` is the fold's entry ``a`` itself; until the
+    first check fires the budget changes nothing, so the path is
+    exact up to there.  That attempt's sync is denied outright (its
+    first attempt) or stops at a refused retry.  After it, when every
+    remaining sync of the period fails its pre-check, all of them are
+    denied at once; otherwise :func:`_walk_ledger` takes the rest of
+    the period from the cursor and the fold.
+
+    Returns:
+        ``(attempts, success, offsets, cursor, denied_retries)`` —
+        offsets are 0 where a sync was denied, as in the walk.
+    """
+    m = int(sync_sizes.shape[0])
+    if budget is None:
+        bounds = [0, m]
+    else:
+        bounds = [0, *(np.flatnonzero(np.diff(periods)) + 1).tolist(), m]
+    attempts = np.empty(m, dtype=np.int64)
+    success = np.empty(m, dtype=bool)
+    offsets = np.empty(m, dtype=np.int64)
+    cursor = 0
+    denied_retries = 0
+    walk_lists = None
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        (attempts[first:stop], success[first:stop], offsets[first:stop],
+         cursor) = _iid_free_path(pool, failure_probability, cursor,
+                                  stop - first, max_attempts)
+        if budget is None:
+            continue
+        tried = attempts[first:stop]
+        spend = np.cumsum(np.repeat(sync_sizes[first:stop], tried),
+                          dtype=np.float64)
+        refused = int(np.argmax(spend > budget))
+        if not spend[refused] > budget:
+            continue
+        tried_through = np.cumsum(tried)
+        slot = int(np.searchsorted(tried_through, refused, side="right"))
+        sync = first + slot
+        made = refused - int(tried_through[slot] - tried[slot])
+        spent = float(spend[refused - 1]) if refused else 0.0
+        success[sync] = False
+        attempts[sync] = made
+        if made:
+            denied_retries += 1
+            cursor = int(offsets[sync]) + 2 * made - 1
+        else:
+            cursor = int(offsets[sync])
+            offsets[sync] = 0
+        rest = slice(sync + 1, stop)
+        if bool((spent + sync_sizes[rest] > budget).all()):
+            attempts[rest] = 0
+            success[rest] = False
+            offsets[rest] = 0
+            continue
+        if walk_lists is None:
+            walk_lists = dict(
+                ok_list=(pool >= failure_probability).tolist(),
+                size_list=sync_sizes.tolist(),
+                period_list=periods.tolist())
+        walked, cursor, refused_retries = _walk_ledger(
+            sync + 1, stop, cursor, spent, budget=budget,
+            max_attempts=max_attempts, **walk_lists)
+        attempts[rest], success[rest], offsets[rest] = walked
+        denied_retries += refused_retries
+    return attempts, success, offsets, cursor, denied_retries
+
+
 # seedflow: pair=repro.faults.channel.SyncChannel.sync
 def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
                      sizes: np.ndarray, *,
@@ -259,11 +512,13 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
     sit ``stride`` pool positions apart (2 for i.i.d., 3 for GE).
 
     Pre-draws an oversized uniform pool from ``rng`` (one vectorized
-    call), then walks the syncs once to place each sync's draw cursor
-    and charge its attempts against the per-period bandwidth ledger —
-    the one sequential piece, O(total attempts).  A retry-free GE
-    batch in which no period can deny instead evolves its chains with
-    a segmented scan (:func:`_ge_scan_states`).  Finally the bit
+    call), then places each sync's draw cursor and charges its
+    attempts against the per-period bandwidth ledger by one of three
+    routes: an i.i.d. plan takes the loop-free ledger
+    (:func:`_resolve_iid_ledger`); a retry-free GE batch in which no
+    period can deny evolves its chains with a segmented scan
+    (:func:`_ge_scan_states`); any other GE batch takes the scalar
+    walk (:func:`_walk_ledger`, O(total attempts)).  Finally the bit
     generator is rewound and re-advanced by exactly the draws the
     reference :class:`~repro.faults.channel.SyncChannel` would have
     consumed, so downstream draws see an identical stream.
@@ -322,70 +577,29 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
         attempts = np.ones(m, dtype=np.int64)
         offsets = np.arange(m, dtype=np.int64) * 2
         cursor = 2 * m
+    elif not ge:
+        attempts, success, offsets, cursor, denied_retries = \
+            _resolve_iid_ledger(pool, thresholds[0], sync_sizes, periods,
+                                budget=bandwidth_budget,
+                                max_attempts=max_attempts)
     else:
-        if final_bad is None:
-            ok_list = (pool >= thresholds[0]).tolist()
-        else:
-            p_good_to_bad, p_bad_to_good, loss_good, loss_bad = thresholds
-            flip_good_list = (pool < p_good_to_bad).tolist()
-            flip_bad_list = (pool < p_bad_to_good).tolist()
-            ok_good_list = (pool >= loss_good).tolist()
-            ok_bad_list = (pool >= loss_bad).tolist()
-            bad_list = final_bad.tolist()
-            element_list = sync_elements.tolist()
-        size_list = sync_sizes.tolist()
-        period_list = periods.tolist()
-        out_attempts = [0] * m
-        out_success = [False] * m
-        out_offsets = [0] * m
-        cursor = 0
-        current_period = 0
-        spent = 0.0
-        budget = bandwidth_budget
-        for i in range(m):
-            period = period_list[i]
-            if period > current_period:
-                current_period = period
-                spent = 0.0
-            size = size_list[i]
-            if budget is not None and spent + size > budget:
-                continue  # denied outright: zero attempts, zero draws
-            out_offsets[i] = cursor
-            if ge:
-                element = element_list[i]
-                bad = bad_list[element]
-            draw = cursor
-            attempts_made = 0
-            while True:
-                attempts_made += 1
-                if ge:
-                    # Transition first (the flip probability depends
-                    # on the in-state), then the loss draw against
-                    # the new state — the reference model's order.
-                    bad = ((not flip_bad_list[draw]) if bad
-                           else flip_good_list[draw])
-                    ok = (ok_bad_list[draw + 1] if bad
-                          else ok_good_list[draw + 1])
-                else:
-                    ok = ok_list[draw]
-                if budget is not None:
-                    spent += size
-                if ok or attempts_made == max_attempts:
-                    break
-                if budget is not None and spent + size > budget:
-                    denied_retries += 1
-                    break
-                draw += stride
-            if ge:
-                bad_list[element] = bad
-            out_attempts[i] = attempts_made
-            out_success[i] = ok
-            cursor += stride * attempts_made - 1
-        attempts = np.asarray(out_attempts, dtype=np.int64)
-        success = np.asarray(out_success, dtype=bool)
-        offsets = np.asarray(out_offsets, dtype=np.int64)
-        if ge:
-            final_bad = np.asarray(bad_list, dtype=bool)
+        assert final_bad is not None
+        p_good_to_bad, p_bad_to_good, loss_good, loss_bad = thresholds
+        bad_list = final_bad.tolist()
+        chain = ((pool < p_good_to_bad).tolist(),
+                 (pool < p_bad_to_good).tolist(),
+                 (pool >= loss_good).tolist(),
+                 (pool >= loss_bad).tolist(),
+                 bad_list, sync_elements.tolist())
+        (walk_attempts, walk_success, walk_offsets), cursor, \
+            denied_retries = _walk_ledger(
+                0, m, 0, 0.0, size_list=sync_sizes.tolist(),
+                period_list=periods.tolist(), budget=bandwidth_budget,
+                max_attempts=max_attempts, chain=chain)
+        attempts = np.asarray(walk_attempts, dtype=np.int64)
+        success = np.asarray(walk_success, dtype=bool)
+        offsets = np.asarray(walk_offsets, dtype=np.int64)
+        final_bad = np.asarray(bad_list, dtype=bool)
 
     # Rewind the oversized pool draw, then advance by exactly what the
     # reference channel consumed (array and scalar draws advance the
@@ -1044,21 +1258,22 @@ class ReplayCarry:
 
 
 def _fold_with_carry(carry_values: np.ndarray, bins: np.ndarray,
-                     increments: np.ndarray, counted: np.ndarray
-                     ) -> np.ndarray:
+                     increments: np.ndarray) -> np.ndarray:
     """Continue per-element left folds with one slab of increments.
 
-    ``bins`` is ``arange(n)`` followed by each event's element, so
-    every element's carried accumulator is its bin's first weight and
-    the in-order per-bin fold computes ``((carry + w₁) + w₂) + …`` —
-    exactly the reference loop's ``+=``.  Events where ``counted`` is
-    False add ``0.0``, the increment the loop never performs.
+    Each element whose carried accumulator is nonzero gets it as its
+    bin's first weight, so the in-order per-bin fold computes
+    ``((carry + w₁) + w₂) + …`` — exactly the reference loop's
+    ``+=``.  ``np.bincount`` starts every bin at ``0.0``, and
+    ``0.0 + x`` is ``x`` for every ``x`` but ``−0.0``, which no
+    accumulator holds, so a zero carry needs no prefix entry.
     """
-    n_elements = carry_values.shape[0]
-    weights = np.zeros(bins.shape[0])
-    weights[:n_elements] = carry_values
-    np.copyto(weights[n_elements:], increments, where=counted)
-    return np.bincount(bins, weights=weights, minlength=n_elements)
+    carried = np.flatnonzero(carry_values)
+    if carried.shape[0]:
+        bins = np.concatenate((carried, bins))
+        increments = np.concatenate((carry_values[carried], increments))
+    return np.bincount(bins, weights=increments,
+                       minlength=carry_values.shape[0])
 
 
 def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
@@ -1139,29 +1354,36 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     carried_state = np.flatnonzero(previous_state_change < 0)
     fresh_before[carried_state] = carry.fresh[element_of[carried_state]]
 
+    # Fresh events add their elapsed time to fresh_time; stale events
+    # add their age trapezoid to age_integral.  Each fold sees only
+    # its own events, so the other kind's 0.0 is never added.
+    fresh_events = np.flatnonzero(fresh_before)
+    stale_events = np.flatnonzero(~fresh_before)
+
     # Stale-run starts: in-slab run start pins stale_since; a copy
     # still stale from before the slab reads the carried run start.
-    # Fresh events read a finite leftover the increment mask discards.
     run_start = is_update & fresh_before
     run_start_positions = np.where(run_start, positions, -1)
     since_position = _last_position_at_or_before(
         run_start_positions, segment_start_of)
-    stale_since = time_of[np.maximum(since_position, 0)]
-    carried_run = np.flatnonzero((since_position < 0) & ~fresh_before)
-    stale_since[carried_run] = carry.stale_since[element_of[carried_run]]
+    stale_since_position = since_position[stale_events]
+    stale_since = time_of[np.maximum(stale_since_position, 0)]
+    carried_run = np.flatnonzero(stale_since_position < 0)
+    stale_since[carried_run] = carry.stale_since[
+        element_of[stale_events[carried_run]]]
 
     # The reference loop squares np.float64 *scalars* (libm pow);
     # np.float_power is the array op that matches it bit-for-bit.
-    age_increment = np.float_power(time_of - stale_since, 2.0)
-    age_increment -= np.float_power(previous_time - stale_since, 2.0)
+    age_increment = np.float_power(time_of[stale_events] - stale_since,
+                                   2.0)
+    age_increment -= np.float_power(
+        previous_time[stale_events] - stale_since, 2.0)
     age_increment *= 0.5
-    fold_bins = np.concatenate([np.arange(n_elements, dtype=np.intp),
-                                element_of])
-    carry.fresh_time = _fold_with_carry(carry.fresh_time, fold_bins,
-                                        elapsed, fresh_before)
-    carry.age_integral = _fold_with_carry(carry.age_integral, fold_bins,
-                                          age_increment, ~fresh_before)
-    del fold_bins  # n + events indices: keep them out of the peak
+    carry.fresh_time = _fold_with_carry(
+        carry.fresh_time, element_of[fresh_events], elapsed[fresh_events])
+    carry.age_integral = _fold_with_carry(
+        carry.age_integral, element_of[stale_events], age_increment)
+    del fresh_events, stale_events, stale_since, age_increment
 
     # Definition 1: a copy is fresh exactly when it matches the source,
     # so a successful poll finds a new version exactly when the copy

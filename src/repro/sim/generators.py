@@ -16,11 +16,14 @@ draws a window in the canonical order (Poisson counts, then uniform
 instants, then — for requests — one uniform per element pick) and
 leaves update times unsorted, so
 :func:`~repro.sim.events.merge_kind_blocks` fuses the cross-kind
-merge into a single stable argsort.  Element picks use
-precomputed-CDF ``searchsorted`` sampling, which consumes the
-identical ``rng.random`` variates ``rng.choice(p=...)`` would and
-returns the identical indices — verified bit-for-bit — while hoisting
-the O(n) CDF build out of the per-call path.
+merge into a stable sort of the update block and one run merge.
+Element picks use precomputed-CDF ``searchsorted`` sampling, which
+consumes the identical ``rng.random`` variates ``rng.choice(p=...)``
+would and returns the identical indices (tested bit for bit), while
+hoisting the O(n) CDF build out of the per-call path.  The picks are
+looked up in sorted order and scattered back, so the search walks the
+CDF forward instead of probing it at random; each pick maps to the
+same index either way.
 
 ``draw_window_sorted(start, end, rng=)`` is the streaming route
 (``chunk_periods``), called once per period with that period's own
@@ -43,6 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.numerics.sorting import _stable_time_argsort
 from repro.workloads.catalog import Catalog
 
 __all__ = ["UpdateGenerator", "RequestGenerator"]
@@ -186,7 +190,8 @@ class RequestGenerator:
 
         Draw order is canonical: one Poisson count, the uniform
         instants, then one uniform per element pick (consumed by the
-        precomputed-CDF ``searchsorted``, matching ``rng.choice``).
+        precomputed-CDF ``searchsorted``, matching ``rng.choice``;
+        the picks are searched in sorted order and scattered back).
 
         Args:
             start: Window start in clock time.
@@ -202,8 +207,16 @@ class RequestGenerator:
         rng = self._rng
         count = int(rng.poisson(self._rate * (end - start)))
         times = np.sort(rng.uniform(start, end, size=count))
-        elements = self._cdf.searchsorted(rng.random(count), side="right")
-        return times, elements.astype(np.int64, copy=False)
+        picks = rng.random(count)
+        # Look the picks up in sorted order: each maps to the same
+        # index, and a sorted needle walks the CDF forward instead of
+        # probing it at random.  The bucketed stable sort suits
+        # uniform keys.
+        order = _stable_time_argsort(picks)
+        elements = np.empty(count, dtype=np.int64)
+        elements[order] = self._cdf.searchsorted(picks[order],
+                                                 side="right")
+        return times, elements
 
     def draw_window_sorted(self, start: float, end: float, *,
                            rng: np.random.Generator | None = None,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError, ValidationError
+from repro.numerics.sorting import _BUCKET_SORT_MIN
 from repro.sim.events import EventKind, merge_kind_blocks, merge_sorted_blocks
 from repro.sim.mirror import Mirror
 from repro.sim.source import Source
@@ -51,6 +52,38 @@ class TestMergeStreams:
         with pytest.raises(ValidationError, match="int32"):
             merge(*empty, *empty, *empty,
                   n_elements=int(np.iinfo(np.int32).max))
+
+
+class TestMergeKindBlocksAtScale:
+    """``merge_kind_blocks`` past the bucketed sort's threshold."""
+
+    def test_raw_tie_heavy_updates(self):
+        """Raw update times on a coarse grid, so most instants are
+        shared within and across kinds, above ``_BUCKET_SORT_MIN``;
+        the tape must equal one stable argsort over the kind-ordered
+        concatenation."""
+        rng = np.random.default_rng(17)
+        n_updates = _BUCKET_SORT_MIN + 40_000
+        grid = 1.0 / 4096
+        update_times = rng.integers(0, 4096, n_updates) * grid
+        update_elements = rng.integers(0, 3_000, n_updates)
+        sync_times = np.sort(rng.integers(0, 4096, 50_000)) * grid
+        sync_elements = rng.integers(0, 3_000, 50_000)
+        access_times = np.sort(rng.integers(0, 4096, 60_000)) * grid
+        access_elements = rng.integers(0, 3_000, 60_000)
+        times, elements, kinds = merge_kind_blocks(
+            update_times, update_elements, sync_times, sync_elements,
+            access_times, access_elements, n_elements=3_000)
+        all_times = np.concatenate((update_times, sync_times,
+                                    access_times))
+        order = np.argsort(all_times, kind="stable")
+        assert np.array_equal(times, all_times[order])
+        assert np.array_equal(elements, np.concatenate(
+            (update_elements, sync_elements, access_elements))[order])
+        assert np.array_equal(kinds, np.repeat(
+            np.array([EventKind.UPDATE, EventKind.SYNC, EventKind.ACCESS],
+                     dtype=np.int8), [n_updates, 50_000, 60_000])[order])
+        assert elements.dtype == np.int32 and kinds.dtype == np.int8
 
 
 class TestSource:

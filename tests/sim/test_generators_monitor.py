@@ -79,6 +79,30 @@ class TestRequestGenerator:
             RequestGenerator(catalog, rate=0.0, rng=rng)
 
 
+class TestRequestPicks:
+    """``draw_window``'s element picks are ``rng.choice(p=...)``'s."""
+
+    @pytest.mark.parametrize("rate", [1_000.0, 200_000.0])
+    def test_picks_equal_rng_choice(self, rate):
+        n = 5_000
+        weights = np.random.default_rng(5).pareto(1.2, n) + 1e-3
+        weights[::97] = 0.0  # zero-probability elements are never picked
+        catalog = Catalog(access_probabilities=weights / weights.sum(),
+                          change_rates=np.ones(n))
+        generator = RequestGenerator(catalog, rate=rate,
+                                     rng=np.random.default_rng(21))
+        times, elements = generator.draw_window(0.0, 1.0)
+        twin = np.random.default_rng(21)
+        count = int(twin.poisson(rate))
+        assert np.array_equal(
+            times, np.sort(twin.uniform(0.0, 1.0, size=count)))
+        probabilities = catalog.access_probabilities
+        expected = twin.choice(n, count,
+                               p=probabilities / probabilities.sum())
+        assert elements.dtype == np.int64
+        assert np.array_equal(elements, expected)
+
+
 class TestFreshnessMonitor:
     def test_hand_computed_scenario(self):
         """One element: fresh [0, 0.3), stale [0.3, 0.7), fresh after."""

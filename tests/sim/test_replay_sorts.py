@@ -1,6 +1,10 @@
 """The replay kernel's sort and scan primitives against their direct
 definitions.
 
+The i.i.d. ledger's loop-free path is checked against the scalar
+ledger walk, the channel's own definition, over loss rates from 0 to
+1, retry caps from 0 to 5 and budgets from none to tight.
+
 Every tier-1 catalog has fewer than 2¹⁶ elements, so the radix group
 sort's high-half pass only ever sorts zeros there; these cases give it
 real keys.  The Gilbert–Elliott scan stops after enough rounds to
@@ -15,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.fastpath import _ge_scan_states, _stable_element_argsort
+from repro.faults.model import PollOutcome
+from repro.faults.retry import RetryPolicy
+from repro.sim.fastpath import (
+    _ge_scan_states,
+    _stable_element_argsort,
+    _walk_ledger,
+    resolve_iid_faults,
+)
 
 _ID_MAX = 2 ** 31 - 1
 #: Ids on both sides of the uint16 split, and the extremes.
@@ -118,3 +129,110 @@ class TestGEScanRounds:
         for trial in range(30):
             _check_scan(np.full(longest, 3, dtype=np.int32), 5, rng,
                         trial)
+
+
+def _iid_world(seed: int, n_syncs: int, n_periods: int, mixed: bool):
+    """Sorted sync times over ``n_periods`` periods, one element per
+    sync; mixed sizes are halves, so whole-number budgets are hit
+    exactly and a ``>``/``>=`` slip in a ledger check shows."""
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, float(n_periods), n_syncs))
+    sizes = (rng.choice([0.5, 1.0, 2.0], n_syncs) if mixed
+             else np.ones(n_syncs))
+    return times, np.arange(n_syncs), sizes
+
+
+def _walk_oracle(times, sizes, *, failure_probability, max_retries,
+                 budget, seed):
+    """The scalar ledger walk over the same pool the resolver draws,
+    and the generator state after the draws the channel consumed."""
+    max_attempts = 1 if max_retries is None else max_retries + 1
+    m = times.shape[0]
+    width = 2 * max_attempts - 1
+    pool = np.random.default_rng(seed).random(m * width + width)
+    (attempts, success, offsets), cursor, denied_retries = _walk_ledger(
+        0, m, 0, 0.0, size_list=sizes.tolist(),
+        period_list=times.astype(np.int64).tolist(), budget=budget,
+        max_attempts=max_attempts,
+        ok_list=(pool >= failure_probability).tolist())
+    rng_after = np.random.default_rng(seed)
+    rng_after.random(cursor)
+    return attempts, success, offsets, denied_retries, rng_after
+
+
+def _check_against_walk(times, elements, sizes, *, failure_probability,
+                        max_retries, budget, seed):
+    rng = np.random.default_rng(seed)
+    got = resolve_iid_faults(
+        times, elements, sizes, failure_probability=failure_probability,
+        failure_outcome=PollOutcome.TIMEOUT,
+        retry_policy=(None if max_retries is None
+                      else RetryPolicy(max_retries=max_retries)),
+        bandwidth_budget=budget, period_length=1.0, rng=rng)
+    attempts, success, offsets, denied_retries, rng_after = _walk_oracle(
+        times, sizes, failure_probability=failure_probability,
+        max_retries=max_retries, budget=budget, seed=seed)
+    assert got.attempts.tolist() == attempts
+    assert got.success.tolist() == success
+    assert got.offsets.tolist() == offsets
+    assert got.denied_retries == denied_retries
+    assert rng.bit_generator.state == rng_after.bit_generator.state
+    return got
+
+
+class TestIIDLedgerPath:
+    """``resolve_iid_faults``'s loop-free ledger against the walk."""
+
+    @pytest.mark.parametrize("mixed", [False, True],
+                             ids=["unit", "mixed"])
+    @pytest.mark.parametrize("budget_kind", ["none", "tight", "ample"])
+    @pytest.mark.parametrize("max_retries", [None, 0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("failure_probability",
+                             [0.0, 0.2, 0.5, 0.9, 1.0])
+    def test_matches_walk(self, failure_probability, max_retries,
+                          budget_kind, mixed):
+        seed = (int(failure_probability * 10) * 1000
+                + (9 if max_retries is None else max_retries) * 10
+                + len(budget_kind) + mixed)
+        rng = np.random.default_rng(seed)
+        n_periods = int(rng.integers(1, 6))
+        n_syncs = int(rng.choice([1, 3, 40, 400]))
+        times, elements, sizes = _iid_world(seed, n_syncs, n_periods,
+                                            mixed)
+        per_period = float(sizes.sum()) / n_periods
+        budget = {"none": None,
+                  "tight": float(max(1, round(0.6 * per_period))),
+                  "ample": float(round(4.0 * per_period) + 8)
+                  }[budget_kind]
+        _check_against_walk(times, elements, sizes,
+                            failure_probability=failure_probability,
+                            max_retries=max_retries, budget=budget,
+                            seed=seed + 1)
+
+    @pytest.mark.parametrize("budget", [None, 3.0e4])
+    def test_high_loss_grows_the_window(self, budget):
+        """10⁵ syncs at 90% loss use about six draws each, past the
+        two-per-sync window the path starts from, so it must grow."""
+        times, elements, sizes = _iid_world(7, 100_000, 2, mixed=True)
+        got = _check_against_walk(
+            times, elements, sizes, failure_probability=0.9,
+            max_retries=3, budget=budget, seed=8)
+        if budget is None:
+            assert int(got.consumed.sum()) > 2 * 100_000
+
+    def test_routes_are_exercised(self):
+        """Both exits after a period's first refusal are reached:
+        with unit sizes every later sync is denied at once; with
+        mixed sizes a smaller later sync still fits, so the walk
+        takes the rest of the period."""
+        times, elements, sizes = _iid_world(3, 400, 1, mixed=False)
+        unit = _check_against_walk(
+            times, elements, sizes, failure_probability=0.2,
+            max_retries=3, budget=300.0, seed=4)
+        assert unit.denied[-50:].all()
+        times, elements, sizes = _iid_world(3, 400, 1, mixed=True)
+        mixed = _check_against_walk(
+            times, elements, sizes, failure_probability=0.2,
+            max_retries=3, budget=300.0, seed=4)
+        denied = np.flatnonzero(mixed.denied)
+        assert denied.size and not mixed.denied[denied[0]:].all()

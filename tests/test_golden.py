@@ -9,6 +9,8 @@ and say so in the commit.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,88 @@ class TestGoldenIdealSetup:
             catalog, IDEAL_SETUP.syncs_per_period)
         assert plan.perceived_freshness == pytest.approx(0.601359,
                                                          abs=1e-3)
+
+
+def _sha256(*arrays: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _pinned_simulation(n_elements: int, world: str,
+                       fault_rng: np.random.Generator):
+    """One seeded world: i.i.d. loss under the planned-spend ledger,
+    or Gilbert–Elliott bursts with no retries and an ample budget."""
+    from repro.core.freshener import PartitionedFreshener
+    from repro.faults.model import FaultPlan
+    from repro.faults.retry import RetryPolicy
+    from repro.sim.simulation import Simulation
+    from repro.workloads.presets import ExperimentSetup
+
+    spec = ExperimentSetup(
+        n_objects=n_elements, updates_per_period=1.0 * n_elements,
+        syncs_per_period=0.3 * n_elements, theta=1.0,
+        update_std_dev=2.0)
+    catalog = build_catalog(spec, seed=0)
+    frequencies = PartitionedFreshener(n_partitions=64).plan(
+        catalog, spec.syncs_per_period).frequencies
+    if world == "iid":
+        # No explicit budget: the ledger spends the planned Σ sizeᵢ·fᵢ
+        # per period, so retries run it dry and it denies.
+        faults = dict(fault_plan=FaultPlan.iid(0.2),
+                      retry_policy=RetryPolicy(max_retries=3))
+    else:
+        faults = dict(fault_plan=FaultPlan.bursty(0.05, 0.4),
+                      bandwidth_budget=1e9)
+    return Simulation(catalog, frequencies,
+                      request_rate=0.5 * n_elements,
+                      rng=np.random.default_rng(7),
+                      fault_rng=fault_rng, **faults)
+
+
+class TestGoldenOneShotOutputs:
+    """SHA-256 pins of whole tapes and whole faulted runs.
+
+    The engine equivalence suites replay one ``build_tape`` through
+    two engines, so a change both engines share — a different tape,
+    ledger or kernel fold — passes all of them.  These pins compare
+    against recorded bytes instead: the one-shot tape, and the run's
+    per-element freshness bits, attempted, failed and retried polls
+    and the fault generator's state afterwards.
+    """
+
+    CASES = {
+        # (elements, world, periods, chunk_periods):
+        #     (tape digest, run digest)
+        (5_000, "iid", 2.0, None): (
+            "7b8240772f3b499ff83f841082da8156525e26a1f46fc5b4bce7ae55eb2cf16c",
+            "4a176eebf94023a469f77c8eee45e86e7ddb2ff3f40835617866997ed0c6e18e"
+        ),
+        (100_000, "iid", 1.0, None): (
+            "0439760491737557be589f17152ac313780ebffaa42a0b2371a7b40ec7c3ead1",
+            "0b42d4afea5f37d2861b3bf964cec7fc4ba8f532933ca21a3c6caebdcc4028bf"
+        ),
+        (5_000, "ge", 3.0, 1): (
+            "e6bfe23cf5f8b094d3d96360db09084641fc89d1030631122352a46950b15bb8",
+            "aacdb2133c3d1e21b7da1df38748c959578ced31149f69df0c9c1fd206011b41"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES), ids=lambda case: (
+        f"{case[1]}-{case[0]}-k{case[3]}"))
+    def test_tape_and_run_digests(self, case):
+        n_elements, world, periods, chunk = case
+        tape_digest, run_digest = self.CASES[case]
+        tape = _pinned_simulation(
+            n_elements, world, np.random.default_rng(11)
+        ).build_tape(periods)
+        fault_rng = np.random.default_rng(11)
+        result = _pinned_simulation(n_elements, world, fault_rng).run(
+            periods, engine="auto", chunk_periods=chunk)
+        counts = np.array([result.attempted_polls, result.failed_polls,
+                           result.retries], dtype=np.int64)
+        rng_after = fault_rng.random(4)
+        assert (_sha256(*tape), _sha256(
+            result.element_time_freshness, counts, rng_after)) == (
+            tape_digest, run_digest)
