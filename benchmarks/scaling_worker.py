@@ -14,26 +14,24 @@ Usage::
     python benchmarks/scaling_worker.py '<json config>'
 
 Config keys (defaults in parentheses): ``n_elements``, ``scenario``
-(``quiet`` | ``iid20`` | ``burst``), ``engine`` (``auto``),
-``n_periods`` (2.0), ``updates_factor`` (1.0), ``syncs_factor``
-(0.3), ``request_factor`` (0.5), ``rlimit_bytes`` (none),
-``chunk_periods`` (none — a positive integer routes the run through
-the streaming slab engine), ``mode`` (``run`` | ``adapt`` — the
+(``quiet`` | ``iid20`` | ``burst`` | ``burst_retry``), ``engine``
+(``auto``), ``n_periods`` (2.0), ``updates_factor`` (1.0),
+``syncs_factor`` (0.3), ``request_factor`` (0.5), ``rlimit_bytes``
+(none), ``chunk_periods`` (none — a positive integer routes the run
+through the streaming slab engine), ``mode`` (``run`` | ``adapt`` — the
 latter drives an :class:`AdaptiveMirrorManager` loop, one period at
 a time, instead of a bare simulation), ``batch`` (4 — the manager's
 replay route in ``adapt`` mode: 1 runs each period through
 ``Simulation.run``, anything else through the kernel route),
-``compare_generation`` (false — additionally time the one-shot
-fused tape build, ``Simulation.build_tape``, on a fresh same-seed
-simulation, beside the slab route's ``generation_seconds``),
 ``freshener`` (``exact`` | ``partitioned`` — the exact water-filling
 solve is superlinear in the catalog and dominates the
-wall clock past a few million elements, so the 10⁷ streaming row
+wall clock past a few million elements, so the 10⁷ stream arm
 plans with the paper's scalable partitioned heuristic instead).
 One JSON object is printed on stdout: replay, total
-and stream-generation seconds, event counts, ``peak_rss_kb`` and a
-freshness checksum the parent uses to confirm engines agree without
-shipping arrays across the pipe.
+and stream-generation seconds, event and poll counts, the
+``sim.engine.*`` counters, ``peak_rss_kb`` and a freshness checksum
+the parent uses to confirm engines agree without shipping arrays
+across the pipe.
 """
 
 from __future__ import annotations
@@ -54,7 +52,9 @@ BURST_P_GOOD_TO_BAD = 0.05
 BURST_P_BAD_TO_GOOD = 0.4
 #: Ample explicit budget for the burst arm: with no retries this
 #: routes the resolver onto the segmented-scan path, which is the
-#: configuration the 10⁶-element claim is about.
+#: configuration the 10⁶-element claim is about.  The
+#: ``burst_retry`` arm instead keeps the default budget and retries
+#: up to 3 times, which routes it onto the exact chain walk.
 BURST_BUDGET = 1e9
 
 
@@ -98,6 +98,12 @@ def run_point(config: dict) -> dict:
                                         BURST_P_BAD_TO_GOOD),
             bandwidth_budget=BURST_BUDGET,
             fault_rng=np.random.default_rng(11))
+    elif scenario == "burst_retry":
+        fault_kwargs = dict(
+            fault_plan=FaultPlan.bursty(BURST_P_GOOD_TO_BAD,
+                                        BURST_P_BAD_TO_GOOD),
+            retry_policy=RetryPolicy(max_retries=3),
+            fault_rng=np.random.default_rng(11))
     elif scenario != "quiet":
         raise ValueError(f"unknown scenario {scenario!r}")
 
@@ -136,6 +142,7 @@ def run_point(config: dict) -> dict:
             "n_elements": n,
             "scenario": scenario,
             "mode": "adapt",
+            "engines_used": _engine_counters(registry),
             "n_periods": len(reports),
             "replans": int(registry.counters.get("manager.replans",
                                                  0)),
@@ -163,21 +170,21 @@ def run_point(config: dict) -> dict:
     _, replay = registry.span_totals["sim.run"]
     generation = registry.span_totals.get("sim.generate",
                                           (0, 0.0))[1]
-    engines = {name: count
-               for name, count in registry.counters.items()
-               if name.startswith("sim.engine.")}
     checksum = hashlib.sha256(
         result.element_time_freshness.tobytes()).hexdigest()[:16]
-    row = {
+    return {
         "n_elements": n,
         "scenario": scenario,
         "engine": engine,
-        "engines_used": engines,
+        "engines_used": _engine_counters(registry),
         "chunk_periods": chunk_periods,
         "n_events": int(result.n_updates + result.n_syncs
                         + result.n_accesses),
         "attempted_polls": int(result.attempted_polls),
         "failed_polls": int(result.failed_polls),
+        "retries": int(result.retries),
+        "monitored_perceived_freshness":
+            float(result.monitored_perceived_freshness),
         "replay_seconds": replay,
         "total_seconds": total,
         "generation_seconds": generation,
@@ -186,15 +193,12 @@ def run_point(config: dict) -> dict:
         "rlimit_bytes": rlimit,
         "freshness_checksum": checksum,
     }
-    if config.get("compare_generation"):
-        # A fresh same-seed simulation; only the build is timed.
-        build_sim = Simulation(catalog, plan.frequencies,
-                               request_rate=request_rate,
-                               rng=np.random.default_rng(7))
-        start = time.perf_counter()
-        build_sim.build_tape(n_periods)
-        row["fused_generation_seconds"] = time.perf_counter() - start
-    return row
+
+
+def _engine_counters(registry) -> dict:
+    """The ``sim.engine.*`` counters: which engine each run took."""
+    return {name: count for name, count in registry.counters.items()
+            if name.startswith("sim.engine.")}
 
 
 def main(argv: list[str]) -> int:

@@ -21,7 +21,7 @@ and writes ``telemetry.jsonl`` (the event tape) plus
 ``telemetry.prom`` (Prometheus text format) into DIR, then prints the
 summary table; the ``obs`` subcommand re-renders a saved tape.
 ``--jobs N`` fans seed-replicated experiments out over N worker
-processes (``0`` = all cores) with results bit-identical to the
+processes (``0`` = all usable CPUs) with results bit-identical to the
 default serial run — see ``docs/PERFORMANCE.md``.
 """
 
@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                               " current directory)")
         sub.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes for experiments that "
-                              "fan out (0 = all cores; default 1 = "
+                              "fan out (0 = all usable CPUs; default 1 = "
                               "serial, bit-identical)")
         sub.add_argument("--sink", metavar="URL", default=None,
                          help="stream telemetry to a live collector "
@@ -572,13 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="evaluate staleness at this simulated-clock "
                      "time (default: the ledger's latest event)")
     diff_sub = obs_actions.add_parser(
-        "diff", help="diff two tapes or two BENCH_sim.json files; "
-                     "exit 1 on regression")
-    diff_sub.add_argument("baseline",
-                          help="reference artifact (JSONL tape or "
-                               "BENCH_sim.json)")
-    diff_sub.add_argument("candidate",
-                          help="artifact under test (same format)")
+        "diff", help="diff two telemetry tapes; exit 1 on regression")
+    diff_sub.add_argument("baseline", help="reference JSONL tape")
+    diff_sub.add_argument("candidate", help="JSONL tape under test")
     diff_sub.add_argument("--threshold", type=float, default=0.1,
                           metavar="FRACTION",
                           help="relative tolerance before a "

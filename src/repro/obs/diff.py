@@ -1,24 +1,21 @@
 """``repro obs diff``: run-to-run regression view for CI gating.
 
-Compares two telemetry artifacts — either two JSONL tapes written by
-``--telemetry`` or two ``BENCH_sim.json`` files written by
-``benchmarks/bench_sim.py`` — as flat metric inventories, flags
-directional changes beyond a relative threshold, and drives a
-non-zero exit code so a perf-smoke job can gate on it.
+Compares two JSONL telemetry tapes written by ``--telemetry`` as flat
+metric inventories, flags directional changes beyond a relative
+threshold, and drives a non-zero exit code so a CI job can gate on
+it.
 
-Directionality is explicit: speedups, efficiencies and freshness
-gauges are *higher-is-better* (a drop past the threshold is a
-regression); ledger staleness is *lower-is-better*; everything else
-(event counts, bandwidth totals) is informational and never fails
-the diff on its own.
+Directionality is explicit: freshness gauges are *higher-is-better*
+(a drop past the threshold is a regression); ledger staleness and
+age are *lower-is-better*; everything else (event counts, bandwidth
+totals) is informational and never fails the diff on its own.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from repro.obs.export import _format_table, read_jsonl
 
@@ -26,10 +23,6 @@ __all__ = ["DiffRow", "diff_metrics", "format_diff", "load_metrics"]
 
 #: Metric-name suffixes where a relative drop is a regression.
 _HIGHER_BETTER = (
-    "kernel_speedup",
-    "end_to_end_speedup",
-    "parallel.speedup",
-    "parallel.efficiency",
     "gauge.sim.monitored_perceived_freshness",
     "gauge.sim.monitored_general_freshness",
     "gauge.monitor.mean_time_freshness",
@@ -72,74 +65,25 @@ def _direction(name: str) -> int:
     return 0
 
 
-def _flatten_bench(data: Dict[str, Any]) -> Dict[str, float]:
-    """Flatten a ``BENCH_sim.json`` document into metric names."""
-    flat: Dict[str, float] = {}
-    for section in ("kernel", "faulted_kernel", "bursty_kernel",
-                    "scaling", "streaming"):
-        block = data.get(section)
-        if not isinstance(block, dict):
-            continue
-        for row in block.get("rows", []):
-            prefix = f"{section}.n{row.get('n_elements')}"
-            for tag in ("scenario", "mode"):
-                if row.get(tag) is not None:
-                    prefix = f"{prefix}.{row[tag]}"
-            for key, value in row.items():
-                if key in ("n_elements", "scenario", "mode",
-                           "engine", "freshness_checksum"):
-                    continue
-                try:
-                    flat[f"{prefix}.{key}"] = float(value)
-                except (TypeError, ValueError):
-                    continue
-    parallel = data.get("parallel")
-    if isinstance(parallel, dict):
-        for key, value in parallel.items():
-            try:
-                flat[f"parallel.{key}"] = float(value)
-            except (TypeError, ValueError):
-                continue
-    return flat
-
-
 def load_metrics(path: str | Path) -> Dict[str, float]:
-    """Load one artifact as a flat ``name -> value`` inventory.
-
-    A file whose whole body parses as a single JSON object is treated
-    as ``BENCH_sim.json``; anything else is read as a JSONL telemetry
-    tape (counters, gauges and a ledger summary — entry count, stale
-    count and max staleness).
+    """Load one telemetry tape as a flat ``name -> value`` inventory:
+    counters, gauges and a ledger summary (entry count, stale count
+    and max staleness).
 
     Args:
-        path: The artifact to load.
+        path: The JSONL tape to load.
 
     Returns:
         The flattened metric inventory.
 
     Raises:
-        FileNotFoundError: When the artifact does not exist.
-        ValueError: When the artifact is neither format.
+        FileNotFoundError: When the tape does not exist.
+        ValueError: When the file holds no telemetry records.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = None
-    if isinstance(data, dict):
-        flat = _flatten_bench(data)
-        if not flat:
-            raise ValueError(
-                f"{path} parsed as JSON but has no kernel, scaling "
-                "or parallel sections — not a BENCH_sim.json "
-                "document")
-        return flat
     registry = read_jsonl(path)
     if (not registry.counters and not registry.gauges
             and not registry.events and not registry.ledger):
-        raise ValueError(f"{path} is neither a BENCH_sim.json "
-                         "document nor a telemetry tape")
+        raise ValueError(f"{path} is not a telemetry tape")
     flat = {f"counter.{name}": float(value)
             for name, value in registry.counters.items()}
     flat.update({f"gauge.{name}": float(value)
@@ -184,8 +128,8 @@ def diff_metrics(baseline: Dict[str, float],
                 regression = change > threshold
         elif base is not None and cand is None:
             # A directional metric vanishing from the candidate is a
-            # regression too — a silently skipped benchmark section
-            # must not read as a pass.
+            # regression too — a silently dropped gauge must not read
+            # as a pass.
             regression = _direction(name) != 0
         rows.append(DiffRow(name=name, baseline=base, candidate=cand,
                             change=change, regression=regression))

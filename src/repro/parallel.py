@@ -61,13 +61,19 @@ def resolve_jobs(jobs: int | None) -> int:
     """Normalize a ``--jobs`` value to a worker count.
 
     Args:
-        jobs: Requested workers; ``None`` or ``0`` mean "all cores".
+        jobs: Requested workers; ``None`` or ``0`` mean "every CPU
+            this process may run on" (its affinity mask, so a cpuset
+            or ``taskset`` is respected; all cores where the platform
+            has no affinity call).
 
     Returns:
         A worker count >= 1.
     """
     if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
     if jobs < 0:
         raise ValidationError(f"jobs must be >= 0, got {jobs}")
     return int(jobs)
@@ -140,7 +146,7 @@ def parallel_map(fn: Callable[[ItemT], ResultT],
         items: Task specs, consumed eagerly.
         jobs: Worker processes; 1 (default) runs inline and is
             bit-identical to ``[fn(item) for item in items]``; 0
-            means "all cores".
+            means every CPU this process may run on.
         label: Span name for the telemetry tape.
 
     Returns:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import json
 import socket
 from pathlib import Path
@@ -10,9 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_SIM = REPO_ROOT / "benchmarks" / "results" / "BENCH_sim.json"
+from repro.obs.export import write_jsonl
+from repro.obs.registry import MetricsRegistry
 
 
 class TestParser:
@@ -245,36 +243,42 @@ class TestObsFreshness:
 
 
 class TestObsDiff:
-    """``repro obs diff`` gates perf artifacts (acceptance criterion:
-    a ≥20% injected kernel-speedup regression must exit non-zero)."""
+    """``repro obs diff`` gates telemetry tapes (acceptance criterion:
+    a ≥20% injected freshness regression must exit non-zero)."""
 
     @staticmethod
-    def _bench_pair(tmp_path, scale: float):
-        baseline = json.loads(BENCH_SIM.read_text())
-        candidate = copy.deepcopy(baseline)
-        for row in candidate["kernel"]["rows"]:
-            row["kernel_speedup"] *= scale
-        base_path = tmp_path / "base.json"
-        cand_path = tmp_path / "cand.json"
-        base_path.write_text(json.dumps(baseline))
-        cand_path.write_text(json.dumps(candidate))
-        return str(base_path), str(cand_path)
+    def _tape(path, *, counters=(), gauges=()):
+        registry = MetricsRegistry()
+        registry.counters.update(counters)
+        registry.gauges.update(gauges)
+        return str(write_jsonl(registry, path))
+
+    def _tape_pair(self, tmp_path, scale: float):
+        """Two tapes; the candidate's higher-is-better freshness gauge
+        is the baseline's scaled by ``scale``."""
+        counters = {"sim.runs": 4.0}
+        return (self._tape(tmp_path / "base.jsonl", counters=counters,
+                           gauges={"sim.monitored_perceived_freshness":
+                                   0.8}),
+                self._tape(tmp_path / "cand.jsonl", counters=counters,
+                           gauges={"sim.monitored_perceived_freshness":
+                                   0.8 * scale}))
 
     def test_identical_files_pass(self, capsys, tmp_path):
-        base, _ = self._bench_pair(tmp_path, 1.0)
+        base, _ = self._tape_pair(tmp_path, 1.0)
         assert main(["obs", "diff", base, base]) == 0
         output = capsys.readouterr().out
         assert "no changes" in output or "no regressions" in output
 
     def test_injected_regression_fails(self, capsys, tmp_path):
-        base, cand = self._bench_pair(tmp_path, 0.7)
+        base, cand = self._tape_pair(tmp_path, 0.7)
         assert main(["obs", "diff", base, cand]) == 1
         output = capsys.readouterr().out
         assert "REGRESSION" in output
-        assert "kernel_speedup" in output
+        assert "sim.monitored_perceived_freshness" in output
 
     def test_warn_only_reports_but_passes(self, capsys, tmp_path):
-        base, cand = self._bench_pair(tmp_path, 0.7)
+        base, cand = self._tape_pair(tmp_path, 0.7)
         assert main(["obs", "diff", base, cand, "--warn-only"]) == 0
         output = capsys.readouterr().out
         assert "REGRESSION" in output
@@ -282,7 +286,7 @@ class TestObsDiff:
 
     def test_threshold_is_respected(self, tmp_path, capsys):
         # A 10% dip passes at --threshold 0.2 but fails at 0.05.
-        base, cand = self._bench_pair(tmp_path, 0.9)
+        base, cand = self._tape_pair(tmp_path, 0.9)
         assert main(["obs", "diff", base, cand,
                      "--threshold", "0.2"]) == 0
         capsys.readouterr()
@@ -296,11 +300,20 @@ class TestObsDiff:
         tape = str(tmp_path / "telemetry.jsonl")
         assert main(["obs", "diff", tape, tape]) == 0
 
+    def test_one_line_tape_is_a_tape(self, capsys, tmp_path):
+        # A tape holding one counter is one JSON object; it must still
+        # load as a tape, not be rejected as some other document.
+        tape = self._tape(tmp_path / "one.jsonl",
+                          counters={"sim.runs": 1.0})
+        assert len(Path(tape).read_text().splitlines()) == 1
+        assert main(["obs", "diff", tape, tape]) == 0
+        assert "no changes" in capsys.readouterr().out
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
-        base, _ = self._bench_pair(tmp_path, 1.0)
-        missing = str(tmp_path / "nope.json")
+        base, _ = self._tape_pair(tmp_path, 1.0)
+        missing = str(tmp_path / "nope.jsonl")
         assert main(["obs", "diff", base, missing]) == 2
-        assert "nope.json" in capsys.readouterr().err
+        assert "nope.jsonl" in capsys.readouterr().err
 
 
 class TestSinkFlag:

@@ -11,6 +11,8 @@ speed.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,23 @@ class TestExecutor:
         assert resolve_jobs(0) >= 1
         with pytest.raises(ValidationError):
             resolve_jobs(-1)
+
+    def test_resolve_jobs_counts_the_affinity_mask(self, monkeypatch):
+        """``0``/``None`` mean the CPUs this process may run on, not
+        every CPU on the host."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_jobs(0) == 2
+        assert resolve_jobs(None) == 2
+        assert resolve_jobs(5) == 5
+
+    def test_resolve_jobs_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_jobs(0) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_jobs(None) == 1
 
     def test_seed_rng_matches_default_rng(self):
         """The CRN guarantee: SeedSequence(seed) draws the stream of
