@@ -65,17 +65,14 @@ def fixed_order_freshness(change_rates: np.ndarray,
     lam = np.asarray(change_rates, dtype=float)
     f = np.asarray(frequencies, dtype=float)
     lam, f = np.broadcast_arrays(lam, f)
-    out = np.empty(lam.shape, dtype=float)
-
-    never_changes = lam == 0.0
-    never_synced = (f == 0.0) & ~never_changes
-    regular = ~never_changes & ~never_synced
-    out[never_changes] = 1.0
-    out[never_synced] = 0.0
-    if regular.any():
-        r = lam[regular] / f[regular]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = lam / f
         # (1 − e^(−r))/r via expm1 for accuracy at small r.
-        out[regular] = -np.expm1(-r) / r
+        out = np.asarray(-np.expm1(-r) / r)
+    # The boundary conventions overwrite whatever 0/0 or x/0 gave;
+    # λ = 0 wins over f = 0.
+    out[f == 0.0] = 0.0
+    out[lam == 0.0] = 1.0
     return out if out.ndim else float(out)
 
 

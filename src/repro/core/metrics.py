@@ -146,6 +146,8 @@ def _checked_frequencies(catalog: Catalog,
         raise ValidationError(
             f"frequencies shape {frequencies.shape} does not match catalog "
             f"size {catalog.n_elements}")
+    if not np.isfinite(frequencies).all():
+        raise ValidationError("sync frequencies must be finite")
     if (frequencies < 0.0).any():
         raise ValidationError("sync frequencies must be nonnegative")
     return frequencies

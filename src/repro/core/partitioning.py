@@ -1,8 +1,11 @@
 """Sort-based partitioning heuristics (paper §3.1).
 
-All techniques share one recipe: sort the N elements by a criterion,
-then assign runs of ⌈N/k⌉ successive elements to each of k partitions.
-The criteria are:
+All techniques share one recipe: rank the N elements by a criterion
+(stable: equal keys keep index order), then assign runs of ⌈N/k⌉
+successive ranks to each of k partitions.  Only the k−1 rank
+boundaries matter, so the labels come from one value sort and a
+``searchsorted`` into the boundary values; no element permutation is
+built.  The criteria are:
 
 * **P** — access probability ``p`` (similar popularity together),
 * **λ** — change rate (similar volatility together; included for
@@ -146,6 +149,15 @@ def sort_key(catalog: Catalog,
     return catalog.sizes.copy()
 
 
+def _split_starts(n: int, k: int) -> np.ndarray:
+    """First rank of each of the k ``np.array_split`` runs of n ranks.
+
+    The first ``n mod k`` runs hold ⌈n/k⌉ ranks, the rest ⌊n/k⌋.
+    """
+    runs = np.arange(k)
+    return runs * (n // k) + np.minimum(runs, n % k)
+
+
 def contiguous_labels(order: np.ndarray, n_partitions: int) -> np.ndarray:
     """Assign runs of sorted elements to partitions.
 
@@ -164,10 +176,53 @@ def contiguous_labels(order: np.ndarray, n_partitions: int) -> np.ndarray:
         raise ValidationError(
             f"n_partitions must be >= 1, got {n_partitions}")
     k = min(n_partitions, n)
+    sizes = np.diff(_split_starts(n, k), append=n)
     labels = np.empty(n, dtype=int)
-    chunks = np.array_split(order, k)
-    for index, chunk in enumerate(chunks):
-        labels[chunk] = index
+    labels[order] = np.repeat(np.arange(k), sizes)
+    return labels
+
+
+def _rank_split_labels(key: np.ndarray, n_partitions: int) -> np.ndarray:
+    """Labels of the k stable-rank runs of ``key``, without a permutation.
+
+    Equal to ``contiguous_labels(np.argsort(key, kind="stable"), k)``
+    for NaN-free keys: an element's label is the number of run starts
+    at or below its stable rank.  One value sort gives the k−1 boundary
+    values ``v``; an element whose key equals no boundary value has
+    label ``#(v < key)``.  Only elements equal to a boundary value can
+    straddle a run start; they are ranked among their equals by index,
+    which is exactly the stable tie order.
+
+    Args:
+        key: Sort criterion per element (NaN-free).
+        n_partitions: Number of partitions k (clipped to N).
+
+    Returns:
+        Labels per element, as :func:`contiguous_labels` would give.
+    """
+    n = key.shape[0]
+    if n_partitions < 1:
+        raise ValidationError(
+            f"n_partitions must be >= 1, got {n_partitions}")
+    k = min(n_partitions, n)
+    starts = _split_starts(n, k)[1:]
+    # Only values are read from this sort: it may order -0.0 and 0.0
+    # either way, but they compare equal, so no label depends on it.
+    ordered = np.sort(key)
+    bounds = ordered[starts]
+    labels = np.searchsorted(bounds, key, side="left")
+    if k < 2:
+        return labels
+    ties = np.flatnonzero(bounds[np.minimum(labels, k - 2)] == key)
+    # Each tied element's group is its first equal boundary; its stable
+    # rank is the group's first rank plus its index order in the group.
+    groups = labels[ties]
+    by_group = np.argsort(groups, kind="stable")
+    grouped = groups[by_group]
+    within = (np.arange(grouped.shape[0])
+              - np.searchsorted(grouped, grouped, side="left"))
+    ranks = np.searchsorted(ordered, bounds, side="left")[grouped] + within
+    labels[ties[by_group]] = np.searchsorted(starts, ranks, side="right")
     return labels
 
 
@@ -211,8 +266,8 @@ def partition_catalog(catalog: Catalog, n_partitions: int,
     strategy = PartitioningStrategy.coerce(strategy)
     key = sort_key(catalog, strategy, model=model,
                    reference_frequency=reference_frequency)
-    order = np.argsort(key, kind="stable")
-    k = min(n_partitions, catalog.n_elements)
-    labels = contiguous_labels(order, k)
-    return PartitionAssignment(labels=labels, n_partitions=k,
+    labels = _rank_split_labels(key, n_partitions)
+    return PartitionAssignment(labels=labels,
+                               n_partitions=min(n_partitions,
+                                                catalog.n_elements),
                                strategy=strategy)

@@ -78,7 +78,8 @@ def load_metrics(path: str | Path) -> Dict[str, float]:
 
     Raises:
         FileNotFoundError: When the tape does not exist.
-        ValueError: When the file holds no telemetry records.
+        ValueError: When the file holds no telemetry records, or a
+            line that is not one (the message names file and line).
     """
     registry = read_jsonl(path)
     if (not registry.counters and not registry.gauges

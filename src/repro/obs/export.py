@@ -107,15 +107,30 @@ def read_jsonl(path: str | Path) -> MetricsRegistry:
 
     Returns:
         The reconstructed registry.
+
+    Raises:
+        ValueError: Naming the file and line, when a line is not JSON
+            or not a record (every tape line is a JSON object with a
+            ``kind`` key).
     """
     registry = MetricsRegistry()
     ledger_records: List[Dict[str, Any]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        record: Dict[str, Any] = json.loads(line)
-        if record.get("kind") != "metric":
+        try:
+            record: Dict[str, Any] = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise ValueError(
+                f"{path}:{number}: not a telemetry tape line ({error})"
+            ) from None
+        if not isinstance(record, dict) or "kind" not in record:
+            raise ValueError(
+                f"{path}:{number}: not a telemetry record (a JSON object "
+                "with a 'kind' key)")
+        if record["kind"] != "metric":
             registry.events.append(record)
             continue
         kind = record.get("type")

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import json
 import random
-import socket
 import time
-import urllib.request
-from typing import Any, Dict, List, Tuple
-from urllib.parse import urlsplit
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.obs.registry import MetricsRegistry, counter_add
+
+if TYPE_CHECKING:
+    import socket
 
 __all__ = [
     "OtlpHttpSink",
@@ -276,6 +276,10 @@ class StatsdSink(Sink):
         return f"{_metric_name(name)}:{value:g}|g"
 
     def _send(self, batch: List[str]) -> None:
+        # The transports import their network modules on first use, so
+        # that importing repro loads no network stack.
+        import socket
+
         if self._socket is None:
             self._socket = socket.socket(socket.AF_INET,
                                          socket.SOCK_DGRAM)
@@ -381,6 +385,8 @@ class OtlpHttpSink(Sink):
         return json.dumps(envelope).encode("utf-8")
 
     def _send(self, batch: List[Tuple[str, str, float]]) -> None:
+        import urllib.request
+
         request = urllib.request.Request(
             self._endpoint, data=self._payload(batch),
             headers={"Content-Type": "application/json"},
@@ -413,6 +419,8 @@ def parse_sink_url(url: str, **kwargs: Any) -> Sink:
     Raises:
         ValueError: On an unsupported scheme or a malformed URL.
     """
+    from urllib.parse import urlsplit
+
     parts = urlsplit(url)
     if parts.scheme == "statsd":
         if not parts.hostname or parts.port is None:

@@ -41,9 +41,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from multiprocessing import get_context
 from typing import Callable, Iterable, List, Tuple, TypeVar
 
 import numpy as np
@@ -159,6 +157,11 @@ def parallel_map(fn: Callable[[ItemT], ResultT],
         if workers == 1:
             triples = [_timed(fn, item) for item in specs]
         else:
+            # Imported only when a pool is needed: importing repro
+            # should not load multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
             with ProcessPoolExecutor(
                     max_workers=workers,
                     mp_context=get_context("spawn")) as pool:

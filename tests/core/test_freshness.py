@@ -94,6 +94,60 @@ class TestFixedOrderFreshness:
                                      np.array([mid])) >= blend - 1e-12
 
 
+def _masked_fixed_order_freshness(lam: np.ndarray,
+                                  f: np.ndarray) -> np.ndarray:
+    """F̄ evaluated only on the regular elements, boundaries by mask.
+
+    A subnormal λ over a large f underflows r to 0, and 0/0 is NaN in
+    both forms; the comparison is of bits, so that NaN must match too.
+    """
+    out = np.empty(lam.shape)
+    never_changes = lam == 0.0
+    never_synced = (f == 0.0) & ~never_changes
+    regular = ~never_changes & ~never_synced
+    out[never_changes] = 1.0
+    out[never_synced] = 0.0
+    r = lam[regular] / f[regular]
+    with np.errstate(invalid="ignore"):
+        out[regular] = -np.expm1(-r) / r
+    return out
+
+
+class TestFixedOrderBitIdentity:
+    """The whole-array form matches the masked form bit for bit, so no
+    plan or score moves whichever elements are on the boundary."""
+
+    def test_matches_masked_form_on_boundaries_and_subnormals(self):
+        rng = np.random.default_rng(3)
+        n = 100_003  # not a multiple of any SIMD width
+        lam = rng.lognormal(0.0, 2.0, n)
+        f = rng.lognormal(0.0, 2.0, n)
+        f[rng.random(n) < 0.375] = 0.0
+        lam[rng.random(n) < 0.1] = 0.0
+        lam[rng.random(n) < 0.05] = 5e-324
+        lam[rng.random(n) < 0.05] = 2.2e-310
+        f[:6] = [0.0, 0.0, 3.0, 1e-300, 1e300, -0.0]
+        lam[:6] = [0.0, 1.0, 5e-324, 5e-324, 1.0, 2.0]
+        expected = _masked_fixed_order_freshness(lam, f)
+        actual = fixed_order_freshness(lam, f)
+        assert np.array_equal(actual.view(np.uint64),
+                              expected.view(np.uint64))
+
+    @given(st.lists(st.tuples(
+        st.sampled_from((0.0, 5e-324, 1e-310, 1e-3, 1.0, 7.5, 1e300)),
+        st.sampled_from((0.0, 5e-324, 1e-300, 0.3, 1.0, 40.0))),
+        min_size=1, max_size=40))
+    @settings(max_examples=100)
+    def test_property_matches_masked_form(self, pairs):
+        lam = np.array([pair[0] for pair in pairs])
+        f = np.array([pair[1] for pair in pairs])
+        with np.errstate(over="ignore"):  # 1e300 / 1e-300
+            expected = _masked_fixed_order_freshness(lam, f)
+            actual = fixed_order_freshness(lam, f)
+        assert np.array_equal(actual.view(np.uint64),
+                              expected.view(np.uint64))
+
+
 class TestMarginalGain:
     def test_range(self):
         r = np.array([1e-8, 0.01, 1.0, 10.0, 100.0])

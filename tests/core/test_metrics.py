@@ -41,6 +41,17 @@ class TestElementFreshness:
         with pytest.raises(ValidationError):
             element_freshness(small_catalog, np.array([1, 1, 1, 1, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_frequency(self, small_catalog, bad):
+        frequencies = np.ones(5)
+        frequencies[0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            element_freshness(small_catalog, frequencies)
+        with pytest.raises(ValidationError, match="finite"):
+            perceived_freshness(small_catalog, frequencies)
+        with pytest.raises(ValidationError, match="finite"):
+            general_freshness(small_catalog, frequencies)
+
     def test_alternate_model(self, small_catalog):
         freqs = small_catalog.change_rates.copy()
         values = element_freshness(small_catalog, freqs,

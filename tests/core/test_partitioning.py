@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.partitioning import (
     PartitionAssignment,
     PartitioningStrategy,
+    _rank_split_labels,
     contiguous_labels,
     partition_catalog,
     sort_key,
@@ -133,6 +134,99 @@ class TestPartitionCatalog:
     def test_strategy_recorded(self, small_catalog):
         assignment = partition_catalog(small_catalog, 2, "pf")
         assert assignment.strategy is PartitioningStrategy.PF
+
+
+def _stable_labels(key: np.ndarray, k: int) -> np.ndarray:
+    """The definition: contiguous runs of the stable argsort."""
+    return contiguous_labels(np.argsort(key, kind="stable"), k)
+
+
+#: Element values for heavy-tie catalogs: ±0 and a few repeats.
+_TIED_VALUES = (0.0, -0.0, 0.25, 1.0, 1.0, 3.0)
+
+
+@st.composite
+def _tied_catalogs(draw):
+    """Catalogs whose sort keys tie heavily: uniform profiles, uniform
+    sizes, ±0 probabilities and change rates, and λ = 0 (an infinite
+    P/λ key)."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    pick = st.sampled_from(_TIED_VALUES)
+    uniform_profile = draw(st.booleans())
+    weights = (np.ones(n) if uniform_profile
+               else np.array(draw(st.lists(pick, min_size=n, max_size=n))))
+    if not weights.sum() > 0.0:
+        weights[0] = 1.0
+    rates = np.array(draw(st.lists(pick, min_size=n, max_size=n)))
+    sizes = (None if draw(st.booleans()) else
+             np.array(draw(st.lists(st.sampled_from((0.5, 1.0, 2.0)),
+                                    min_size=n, max_size=n))))
+    return Catalog(access_probabilities=weights / weights.sum(),
+                   change_rates=rates, sizes=sizes)
+
+
+class TestRankSplit:
+    """The rank split is the stable-argsort split, bit for bit."""
+
+    @given(_tied_catalogs(), st.sampled_from(list(PartitioningStrategy)),
+           st.integers(min_value=0, max_value=3),
+           st.integers(min_value=1, max_value=50))
+    @settings(max_examples=300, deadline=None)
+    def test_labels_equal_stable_argsort_runs(self, catalog, strategy,
+                                              k_mode, k_drawn):
+        n = catalog.n_elements
+        # k = 1, k = N, k > N, and any k (often with N mod k ≠ 0).
+        k = (1, n, n + 3, k_drawn)[k_mode]
+        labels = partition_catalog(catalog, k, strategy).labels
+        key = sort_key(catalog, strategy)
+        assert np.array_equal(labels, _stable_labels(key, min(k, n)))
+
+    @given(st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5, np.inf,
+                                     -np.inf, 5e-324)),
+                    min_size=1, max_size=60),
+           st.integers(min_value=1, max_value=70))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_keys_with_ties_and_infinities(self, values, k):
+        key = np.array(values)
+        labels = _rank_split_labels(key, k)
+        assert labels.dtype == _stable_labels(key, k).dtype
+        assert np.array_equal(labels, _stable_labels(key, k))
+
+    @given(st.integers(min_value=1, max_value=3000),
+           st.integers(min_value=1, max_value=200),
+           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_catalogs_every_strategy(self, n, k, seed):
+        catalog = random_catalog(np.random.default_rng(seed), n,
+                                 sized=True)
+        for strategy in PartitioningStrategy:
+            key = sort_key(catalog, strategy)
+            assert np.array_equal(
+                partition_catalog(catalog, k, strategy).labels,
+                _stable_labels(key, min(k, n)))
+
+    def test_rejects_bad_k(self):
+        with pytest.raises(ValidationError):
+            _rank_split_labels(np.arange(4.0), 0)
+
+    def test_sort_keys_are_never_nan(self):
+        # The rank split needs NaN-free keys: Catalog rejects non-finite
+        # fields, and no strategy makes a NaN from the extremes it
+        # admits (p = 0, λ = 0, tiny sizes).
+        with pytest.raises(ValidationError, match="finite"):
+            Catalog(access_probabilities=np.array([np.nan, 1.0]),
+                    change_rates=np.ones(2))
+        with pytest.raises(ValidationError, match="finite"):
+            Catalog(access_probabilities=np.array([0.5, 0.5]),
+                    change_rates=np.array([1.0, np.nan]))
+        with pytest.raises(ValidationError, match="finite"):
+            Catalog(access_probabilities=np.array([0.5, 0.5]),
+                    change_rates=np.ones(2), sizes=np.array([np.nan, 1.0]))
+        catalog = Catalog(access_probabilities=np.array([0.0, 1.0, 0.0]),
+                          change_rates=np.array([0.0, 0.0, 5e-324]),
+                          sizes=np.array([1e-300, 1.0, 1e300]))
+        for strategy in PartitioningStrategy:
+            assert not np.isnan(sort_key(catalog, strategy)).any()
 
 
 class TestPartitionAssignment:

@@ -309,6 +309,25 @@ class TestObsDiff:
         assert main(["obs", "diff", tape, tape]) == 0
         assert "no changes" in capsys.readouterr().out
 
+    def test_json_without_tape_records_exits_2(self, capsys, tmp_path):
+        # A JSON object with no "kind" key is not a tape record; it
+        # must not diff as an empty tape and pass the gate.
+        base, _ = self._tape_pair(tmp_path, 1.0)
+        other = tmp_path / "bench.json"
+        other.write_text('{"benchmark": 1}\n')
+        assert main(["obs", "diff", base, str(other)]) == 2
+        error = capsys.readouterr().err
+        assert "bench.json:1" in error
+        assert "not a telemetry record" in error
+
+    def test_pretty_printed_json_names_file_and_line(self, capsys,
+                                                     tmp_path):
+        base, _ = self._tape_pair(tmp_path, 1.0)
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text('{\n  "kind": "metric"\n}\n')
+        assert main(["obs", "diff", str(pretty), base]) == 2
+        assert "pretty.json:1" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         base, _ = self._tape_pair(tmp_path, 1.0)
         missing = str(tmp_path / "nope.jsonl")

@@ -284,6 +284,16 @@ def test_fl015_scoped_to_replay_paths() -> None:
         FIXTURES / "bad_fl015_unstable_argsort.py", outside)
 
 
+def test_fl015_covers_the_planner_partitioning() -> None:
+    # The default scope, not STRICT: the partition labels decide every
+    # replayed plan, so an unstable argsort there must be flagged.
+    source = (FIXTURES / "bad_fl015_unstable_argsort.py").read_text()
+    planner = REPO_ROOT / "src" / "repro" / "core" / "partitioning.py"
+    codes = [v.code for v in lint_file(planner, LintConfig(),
+                                       root=REPO_ROOT, source=source)]
+    assert codes.count("FL015") == 3
+
+
 # ---------------------------------------------------------------------------
 # pragmas, select/ignore, syntax errors
 

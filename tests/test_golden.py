@@ -121,6 +121,37 @@ def _pinned_simulation(n_elements: int, world: str,
                       fault_rng=fault_rng, **faults)
 
 
+class TestGoldenPartitionedPlan:
+    """SHA-256 pin of the benchmark planner's output at 10⁵ elements.
+
+    The catalog has the benchmark's shape (one update and 0.3 syncs
+    per element per period, θ = 1).  The digest covers the PF
+    partition labels, the plan's frequencies and its PF and GF, so a
+    change to the tie order, the water-filling or the scoring trips
+    it.
+    """
+
+    DIGEST = "c6cb4960f9fefc4f350c33ec6289ef48a8c77e0f262499847c19abf4d8541d19"
+
+    def test_plan_digest(self):
+        from repro.core.freshener import PartitionedFreshener
+        from repro.core.partitioning import partition_catalog
+        from repro.workloads.presets import ExperimentSetup
+
+        n = 100_000
+        spec = ExperimentSetup(
+            n_objects=n, updates_per_period=1.0 * n,
+            syncs_per_period=0.3 * n, theta=1.0, update_std_dev=2.0)
+        catalog = build_catalog(spec, seed=0)
+        labels = partition_catalog(catalog, 64, "pf").labels
+        plan = PartitionedFreshener(n_partitions=64).plan(
+            catalog, spec.syncs_per_period)
+        scores = np.array([plan.perceived_freshness,
+                           plan.general_freshness])
+        assert _sha256(labels.astype(np.int64), plan.frequencies,
+                       scores) == self.DIGEST
+
+
 class TestGoldenOneShotOutputs:
     """SHA-256 pins of whole tapes and whole faulted runs.
 

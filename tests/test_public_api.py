@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,24 @@ class TestExports:
         assert issubclass(repro.ValidationError, ValueError)
         assert issubclass(repro.SimulationError, repro.ReproError)
         assert issubclass(repro.ConvergenceError, repro.ReproError)
+
+
+class TestImportHygiene:
+    #: Loaded only by the sink transports and the process pool, which
+    #: no plan or simulation needs.
+    LAZY = ("urllib.request", "http.client", "ssl", "socket",
+            "multiprocessing", "concurrent.futures.process")
+
+    def test_import_loads_no_network_or_process_pool(self):
+        source = Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(source), env.get("PYTHONPATH", "")])
+        probe = ("import sys, repro, repro.cli; "
+                 f"print(sorted(set({self.LAZY!r}) & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestQuickstartPath:

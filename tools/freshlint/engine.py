@@ -141,11 +141,14 @@ class LintConfig:
     )
     #: Replay paths: FL015 requires every ``argsort`` to be stable,
     #: since bit-identity with the reference loop rests on tie order.
+    #: The planner's partitioning is one of them: its labels decide
+    #: every plan the engines replay.
     replay_globs: tuple[str, ...] = (
         "src/repro/sim/*.py",
         "src/repro/faults/*.py",
         "src/repro/runtime/*.py",
         "src/repro/core/scheduler.py",
+        "src/repro/core/partitioning.py",
         "src/repro/numerics/sorting.py",
     )
     select: tuple[str, ...] = ()

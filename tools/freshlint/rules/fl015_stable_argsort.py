@@ -6,10 +6,13 @@ tie order.  ``np.argsort`` without ``kind="stable"`` is an introsort
 whose order among equal keys is implementation-defined, and numpy
 dispatches it to SIMD kernels chosen per CPU: the same tape could
 group differently on two hosts, and bit-identity would break on some
-machines only.  On the simulator, fault, runtime and scheduler paths,
-and in the shared time sort, every ``argsort`` call (function or
-method) must therefore pass ``kind="stable"`` by keyword, or go
-through the radix-accelerated stable helpers
+machines only.  The planner's partition labels are in the same
+position: they decide every plan the engines replay, so a CPU-dependent
+tie order there would make the plan itself differ between hosts.  On
+the simulator, fault, runtime and scheduler paths, in the planner's
+partitioning and in the shared time sort, every ``argsort`` call
+(function or method) must therefore pass ``kind="stable"`` by
+keyword, or go through the radix-accelerated stable helpers
 (``repro.numerics.sorting._stable_time_argsort``,
 ``repro.sim.fastpath._stable_element_argsort``), which are not
 ``argsort`` calls themselves.
