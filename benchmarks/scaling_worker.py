@@ -27,7 +27,7 @@ replay route in ``adapt`` mode: 1 runs each period through
 solve is superlinear in the catalog and dominates the
 wall clock past a few million elements, so the 10⁷ stream arm
 plans with the paper's scalable partitioned heuristic instead).
-One JSON object is printed on stdout: replay, total
+One JSON object is printed on stdout: plan, replay, total
 and stream-generation seconds, event and poll counts, the
 ``sim.engine.*`` counters, ``peak_rss_kb`` and a freshness checksum
 the parent uses to confirm engines agree without shipping arrays
@@ -137,6 +137,7 @@ def run_point(config: dict) -> dict:
                                   batch=int(config.get("batch", 4)))
             total = time.perf_counter() - start
         _, replay = registry.span_totals["manager.simulate"]
+        _, plan_seconds = registry.span_totals["manager.plan"]
         series = np.array([report.monitored_pf for report in reports])
         return {
             "n_elements": n,
@@ -146,6 +147,7 @@ def run_point(config: dict) -> dict:
             "n_periods": len(reports),
             "replans": int(registry.counters.get("manager.replans",
                                                  0)),
+            "plan_seconds": plan_seconds,
             "replay_seconds": replay,
             "total_seconds": total,
             "peak_rss_kb": resource.getrusage(
@@ -158,7 +160,9 @@ def run_point(config: dict) -> dict:
     freshener = (PartitionedFreshener(n_partitions=64)
                  if config.get("freshener", "exact") == "partitioned"
                  else PerceivedFreshener())
+    start = time.perf_counter()
     plan = freshener.plan(catalog, setup.syncs_per_period)
+    plan_seconds = time.perf_counter() - start
     sim = Simulation(catalog, plan.frequencies,
                      request_rate=request_rate,
                      rng=np.random.default_rng(7), **fault_kwargs)
@@ -185,6 +189,7 @@ def run_point(config: dict) -> dict:
         "retries": int(result.retries),
         "monitored_perceived_freshness":
             float(result.monitored_perceived_freshness),
+        "plan_seconds": plan_seconds,
         "replay_seconds": replay,
         "total_seconds": total,
         "generation_seconds": generation,

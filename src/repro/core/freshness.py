@@ -51,7 +51,8 @@ def fixed_order_freshness(change_rates: np.ndarray,
 
     Conventions at the boundary: ``f = 0`` gives freshness 0 for any
     ``λ > 0`` (never refreshed, eventually always stale) and ``λ = 0``
-    gives freshness 1 (never changes, always fresh).
+    gives freshness 1 (never changes, always fresh).  A ratio ``λ/f``
+    that underflows to 0 takes its ``r → 0`` limit, 1.
 
     Args:
         change_rates: Poisson change rates ``λ ≥ 0``, in changes per
@@ -69,11 +70,18 @@ def fixed_order_freshness(change_rates: np.ndarray,
         r = lam / f
         # (1 − e^(−r))/r via expm1 for accuracy at small r.
         out = np.asarray(-np.expm1(-r) / r)
-    # The boundary conventions overwrite whatever 0/0 or x/0 gave;
-    # λ = 0 wins over f = 0.
+    # The limit and the boundary conventions overwrite whatever 0/0
+    # or x/0 gave; λ = 0 wins over f = 0.
+    out[r == 0.0] = 1.0
     out[f == 0.0] = 0.0
     out[lam == 0.0] = 1.0
     return out if out.ndim else float(out)
+
+
+def _small_ratio_gain(r: np.ndarray) -> np.ndarray:
+    """``g(r) = r²/2 − r³/3 + r⁴/8 − …``; three terms suffice below
+    :data:`_SERIES_CUTOFF`."""
+    return r * r * (0.5 - r / 3.0 + r * r / 8.0)
 
 
 def marginal_gain(staleness_ratio: np.ndarray) -> np.ndarray:
@@ -93,10 +101,7 @@ def marginal_gain(staleness_ratio: np.ndarray) -> np.ndarray:
     out = np.empty(r.shape, dtype=float)
     small = r < _SERIES_CUTOFF
     if small.any():
-        rs = r[small]
-        # g(r) = r²/2 − r³/3 + r⁴/8 − … ; three terms suffice below
-        # the cutoff.
-        out[small] = rs * rs * (0.5 - rs / 3.0 + rs * rs / 8.0)
+        out[small] = _small_ratio_gain(r[small])
     big = ~small
     if big.any():
         rb = r[big]
@@ -104,19 +109,21 @@ def marginal_gain(staleness_ratio: np.ndarray) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def invert_marginal_gain(targets: np.ndarray, *, tol: float = 1e-13,
-                         max_newton: int = 60) -> np.ndarray:
-    """Solve ``g(r) = t`` for ``r``, vectorized.
+#: Halley steps from the initial guess.  Three bring ``|g(r) − t|``
+#: within 4e-16 for every target in ``(0, 1)``, and within
+#: ``4·eps·t`` for ``t ≤ 1e-12``.
+_HALLEY_STEPS = 3
 
-    Uses safeguarded Newton iterations (``g'(r) = r·e^(−r)``) with a
-    maintained bisection bracket, so convergence is guaranteed for any
-    ``t ∈ (0, 1)``.
+
+def invert_marginal_gain(targets: np.ndarray) -> np.ndarray:
+    """Solve ``g(r) = t`` for ``r``, element by element.
+
+    A fixed number of Halley steps (``g′ = r·e^(−r)``,
+    ``g″ = (1 − r)·e^(−r)``) from a closed-form guess.  Each result
+    depends on its own target only, never on the rest of the batch.
 
     Args:
         targets: Values ``t`` with ``0 < t < 1`` element-wise.
-        tol: Absolute tolerance on ``g(r) − t``.
-        max_newton: Iteration cap (bisection progress makes the method
-            converge long before a sane cap).
 
     Returns:
         The staleness ratios ``r`` with ``g(r) = t``.
@@ -126,7 +133,7 @@ def invert_marginal_gain(targets: np.ndarray, *, tol: float = 1e-13,
     """
     t = np.asarray(targets, dtype=float)
     scalar = t.ndim == 0
-    t = np.atleast_1d(t).copy()
+    t = np.atleast_1d(t)
     if ((t <= 0.0) | (t >= 1.0)).any():
         raise ValidationError("marginal targets must lie strictly in (0, 1)")
 
@@ -134,35 +141,20 @@ def invert_marginal_gain(targets: np.ndarray, *, tol: float = 1e-13,
     # asymptotic (1+r)e^(−r) = 1−t ⇒ r ≈ −ln(1−t) + ln(1+r), iterated
     # once from r₀ = −ln(1−t).
     guess_small = np.sqrt(2.0 * t)
-    with np.errstate(divide="ignore"):
-        base = -np.log1p(-t)
-    guess_large = base + np.log1p(np.maximum(base, 0.0))
+    base = -np.log1p(-t)
+    guess_large = base + np.log1p(base)
     r = np.where(t < 0.5, guess_small, np.maximum(guess_large, guess_small))
 
-    # Bracket: g is increasing; expand hi until g(hi) >= t everywhere.
-    lo = np.zeros_like(t)
-    hi = np.maximum(2.0 * r, 1.0)
-    for _ in range(200):
-        too_low = marginal_gain(hi) < t
-        if not too_low.any():
-            break
-        hi[too_low] *= 2.0
-
-    r = np.clip(r, lo + 1e-300, hi)
-    for _ in range(max_newton):
-        g_r = marginal_gain(r)
-        residual = g_r - t
-        if (np.abs(residual) <= tol).all():
-            break
-        above = residual > 0.0
-        hi = np.where(above, r, hi)
-        lo = np.where(above, lo, r)
-        slope = r * np.exp(-r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = residual / slope
-        newton = r - step
-        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
-        r = np.where(inside, newton, 0.5 * (lo + hi))
+    for _ in range(_HALLEY_STEPS):
+        decay = np.exp(-r)
+        # Unlike marginal_gain's 1 − (1+r)·e^(−r), g written as
+        # −expm1(−r) − r·e^(−r) does not cancel against 1.
+        residual = np.where(r < _SERIES_CUTOFF, _small_ratio_gain(r),
+                            -np.expm1(-r) - r * decay) - t
+        # r − 2hg′/(2g′² − hg″), with the common factor e^(−r) divided
+        # out of g′ and g″.
+        r = r - 2.0 * residual * r / (
+            2.0 * r * r * decay - residual * (1.0 - r))
     return float(r[0]) if scalar else r
 
 

@@ -1,11 +1,10 @@
-"""Numerical substrate: root finding, generic NLP, and k-means.
+"""Numerical substrate: generic NLP, water-filling and k-means.
 
 This subpackage replaces the proprietary IMSL numerical libraries the
-paper used.  It contains:
+paper used.  (The exact solver's root-find, the inversion of the
+marginal kernel, is elementwise and lives beside the kernel in
+:func:`repro.core.freshness.invert_marginal_gain`.)  It contains:
 
-* :mod:`repro.numerics.roots` — scalar root finding (bisection,
-  Newton with bisection fallback) used by the exact water-filling
-  solver.
 * :mod:`repro.numerics.optimize` — a generic projected-gradient solver
   for concave maximization under a single linear constraint.  This is
   the "black-box NLP package" stand-in whose superlinear cost in the
@@ -20,7 +19,6 @@ paper used.  It contains:
 
 from repro.numerics.kmeans import KMeansResult, kmeans, kmeans_iterate
 from repro.numerics.optimize import NlpResult, ProjectedGradientSolver
-from repro.numerics.roots import bisect, newton_bisect_increasing
 from repro.numerics.stats import (
     ConfidenceInterval,
     mean_confidence_interval,
@@ -29,11 +27,9 @@ from repro.numerics.stats import (
 from repro.numerics.waterfill import WaterfillResult, waterfill
 
 __all__ = [
-    "bisect",
     "ConfidenceInterval",
     "mean_confidence_interval",
     "t_critical_value",
-    "newton_bisect_increasing",
     "ProjectedGradientSolver",
     "NlpResult",
     "kmeans",

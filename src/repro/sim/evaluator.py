@@ -109,9 +109,10 @@ class FreshnessMonitor:
             self._fresh_time[element] += elapsed
         else:
             since = self._stale_since[element]
-            start = self._last_time[element]
+            age_now = time - since
+            age_before = self._last_time[element] - since
             self._age_integral[element] += 0.5 * (
-                (time - since) ** 2 - (start - since) ** 2)
+                age_now * age_now - age_before * age_before)
         self._last_time[element] = time
 
     def note_update(self, element: int, time: float) -> None:

@@ -76,12 +76,6 @@ Bit-identity notes (all verified by the equivalence suite):
   nonzero carried accumulator as its bin's first weight continues the
   fold bit-exactly — left folds compose — so slab-by-slab replay of a
   tape is bit-identical to the reference loop over the whole tape.
-* The reference loop squares *scalars* (``(time - since) ** 2`` on
-  ``np.float64`` goes through libm ``pow``), while the horizon flush
-  squares *arrays* (``** 2`` lowers to ``x*x``).  These differ in the
-  last bit for ~0.1% of inputs, so the kernel uses
-  ``np.float_power`` (bit-equal to scalar ``pow``) for per-event
-  trapezoids and shares the loop's flush.
 * Each fold adds only the increments the loop performs, and a zero
   carry needs no prefix entry: ``bincount`` starts every bin at
   ``0.0``, and ``0.0 + x`` is ``x`` for every ``x`` but ``-0.0``,
@@ -1372,13 +1366,14 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     stale_since[carried_run] = carry.stale_since[
         element_of[stale_events[carried_run]]]
 
-    # The reference loop squares np.float64 *scalars* (libm pow);
-    # np.float_power is the array op that matches it bit-for-bit.
-    age_increment = np.float_power(time_of[stale_events] - stale_since,
-                                   2.0)
-    age_increment -= np.float_power(
-        previous_time[stale_events] - stale_since, 2.0)
+    # Squares by multiplication, as in the reference loop.
+    age_increment = time_of[stale_events] - stale_since
+    age_increment *= age_increment
+    age_before = previous_time[stale_events] - stale_since
+    age_before *= age_before
+    age_increment -= age_before
     age_increment *= 0.5
+    del age_before
     carry.fresh_time = _fold_with_carry(
         carry.fresh_time, element_of[fresh_events], elapsed[fresh_events])
     carry.age_integral = _fold_with_carry(

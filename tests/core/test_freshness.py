@@ -98,8 +98,8 @@ def _masked_fixed_order_freshness(lam: np.ndarray,
                                   f: np.ndarray) -> np.ndarray:
     """F̄ evaluated only on the regular elements, boundaries by mask.
 
-    A subnormal λ over a large f underflows r to 0, and 0/0 is NaN in
-    both forms; the comparison is of bits, so that NaN must match too.
+    A subnormal λ over a large f underflows r to 0, and 0/0 makes this
+    form NaN there.
     """
     out = np.empty(lam.shape)
     never_changes = lam == 0.0
@@ -113,9 +113,28 @@ def _masked_fixed_order_freshness(lam: np.ndarray,
     return out
 
 
+def _assert_same_finite_bits(actual: np.ndarray,
+                             expected: np.ndarray) -> None:
+    """Every finite value of the masked form is kept bit for bit; its
+    NaNs (an underflowed r) read as the r → 0 limit, 1."""
+    finite = np.isfinite(expected)
+    assert np.array_equal(actual[finite].view(np.uint64),
+                          expected[finite].view(np.uint64))
+    assert (actual[~finite] == 1.0).all()
+
+
 class TestFixedOrderBitIdentity:
-    """The whole-array form matches the masked form bit for bit, so no
-    plan or score moves whichever elements are on the boundary."""
+    """The whole-array form keeps every finite value of the masked form
+    bit for bit, so no plan or score moves whichever elements are on
+    the boundary."""
+
+    def test_underflowed_ratio_takes_the_limit(self):
+        # λ/f underflows to 0: the element is always fresh, as r → 0.
+        values = fixed_order_freshness(np.array([5e-324, 1.0]),
+                                       np.array([3.0, 1.0]))
+        assert values[0] == 1.0
+        assert values[1] == -math.expm1(-1.0)
+        assert fixed_order_freshness(2.2e-310, 1e300) == 1.0
 
     def test_matches_masked_form_on_boundaries_and_subnormals(self):
         rng = np.random.default_rng(3)
@@ -130,8 +149,8 @@ class TestFixedOrderBitIdentity:
         lam[:6] = [0.0, 1.0, 5e-324, 5e-324, 1.0, 2.0]
         expected = _masked_fixed_order_freshness(lam, f)
         actual = fixed_order_freshness(lam, f)
-        assert np.array_equal(actual.view(np.uint64),
-                              expected.view(np.uint64))
+        assert np.isnan(expected).any()
+        _assert_same_finite_bits(actual, expected)
 
     @given(st.lists(st.tuples(
         st.sampled_from((0.0, 5e-324, 1e-310, 1e-3, 1.0, 7.5, 1e300)),
@@ -144,8 +163,7 @@ class TestFixedOrderBitIdentity:
         with np.errstate(over="ignore"):  # 1e300 / 1e-300
             expected = _masked_fixed_order_freshness(lam, f)
             actual = fixed_order_freshness(lam, f)
-        assert np.array_equal(actual.view(np.uint64),
-                              expected.view(np.uint64))
+        _assert_same_finite_bits(actual, expected)
 
 
 class TestMarginalGain:
@@ -179,11 +197,31 @@ class TestMarginalGain:
         analytic = marginal_gain(np.array([lam / f])) / lam
         assert numeric[0] == pytest.approx(analytic[0], rel=1e-5)
 
-    @given(st.floats(min_value=1e-6, max_value=0.999999))
+    @given(st.floats(min_value=5e-324, max_value=np.nextafter(1.0, 0.0)))
     @settings(max_examples=200)
     def test_inversion_roundtrip(self, target):
         r = invert_marginal_gain(np.array([target]))
-        assert marginal_gain(r) == pytest.approx(target, abs=1e-10)
+        assert np.isfinite(r).all() and (r > 0.0).all()
+        error = abs(marginal_gain(r)[0] - target)
+        assert error <= 4e-16
+        if target <= 1e-12:
+            assert error <= 4.0 * np.finfo(float).eps * target
+
+    def test_inversion_roundtrip_over_the_full_range(self):
+        eps = np.finfo(float).eps
+        with np.errstate(under="ignore"):
+            targets = np.concatenate([
+                np.logspace(-323.3, -1e-3, 20_000),
+                1.0 - np.logspace(-15.9, -0.3, 5_000),
+                np.random.default_rng(0).random(20_000),
+                [5e-324, 2.2250738585072014e-308, 1e-12, 0.5,
+                 np.nextafter(1.0, 0.0)]])
+        r = invert_marginal_gain(targets)
+        assert np.isfinite(r).all() and (r > 0.0).all()
+        error = np.abs(marginal_gain(r) - targets)
+        assert error.max() <= 4e-16
+        small = targets <= 1e-12
+        assert (error[small] <= 4.0 * eps * targets[small]).all()
 
     def test_invert_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -198,11 +236,19 @@ class TestMarginalGain:
         assert isinstance(r, float)
 
     def test_invert_vectorized_consistency(self):
-        targets = np.array([0.01, 0.2, 0.5, 0.9, 0.999])
+        # Each result depends on its own target only: a tiny target
+        # batched with a large one inverts to the same bits as alone.
+        with np.errstate(under="ignore"):
+            spread = np.logspace(-323.3, -1e-3, 500)
+        targets = np.concatenate([
+            [1e-20, 0.5, 1e-200, 0.5, 5e-324, np.nextafter(1.0, 0.0)],
+            spread, 1.0 - np.logspace(-15.9, -0.3, 100),
+            [0.01, 0.2, 0.9, 0.999]])
         vector = invert_marginal_gain(targets)
-        singles = [invert_marginal_gain(np.array([t]))[0]
-                   for t in targets]
-        assert np.allclose(vector, singles, rtol=1e-10)
+        singles = np.array([invert_marginal_gain(np.array([t]))[0]
+                            for t in targets])
+        assert np.array_equal(vector.view(np.uint64),
+                              singles.view(np.uint64))
 
 
 class TestFixedOrderPolicy:

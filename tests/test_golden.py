@@ -131,7 +131,7 @@ class TestGoldenPartitionedPlan:
     it.
     """
 
-    DIGEST = "c6cb4960f9fefc4f350c33ec6289ef48a8c77e0f262499847c19abf4d8541d19"
+    DIGEST = "4ddd849681f01443d613bb23ee7e93735d1f3f9d4d8a7abbbcb23f06de5506d0"
 
     def test_plan_digest(self):
         from repro.core.freshener import PartitionedFreshener
@@ -167,16 +167,16 @@ class TestGoldenOneShotOutputs:
         # (elements, world, periods, chunk_periods):
         #     (tape digest, run digest)
         (5_000, "iid", 2.0, None): (
-            "7b8240772f3b499ff83f841082da8156525e26a1f46fc5b4bce7ae55eb2cf16c",
-            "4a176eebf94023a469f77c8eee45e86e7ddb2ff3f40835617866997ed0c6e18e"
+            "063fbf3d954372b7754f20a5a5dfa495bc85810967b44579619cf6ae22ab6ec9",
+            "c9d024dc13bdd072e356b5ed483b38a2a80bf7e0773c11cbd2aec4aeba2ecad3"
         ),
         (100_000, "iid", 1.0, None): (
-            "0439760491737557be589f17152ac313780ebffaa42a0b2371a7b40ec7c3ead1",
-            "0b42d4afea5f37d2861b3bf964cec7fc4ba8f532933ca21a3c6caebdcc4028bf"
+            "08668af2a6b2eebde12c140e3d779ee6528e4ece3c0811fd1bf16106dd88a878",
+            "67650ab029d065eee06076fec9b9db121520e91e695d863c542baa339e170121"
         ),
         (5_000, "ge", 3.0, 1): (
-            "e6bfe23cf5f8b094d3d96360db09084641fc89d1030631122352a46950b15bb8",
-            "aacdb2133c3d1e21b7da1df38748c959578ced31149f69df0c9c1fd206011b41"
+            "977d4b7ce49300253c7bac8976e191081daa14a7d1b8ff5fe47f8d5bcb917008",
+            "3e42ccee00dcf68dd91a0fa55ddf4623f0bdd2a63f412657c5c98eb1e996c815"
         ),
     }
 
