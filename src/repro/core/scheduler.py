@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.numerics.sorting import _stable_time_argsort
+from repro.numerics.sorting import stable_time_sort
 
 __all__ = ["PhasePolicy", "SyncSchedule"]
 
@@ -279,8 +279,8 @@ class SyncSchedule:
         times += np.repeat(phase, counts)
         elements = np.repeat(active[firing], counts).astype(np.int64,
                                                              copy=False)
-        order = _stable_time_argsort(times)
-        return times[order], elements[order]
+        order, times = stable_time_sort(times)
+        return times, elements[order]
 
     def syncs_per_period(self) -> float:
         """Total sync operations per period, ``Σ fᵢ``."""

@@ -13,8 +13,10 @@ marginal kernel, is elementwise and lives beside the kernel in
   used by the cluster-refinement step (paper §4.1.3).
 * :mod:`repro.numerics.waterfill` — generic water-filling machinery
   for separable concave resource allocation.
-* :mod:`repro.numerics.sorting` — the stable, radix-accelerated time
-  argsort that the sync schedule and the event-tape merge share.
+* :mod:`repro.numerics.sorting` — the stable time and element-id
+  sorts on unique (key, position) int64 keys, shared by the sync
+  schedule, the event-tape merge, the request draws and the replay
+  kernel.
 """
 
 from repro.numerics.kmeans import KMeansResult, kmeans, kmeans_iterate

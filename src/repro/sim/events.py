@@ -24,7 +24,7 @@ from enum import IntEnum
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.numerics.sorting import _stable_time_argsort
+from repro.numerics.sorting import stable_time_sort
 
 __all__ = ["EventKind", "merge_kind_blocks", "merge_sorted_blocks"]
 
@@ -121,10 +121,11 @@ def merge_kind_blocks(update_times: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fuse raw per-kind draws into one time-ordered SoA tape.
 
-    Stable-sorts the raw update block alone (the bucketed radix sort
-    of :func:`~repro.numerics.sorting._stable_time_argsort`), then
-    merges the three sorted runs [updates, syncs, accesses] like
-    :func:`merge_sorted_blocks`.  A stable sort of a concatenation
+    Stable-sorts the raw update block alone with
+    :func:`~repro.numerics.sorting.stable_time_sort` (one SIMD sort of
+    unique (bucket, position) keys, repaired locally where distinct
+    times share a bucket), then merges the three sorted runs
+    [updates, syncs, accesses] like :func:`merge_sorted_blocks`.  A stable sort of a concatenation
     equals a stable merge of its stably sorted blocks, so the output
     equals one stable argsort over the kind-ordered concatenation:
     within a kind generation order survives, and at cross-kind time
@@ -144,8 +145,8 @@ def merge_kind_blocks(update_times: np.ndarray,
         ``(times, elements, kinds)`` — float64 / int32 / int8 arrays
         sorted by time with kind priority breaking ties.
     """
-    update_order = _stable_time_argsort(update_times)
+    update_order, update_times = stable_time_sort(update_times)
     return _merge_runs(*_kind_ordered(
-        update_times[update_order], update_elements[update_order],
+        update_times, update_elements[update_order],
         sync_times, sync_elements, access_times, access_elements,
         n_elements))

@@ -47,12 +47,13 @@ How the loop is vectorized
 
 The slab is regrouped per element with a stable sort, which preserves
 each element's global event order (updates before syncs before
-accesses at equal timestamps, courtesy of the merge).  The sort is
-two LSD radix passes over the uint16 halves of each element id
-(:func:`_stable_element_argsort`): O(n), and the same permutation as
-a direct stable argsort, since a stable sort's permutation is unique.
-The per-element monitor state machine is then reconstructed with
-segment operations:
+accesses at equal timestamps, courtesy of the merge).  The sort is one
+``ndarray.sort()`` of the unique int64 keys ``(id << shift) |
+position`` (:func:`~repro.numerics.sorting.stable_element_sort`):
+unique keys have one sorted order, so it is a direct stable argsort's
+permutation on every CPU, and the sorted ids come off the keys' high
+bits.  The per-element monitor state machine is then reconstructed
+with segment operations:
 
 * the fresh/stale flag before each event comes from the last
   update/sync strictly before it (a segmented running maximum over
@@ -125,6 +126,7 @@ from repro.faults.model import (
     PollOutcome,
 )
 from repro.faults.retry import RetryPolicy
+from repro.numerics.sorting import stable_element_sort
 from repro.obs import registry as obs
 from repro.sim.events import EventKind
 from repro.sim.evaluator import (
@@ -146,32 +148,15 @@ _SLAB_EVENT_LIMIT = int(np.iinfo(np.int32).max)
 
 
 
-def _stable_element_argsort(elements: np.ndarray) -> np.ndarray:
-    """``np.argsort(elements, kind="stable")`` for element ids in
-    ``[0, 2³¹)``, as two LSD radix passes.
-
-    Pass one stable-sorts the low uint16 half of each id, pass two
-    the high half of the permuted ids; composing two stable sorts
-    keyed (high, low) equals one stable sort keyed by the id.  numpy's
-    stable sort of a 16-bit key is an O(n) radix sort, so this runs
-    several times faster than a direct stable argsort of 32-bit ids,
-    and a stable sort's permutation is unique, so it is the same.
-    """
-    order = np.argsort((elements & 0xFFFF).astype(np.uint16),
-                       kind="stable")
-    high = (elements[order] >> 16).astype(np.uint16)
-    return order[np.argsort(high, kind="stable")]
-
-
 def _segment_starts(elements_sorted: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """First-event flag and per-event segment-start position.
+    """Segment-start positions and per-event segment start.
 
     Args:
         elements_sorted: Element ids after the stable per-element sort.
 
     Returns:
-        ``(new_segment, segment_start_of)`` — a boolean mask of
+        ``(start_positions, segment_start_of)`` — the positions of the
         segment-opening events and, per event, the global position of
         its segment's first event.
     """
@@ -182,17 +167,7 @@ def _segment_starts(elements_sorted: np.ndarray
                  out=new_segment[1:])
     start_positions = np.flatnonzero(new_segment)
     segment_ids = np.cumsum(new_segment) - 1
-    return new_segment, start_positions[segment_ids]
-
-
-def _shift_within_segment(values: np.ndarray, new_segment: np.ndarray,
-                          fill: float) -> np.ndarray:
-    """Previous event's value within each segment (``fill`` at starts)."""
-    shifted = np.empty_like(values)
-    shifted[0] = fill
-    shifted[1:] = values[:-1]
-    shifted[new_segment] = fill
-    return shifted
+    return start_positions, start_positions[segment_ids]
 
 
 def _last_position_at_or_before(candidate_positions: np.ndarray,
@@ -748,14 +723,12 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
         sorted order, and the per-element state after the batch.
     """
     m = int(sync_elements.shape[0])
-    order = _stable_element_argsort(sync_elements)
-    element_sorted = sync_elements[order]
+    order, element_sorted = stable_element_sort(sync_elements)
     transition_at = order * 2
     # out-state of this sync's transition, given the in-state:
     out_if_good = flip_good[transition_at]
     out_if_bad = ~flip_bad[transition_at]
-    new_segment, segment_start_of = _segment_starts(element_sorted)
-    segment_starts = np.flatnonzero(new_segment)
+    segment_starts, segment_start_of = _segment_starts(element_sorted)
     segment_ends = np.append(segment_starts[1:] - 1, m - 1)
     # After the round at `shift`, each aggregate spans 2·shift syncs;
     # rounds past the longest element run compose nothing new.
@@ -1272,7 +1245,8 @@ def _fold_with_carry(carry_values: np.ndarray, bins: np.ndarray,
 
 def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
                        times: np.ndarray, elements: np.ndarray,
-                       kinds: np.ndarray) -> np.ndarray:
+                       kinds: np.ndarray, *, tape_fresh: bool
+                       ) -> np.ndarray | None:
     """Fold one slab of a (kept) tape into the carry state.
 
     The replay kernel.  Its one per-event state is the fresh flag
@@ -1294,33 +1268,36 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
         times: Slab event times (global clock), time-ordered.
         elements: Element id per slab event.
         kinds: :class:`~repro.sim.events.EventKind` per slab event.
+        tape_fresh: Whether to return the fresh-before flag.
 
     Returns:
-        The fresh-before flag of each event in *tape* order, for the
-        telemetry series and the ledger.
+        With ``tape_fresh``, the fresh-before flag of each event in
+        *tape* order, for the telemetry series and the ledger;
+        otherwise None.
     """
     n_events = int(times.shape[0])
     if not n_events:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(0, dtype=bool) if tape_fresh else None
     n_elements = int(carry.fresh.shape[0])
     update_kind = int(EventKind.UPDATE)
     sync_kind = int(EventKind.SYNC)
 
-    order = _stable_element_argsort(elements)
-    element_of = elements[order]
+    order, element_of = stable_element_sort(elements)
     time_of = times[order]
     kind_of = kinds[order]
     positions = np.arange(n_events, dtype=np.int32)
 
-    new_segment, segment_start_of = _segment_starts(element_of)
+    segment_start_positions, segment_start_of = _segment_starts(
+        element_of)
     segment_start_of = segment_start_of.astype(np.int32, copy=False)
-    segment_start_positions = np.flatnonzero(new_segment)
     segment_end_positions = np.append(
         segment_start_positions[1:] - 1, n_events - 1)
     present = element_of[segment_start_positions]
 
-    # Previous event time: within-slab shift, carried time at starts.
-    previous_time = _shift_within_segment(time_of, new_segment, 0.0)
+    # Previous event time: within-slab shift, carried time at starts
+    # (position 0 opens a segment).
+    previous_time = np.empty_like(time_of)
+    previous_time[1:] = time_of[:-1]
     previous_time[segment_start_positions] = carry.last_time[present]
     if (time_of < previous_time).any():
         raise SimulationError(
@@ -1418,6 +1395,8 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
         weights=np.concatenate([[carry.bandwidth_used], sync_sizes]),
         minlength=1)[0])
 
+    if not tape_fresh:
+        return None
     fresh_before_global = np.empty(n_events, dtype=bool)
     fresh_before_global[order] = fresh_before
     return fresh_before_global
@@ -1606,8 +1585,9 @@ class StreamingReplay:
         initial_fresh = (int(np.count_nonzero(self._carry.fresh))
                          if telemetry_on else 0)
         fresh_before = _replay_tape_chunk(
-            self._carry, self._sizes, times, elements, kinds)
-        if telemetry_on:
+            self._carry, self._sizes, times, elements, kinds,
+            tape_fresh=telemetry_on)
+        if fresh_before is not None:
             _emit_period_series(
                 times, elements, kinds, self._sizes, fresh_before,
                 self._catalog.n_elements,

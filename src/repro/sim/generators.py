@@ -46,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.numerics.sorting import _stable_time_argsort
+from repro.numerics.sorting import stable_time_sort
 from repro.workloads.catalog import Catalog
 
 __all__ = ["UpdateGenerator", "RequestGenerator"]
@@ -210,12 +210,10 @@ class RequestGenerator:
         picks = rng.random(count)
         # Look the picks up in sorted order: each maps to the same
         # index, and a sorted needle walks the CDF forward instead of
-        # probing it at random.  The bucketed stable sort suits
-        # uniform keys.
-        order = _stable_time_argsort(picks)
+        # probing it at random.
+        order, picks = stable_time_sort(picks)
         elements = np.empty(count, dtype=np.int64)
-        elements[order] = self._cdf.searchsorted(picks[order],
-                                                 side="right")
+        elements[order] = self._cdf.searchsorted(picks, side="right")
         return times, elements
 
     def draw_window_sorted(self, start: float, end: float, *,

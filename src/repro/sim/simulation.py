@@ -318,8 +318,10 @@ class Simulation:
         """Draw and merge the run's full event tape (one-shot route).
 
         Raw ``draw_window`` pulls from the update and request
-        generators plus the schedule's syncs, fused by one stable
-        argsort in :func:`~repro.sim.events.merge_kind_blocks`.
+        generators plus the schedule's syncs, fused by
+        :func:`~repro.sim.events.merge_kind_blocks` (the order of one
+        stable argsort: a keyed sort of the update block, then a run
+        merge).
         Consumes exactly the random draws :meth:`run` would before
         its replay starts (update stream first, then request stream),
         which is what lets the adaptive manager's kernel route draw

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.core import scheduler
 from repro.core.scheduler import PhasePolicy, SyncSchedule
 from repro.errors import ScheduleError
-from repro.numerics import sorting
 
 
 class TestFromFrequencies:
@@ -183,20 +182,19 @@ class TestWindowOracle:
     @pytest.mark.parametrize("n, rates", [
         # Whole blocks of elements on one instant.
         (60_000, (1.0, 2.0, 4.0)),
-        # Two interleaved tie groups inside one radix bucket, so the
-        # refining pass must reorder ties it may not swap.
+        # Two tie groups on interleaved instant grids.
         (200, (1000.0, 1001.0)),
     ])
     def test_tie_heavy_window_takes_the_bucketed_sort(self, n, rates):
         """All-zero phases make most sync instants shared by many
-        elements; the window is past the bucketed sort's threshold,
-        so its tie order (element order within an instant) is the
-        radix passes'."""
+        elements; the window holds more than 2¹⁷ syncs, and its tie
+        order (element order within an instant) comes from the
+        position bits of the sort keys."""
         frequencies = np.array(rates)[np.arange(n) % len(rates)]
         schedule = SyncSchedule.from_frequencies(
             frequencies, phase_policy=PhasePolicy.ZERO)
         times, _ = schedule.events_between(0.0, 1.0)
-        assert times.shape[0] > sorting._BUCKET_SORT_MIN
+        assert times.shape[0] > 131_072
         self.check(schedule, 0.0, 1.0)
         self.check(schedule, 0.25, 1.75)
 

@@ -291,8 +291,8 @@ WORLDS: dict[str, World] = {
     "cap10": dataclasses.replace(_DEFAULT, horizon=5.0, label_cap=10),
     "streamed": _STREAMED,
     "streamed_h3": dataclasses.replace(_STREAMED, horizon=3.0),
-    # Past 2¹⁶ elements, so the radix group sort's high-half pass
-    # sorts real keys; the horizon keeps the reference loop near 1 s.
+    # Past 2¹⁶ elements, so the group sort's keys carry ids above
+    # 16 bits; the horizon keeps the reference loop near 1 s.
     "wide": World(random_world(70_000, 7), horizon=0.25, seed=19,
                   request_rate=20_000.0),
 }

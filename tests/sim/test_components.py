@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError, ValidationError
-from repro.numerics.sorting import _BUCKET_SORT_MIN
 from repro.sim.events import EventKind, merge_kind_blocks, merge_sorted_blocks
 from repro.sim.mirror import Mirror
 from repro.sim.source import Source
@@ -55,15 +54,14 @@ class TestMergeStreams:
 
 
 class TestMergeKindBlocksAtScale:
-    """``merge_kind_blocks`` past the bucketed sort's threshold."""
+    """``merge_kind_blocks`` on an update block of 171 072 times."""
 
     def test_raw_tie_heavy_updates(self):
         """Raw update times on a coarse grid, so most instants are
-        shared within and across kinds, above ``_BUCKET_SORT_MIN``;
-        the tape must equal one stable argsort over the kind-ordered
-        concatenation."""
+        shared within and across kinds; the tape must equal one stable
+        argsort over the kind-ordered concatenation."""
         rng = np.random.default_rng(17)
-        n_updates = _BUCKET_SORT_MIN + 40_000
+        n_updates = 171_072
         grid = 1.0 / 4096
         update_times = rng.integers(0, 4096, n_updates) * grid
         update_elements = rng.integers(0, 3_000, n_updates)

@@ -5,9 +5,10 @@ The i.i.d. ledger's loop-free path is checked against the scalar
 ledger walk, the channel's own definition, over loss rates from 0 to
 1, retry caps from 0 to 5 and budgets from none to tight.
 
-Every tier-1 catalog has fewer than 2¹⁶ elements, so the radix group
-sort's high-half pass only ever sorts zeros there; these cases give it
-real keys.  The Gilbert–Elliott scan stops after enough rounds to
+Every tier-1 catalog has fewer than 2¹⁶ elements, so the group sort's
+keys only ever carry small ids there; these cases give it ids up to
+2³¹ − 1, beside positions on both sides of powers of two.  The
+Gilbert–Elliott scan stops after enough rounds to
 cover the longest element run, so its cases sit on both sides of each
 power of two.
 """
@@ -21,15 +22,15 @@ from hypothesis import strategies as st
 
 from repro.faults.model import PollOutcome
 from repro.faults.retry import RetryPolicy
+from repro.numerics.sorting import stable_element_sort
 from repro.sim.fastpath import (
     _ge_scan_states,
-    _stable_element_argsort,
     _walk_ledger,
     resolve_iid_faults,
 )
 
 _ID_MAX = 2 ** 31 - 1
-#: Ids on both sides of the uint16 split, and the extremes.
+#: Ids on both sides of 2¹⁶, and the extremes.
 _EDGES = [0, 1, 0xFFFF, 0x10000, 0x10001, 0x1FFFF, 0x7FFF0000,
           _ID_MAX]
 _IDS = st.one_of(st.integers(0, _ID_MAX),
@@ -47,27 +48,47 @@ def element_ids(draw) -> np.ndarray:
     return np.array(values, dtype=dtype)
 
 
+def _group(ids):
+    """The permutation, checking the sorted ids read off the keys."""
+    order, ids_sorted = stable_element_sort(ids)
+    assert np.array_equal(ids_sorted, ids[order])
+    return order
+
+
 class TestStableElementArgsort:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(element_ids())
     def test_equals_stable_argsort(self, ids):
-        assert np.array_equal(_stable_element_argsort(ids),
+        assert np.array_equal(_group(ids),
                               np.argsort(ids, kind="stable"))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("values", [[], [0x12345]])
     def test_empty_and_single(self, dtype, values):
         ids = np.array(values, dtype=dtype)
-        assert np.array_equal(_stable_element_argsort(ids),
-                              np.arange(len(values)))
+        assert np.array_equal(_group(ids), np.arange(len(values)))
 
     def test_large_tie_heavy(self):
         rng = np.random.default_rng(3)
         ids = np.concatenate([rng.integers(0, _ID_MAX, 40_000),
                               rng.integers(65_000, 70_000, 60_000)])
         ids = rng.permutation(ids).astype(np.int32)
-        assert np.array_equal(_stable_element_argsort(ids),
+        assert np.array_equal(_group(ids),
                               np.argsort(ids, kind="stable"))
+
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 65_535, 65_536,
+                                   65_537, 131_071, 131_072, 131_073])
+    def test_top_ids_beside_position_widths(self, n):
+        """The position field is as wide as ``n − 1`` needs, so each
+        power of two moves the id field; ids reach 2³¹ − 1."""
+        rng = np.random.default_rng(n)
+        palette = np.array([0, 1, _ID_MAX - 1, _ID_MAX, 0x7FFF0000])
+        ids = np.where(rng.random(n) < 0.5, rng.choice(palette, n),
+                       rng.integers(0, _ID_MAX, n, endpoint=True))
+        for dtype in (np.int32, np.int64):
+            typed = ids.astype(dtype)
+            assert np.array_equal(_group(typed),
+                                  np.argsort(typed, kind="stable"))
 
 
 def _chain_walk(sync_elements, flip_good, flip_bad, initial_bad):

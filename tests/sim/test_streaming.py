@@ -217,38 +217,92 @@ class TestEventsBetween:
 
 
 class TestStableTimeArgsort:
-    """The bucketed radix sort must equal a direct stable argsort."""
+    """The (bucket, position) key sort must equal a direct stable
+    argsort, bit for bit, sorted times included."""
 
     def direct(self, times):
         return np.argsort(times, kind="stable")
 
+    def check(self, times):
+        order, times_sorted = sorting.stable_time_sort(times)
+        direct = self.direct(times)
+        assert np.array_equal(order, direct)
+        assert times_sorted.tobytes() == times[direct].tobytes()
+
     def test_small_inputs_fall_through(self):
         rng = np.random.default_rng(0)
         times = rng.uniform(0.0, 10.0, 1000)
-        assert np.array_equal(sorting._stable_time_argsort(times),
+        assert np.array_equal(sorting.stable_time_sort(times)[0],
                               self.direct(times))
 
     def test_large_random_and_tie_heavy(self):
         rng = np.random.default_rng(1)
-        big = sorting._BUCKET_SORT_MIN + 1017
+        big = 132_089
         smooth = rng.uniform(0.0, 4.0, big)
         ties = rng.integers(0, 50, big).astype(float) / 16.0
         for times in (smooth, ties):
             assert np.array_equal(
-                sorting._stable_time_argsort(times),
+                sorting.stable_time_sort(times)[0],
                 self.direct(times))
+            self.check(times)
 
     def test_degenerate_all_equal(self):
-        times = np.full(sorting._BUCKET_SORT_MIN + 3, 2.5)
-        assert np.array_equal(sorting._stable_time_argsort(times),
+        times = np.full(131_075, 2.5)
+        assert np.array_equal(sorting.stable_time_sort(times)[0],
                               np.arange(times.shape[0]))
 
     def test_nonfinite_falls_back(self):
         rng = np.random.default_rng(4)
-        times = rng.uniform(0.0, 1.0, sorting._BUCKET_SORT_MIN + 5)
+        times = rng.uniform(0.0, 1.0, 131_077)
         times[::1000] = np.inf
-        assert np.array_equal(sorting._stable_time_argsort(times),
+        assert np.array_equal(sorting.stable_time_sort(times)[0],
                               self.direct(times))
+
+    def test_forced_bucket_collisions_are_repaired(self):
+        """Half of 10⁶ times in [0, 10⁶] sit a few ulps apart near
+        5·10⁵, thousands to a key bucket and shuffled: the position
+        bits order them wrongly, and only the local repair puts them
+        right."""
+        rng = np.random.default_rng(5)
+        n = 1_000_000
+        times = rng.uniform(0.0, 1e6, n)
+        times[[0, 1]] = 0.0, 1e6
+        near = 5e5 + np.spacing(5e5) * rng.integers(0, 400_000, n // 2)
+        times[rng.permutation(n)[:n // 2]] = near
+        self.check(times)
+
+    @pytest.mark.parametrize("n", [1_000, 131_073])
+    def test_signed_zeros_subnormals_and_wide_range(self, n):
+        rng = np.random.default_rng(n)
+        tiny = np.finfo(float).smallest_subnormal
+        palette = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310,
+                            -1e-310, 1e-300, 1e300, -1e300])
+        wide = (10.0 ** rng.uniform(-300.0, 300.0, n)
+                * rng.choice([-1.0, 1.0], n))
+        for times in (rng.choice(palette, n), wide,
+                      np.where(rng.random(n) < 0.5, wide,
+                               rng.choice(palette, n)),
+                      rng.choice(np.array([0.0, -0.0, 2.0, -2.0]), n),
+                      rng.choice(np.array([-1.7e308, 0.0, 1.7e308]), n),
+                      rng.choice(np.array([0.0, tiny, 2 * tiny]), n)):
+            self.check(times)
+
+    def test_infinities_and_nan_take_the_fallback(self):
+        rng = np.random.default_rng(6)
+        times = rng.uniform(-1.0, 1.0, 10_000)
+        for special in ([np.inf], [-np.inf], [np.nan],
+                        [np.inf, -np.inf, np.nan]):
+            mixed = times.copy()
+            mixed[rng.integers(0, mixed.shape[0], 300)] = rng.choice(
+                special, 300)
+            self.check(mixed)
+        self.check(np.array([np.nan, 1.0, np.nan, 0.0, -np.inf]))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 7.25])
+    def test_all_equal_and_tiny(self, n, value):
+        self.check(np.full(n, value))
+        self.check(np.array([value, 3.5, -value, 3.5][:n]))
 
 
 def _searchsorted_merge(update_times, update_elements, sync_times,

@@ -5,6 +5,14 @@ Shape assertions live in the benchmarks; these tests additionally pin
 change — a solver tweak, a generator reorder, a tolerance slip —
 trips immediately.  If a change is intentional, regenerate the values
 and say so in the commit.
+
+The digests were recorded under numpy's AVX-512 dispatch (x86-64-v4).
+numpy's float64 ``exp``, ``log``, ``expm1``, ``log1p`` and ``power``
+return different last bits under AVX2 or the baseline, so the plans,
+and with them ``TestGoldenPartitionedPlan`` and some
+``TestGoldenOneShotOutputs`` digests, differ on CPUs without AVX-512
+(or under ``NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR
+X86_V4"``), although the catalog is the same.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ tie order there would make the plan itself differ between hosts.  On
 the simulator, fault, runtime and scheduler paths, in the planner's
 partitioning and in the shared time sort, every ``argsort`` call
 (function or method) must therefore pass ``kind="stable"`` by
-keyword, or go through the radix-accelerated stable helpers
-(``repro.numerics.sorting._stable_time_argsort``,
-``repro.sim.fastpath._stable_element_argsort``), which are not
-``argsort`` calls themselves.
+keyword, or go through the stable helpers
+(``repro.numerics.sorting.stable_time_sort`` and
+``stable_element_sort``), which sort unique (key, position) int64
+keys with ``ndarray.sort()`` and are not ``argsort`` calls
+themselves.
 """
 
 from __future__ import annotations
