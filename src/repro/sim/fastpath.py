@@ -1,13 +1,15 @@
 """Vectorized replay of the simulation event tape.
 
-Every vectorized route consumes the *same* merged event tape the
-per-event reference loop in :meth:`repro.sim.simulation.Simulation.run`
-walks, and produces a :class:`~repro.sim.evaluator.SimulationResult`
-that is **bit-identical** — not merely statistically equivalent — to
-the reference loop's.  There is one replay core: a
+Every vectorized route consumes the *same* events the per-event
+reference loop in :meth:`repro.sim.simulation.Simulation.run` walks,
+and produces a :class:`~repro.sim.evaluator.SimulationResult` that is
+**bit-identical** — not merely statistically equivalent — to the
+reference loop's.  The loop walks the merged, time-ordered tape; the
+kernel needs no global time order, so :meth:`Simulation.run` feeds it
+the generated kind blocks unmerged.  There is one replay core: a
 :class:`ReplayCarry` of per-element copy state, folded forward one
-slab of the tape at a time by :func:`_replay_tape_chunk`.  The routes
-differ only in how they slice the tape:
+slab at a time by :func:`_replay_tape_chunk`.  The routes differ
+only in how they slice the events:
 
 * :class:`StreamingReplay` feeds consecutive whole-period slabs and
   assembles the result once, from the carry;
@@ -35,25 +37,37 @@ commits it back when the run finishes.  :func:`resolve_tape_faults`
 is the same dispatch over one whole tape, for callers that drop the
 failed syncs themselves.  Both resolvers run on one core,
 :func:`_resolve_on_pool`, which decides every scheduled sync's
-attempts and success; the failed syncs are then dropped from the slab
-and the survivors replay through the fault-free copy-state machine
-unchanged.  Stateful plans the core cannot pre-draw — latency draws,
-outage windows, breakers, topologies, multi-model plans — stay on the
-reference loop; :func:`repro.sim.simulation.kernel_fault_model`
-decides.
+attempts and success; the replay's sort then leaves the failed syncs
+out, and the survivors replay through the fault-free copy-state
+machine unchanged.  Stateful plans the core cannot pre-draw —
+latency draws, outage windows, breakers, topologies, multi-model
+plans — stay on the reference loop;
+:func:`repro.sim.simulation.kernel_fault_model` decides.
 
 How the loop is vectorized
 --------------------------
 
-The slab is regrouped per element with a stable sort, which preserves
-each element's global event order (updates before syncs before
-accesses at equal timestamps, courtesy of the merge).  The sort is one
-``ndarray.sort()`` of the unique int64 keys ``(id << shift) |
-position`` (:func:`~repro.numerics.sorting.stable_element_sort`):
-unique keys have one sorted order, so it is a direct stable argsort's
+A slab holds its syncs in time order, and per element its equal-time
+events in update < sync < access order and its same-kind events in
+generation order.  Both layouts the routes feed satisfy this: the
+merged tape, and the kind-ordered blocks [updates, syncs, accesses]
+(:func:`~repro.sim.events.kind_ordered`), one after another per
+period in a streamed slab, whose block order supplies the kind
+priority at equal times.  One sort regroups the slab by element and
+orders each group by (time, position), so each element's events come
+out exactly in their merged-tape order.  It is one ``ndarray.sort()``
+of the unique int64 keys ``((id << time_bits | bucket) << shift) |
+position`` (:func:`~repro.numerics.sorting.stable_grouped_time_sort`,
+with a local repair where one element's distinct times share a
+bucket): unique keys have one sorted order, so it is the same
 permutation on every CPU, and the sorted ids come off the keys' high
-bits.  The per-element monitor state machine is then reconstructed
-with segment operations:
+bits.  The failed syncs take the key group past the last element,
+sort to the tail and are cut off, so dropping them costs no gather.
+Nothing else needs the global order: fault resolution and the
+bandwidth fold read only the syncs, the ledger folds are order-free,
+and the period series are per-period counts plus a per-period left
+fold of sync sizes.  The per-element monitor state machine is then
+reconstructed with segment operations:
 
 * the fresh/stale flag before each event comes from the last
   update/sync strictly before it (a segmented running maximum over
@@ -126,7 +140,10 @@ from repro.faults.model import (
     PollOutcome,
 )
 from repro.faults.retry import RetryPolicy
-from repro.numerics.sorting import stable_element_sort
+from repro.numerics.sorting import (
+    stable_element_sort,
+    stable_grouped_time_sort,
+)
 from repro.obs import registry as obs
 from repro.sim.events import EventKind
 from repro.sim.evaluator import (
@@ -1023,31 +1040,45 @@ def _fold_ledger_bulk(fold, elements: np.ndarray,
         fold(label, float(latest[index]), int(counts[index]))
 
 
-def _emit_ledger(times: np.ndarray, elements: np.ndarray,
-                 kinds: np.ndarray, fresh_before: np.ndarray, *,
-                 time_offset: float) -> None:
-    """Feed the freshness ledger from a (kept) replay tape.
+def _slab_periods(times: np.ndarray, period_length: float,
+                  first_period: int) -> np.ndarray:
+    """Each event's period, counted from the slab's first period.
 
-    Mirrors the reference loop's per-event hooks: every sync still on
-    the tape is a *successful* refresh (the faulted paths drop failed
-    syncs before replay), and every update that finds its copy fresh
-    (``fresh_before``, tape order, from :func:`_replay_tape_chunk`)
-    opens a stale run.  Times shift by ``time_offset`` onto the
-    global fault clock, matching the ``time + fault_time_offset``
+    An event at the slab's start can divide to just below its period
+    (``3 · 0.7 / 0.7 < 3``); it counts in the slab's first period.
+    """
+    periods = (times / period_length).astype(np.int64)
+    periods -= first_period
+    np.maximum(periods, 0, out=periods)
+    return periods
+
+
+def _emit_ledger(times: np.ndarray, elements: np.ndarray,
+                 kinds: np.ndarray, fresh_before: np.ndarray,
+                 kept_syncs: np.ndarray, *, time_offset: float) -> None:
+    """Feed the freshness ledger from one replayed slab.
+
+    Mirrors the reference loop's per-event hooks: every kept sync
+    (``kept_syncs``, slab positions) is a *successful* refresh, and
+    every update that finds its copy fresh (``fresh_before``, slab
+    order, from :func:`_replay_tape_chunk`) opens a stale run.  The
+    ledger folds are order-free (latest stamps, counts), so the slab
+    need not be in time order.  Times shift by ``time_offset`` onto
+    the global fault clock, matching the ``time + fault_time_offset``
     stamps the reference loop records.
     """
     ledger = obs.get_registry().ledger
-    sync_mask = kinds == int(EventKind.SYNC)
     run_start = (kinds == int(EventKind.UPDATE)) & fresh_before
-    _fold_ledger_bulk(ledger.record_refresh, elements[sync_mask],
-                      times[sync_mask] + time_offset)
+    _fold_ledger_bulk(ledger.record_refresh, elements[kept_syncs],
+                      times[kept_syncs] + time_offset)
     _fold_ledger_bulk(ledger.record_stale, elements[run_start],
                       times[run_start] + time_offset)
 
 
 def _emit_period_series(times: np.ndarray, elements: np.ndarray,
                         kinds: np.ndarray, sizes: np.ndarray,
-                        fresh_before: np.ndarray, n_elements: int, *,
+                        fresh_before: np.ndarray,
+                        kept_syncs: np.ndarray, n_elements: int, *,
                         period_length: float, n_periods: float,
                         planned: float,
                         failed_per_period: np.ndarray | None,
@@ -1061,13 +1092,15 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
     bandwidth and the mirror's instantaneous mean freshness at each
     period boundary — and emits one event per completed (or final
     partial) period through :func:`~repro.sim.evaluator.emit_period`.
-    The tape is time-ordered, so each period is one slice of it,
-    bounded by ``searchsorted`` over the period index: counts are
-    ``count_nonzero`` over the slice's masks, and bandwidth folds the
-    slice's sync sizes through a zero-bin ``bincount`` from 0.0, the
-    same left fold the tracker's ``+=`` makes.
+    The slab need not be in time order: each count is one
+    ``bincount`` over the events' period index, and the bandwidth is
+    one weighted ``bincount`` over the kept syncs (``kept_syncs``,
+    slab positions in time order), which folds each period's sync
+    sizes left to right from 0.0, as the tracker's ``+=`` does.  The
+    failed syncs are left out of every count, and events whose period
+    index reaches past the slab's last period count in none.
     ``fresh_before`` is the replay's fresh-before flag per event, in
-    tape order, from which the fresh-copy level follows: a period
+    slab order, from which the fresh-copy level follows: a period
     ends at the level entering it, plus the syncs that refresh a
     stale copy, minus the updates that stale a fresh one.
     ``failed_per_period`` / ``retries_per_period`` carry the faulted
@@ -1079,43 +1112,39 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
     is the instantaneous fresh-copy count entering the slab.
     """
     n_buckets = max(int(np.ceil(n_periods)) - 1, 0) + 1
-    period_index = ((times / period_length).astype(np.int64)
-                    - first_period)
-    ends = np.searchsorted(period_index, np.arange(n_buckets),
-                           side="right")
-    is_update = kinds == int(EventKind.UPDATE)
-    is_sync = kinds == int(EventKind.SYNC)
-    fresh_access = (kinds == int(EventKind.ACCESS)) & fresh_before
-    run_open = is_update & fresh_before
-    refresh = is_sync & ~fresh_before
+    period_index = _slab_periods(times, period_length, first_period)
 
-    level = initial_fresh
-    begin = 0
+    def per_period(events: np.ndarray,
+                   weights: np.ndarray | None = None) -> np.ndarray:
+        return np.bincount(period_index[events], weights=weights,
+                           minlength=n_buckets)[:n_buckets]
+
+    is_update = kinds == int(EventKind.UPDATE)
+    is_access = kinds == int(EventKind.ACCESS)
+    syncs = per_period(kept_syncs)
+    updates = per_period(is_update)
+    accesses = per_period(is_access)
+    fresh_accesses = per_period(is_access & fresh_before)
+    refreshes = per_period(kept_syncs[~fresh_before[kept_syncs]])
+    bandwidth = per_period(kept_syncs,
+                           sizes[elements[kept_syncs]]).astype(
+                               np.float64, copy=False)
+    levels = initial_fresh + np.cumsum(
+        refreshes - per_period(is_update & fresh_before))
     for period in range(n_buckets):
-        end = int(ends[period])
-        syncs = int(np.count_nonzero(is_sync[begin:end]))
-        updates = int(np.count_nonzero(is_update[begin:end]))
-        sync_sizes = sizes[elements[begin:end][is_sync[begin:end]]]
-        bandwidth = float(np.bincount(
-            np.zeros(sync_sizes.shape[0], dtype=np.intp),
-            weights=sync_sizes, minlength=1)[0])
-        level += (int(np.count_nonzero(refresh[begin:end]))
-                  - int(np.count_nonzero(run_open[begin:end])))
         emit_period(
             first_period + period,
-            syncs=syncs,
-            bandwidth=bandwidth,
+            syncs=int(syncs[period]),
+            bandwidth=float(bandwidth[period]),
             planned=planned,
-            updates=updates,
-            accesses=end - begin - syncs - updates,
-            fresh_accesses=int(np.count_nonzero(
-                fresh_access[begin:end])),
-            mean_freshness=level / n_elements,
+            updates=int(updates[period]),
+            accesses=int(accesses[period]),
+            fresh_accesses=int(fresh_accesses[period]),
+            mean_freshness=int(levels[period]) / n_elements,
             failed_polls=(0 if failed_per_period is None
                           else int(failed_per_period[period])),
             retries=(0 if retries_per_period is None
                      else int(retries_per_period[period])))
-        begin = end
 
 
 class ReplayArena:
@@ -1233,21 +1262,25 @@ def _fold_with_carry(carry_values: np.ndarray, bins: np.ndarray,
     ``((carry + w₁) + w₂) + …`` — exactly the reference loop's
     ``+=``.  ``np.bincount`` starts every bin at ``0.0``, and
     ``0.0 + x`` is ``x`` for every ``x`` but ``−0.0``, which no
-    accumulator holds, so a zero carry needs no prefix entry.
+    accumulator holds, so a zero carry needs no prefix entry.  With
+    no weights at all ``np.bincount`` counts in int64, so the result
+    is cast to float64: the carry keeps its dtype.
     """
     carried = np.flatnonzero(carry_values)
     if carried.shape[0]:
         bins = np.concatenate((carried, bins))
         increments = np.concatenate((carry_values[carried], increments))
     return np.bincount(bins, weights=increments,
-                       minlength=carry_values.shape[0])
+                       minlength=carry_values.shape[0]
+                       ).astype(np.float64, copy=False)
 
 
 def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
                        times: np.ndarray, elements: np.ndarray,
-                       kinds: np.ndarray, *, tape_fresh: bool
+                       kinds: np.ndarray, *, failed: np.ndarray | None,
+                       kept_syncs: np.ndarray, tape_fresh: bool
                        ) -> np.ndarray | None:
-    """Fold one slab of a (kept) tape into the carry state.
+    """Fold one slab of a tape into the carry state.
 
     The replay kernel.  Its one per-event state is the fresh flag
     before each event, and the rest derives from it: a poll finds a
@@ -1262,36 +1295,51 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     bit-identical to the reference loop over the whole tape.  The
     caller keeps slabs below :data:`_SLAB_EVENT_LIMIT` events.
 
+    The slab need not be in time order.  It must hold its syncs in
+    time order, and per element its equal-time events in update <
+    sync < access order and its same-kind events in generation
+    order.  Both layouts the routes feed satisfy this: the merged
+    tape, and the kind-ordered blocks [updates, syncs, accesses] of
+    :func:`~repro.sim.events.kind_ordered` (one after another per
+    period in a streamed slab).  One keyed sort by (element, time,
+    position) then puts each element's events in its tape order, and
+    leaves the failed syncs out on the way.
+
     Args:
         carry: The cross-slab state; mutated in place.
         sizes: Per-element transfer sizes, in size units.
-        times: Slab event times (global clock), time-ordered.
-        elements: Element id per slab event.
+        times: Slab event times (global clock).
+        elements: Element id per slab event, in ``[0, n_elements)``.
         kinds: :class:`~repro.sim.events.EventKind` per slab event.
+        failed: Slab positions of the syncs that failed, which the
+            replay skips, or None.
+        kept_syncs: Slab positions of the other syncs, in time order;
+            they fold the bandwidth.
         tape_fresh: Whether to return the fresh-before flag.
 
     Returns:
         With ``tape_fresh``, the fresh-before flag of each event in
-        *tape* order, for the telemetry series and the ledger;
-        otherwise None.
+        *slab* order (False at the failed syncs), for the telemetry
+        series and the ledger; otherwise None.
     """
     n_events = int(times.shape[0])
-    if not n_events:
-        return np.zeros(0, dtype=bool) if tape_fresh else None
     n_elements = int(carry.fresh.shape[0])
     update_kind = int(EventKind.UPDATE)
     sync_kind = int(EventKind.SYNC)
 
-    order, element_of = stable_element_sort(elements)
-    time_of = times[order]
+    order, element_of, time_of = stable_grouped_time_sort(
+        elements, times, n_groups=n_elements, drop=failed)
+    n_kept = int(order.shape[0])
+    if not n_kept:
+        return np.zeros(n_events, dtype=bool) if tape_fresh else None
     kind_of = kinds[order]
-    positions = np.arange(n_events, dtype=np.int32)
+    positions = np.arange(n_kept, dtype=np.int32)
 
     segment_start_positions, segment_start_of = _segment_starts(
         element_of)
     segment_start_of = segment_start_of.astype(np.int32, copy=False)
     segment_end_positions = np.append(
-        segment_start_positions[1:] - 1, n_events - 1)
+        segment_start_positions[1:] - 1, n_kept - 1)
     present = element_of[segment_start_positions]
 
     # Previous event time: within-slab shift, carried time at starts
@@ -1388,8 +1436,8 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     carry.fresh_accesses += int(np.count_nonzero(
         fresh_before[access_positions]))
 
-    # Bandwidth folds over syncs in *global* time order.
-    sync_sizes = sizes[elements[kinds == sync_kind]]
+    # Bandwidth folds over the kept syncs in time order.
+    sync_sizes = sizes[elements[kept_syncs]]
     carry.bandwidth_used = float(np.bincount(
         np.zeros(sync_sizes.shape[0] + 1, dtype=np.intp),
         weights=np.concatenate([[carry.bandwidth_used], sync_sizes]),
@@ -1397,9 +1445,9 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
 
     if not tape_fresh:
         return None
-    fresh_before_global = np.empty(n_events, dtype=bool)
-    fresh_before_global[order] = fresh_before
-    return fresh_before_global
+    fresh_before_slab = np.zeros(n_events, dtype=bool)
+    fresh_before_slab[order] = fresh_before
+    return fresh_before_slab
 
 
 #: ``sim.engine.*`` label per kernel fault-model type.
@@ -1410,8 +1458,8 @@ _FAULT_ENGINES = {IIDFaultModel: "fastpath_faulted",
 class StreamingReplay:
     """Replay a horizon one whole-period slab at a time.
 
-    Feed consecutive slabs of the merged event tape (run clock, split
-    at period boundaries) with :meth:`feed`, then call :meth:`finish`
+    Feed consecutive slabs of the events (run clock, split at period
+    boundaries) with :meth:`feed`, then call :meth:`finish`
     for the :class:`SimulationResult`.  Every vectorized route runs
     through this class: a one-shot replay is a single slab.
     :meth:`finish` hands the carry to the evaluator's run epilogue
@@ -1481,17 +1529,28 @@ class StreamingReplay:
              kinds: np.ndarray, *, n_periods: float) -> None:
         """Fold the next slab of the tape into the replay.
 
+        The slab need not be in time order.  It must hold its syncs
+        in time order, and per element its equal-time events in
+        update < sync < access order and its same-kind events in
+        generation order.  A slice of the merged tape satisfies this,
+        and so do the kind-ordered blocks [updates, syncs, accesses]
+        of :func:`~repro.sim.events.kind_ordered`, one after another
+        per period.
+
         Args:
-            times: Slab event times on the run clock, time-ordered,
-                all within the slab's period window.
-            elements: Element id per slab event.
+            times: Slab event times on the run clock, all within the
+                slab's period window.
+            elements: Element id per slab event, in
+                ``[0, n_elements)``.
             kinds: :class:`~repro.sim.events.EventKind` per event.
             n_periods: Periods this slab covers.  Slabs start at
                 whole-period boundaries; a fractional count is
                 allowed only for the final slab.
 
         Raises:
-            SimulationError: On a slab out of order, after
+            SimulationError: On a slab before its period window or
+                out of order (syncs out of time order, or events
+                before an element's carried clock), after
                 :meth:`finish`, or too large for the kernel's int32
                 positions (the message names the largest
                 ``chunk_periods`` that fits).
@@ -1539,20 +1598,25 @@ class StreamingReplay:
                 f"periods ({per_period:.0f} events per period) "
                 f"overflows int32 positions; {remedy}")
         first_period = self._next_first_period
-        if n_events and (float(times[0])
+        if n_events and (float(times.min())
                          < first_period * self._period_length):
             raise SimulationError(
                 "slab events precede the slab's period window")
+        sync_positions = np.flatnonzero(kinds == int(EventKind.SYNC))
+        sync_times = times[sync_positions]
+        if (sync_times[1:] < sync_times[:-1]).any():
+            raise SimulationError("slab syncs are out of time order")
 
+        failed = None
+        kept_syncs = sync_positions
         failed_per_period = None
         retries_per_period = None
         telemetry_on = obs.telemetry_enabled()
         if self._faults is not None:
             assert self._fault_args is not None
-            sync_positions = np.flatnonzero(kinds == int(EventKind.SYNC))
             sync_elements = elements[sync_positions]
             resolution, self._chain = _resolve_faults(
-                times[sync_positions] + self._fault_time_offset,
+                sync_times + self._fault_time_offset,
                 sync_elements, self._sizes,
                 fault_args=self._fault_args,
                 period_length=self._period_length,
@@ -1563,9 +1627,8 @@ class StreamingReplay:
                 self._trace.extend(resolution.trace)
             if telemetry_on:
                 n_buckets = max(int(np.ceil(n_periods)) - 1, 0) + 1
-                sync_buckets = ((times[sync_positions]
-                                 / self._period_length)
-                                .astype(np.int64) - first_period)
+                sync_buckets = _slab_periods(
+                    sync_times, self._period_length, first_period)
                 failed_per_period = np.bincount(
                     np.repeat(sync_buckets, resolution.attempts
                               - resolution.success),
@@ -1574,23 +1637,22 @@ class StreamingReplay:
                     np.repeat(sync_buckets, resolution.attempts
                               - (resolution.attempts > 0)),
                     minlength=n_buckets)
-            # One index gather instead of three boolean-mask scans.
-            keep = np.ones(n_events, dtype=bool)
-            keep[sync_positions[~resolution.success]] = False
-            kept = np.flatnonzero(keep)
-            times = times[kept]
-            elements = elements[kept]
-            kinds = kinds[kept]
+            failed = sync_positions[~resolution.success]
+            kept_syncs = sync_positions[resolution.success]
+            del sync_elements, resolution
+        # Only the kept syncs' positions stay alive through the replay.
+        del sync_positions, sync_times
 
         initial_fresh = (int(np.count_nonzero(self._carry.fresh))
                          if telemetry_on else 0)
         fresh_before = _replay_tape_chunk(
             self._carry, self._sizes, times, elements, kinds,
+            failed=failed, kept_syncs=kept_syncs,
             tape_fresh=telemetry_on)
         if fresh_before is not None:
             _emit_period_series(
                 times, elements, kinds, self._sizes, fresh_before,
-                self._catalog.n_elements,
+                kept_syncs, self._catalog.n_elements,
                 period_length=self._period_length,
                 n_periods=n_periods, planned=self._planned,
                 failed_per_period=failed_per_period,
@@ -1598,7 +1660,7 @@ class StreamingReplay:
                 first_period=first_period,
                 initial_fresh=initial_fresh)
             _emit_ledger(times, elements, kinds, fresh_before,
-                         time_offset=self._fault_time_offset)
+                         kept_syncs, time_offset=self._fault_time_offset)
 
         self._periods_done += n_periods
         whole = int(n_periods)

@@ -14,7 +14,8 @@ generation, and reproducible from a seed.
 :class:`~repro.sim.bursty.BurstyUpdateGenerator` included, has it)
 draws a window in the canonical order (Poisson counts, then uniform
 instants, then — for requests — one uniform per element pick) and
-leaves update times unsorted, so
+leaves update times unsorted: the replay kernel sorts each element's
+events itself, and for the reference loop
 :func:`~repro.sim.events.merge_kind_blocks` fuses the cross-kind
 merge into a stable sort of the update block and one run merge.
 Element picks use precomputed-CDF ``searchsorted`` sampling, which

@@ -4,7 +4,9 @@ A :class:`Simulation` connects the update generator to the
 :class:`~repro.sim.source.Source`, the synchronization schedule and
 request generator to the :class:`~repro.sim.mirror.Mirror`, and the
 :class:`~repro.sim.evaluator.FreshnessMonitor` to everything, then
-replays the merged event tape in time order.
+replays the generated events: the reference loop walks them merged
+in time order, the vectorized kernel replays the kind blocks
+unmerged.
 
 Typical use::
 
@@ -35,11 +37,11 @@ from repro.faults.retry import RetryPolicy
 from repro.faults.topology import Topology
 from repro.obs import registry as obs
 from repro.parallel import spawn_rngs
-from repro.sim.events import (
-    EventKind,
-    merge_kind_blocks,
-    merge_sorted_blocks,
-)
+from repro.sim.events import EventKind, kind_ordered, merge_kind_blocks
+
+# No route here merges a streamed tape any more; perfbench's traced
+# run still wraps this name in this module (ROADMAP item 2).
+from repro.sim.events import merge_sorted_blocks  # noqa: F401
 from repro.sim.evaluator import (
     FreshnessMonitor,
     SimulationResult,
@@ -317,11 +319,13 @@ class Simulation:
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw and merge the run's full event tape (one-shot route).
 
-        Raw ``draw_window`` pulls from the update and request
-        generators plus the schedule's syncs, fused by
-        :func:`~repro.sim.events.merge_kind_blocks` (the order of one
-        stable argsort: a keyed sort of the update block, then a run
-        merge).
+        The one-shot draws of :meth:`run`'s kernel route
+        (:meth:`_draw_blocks`: raw ``draw_window`` pulls from the
+        update and request generators plus the schedule's syncs),
+        fused by :func:`~repro.sim.events.merge_kind_blocks` (the
+        order of one stable argsort: a keyed sort of the update
+        block, then a run merge).  The reference loop replays this
+        tape; the kernel replays the same draws unmerged.
         Consumes exactly the random draws :meth:`run` would before
         its replay starts (update stream first, then request stream),
         which is what lets the adaptive manager's kernel route draw
@@ -335,17 +339,23 @@ class Simulation:
         Returns:
             ``(times, elements, kinds)`` merged in time order.
         """
+        return merge_kind_blocks(*self._draw_blocks(n_periods),
+                                 n_elements=self._catalog.n_elements)
+
+    def _draw_blocks(self, n_periods: float) -> tuple[np.ndarray, ...]:
+        """The one-shot draws, per kind: ``(update_times,
+        update_elements, sync_times, sync_elements, access_times,
+        access_elements)``, updates unsorted.  The one draw order of
+        both one-shot routes: update stream first, then the schedule,
+        then the request stream."""
         horizon = n_periods * self._period_length
         update_times, update_elements = \
             self._updates.draw_window(0.0, horizon)
         sync_times, sync_elements = self._schedule.events_until(horizon)
         access_times, access_elements = \
             self._requests.draw_window(0.0, horizon)
-        return merge_kind_blocks(
-            update_times, update_elements,
-            sync_times, sync_elements,
-            access_times, access_elements,
-            n_elements=self._catalog.n_elements)
+        return (update_times, update_elements, sync_times, sync_elements,
+                access_times, access_elements)
 
     def fault_kernel_args(self) -> dict | None:
         """The kernel's fault-plan arguments, if the plan is eligible.
@@ -398,10 +408,13 @@ class Simulation:
                 then keyed per period (one spawn child each), so
                 every ``chunk_periods`` yields the bit-identical
                 result: the knob only trades memory.  Without it the
-                whole tape is one slab drawn by :meth:`build_tape`,
-                whose one-shot draw order makes results statistically
-                equivalent but not draw-identical to the streamed
-                tape (see docs/PERFORMANCE.md).  Requires a
+                whole horizon is one slab of the draws
+                :meth:`build_tape` merges, whose one-shot draw order
+                makes results statistically equivalent but not
+                draw-identical to the streamed tape (see
+                docs/PERFORMANCE.md).  The kernel replays either
+                route's kind blocks unmerged; the reference loop
+                replays :meth:`build_tape`.  Requires a
                 kernel-eligible plan and an update generator with
                 ``draw_window_sorted`` (so not
                 :class:`~repro.sim.bursty.BurstyUpdateGenerator`).
@@ -463,10 +476,10 @@ class Simulation:
                 fault_args=kernel_faults,
                 fault_time_offset=self._fault_time_offset,
                 record_fault_trace=self._record_fault_trace)
-            for tape, slab_periods, last in self._tape_slabs(
+            for slab, slab_periods, last in self._tape_slabs(
                     n_periods, chunk_periods):
                 with obs.span("sim.run"):
-                    streaming.feed(*tape, n_periods=slab_periods)
+                    streaming.feed(*slab, n_periods=slab_periods)
                     if last:
                         result = streaming.finish()
             return result
@@ -609,27 +622,30 @@ class Simulation:
     def _tape_slabs(self, n_periods: float, chunk_periods: int | None
                     ) -> Iterator[tuple[tuple[np.ndarray, np.ndarray,
                                               np.ndarray], float, bool]]:
-        """Generate the kernel's tape, one slab at a time.
+        """Generate the kernel's slabs, unmerged, one at a time.
 
-        Yields ``(tape, slab_periods, last)`` per slab.  Without
-        ``chunk_periods`` the whole horizon is one slab, drawn by
-        :meth:`build_tape`.  With it, generation is keyed per period:
-        period ``p`` draws from the ``p``-th spawn child of the run's
-        rng (canonical streaming order: sync schedule window, then
-        sorted update and request windows from that one child) and
-        merges the three pre-sorted streams with one run-merging
-        stable sort (:func:`~repro.sim.events.merge_sorted_blocks`).  A slab
-        concatenates its periods' tapes rather than re-merging them
-        (a re-merge could reorder a cross-kind tie at a period
-        boundary), so the tape depends on the seed and horizon only
-        and peak memory is the replay carry plus one slab.
-        :meth:`run` has already checked that the update generator
-        offers ``draw_window_sorted``.
+        Yields ``(slab, slab_periods, last)`` per slab, each slab in
+        the kind-ordered layout of
+        :func:`~repro.sim.events.kind_ordered`, which the kernel
+        replays without a merge.  Without ``chunk_periods`` the whole
+        horizon is one slab of the draws :meth:`build_tape` merges
+        (:meth:`_draw_blocks`).  With it, generation is keyed per
+        period: period ``p`` draws from the ``p``-th spawn child of
+        the run's rng (canonical streaming order: sync schedule
+        window, then sorted update and request windows from that one
+        child), and a slab concatenates its periods' layouts.  Periods
+        are disjoint in time, so each element's events keep the order
+        of the per-period merged tapes laid end to end; the slab
+        depends on the seed and horizon only, and peak memory is the
+        replay carry plus one slab.  :meth:`run` has already checked
+        that the update generator offers ``draw_window_sorted``.
         """
+        n_elements = self._catalog.n_elements
         if chunk_periods is None:
             with obs.span("sim.generate"):
-                tape = self.build_tape(n_periods)
-            yield tape, n_periods, True
+                slab = kind_ordered(*self._draw_blocks(n_periods),
+                                    n_elements=n_elements)
+            yield slab, n_periods, True
             return
         chunk = int(chunk_periods)
         n_whole = int(np.ceil(n_periods))
@@ -638,7 +654,7 @@ class Simulation:
         for first in range(0, n_whole, chunk):
             stop = min(first + chunk, n_whole)
             with obs.span("sim.generate"):
-                tapes = []
+                layouts = []
                 for period in range(first, stop):
                     start = period * self._period_length
                     end = min(period + 1, n_periods) * self._period_length
@@ -650,16 +666,16 @@ class Simulation:
                     access_times, access_elements = \
                         self._requests.draw_window_sorted(
                             start, end, rng=children[period], arena=arena)
-                    tapes.append(merge_sorted_blocks(
+                    layouts.append(kind_ordered(
                         update_times, update_elements,
                         sync_times, sync_elements,
                         access_times, access_elements,
-                        n_elements=self._catalog.n_elements))
-                if len(tapes) == 1:
-                    tape = tapes[0]
+                        n_elements=n_elements))
+                if len(layouts) == 1:
+                    slab = layouts[0]
                 else:
-                    times, elements, kinds = zip(*tapes)
-                    tape = (np.concatenate(times),
+                    times, elements, kinds = zip(*layouts)
+                    slab = (np.concatenate(times),
                             np.concatenate(elements),
                             np.concatenate(kinds))
-            yield tape, min(stop, n_periods) - first, stop == n_whole
+            yield slab, min(stop, n_periods) - first, stop == n_whole

@@ -26,6 +26,11 @@ hypothesis sweeps.
 yet, because it draws its workload in another order: it is compared
 with ``chunk_periods=1`` until every draw is keyed by (stream,
 period).  The manager rows go with the ``batch`` knob.
+
+The replay kernel takes two slab layouts, and the routes cover both:
+``auto`` and ``chunk*`` feed the kind-ordered blocks unmerged, while
+``slab*`` feeds slices of the merged one-shot tape and
+``chunk1_merged`` the per-period merged tapes of ``chunk_periods=1``.
 """
 
 from __future__ import annotations
@@ -52,8 +57,10 @@ from repro.faults.model import (
 )
 from repro.faults.retry import RetryAdmissionGate, RetryPolicy
 from repro.obs import registry as obs
+from repro.parallel import spawn_rngs
 from repro.sim import fastpath
 from repro.sim.bursty import BurstyUpdateGenerator
+from repro.sim.events import merge_sorted_blocks
 from repro.sim.fastpath import StreamingReplay, replay_window_tapes
 from repro.sim.simulation import Simulation
 from repro.workloads.catalog import Catalog
@@ -498,6 +505,33 @@ def _slab(k: int, world: World, setup: Setup) -> Observation:
     return _assert_engine(observe(go, sims, world.label_cap), setup.label)
 
 
+def _chunk1_merged(world: World, setup: Setup) -> Observation:
+    """``chunk_periods=1``'s per-period draws, each period merged into
+    one time-ordered tape by ``merge_sorted_blocks`` and fed to
+    ``StreamingReplay`` as its own slab."""
+    sims = simulations(world, setup)
+    sim = sims[0]
+    catalog, frequencies = world.built
+    length = world.period_length
+
+    def go():
+        replay = StreamingReplay(
+            catalog, frequencies, period_length=length,
+            n_periods=world.horizon, fault_args=sim.fault_kernel_args(),
+            fault_time_offset=world.offset, record_fault_trace=setup.trace)
+        children = spawn_rngs(sim._rng, world.periods)
+        for period, child in enumerate(children):
+            end = min(period + 1, world.horizon)
+            window = (period * length, end * length)
+            replay.feed(*merge_sorted_blocks(
+                *sim._updates.draw_window_sorted(*window, rng=child),
+                *sim.schedule.events_between(*window),
+                *sim._requests.draw_window_sorted(*window, rng=child),
+                n_elements=catalog.n_elements), n_periods=end - period)
+        return [replay.finish()]
+    return _assert_engine(observe(go, sims, world.label_cap), setup.label)
+
+
 def _per_period(world: World, setup: Setup) -> Observation:
     """Oracle of the window route: one reference run per period,
     with the fault-rng state recorded after each.  Window replays
@@ -592,6 +626,9 @@ ROUTES: dict[str, Route] = {
     # one-shot route draws per-period keyed tapes too.
     **{f"chunk{k}": Route(partial(runs, chunk=k), _chunk1, streams=True)
        for k in (1, 2, 3)},
+    # The kernel replays a streamed slab unmerged; merging each period
+    # first must change nothing.
+    "chunk1_merged": Route(_chunk1_merged, _chunk1, streams=True),
     # Degenerate worlds hold no workload events, so there a streamed
     # run already equals the reference loop, bar the workload rng's
     # final position.

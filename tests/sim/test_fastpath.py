@@ -23,7 +23,10 @@ from repro.errors import ValidationError
 from repro.faults.model import FaultPlan, IIDFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.runtime.manager import AdaptiveMirrorManager
-from repro.sim.simulation import kernel_fault_model
+from repro.sim.events import EventKind
+from repro.sim.fastpath import ReplayCarry, _replay_tape_chunk
+from repro.sim.simulation import Simulation, kernel_fault_model
+from repro.workloads.catalog import Catalog
 
 from tests.sim.differential import (
     SETUPS,
@@ -78,6 +81,42 @@ class TestWideCatalog:
         high = slice(1 << 16, None)
         assert result.poll_counts[high].sum() > 0
         assert result.access_counts[high].sum() > 0
+
+
+class TestCarryDtypes:
+    """The carry's fold accumulators stay float64 whatever a slab
+    holds: ``np.bincount`` without weights counts in int64."""
+
+    def test_copy_stale_at_the_horizon(self):
+        """A one-shot slab with no stale event, then a copy that ends
+        stale: the flush adds its age trapezoid to the carry."""
+        def simulation():
+            return Simulation(Catalog([0.5, 0.5], [1.0, 1.0]),
+                              np.array([0.2, 0.2]), request_rate=0.5,
+                              rng=np.random.default_rng(0))
+        want = simulation().run(1.0, engine="reference")
+        got = simulation().run(1.0)
+        assert want.element_time_age[0] > 0.0
+        for name in ("element_time_age", "element_time_freshness"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+
+    def test_sync_only_and_update_only_slabs(self):
+        carry = ReplayCarry.start(2)
+        sync, update = int(EventKind.SYNC), int(EventKind.UPDATE)
+        # A sync (only fresh events), an update that finds its copy
+        # fresh, then an update that finds it stale (only stale events).
+        for time, element, kind in ((0.5, 0, sync), (0.6, 1, update),
+                                    (0.7, 1, update)):
+            syncs = np.arange(1 if kind == sync else 0)
+            _replay_tape_chunk(
+                carry, np.ones(2), np.array([time]),
+                np.array([element], dtype=np.int32),
+                np.array([kind], dtype=np.int8), failed=None,
+                kept_syncs=syncs, tape_fresh=False)
+            assert carry.fresh_time.dtype == np.float64
+            assert carry.age_integral.dtype == np.float64
+        assert carry.age_integral[1] > 0.0
 
 
 class TestPropertyRandomCatalogs:

@@ -5,6 +5,12 @@ The i.i.d. ledger's loop-free path is checked against the scalar
 ledger walk, the channel's own definition, over loss rates from 0 to
 1, retry caps from 0 to 5 and budgets from none to tight.
 
+The replay's grouped sort is checked against ``np.lexsort`` by
+(group, time) with the dropped positions removed: on ulp-close times
+that share a key bucket, with group counts near 2³¹ that leave few
+time bits, on signed zeros, subnormals and ±1e300, on the non-finite
+fallback, and on the smallest and fully dropped inputs.
+
 Every tier-1 catalog has fewer than 2¹⁶ elements, so the group sort's
 keys only ever carry small ids there; these cases give it ids up to
 2³¹ − 1, beside positions on both sides of powers of two.  The
@@ -22,7 +28,11 @@ from hypothesis import strategies as st
 
 from repro.faults.model import PollOutcome
 from repro.faults.retry import RetryPolicy
-from repro.numerics.sorting import stable_element_sort
+from repro.numerics import sorting
+from repro.numerics.sorting import (
+    stable_element_sort,
+    stable_grouped_time_sort,
+)
 from repro.sim.fastpath import (
     _ge_scan_states,
     _walk_ledger,
@@ -89,6 +99,116 @@ class TestStableElementArgsort:
             typed = ids.astype(dtype)
             assert np.array_equal(_group(typed),
                                   np.argsort(typed, kind="stable"))
+
+
+def _check_grouped(groups, times, n_groups, drop=None):
+    """The grouped sort equals ``np.lexsort((times, groups))`` with
+    the ``drop`` positions removed, sorted groups and times included."""
+    order, groups_sorted, times_sorted = stable_grouped_time_sort(
+        groups, times, n_groups=n_groups, drop=drop)
+    want = np.lexsort((times, groups))
+    if drop is not None:
+        keep = np.ones(times.shape[0], dtype=bool)
+        keep[drop] = False
+        want = want[keep[want]]
+    assert np.array_equal(order, want)
+    assert groups_sorted.dtype == groups.dtype
+    assert np.array_equal(groups_sorted, groups[want])
+    assert times_sorted.tobytes() == times[want].tobytes()
+
+
+def _failed_syncs(rng, n):
+    """About a tenth of the positions, in increasing order."""
+    return np.flatnonzero(rng.random(n) < 0.1)
+
+
+class TestStableGroupedTimeSort:
+    def test_ulp_close_times_share_a_bucket(self):
+        """Thousands of one group's times a few ulps apart fall into
+        one key bucket, shuffled: only the repair orders them."""
+        rng = np.random.default_rng(7)
+        n = 200_000
+        groups = rng.integers(0, 5_000, n).astype(np.int32)
+        groups[::2] = 17
+        times = rng.uniform(0.0, 3.0, n)
+        times[::2] = 1.5 + np.spacing(1.5) * rng.integers(0, 5_000,
+                                                          n // 2)
+        _check_grouped(groups, times, 5_000, _failed_syncs(rng, n))
+        _check_grouped(groups, times, 5_000)
+
+    def test_group_count_near_the_id_limit(self):
+        """10⁶ events over groups in ``[0, 2³¹ − 1)`` leave 11 time
+        bits: a few groups hold most events, and their runs collide
+        in thousands of buckets."""
+        rng = np.random.default_rng(8)
+        n = 1_000_000
+        n_groups = _ID_MAX
+        palette = np.array([0, 5, 0x10000, _ID_MAX - 2, _ID_MAX - 1])
+        groups = np.where(rng.random(n) < 0.8, rng.choice(palette, n),
+                          rng.integers(0, n_groups, n)).astype(np.int32)
+        times = rng.uniform(0.0, 1.0, n)
+        _check_grouped(groups, times, n_groups, _failed_syncs(rng, n))
+
+    def test_no_time_bits_left(self, monkeypatch):
+        """With 31 position bits and 31 group bits no time bit is
+        left: every group holding an inversion is re-sorted whole."""
+        monkeypatch.setattr(sorting, "_position_bits", lambda n: 31)
+        rng = np.random.default_rng(9)
+        n = 20_000
+        groups = rng.choice(np.array([0, 3, _ID_MAX - 2]), n).astype(
+            np.int32)
+        times = rng.uniform(0.0, 1.0, n)
+        _check_grouped(groups, times, _ID_MAX - 1, _failed_syncs(rng, n))
+
+    @pytest.mark.parametrize("n", [1_000, 70_000])
+    def test_signed_zeros_subnormals_and_wide_range(self, n):
+        rng = np.random.default_rng(n)
+        tiny = np.finfo(float).smallest_subnormal
+        palette = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310,
+                            1e-300, 1e300, -1e300])
+        groups = rng.integers(0, 20, n).astype(np.int32)
+        for times in (rng.choice(palette, n),
+                      rng.choice(np.array([0.0, -0.0, 2.0, -2.0]), n),
+                      rng.choice(np.array([0.0, tiny, 2 * tiny]), n),
+                      rng.choice(np.array([-1e300, 0.0, 1e300]), n)):
+            _check_grouped(groups, times, 20, _failed_syncs(rng, n))
+            _check_grouped(groups, times, 20)
+
+    def test_infinities_and_nan_take_the_fallback(self):
+        rng = np.random.default_rng(10)
+        n = 10_000
+        groups = rng.integers(0, 30, n).astype(np.int64)
+        times = rng.uniform(-1.0, 1.0, n)
+        for special in ([np.inf], [-np.inf], [np.nan],
+                        [np.inf, -np.inf, np.nan]):
+            mixed = times.copy()
+            mixed[rng.integers(0, n, 300)] = rng.choice(special, 300)
+            _check_grouped(groups, mixed, 30, _failed_syncs(rng, n))
+            _check_grouped(groups, mixed, 30)
+
+    def test_all_times_equal(self):
+        rng = np.random.default_rng(11)
+        n = 131_075
+        groups = rng.integers(0, 1_000, n).astype(np.int32)
+        times = np.full(n, 2.5)
+        _check_grouped(groups, times, 1_000, _failed_syncs(rng, n))
+        _check_grouped(groups, times, 1_000)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_smallest_inputs(self, n):
+        groups = np.array([1, 0][:n], dtype=np.int32)
+        times = np.array([0.5, 0.25][:n])
+        for drop in (None, np.arange(n), np.arange(n)[n - 1:]):
+            _check_grouped(groups, times, 2, drop)
+
+    def test_all_or_last_position_dropped(self):
+        rng = np.random.default_rng(12)
+        n = 5_000
+        groups = rng.integers(0, 40, n).astype(np.int32)
+        times = rng.uniform(0.0, 4.0, n)
+        _check_grouped(groups, times, 40, np.arange(n))
+        _check_grouped(groups, times, 40, np.array([n - 1]))
+        _check_grouped(groups, times, 40, np.array([0, n - 1]))
 
 
 def _chain_walk(sync_elements, flip_good, flip_bad, initial_bad):

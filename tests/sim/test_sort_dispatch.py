@@ -4,9 +4,10 @@ numpy picks its sort kernels per CPU (AVX-512, AVX2 or the baseline),
 so a sort whose tie order depended on the kernel would make replays
 differ between hosts — the hazard FL015 exists for.  The stable sorts
 of :mod:`repro.numerics.sorting` sort unique keys, which have one
-answer.  This runs them, the tape merge and one replay-kernel slab on
-fixed seeded inputs in-process, then again in a subprocess with the
-AVX-512 and AVX2 sort kernels disabled, and compares digests.
+answer.  This runs them, the tape merge and one replay-kernel slab
+(kind-ordered, a tenth of its syncs dropped as failed) on fixed seeded
+inputs in-process, then again in a subprocess with the AVX-512 and
+AVX2 sort kernels disabled, and compares digests.
 """
 
 from __future__ import annotations
@@ -21,8 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.numerics.sorting import stable_element_sort, stable_time_sort
-from repro.sim.events import merge_kind_blocks
+from repro.numerics.sorting import (
+    stable_element_sort,
+    stable_grouped_time_sort,
+    stable_time_sort,
+)
+from repro.sim.events import EventKind, kind_ordered, merge_kind_blocks
 from repro.sim.fastpath import ReplayCarry, _replay_tape_chunk
 
 #: numpy's name for each dispatch level above x86-64-v2.
@@ -53,15 +58,23 @@ def dispatch_digests() -> dict[str, str]:
     sync_elements = rng.integers(0, n_elements, 60_000)
     access_times = np.sort(rng.uniform(0.0, 3.0, 80_000))
     access_elements = rng.integers(0, n_elements, 80_000)
-    tape = merge_kind_blocks(update_times, update_elements, sync_times,
-                             sync_elements, access_times,
-                             access_elements, n_elements=n_elements)
+    blocks = (update_times, update_elements, sync_times, sync_elements,
+              access_times, access_elements)
+    tape = merge_kind_blocks(*blocks, n_elements=n_elements)
+    slab = kind_ordered(*blocks, n_elements=n_elements)
+    syncs = np.flatnonzero(slab[2] == int(EventKind.SYNC))
+    failed = rng.random(syncs.shape[0]) < 0.1
+    groups = (ids % 2_000).astype(np.int32)
     carry = ReplayCarry.start(n_elements)
     fresh_before = _replay_tape_chunk(
-        carry, rng.uniform(0.5, 2.0, n_elements), *tape, tape_fresh=True)
+        carry, rng.uniform(0.5, 2.0, n_elements), *slab,
+        failed=syncs[failed], kept_syncs=syncs[~failed], tape_fresh=True)
     return {
         "element_sort": _digest(*stable_element_sort(ids)),
         "time_sort": _digest(*stable_time_sort(times)),
+        "grouped_sort": _digest(*stable_grouped_time_sort(
+            groups, times[:groups.shape[0]], n_groups=2_000,
+            drop=np.arange(0, groups.shape[0], 7))),
         "merge": _digest(*tape),
         "replay": _digest(
             fresh_before, carry.fresh, carry.stale_since, carry.last_time,

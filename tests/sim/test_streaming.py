@@ -24,11 +24,20 @@ from hypothesis import strategies as st
 
 from repro.core.scheduler import SyncSchedule
 from repro.errors import SimulationError, ValidationError
+from repro.faults.model import FaultPlan
 from repro.numerics import sorting
+from repro.obs import registry as obs
 from repro.sim import fastpath
-from repro.sim.events import merge_kind_blocks, merge_sorted_blocks
+from repro.sim.events import (
+    EventKind,
+    kind_ordered,
+    merge_kind_blocks,
+    merge_sorted_blocks,
+)
 from repro.sim.fastpath import ReplayArena, ReplayCarry, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
+from repro.sim.simulation import Simulation
+from repro.workloads.catalog import Catalog
 
 from tests.conftest import random_catalog
 from tests.sim.differential import (
@@ -155,7 +164,38 @@ class TestChunkedRun:
         assert abs(one_shot.monitored_perceived_freshness
                    - chunked.monitored_perceived_freshness) < 0.05
 
-    def test_chunk_periods_validated(self):
+    @pytest.mark.parametrize("setup", ["none", "iid_dedicated",
+                                       "ge_trace"])
+    @pytest.mark.parametrize("world", [name for name, world
+                                       in WORLDS.items()
+                                       if not world.bursty])
+    def test_merged_periods_match_unmerged_slabs(self, world, setup):
+        """``chunk_periods=1`` replays each period's kind-ordered
+        blocks unmerged; merging them first (the time-ordered layout)
+        gives the same run bit for bit."""
+        check(world, setup, routes=("chunk1_merged",))
+
+    def test_sync_at_a_period_start_that_divides_below_it(self):
+        """With period length 0.7 the zero-phase syncs of period 3
+        fall at 3 · 0.7, which divides to 2.999…: the faulted slab's
+        per-period tallies count them in the slab's own period
+        instead of failing on a negative period index."""
+        catalog = Catalog(np.full(4, 0.25), np.ones(4))
+        sim = Simulation(catalog, np.array([1.0, 2.0, 4.0, 3.0]),
+                         request_rate=5.0, rng=np.random.default_rng(1),
+                         period_length=0.7, phase_policy="zero",
+                         fault_plan=FaultPlan.iid(0.3))
+        start = sim.schedule.events_between(3 * 0.7, 4 * 0.7)[0][0]
+        assert start == 3 * 0.7 and int(start / 0.7) == 2
+        with obs.telemetry() as registry:
+            result = sim.run(5.0, chunk_periods=1)
+        periods = [event for event in registry.events
+                   if event["kind"] == "sim.period"]
+        assert [event["period"] for event in periods] == list(range(5))
+        assert sum(event["failed_polls"] for event in periods) == \
+            int(result.failed_poll_counts.sum()) > 0
+
+
         sim = _simulation(10, 21)
         with pytest.raises(ValidationError):
             sim.run(2.0, chunk_periods=0)
@@ -185,6 +225,45 @@ class TestChunkedRun:
         monkeypatch.setattr(fastpath, "_SLAB_EVENT_LIMIT", 10)
         with pytest.raises(SimulationError, match="even one period"):
             _simulation(50, 4, seed=3).run(6.0, chunk_periods=1)
+
+
+class TestSlabContract:
+    """What :meth:`StreamingReplay.feed` checks of an unmerged slab."""
+
+    @staticmethod
+    def _slab(horizon: float):
+        world = WORLDS["default"]
+        sim = simulations(world, SETUPS["none"])[0]
+        return world, kind_ordered(*sim._draw_blocks(horizon),
+                                   n_elements=world.built[0].n_elements)
+
+    def test_syncs_out_of_time_order_raise(self):
+        world, (times, elements, kinds) = self._slab(1.0)
+        syncs = np.flatnonzero(kinds == int(EventKind.SYNC))
+        times = times.copy()
+        times[syncs[[0, -1]]] = times[syncs[[-1, 0]]]
+        assert times[syncs[0]] > times[syncs[-1]]
+        replay = StreamingReplay(*world.built, period_length=1.0,
+                                 n_periods=1.0)
+        with pytest.raises(SimulationError, match="syncs are out of"):
+            replay.feed(times, elements, kinds, n_periods=1.0)
+
+    def test_an_early_event_anywhere_in_the_slab_raises(self):
+        """The period-window check reads the slab's earliest time, not
+        its first: an unmerged slab need not start with it."""
+        world, (times, elements, kinds) = self._slab(2.0)
+        second = times >= 1.0
+        replay = StreamingReplay(*world.built, period_length=1.0,
+                                 n_periods=2.0)
+        replay.feed(times[~second], elements[~second], kinds[~second],
+                    n_periods=1.0)
+        late = times[second].copy()
+        early = np.flatnonzero(kinds[second] == int(EventKind.ACCESS))[0]
+        assert early > 0
+        late[early] = 0.5
+        with pytest.raises(SimulationError, match="period window"):
+            replay.feed(late, elements[second], kinds[second],
+                        n_periods=1.0)
 
 
 class TestEventsBetween:

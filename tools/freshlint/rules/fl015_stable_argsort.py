@@ -13,10 +13,10 @@ the simulator, fault, runtime and scheduler paths, in the planner's
 partitioning and in the shared time sort, every ``argsort`` call
 (function or method) must therefore pass ``kind="stable"`` by
 keyword, or go through the stable helpers
-(``repro.numerics.sorting.stable_time_sort`` and
-``stable_element_sort``), which sort unique (key, position) int64
-keys with ``ndarray.sort()`` and are not ``argsort`` calls
-themselves.
+(``repro.numerics.sorting.stable_time_sort``,
+``stable_grouped_time_sort`` and ``stable_element_sort``), which
+sort unique (key, position) int64 keys with ``ndarray.sort()`` and
+are not ``argsort`` calls themselves.
 """
 
 from __future__ import annotations
