@@ -195,7 +195,7 @@ class TestChunkedRun:
         assert sum(event["failed_polls"] for event in periods) == \
             int(result.failed_poll_counts.sum()) > 0
 
-
+    def test_chunk_periods_validated(self):
         sim = _simulation(10, 21)
         with pytest.raises(ValidationError):
             sim.run(2.0, chunk_periods=0)
