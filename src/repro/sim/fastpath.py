@@ -67,17 +67,21 @@ Nothing else needs the global order: fault resolution and the
 bandwidth fold read only the syncs, the ledger folds are order-free,
 and the period series are per-period counts plus a per-period left
 fold of sync sizes.  The per-element monitor state machine is then
-reconstructed with segment operations:
+reconstructed with forward fills, each seeded at every element's
+first in-slab event (a segment start) from the carry, so no fill
+crosses into the next element:
 
-* the fresh/stale flag before each event comes from the last
-  update/sync strictly before it (a segmented running maximum over
-  state-change positions), or from the carried flag when no in-slab
-  state change precedes it;
+* the fresh flag after each event is a forward fill over the state
+  changes (an update stales the copy, a kept sync refreshes it),
+  seeded with the carried flag; the flag before an event is the one
+  after its predecessor, or the carried flag at a segment start;
 * poll change detection reads that flag: a copy is fresh exactly when
   it matches the source (Definition 1), so a successful poll finds a
   new version exactly when the copy was stale before it;
-* stale-run start times (``stale_since``) carry forward from each
-  run-opening update by the same trick;
+* stale-run start times (``stale_since``) are a second fill, over the
+  run-opening updates (an update on a fresh copy), seeded with the
+  carried run start;
+* the next slab's carry is read off the same fills at segment ends;
 * fresh-time increments (at fresh events) and age-integral
   increments (at stale events) are computed at once and each folded
   per element with :func:`numpy.bincount`.
@@ -87,14 +91,18 @@ Bit-identity notes (all verified by the equivalence suite):
 * ``np.bincount`` accumulates its weights as an exact sequential
   left-fold per bin in input order — unlike ``np.sum`` or
   ``np.add.reduceat``, which use pairwise summation and would break
-  bit-identity with the loop's ``+=``.  Prepending each element's
-  nonzero carried accumulator as its bin's first weight continues the
-  fold bit-exactly — left folds compose — so slab-by-slab replay of a
-  tape is bit-identical to the reference loop over the whole tape.
-* Each fold adds only the increments the loop performs, and a zero
-  carry needs no prefix entry: ``bincount`` starts every bin at
-  ``0.0``, and ``0.0 + x`` is ``x`` for every ``x`` but ``-0.0``,
-  which no accumulator holds (every increment is at least ``+0.0``).
+  bit-identity with the loop's ``+=``.  A slab continues each
+  element's carried fold ``c`` through its first increment ``w₁``:
+  the bin folds ``0.0 + (c + w₁)``, the same double as the loop's
+  ``c + w₁``, because ``0.0 + x`` is ``x`` for every ``x`` but
+  ``-0.0``, which no accumulator holds (every increment is at least
+  ``+0.0``).  Left folds compose, so slab-by-slab replay of a tape is
+  bit-identical to the reference loop over the whole tape.
+* Each fold adds only the increments the loop performs.  An element
+  without an increment in a slab keeps its carry: its bin folds to
+  ``0.0``, and every other bin to at least its carry (non-negative
+  increments, monotone rounding), so the new accumulator is the
+  larger of the two.
 * ``Generator.random(n)`` produces the same values *and* the same
   post-call state as ``n`` successive scalar ``random()`` calls, and
   ``Generator.uniform(low, high)`` consumes exactly one draw and
@@ -151,6 +159,7 @@ from repro.sim.evaluator import (
     close_run,
     emit_period,
     flush_to_horizon,
+    period_index,
 )
 from repro.workloads.catalog import Catalog
 
@@ -159,10 +168,18 @@ __all__ = ["ReplayArena", "ReplayCarry", "StreamingReplay",
            "resolve_ge_faults", "resolve_iid_faults",
            "resolve_tape_faults"]
 
-#: Largest slab, in events, the replay kernel can index: its
-#: positional arrays are int32.
+#: Largest slab, in events, the replay kernel can take: its keyed
+#: sort packs each position, below 2³¹, beside the element id.
 _SLAB_EVENT_LIMIT = int(np.iinfo(np.int32).max)
 
+
+
+def _run_starts(ids_sorted: np.ndarray) -> np.ndarray:
+    """Whether each position opens a run of equal ids (non-empty)."""
+    starts = np.empty(ids_sorted.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=starts[1:])
+    return starts
 
 
 def _segment_starts(elements_sorted: np.ndarray
@@ -177,28 +194,11 @@ def _segment_starts(elements_sorted: np.ndarray
         segment-opening events and, per event, the global position of
         its segment's first event.
     """
-    n_events = elements_sorted.shape[0]
-    new_segment = np.empty(n_events, dtype=bool)
-    new_segment[0] = True
-    np.not_equal(elements_sorted[1:], elements_sorted[:-1],
-                 out=new_segment[1:])
+    new_segment = _run_starts(elements_sorted)
     start_positions = np.flatnonzero(new_segment)
     segment_ids = np.cumsum(new_segment) - 1
     return start_positions, start_positions[segment_ids]
 
-
-def _last_position_at_or_before(candidate_positions: np.ndarray,
-                                segment_start_of: np.ndarray
-                                ) -> np.ndarray:
-    """Segmented running maximum of marked positions (−1 = none yet).
-
-    ``candidate_positions`` holds each event's own global position
-    where the event is a mark and −1 elsewhere; the result holds, per
-    event, the latest marked position at or before it *within its
-    segment*.
-    """
-    running = np.maximum.accumulate(candidate_positions)
-    return np.where(running >= segment_start_of, running, -1)
 
 @dataclass
 class FaultResolution:
@@ -924,6 +924,20 @@ def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
         record_trace=False)
 
 
+def _continue_sum(total: float, values: np.ndarray) -> float:
+    """``total`` plus ``values`` left to right, as a scalar ``+=`` loop.
+
+    The first value takes the total, and one ``np.bincount`` bin
+    folds the rest in order (see the module notes); ``values`` is
+    consumed.
+    """
+    if not values.shape[0]:
+        return total
+    values[0] += total
+    return float(np.bincount(np.zeros(values.shape[0], dtype=np.intp),
+                             weights=values)[0])
+
+
 @dataclass
 class _FaultAccounting:
     """Channel-equivalent attempt/failure accounting, folded per slab.
@@ -974,15 +988,10 @@ class _FaultAccounting:
         self.denied_retries += resolution.denied_retries
         self.draws += int(resolution.consumed.sum())
         # One entry per attempt, in sync order: every attempt burns
-        # its element's size; the channel's sequential += continues
-        # with the carry-prepend trick.
+        # its element's size, folded on as the channel's += does.
         attempted_elements = np.repeat(sync_elements, attempts)
-        attempt_sizes = sizes[attempted_elements]
-        self.attempted_bandwidth = float(np.bincount(
-            np.zeros(attempt_sizes.shape[0] + 1, dtype=np.intp),
-            weights=np.concatenate([[self.attempted_bandwidth],
-                                    attempt_sizes]),
-            minlength=1)[0])
+        self.attempted_bandwidth = _continue_sum(
+            self.attempted_bandwidth, sizes[attempted_elements])
         self.attempted_poll_counts += np.bincount(attempted_elements,
                                                   minlength=n_elements)
         self.failed_poll_counts += np.bincount(
@@ -1042,14 +1051,10 @@ def _fold_ledger_bulk(fold, elements: np.ndarray,
 
 def _slab_periods(times: np.ndarray, period_length: float,
                   first_period: int) -> np.ndarray:
-    """Each event's period, counted from the slab's first period.
-
-    An event at the slab's start can divide to just below its period
-    (``3 · 0.7 / 0.7 < 3``); it counts in the slab's first period.
-    """
-    periods = (times / period_length).astype(np.int64)
+    """Each event's period (:func:`~repro.sim.evaluator.period_index`),
+    counted from the slab's first period."""
+    periods = period_index(times, period_length)
     periods -= first_period
-    np.maximum(periods, 0, out=periods)
     return periods
 
 
@@ -1097,8 +1102,10 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
     one weighted ``bincount`` over the kept syncs (``kept_syncs``,
     slab positions in time order), which folds each period's sync
     sizes left to right from 0.0, as the tracker's ``+=`` does.  The
-    failed syncs are left out of every count, and events whose period
-    index reaches past the slab's last period count in none.
+    failed syncs are left out of every count.  Both engines take the
+    period index from :func:`~repro.sim.evaluator.period_index`, the
+    comparison that cuts the slab's period windows, so each event
+    counts in the period whose window holds it.
     ``fresh_before`` is the replay's fresh-before flag per event, in
     slab order, from which the fresh-copy level follows: a period
     ends at the level entering it, plus the syncs that refresh a
@@ -1198,8 +1205,9 @@ class ReplayCarry:
     Integer fields are exact; the float
     accumulators (``fresh_time``, ``age_integral``,
     ``bandwidth_used``) are partial *left folds* in event order, which
-    the next slab continues bit-exactly by prepending them to its own
-    fold (see the module notes on ``np.bincount``).
+    the next slab continues bit-exactly by adding each to its first
+    increment of the slab (see the module notes on ``np.bincount``).
+    The kernel updates the arrays in place.
 
     Attributes:
         fresh: Whether each copy is fresh after the last event seen.
@@ -1253,26 +1261,43 @@ class ReplayCarry:
                    if isinstance(value, np.ndarray))
 
 
-def _fold_with_carry(carry_values: np.ndarray, bins: np.ndarray,
-                     increments: np.ndarray) -> np.ndarray:
+def _last_mark(marks: np.ndarray) -> np.ndarray:
+    """Per position, the latest marked position at or before it.
+
+    A forward fill of positions, one running maximum; ``marks[0]``
+    must be set.  With every segment start marked, no fill crosses
+    into the next segment.
+    """
+    fill = np.arange(marks.shape[0], dtype=np.intp)
+    fill *= marks
+    np.maximum.accumulate(fill, out=fill)
+    return fill
+
+
+def _continue_fold(accumulator: np.ndarray, bins: np.ndarray,
+                   increments: np.ndarray) -> None:
     """Continue per-element left folds with one slab of increments.
 
-    Each element whose carried accumulator is nonzero gets it as its
-    bin's first weight, so the in-order per-bin fold computes
-    ``((carry + w₁) + w₂) + …`` — exactly the reference loop's
-    ``+=``.  ``np.bincount`` starts every bin at ``0.0``, and
-    ``0.0 + x`` is ``x`` for every ``x`` but ``−0.0``, which no
-    accumulator holds, so a zero carry needs no prefix entry.  With
-    no weights at all ``np.bincount`` counts in int64, so the result
-    is cast to float64: the carry keeps its dtype.
+    ``bins`` must be grouped (each element's increments contiguous,
+    in fold order).  The carried accumulator ``c`` joins each
+    element's first increment ``w₁``, so the in-order per-bin
+    ``np.bincount`` fold computes ``((0.0 + (c + w₁)) + w₂) + …``,
+    which is the reference loop's ``((c + w₁) + w₂) + …`` for every
+    ``c ≥ 0`` and ``w₁ ≥ 0`` (``0.0 + x`` is ``x`` for every ``x``
+    but ``−0.0``, which no sum of non-negatives is).  Such a fold
+    never falls below its carry (rounding is monotone), and the bin
+    of an element without an increment folds to ``0.0``, so the
+    larger of fold and carry is the new accumulator, written in
+    place.  ``increments`` is consumed.
     """
-    carried = np.flatnonzero(carry_values)
-    if carried.shape[0]:
-        bins = np.concatenate((carried, bins))
-        increments = np.concatenate((carry_values[carried], increments))
-    return np.bincount(bins, weights=increments,
-                       minlength=carry_values.shape[0]
-                       ).astype(np.float64, copy=False)
+    if not bins.shape[0]:
+        return
+    first = np.flatnonzero(_run_starts(bins))
+    increments[first] += accumulator[bins[first]]
+    del first
+    np.maximum(accumulator, np.bincount(bins, weights=increments,
+                                        minlength=accumulator.shape[0]),
+               out=accumulator)
 
 
 def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
@@ -1286,11 +1311,9 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     before each event, and the rest derives from it: a poll finds a
     change exactly when the copy was stale before it (Definition 1),
     and the telemetry series and the ledger read stale-run opens and
-    refreshes off the returned flag.  Wherever the reference loop's
-    state comes from before the slab, the kernel reads the carry: the
-    fresh flag where no in-slab state change precedes an event,
-    ``stale_since`` where no in-slab run start precedes it, and the
-    last event time at segment starts.
+    refreshes off the returned flag.  Each element's first in-slab
+    event reads the carry: its fresh flag, its open stale run's start
+    and its last event time seed the slab's forward fills.
     Folding slabs ``[0,a) [a,b) …`` of a tape through one carry is
     bit-identical to the reference loop over the whole tape.  The
     caller keeps slabs below :data:`_SLAB_EVENT_LIMIT` events.
@@ -1326,6 +1349,7 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     n_elements = int(carry.fresh.shape[0])
     update_kind = int(EventKind.UPDATE)
     sync_kind = int(EventKind.SYNC)
+    access_kind = int(EventKind.ACCESS)
 
     order, element_of, time_of = stable_grouped_time_sort(
         elements, times, n_groups=n_elements, drop=failed)
@@ -1333,120 +1357,123 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     if not n_kept:
         return np.zeros(n_events, dtype=bool) if tape_fresh else None
     kind_of = kinds[order]
-    positions = np.arange(n_kept, dtype=np.int32)
+    slab_order = order if tape_fresh else None
+    del order
+    # Every gather and bincount below indexes with the ids.
+    element_of = element_of.astype(np.intp, copy=False)
 
-    segment_start_positions, segment_start_of = _segment_starts(
-        element_of)
-    segment_start_of = segment_start_of.astype(np.int32, copy=False)
-    segment_end_positions = np.append(
-        segment_start_positions[1:] - 1, n_kept - 1)
-    present = element_of[segment_start_positions]
+    # Segments: each element's run of events.  Its first event reads
+    # the carry and its last event writes it, each carry field as
+    # soon as the slab has read it.
+    opens = _run_starts(element_of)
+    starts = np.flatnonzero(opens)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = n_kept
+    ends -= 1
+    present = element_of[starts]
 
-    # Previous event time: within-slab shift, carried time at starts
-    # (position 0 opens a segment).
+    # Previous event time: within-slab shift, carried time at starts.
     previous_time = np.empty_like(time_of)
     previous_time[1:] = time_of[:-1]
-    previous_time[segment_start_positions] = carry.last_time[present]
+    previous_time[starts] = carry.last_time[present]
     if (time_of < previous_time).any():
         raise SimulationError(
             "slab events precede the carried replay clock")
-    elapsed = time_of - previous_time
+    carry.last_time[present] = time_of[ends]
 
-    is_update = kind_of == update_kind
-    is_sync = kind_of == sync_kind
-    is_access = ~is_update & ~is_sync
+    # Fresh flag after each event: a forward fill over the state
+    # changes (an update stales the copy, a kept sync refreshes it),
+    # seeded at each segment start with the carried flag.  The flag
+    # before an event is the one after its predecessor, or the carry.
+    is_access = kind_of == access_kind
+    marks = ~is_access
+    marks |= opens
+    fill = _last_mark(marks)
+    del marks
+    fresh_after = kind_of == sync_kind
+    access_first = is_access[starts]
+    fresh_after[starts[access_first]] = carry.fresh[present[access_first]]
+    del access_first
+    fresh_before = np.empty(n_kept, dtype=bool)
+    np.take(fresh_after, fill[:-1], out=fresh_before[1:], mode="clip")
+    fresh_before[starts] = carry.fresh[present]
+    carry.fresh[present] = fresh_after[fill[ends]]
+    del fill, fresh_after, starts
 
-    # Fresh flag before each event: last in-slab state change decides;
-    # otherwise the carried flag.
-    state_change_positions = np.where(is_update | is_sync,
-                                      positions, -1)
-    last_state_change = _last_position_at_or_before(
-        state_change_positions, segment_start_of)
-    previous_state_change = np.empty_like(last_state_change)
-    previous_state_change[0] = -1
-    previous_state_change[1:] = last_state_change[:-1]
-    previous_state_change = np.where(
-        previous_state_change >= segment_start_of,
-        previous_state_change, -1)
-    fresh_before = (kind_of[np.maximum(previous_state_change, 0)]
-                    == sync_kind)
-    carried_state = np.flatnonzero(previous_state_change < 0)
-    fresh_before[carried_state] = carry.fresh[element_of[carried_state]]
-
-    # Fresh events add their elapsed time to fresh_time; stale events
-    # add their age trapezoid to age_integral.  Each fold sees only
-    # its own events, so the other kind's 0.0 is never added.
-    fresh_events = np.flatnonzero(fresh_before)
+    # Stale-run start: a forward fill over the run-opening updates
+    # (an update on a fresh copy), seeded with the carried run start.
+    run_start = kind_of == update_kind
+    run_start &= fresh_before
+    opens |= run_start
+    fill = _last_mark(opens)
+    del opens
     stale_events = np.flatnonzero(~fresh_before)
+    since_at = fill[stale_events]
+    final_since = fill[ends]
+    del fill
+    stale_since = time_of[since_at]
+    seeded = np.flatnonzero(~run_start[since_at])
+    stale_since[seeded] = carry.stale_since[element_of[since_at[seeded]]]
+    del since_at, seeded
+    opened = np.flatnonzero(run_start[final_since])
+    carry.stale_since[present[opened]] = time_of[final_since[opened]]
+    del run_start, final_since, opened, present, ends
 
-    # Stale-run starts: in-slab run start pins stale_since; a copy
-    # still stale from before the slab reads the carried run start.
-    run_start = is_update & fresh_before
-    run_start_positions = np.where(run_start, positions, -1)
-    since_position = _last_position_at_or_before(
-        run_start_positions, segment_start_of)
-    stale_since_position = since_position[stale_events]
-    stale_since = time_of[np.maximum(stale_since_position, 0)]
-    carried_run = np.flatnonzero(stale_since_position < 0)
-    stale_since[carried_run] = carry.stale_since[
-        element_of[stale_events[carried_run]]]
-
-    # Squares by multiplication, as in the reference loop.
-    age_increment = time_of[stale_events] - stale_since
+    # Stale events add their age trapezoid to age_integral, fresh
+    # events their elapsed time to fresh_time.  Each fold sees only
+    # its own events, so the other kind's 0.0 is never added.  The
+    # trapezoid is built in place; squares by multiplication, as in
+    # the reference loop.
+    age_increment = time_of[stale_events]
+    age_increment -= stale_since
     age_increment *= age_increment
-    age_before = previous_time[stale_events] - stale_since
+    age_before = previous_time[stale_events]
+    age_before -= stale_since
+    del stale_since
     age_before *= age_before
     age_increment -= age_before
-    age_increment *= 0.5
     del age_before
-    carry.fresh_time = _fold_with_carry(
-        carry.fresh_time, element_of[fresh_events], elapsed[fresh_events])
-    carry.age_integral = _fold_with_carry(
-        carry.age_integral, element_of[stale_events], age_increment)
-    del fresh_events, stale_events, stale_since, age_increment
+    age_increment *= 0.5
+    stale_bins = element_of[stale_events]
+    del stale_events
+    fresh_events = np.flatnonzero(fresh_before)
+    elapsed = time_of[fresh_events]
+    del time_of
+    elapsed -= previous_time[fresh_events]
+    del previous_time
+    fresh_bins = element_of[fresh_events]
+    del fresh_events
+    _continue_fold(carry.fresh_time, fresh_bins, elapsed)
+    del fresh_bins, elapsed
+    _continue_fold(carry.age_integral, stale_bins, age_increment)
+    del stale_bins, age_increment
 
     # Definition 1: a copy is fresh exactly when it matches the source,
     # so a successful poll finds a new version exactly when the copy
     # was stale just before it.
-    sync_positions = np.flatnonzero(is_sync)
-    sync_elements = element_of[sync_positions]
-    changed = ~fresh_before[sync_positions]
-
-    # Final per-element state for the next slab (read the old carry
-    # before overwriting it).
-    final_state_change = last_state_change[segment_end_positions]
-    final_fresh = np.where(
-        final_state_change >= 0,
-        kind_of[np.maximum(final_state_change, 0)] == sync_kind,
-        carry.fresh[present])
-    final_since = since_position[segment_end_positions]
-    carry.stale_since[present] = np.where(
-        final_since >= 0, time_of[np.maximum(final_since, 0)],
-        carry.stale_since[present])
-    carry.fresh[present] = final_fresh
-    carry.last_time[present] = time_of[segment_end_positions]
-
+    syncs = np.flatnonzero(kind_of == sync_kind)
+    sync_elements = element_of[syncs]
     carry.poll_counts += np.bincount(sync_elements, minlength=n_elements)
-    carry.changed_poll_counts += np.bincount(sync_elements[changed],
-                                             minlength=n_elements)
-    access_positions = np.flatnonzero(is_access)
-    carry.access_counts += np.bincount(element_of[access_positions],
+    carry.changed_poll_counts += np.bincount(
+        sync_elements[~fresh_before[syncs]], minlength=n_elements)
+    del sync_elements
+    accesses = np.flatnonzero(is_access)
+    del is_access
+    carry.access_counts += np.bincount(element_of[accesses],
                                        minlength=n_elements)
-    carry.n_updates += int(np.count_nonzero(is_update))
-    carry.fresh_accesses += int(np.count_nonzero(
-        fresh_before[access_positions]))
+    carry.n_updates += n_kept - syncs.shape[0] - accesses.shape[0]
+    carry.fresh_accesses += int(np.count_nonzero(fresh_before[accesses]))
+    del syncs, accesses
 
     # Bandwidth folds over the kept syncs in time order.
-    sync_sizes = sizes[elements[kept_syncs]]
-    carry.bandwidth_used = float(np.bincount(
-        np.zeros(sync_sizes.shape[0] + 1, dtype=np.intp),
-        weights=np.concatenate([[carry.bandwidth_used], sync_sizes]),
-        minlength=1)[0])
+    carry.bandwidth_used = _continue_sum(carry.bandwidth_used,
+                                         sizes[elements[kept_syncs]])
 
-    if not tape_fresh:
+    if slab_order is None:
         return None
     fresh_before_slab = np.zeros(n_events, dtype=bool)
-    fresh_before_slab[order] = fresh_before
+    fresh_before_slab[slab_order] = fresh_before
     return fresh_before_slab
 
 

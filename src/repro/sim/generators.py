@@ -56,15 +56,20 @@ __all__ = ["UpdateGenerator", "RequestGenerator"]
 def _repeat_arange_into(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with ``np.repeat(np.arange(len(counts)), counts)``.
 
-    Writes block starts and integrates instead of materializing the
-    arange + repeat intermediates, so a reused arena buffer absorbs
-    the whole expansion (zero-count elements stack their start marks,
-    which the cumulative sum turns into the skipped ids).
+    Writes, at the block start of each element with a nonzero count,
+    the step from the previous such element's id, then integrates in
+    place, so a reused arena buffer absorbs the whole expansion.  The
+    block starts of nonzero counts are strictly increasing, so a
+    plain scatter writes them (no ``np.add.at``).
     """
-    out[:] = 0
     if out.shape[0]:
-        starts = np.cumsum(counts[:-1])
-        np.add.at(out, starts[starts < out.shape[0]], 1)
+        # A bool mask takes numpy's fast nonzero path.
+        nonzero = np.flatnonzero(counts > 0)
+        block = counts[nonzero]
+        starts = np.cumsum(block)
+        starts -= block
+        out[:] = 0
+        out[starts] = np.diff(nonzero, prepend=0)
         np.cumsum(out, out=out)
     return out
 

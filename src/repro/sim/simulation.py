@@ -47,6 +47,7 @@ from repro.sim.evaluator import (
     SimulationResult,
     close_run,
     emit_period,
+    period_index,
 )
 from repro.sim.fastpath import ReplayArena, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
@@ -116,7 +117,7 @@ class _PeriodTracker:
     """
 
     __slots__ = ("_sizes", "_period_length", "_mirror", "_planned",
-                 "_period", "syncs", "bandwidth", "updates",
+                 "_period", "_next_start", "syncs", "bandwidth", "updates",
                  "accesses", "fresh_accesses", "failed_polls",
                  "retries")
 
@@ -127,6 +128,7 @@ class _PeriodTracker:
         self._mirror = mirror
         self._planned = planned_per_period
         self._period = 0
+        self._next_start = period_length
         self.syncs = 0
         self.bandwidth = 0.0
         self.updates = 0
@@ -136,11 +138,19 @@ class _PeriodTracker:
         self.retries = 0
 
     def advance_to(self, time: float) -> None:
-        """Flush any periods fully elapsed before ``time``."""
-        period = int(time / self._period_length)
+        """Flush any periods fully elapsed before ``time``.
+
+        Times arrive in order, so the period stands until one reaches
+        the next window's start, the bound :func:`period_index`
+        compares against; only then is the index worked out.
+        """
+        if time < self._next_start:
+            return
+        period = int(period_index(time, self._period_length))
         while self._period < period:
             self._flush()
             self._period += 1
+        self._next_start = (self._period + 1) * self._period_length
 
     def note_sync(self, element: int) -> None:
         """Record one sync of ``element`` in the current period."""

@@ -13,6 +13,7 @@ corners no table row thought of.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.errors import ValidationError
 from repro.faults.model import FaultPlan, IIDFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.runtime.manager import AdaptiveMirrorManager
-from repro.sim.events import EventKind
+from repro.sim.events import EventKind, kind_ordered
 from repro.sim.fastpath import ReplayCarry, _replay_tape_chunk
 from repro.sim.simulation import Simulation, kernel_fault_model
 from repro.workloads.catalog import Catalog
@@ -117,6 +118,118 @@ class TestCarryDtypes:
             assert carry.fresh_time.dtype == np.float64
             assert carry.age_integral.dtype == np.float64
         assert carry.age_integral[1] > 0.0
+
+
+class TestCarriedSlabs:
+    """Slab-fed replays start each slab from the carry.
+
+    ``slab1`` and ``slab2`` feed the one-shot tape in one- and
+    two-period slabs and are held to the reference loop.  The world
+    is checked, on its own tape, to cross slab bounds with every
+    carried seed the kernel reads: an element whose first in-slab
+    event is an access on a stale copy (the carried fresh flag), one
+    whose first in-slab event is an update opening a stale run (a
+    fill mark at a segment start), and one with carried fresh time
+    and age but no increment to one of them in the slab.
+    """
+
+    WORLD = "h7.25"
+
+    @staticmethod
+    def _carried_cases(world) -> dict[str, int]:
+        """Count the three cases over the one-period slab bounds of
+        the fault-free tape, walking the copy state event by event."""
+        sim = simulations(world, SETUPS["none"])[0]
+        times, elements, kinds = sim.build_tape(world.horizon)
+        n_elements = world.built[0].n_elements
+        fresh = np.ones(n_elements, dtype=bool)
+        folded = {True: np.zeros(n_elements, dtype=bool),
+                  False: np.zeros(n_elements, dtype=bool)}
+        cases = dict.fromkeys(("stale_access", "run_open", "idle_fold"), 0)
+        bounds = np.searchsorted(
+            times, np.arange(1, world.periods) * world.period_length)
+        for index, slab in enumerate(np.split(np.arange(times.shape[0]),
+                                              bounds)):
+            carried = {state: mask.copy() for state, mask in folded.items()}
+            seen: set[int] = set()
+            added = {True: set(), False: set()}
+            for element, kind in zip(elements[slab].tolist(),
+                                     kinds[slab].tolist()):
+                if index and element not in seen:
+                    cases["stale_access"] += (kind == EventKind.ACCESS
+                                              and not fresh[element])
+                    cases["run_open"] += (kind == EventKind.UPDATE
+                                          and bool(fresh[element]))
+                seen.add(element)
+                state = bool(fresh[element])
+                added[state].add(element)
+                folded[state][element] = True
+                if kind != EventKind.ACCESS:
+                    fresh[element] = kind == EventKind.SYNC
+            if index:
+                cases["idle_fold"] += sum(
+                    element not in added[True]
+                    or element not in added[False]
+                    for element in np.flatnonzero(carried[True]
+                                                  & carried[False]))
+        return cases
+
+    def test_world_carries_every_seed(self):
+        cases = self._carried_cases(WORLDS[self.WORLD])
+        assert min(cases.values()) > 0, cases
+
+    @pytest.mark.parametrize("setup", ["none", "iid_dedicated", "ge_scan"])
+    def test_slabs_match_reference(self, setup):
+        check(self.WORLD, setup, routes=("slab1", "slab2"))
+
+
+class TestKernelMemory:
+    """The replay kernel's transient memory per kept event.
+
+    One call on a seeded kind-ordered slab of about 2·10⁵ events
+    (oneshot-iid's shape: 1.0 update, 0.3 sync and 0.5 access per
+    element, a fifth of the syncs failed), traced with
+    :mod:`tracemalloc`, which sees numpy's buffers.  The kernel that
+    folded through segmented running maxima and carry-prepended
+    bincounts peaked at 117 B per kept event here, with or without
+    the returned flag; the forward-fill kernel at 54 B (62 B with
+    the flag).  The bound sits between them.
+    """
+
+    BOUND_BYTES_PER_EVENT = 90.0
+
+    @staticmethod
+    def _slab(n_elements: int = 110_000):
+        rng = np.random.default_rng(29)
+        n_syncs, n_accesses = 3 * n_elements // 10, n_elements // 2
+        times, elements, kinds = kind_ordered(
+            rng.uniform(0.0, 1.0, n_elements),
+            rng.integers(0, n_elements, n_elements),
+            np.sort(rng.uniform(0.0, 1.0, n_syncs)),
+            rng.integers(0, n_elements, n_syncs),
+            np.sort(rng.uniform(0.0, 1.0, n_accesses)),
+            rng.integers(0, n_elements, n_accesses),
+            n_elements=n_elements)
+        syncs = np.flatnonzero(kinds == int(EventKind.SYNC))
+        failed = rng.random(syncs.shape[0]) < 0.2
+        return (n_elements, (times, elements, kinds), syncs[failed],
+                syncs[~failed])
+
+    @pytest.mark.parametrize("tape_fresh", [False, True])
+    def test_peak_bytes_per_kept_event(self, tape_fresh):
+        n_elements, slab, failed, kept = self._slab()
+        carry = ReplayCarry.start(n_elements)
+        sizes = np.ones(n_elements)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _replay_tape_chunk(carry, sizes, *slab, failed=failed,
+                               kept_syncs=kept, tape_fresh=tape_fresh)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        per_event = peak / (slab[0].shape[0] - failed.shape[0])
+        assert per_event < self.BOUND_BYTES_PER_EVENT, per_event
 
 
 class TestPropertyRandomCatalogs:

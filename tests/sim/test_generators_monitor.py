@@ -7,7 +7,11 @@ import pytest
 
 from repro.errors import SimulationError, ValidationError
 from repro.sim.evaluator import FreshnessMonitor
-from repro.sim.generators import RequestGenerator, UpdateGenerator
+from repro.sim.generators import (
+    RequestGenerator,
+    UpdateGenerator,
+    _repeat_arange_into,
+)
 from repro.workloads.catalog import Catalog
 
 
@@ -101,6 +105,37 @@ class TestRequestPicks:
                                p=probabilities / probabilities.sum())
         assert elements.dtype == np.int64
         assert np.array_equal(elements, expected)
+
+
+class TestRepeatArangeInto:
+    """The arena expansion equals ``np.repeat(arange, counts)``."""
+
+    @pytest.mark.parametrize("counts", [
+        [0, 0, 3, 1, 2],        # empty elements first
+        [2, 1, 3, 0, 0],        # empty elements last
+        [0, 2, 0, 0, 1, 0, 4, 0],  # empty elements throughout
+        [1, 1, 1],
+        [5],
+    ])
+    def test_equals_np_repeat(self, counts):
+        counts = np.array(counts)
+        out = np.full(int(counts.sum()) + 3, -1, dtype=np.int64)
+        expanded = _repeat_arange_into(counts, out[:int(counts.sum())])
+        assert np.array_equal(
+            expanded, np.repeat(np.arange(counts.shape[0]), counts))
+        assert np.array_equal(out[-3:], [-1, -1, -1])
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_all_counts_zero(self, n):
+        out = np.empty(0, dtype=np.int64)
+        assert _repeat_arange_into(np.zeros(n, dtype=np.int64),
+                                   out).shape == (0,)
+
+    def test_large_sparse_counts(self):
+        counts = np.random.default_rng(4).poisson(0.3, 100_000)
+        out = np.full(int(counts.sum()), -1, dtype=np.int64)
+        assert np.array_equal(_repeat_arange_into(counts, out),
+                              np.repeat(np.arange(100_000), counts))
 
 
 class TestFreshnessMonitor:

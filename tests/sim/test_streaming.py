@@ -34,6 +34,7 @@ from repro.sim.events import (
     merge_kind_blocks,
     merge_sorted_blocks,
 )
+from repro.sim.evaluator import period_index
 from repro.sim.fastpath import ReplayArena, ReplayCarry, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
 from repro.sim.simulation import Simulation
@@ -225,6 +226,68 @@ class TestChunkedRun:
         monkeypatch.setattr(fastpath, "_SLAB_EVENT_LIMIT", 10)
         with pytest.raises(SimulationError, match="even one period"):
             _simulation(50, 4, seed=3).run(6.0, chunk_periods=1)
+
+
+class TestPeriodIndex:
+    """Both engines count each event in the period whose window
+    ``[p·L, (p+1)·L)`` holds it (:func:`period_index`).  With period
+    length 0.7 and zero phases, syncs fall on ``p · 0.7``, which
+    divides to just below ``p``, and events just before the 3.5
+    horizon divide to 5."""
+
+    @staticmethod
+    def _series(**run):
+        sim = Simulation(Catalog(np.full(4, 0.25), np.ones(4)),
+                         np.array([1.0, 2.0, 4.0, 3.0]), request_rate=5.0,
+                         rng=np.random.default_rng(1), period_length=0.7,
+                         phase_policy="zero")
+        with obs.telemetry() as registry:
+            result = sim.run(5.0, **run)
+        series = [{key: value for key, value in event.items()
+                   if key not in ("seq", "t")}
+                  for event in registry.events
+                  if event["kind"] == "sim.period"]
+        return result, series
+
+    def test_index_holds_the_window_comparison(self):
+        assert period_index(3 * 0.7, 0.7) == 3 > int(3 * 0.7 / 0.7)
+        assert period_index(np.nextafter(3.5, 0.0), 0.7) == 4 < int(
+            np.nextafter(3.5, 0.0) / 0.7)
+        rng = np.random.default_rng(8)
+        for length in (0.7, 0.1, 1.3):
+            times = np.concatenate((rng.uniform(0.0, 50.0, 10_000),
+                                    np.arange(70) * length))
+            periods = period_index(times, length).astype(float)
+            assert (periods * length <= times).all()
+            assert (times < (periods + 1.0) * length).all()
+        times = rng.uniform(0.0, 1e4, 10_000)
+        assert np.array_equal(period_index(times, 1.0),
+                              np.floor(times).astype(np.int64))
+
+    def test_reference_and_auto_series_agree(self):
+        _, reference = self._series(engine="reference")
+        _, auto = self._series(engine="auto")
+        assert [event["period"] for event in reference] == list(range(5))
+        assert auto == reference
+
+    def test_chunk_sizes_agree(self):
+        one, two, five = (self._series(chunk_periods=chunk)[1]
+                          for chunk in (1, 2, 5))
+        assert [event["period"] for event in one] == list(range(5))
+        assert one == two == five
+
+    @pytest.mark.parametrize("run", [
+        {"engine": "reference"}, {"engine": "auto"},
+        {"chunk_periods": 1}, {"chunk_periods": 2}, {"chunk_periods": 5}])
+    def test_period_sums_equal_run_totals(self, run):
+        result, series = self._series(**run)
+        assert sum(event["syncs"] for event in series) == result.n_syncs
+        assert sum(event["updates"] for event in series) == \
+            result.n_updates
+        assert sum(event["accesses"] for event in series) == \
+            result.n_accesses
+        assert sum(event["bandwidth"] for event in series) == \
+            result.bandwidth_used
 
 
 class TestSlabContract:
