@@ -9,6 +9,10 @@ buying more partitions on the cluster line.
 
 Scale note: 20 000 objects by default (same per-object statistics as
 Table 3); pass ``setup=BIG_SETUP`` for the paper's full scale.
+
+Solve time is the figure's x axis, so ``benchmarks/results/
+figure09.txt`` keeps its time column and moves with the host on
+every run, unlike the other tracked results.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ IID_LOSS = 0.2
 BURST_P_GOOD_TO_BAD = 0.05
 BURST_P_BAD_TO_GOOD = 0.4
 #: Ample explicit budget for the burst arm: with no retries this
-#: routes the resolver onto the segmented-scan path, which is the
+#: routes the resolver onto the forward-fill scan path, which is the
 #: configuration the 10⁶-element claim is about.  The
 #: ``burst_retry`` arm instead keeps the default budget and retries
 #: up to 3 times, which routes it onto the exact chain walk.

@@ -278,8 +278,7 @@ def write_report(path: str | Path, *, quick: bool = True,
     lines.append("")
     for section in sections:
         verdict = "PASS" if section.passed else "FAIL"
-        lines.append(f"## {section.title}  —  {verdict} "
-                     f"({section.seconds:.1f}s)")
+        lines.append(f"## {section.title}  —  {verdict}")
         lines.append("")
         lines.append(f"*Claim:* {section.claim}")
         lines.append("")

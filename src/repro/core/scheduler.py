@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import ScheduleError
 from repro.numerics.sorting import stable_time_sort
 
-__all__ = ["PhasePolicy", "SyncSchedule"]
+__all__ = ["PhasePolicy", "SyncSchedule", "period_index"]
 
 
 class PhasePolicy(str, Enum):
@@ -35,6 +35,33 @@ class PhasePolicy(str, Enum):
 
 
 _GOLDEN = 0.6180339887498949
+
+
+def period_index(times: np.ndarray | float, period_length: float
+                 ) -> np.ndarray | np.int64:
+    """The period each event time falls in, as the windows cut it.
+
+    Period ``p`` is the window ``[p·L, (p+1)·L)`` with both bounds
+    computed in float, the comparison
+    :meth:`SyncSchedule.events_between` and the streamed slabs cut
+    their windows with.  It is the one period rule: both engines'
+    period series and every per-period budget ledger take their
+    period from it.  ``⌊t/L⌋`` (the truncated quotient, as ``t ≥
+    0``) can round across a bound either way (``3 · 0.7`` divides by
+    ``0.7`` to ``2.999…``), so it is corrected by one where ``p·L ≤
+    t < (p+1)·L`` fails.  With ``L = 1`` the correction never fires.
+
+    Args:
+        times: One time or an array of times, ≥ 0.
+        period_length: Clock length of one period, > 0.
+
+    Returns:
+        The int64 period index, a scalar for a scalar time.
+    """
+    periods = np.divide(times, period_length).astype(np.int64)
+    periods -= periods * period_length > times
+    periods += (periods + 1) * period_length <= times
+    return periods
 
 
 def _first_index_at(bound: float, phase: np.ndarray, interval: np.ndarray

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.scheduler import period_index
 from repro.errors import SimulationError, ValidationError
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.model import FaultPlan, PollOutcome
@@ -147,7 +148,7 @@ class SyncChannel:
         # ages start at the clock and compose along paths.
         self._hop_last_transit = (np.zeros(topology.n_nodes)
                                   if topology is not None else None)
-        self._period = 0
+        self._period_end = period_length
         self._period_spent = 0.0
         self._attempted_polls = 0
         self._failed_polls = 0
@@ -432,7 +433,10 @@ class SyncChannel:
                           bandwidth=burned)
 
     def _roll_period(self, time: float) -> None:
-        period = int(time / self._period_length)
-        if period > self._period:
-            self._period = period
-            self._period_spent = 0.0
+        # The ledger stands until a time reaches the next window's
+        # start; the new period is the one whose window holds it.
+        if time < self._period_end:
+            return
+        period = int(period_index(time, self._period_length))
+        self._period_end = (period + 1) * self._period_length
+        self._period_spent = 0.0

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.scheduler import period_index
 from repro.errors import ValidationError
 
 __all__ = ["HopLedger", "Topology"]
@@ -349,15 +350,18 @@ class HopLedger:
                 f"period_length must be > 0, got {period_length}")
         self._topology = topology
         self._period_length = period_length
-        self._period = 0
+        self._period_end = period_length
         self._spent = np.zeros(topology.n_nodes)
         self._transits = np.zeros(topology.n_nodes, dtype=np.int64)
 
     def _roll(self, time: float) -> None:
-        period = int(time / self._period_length)
-        if period > self._period:
-            self._period = period
-            self._spent[:] = 0.0
+        # As the channel's ledger: the period stands until a time
+        # reaches the next window's start.
+        if time < self._period_end:
+            return
+        period = int(period_index(time, self._period_length))
+        self._period_end = (period + 1) * self._period_length
+        self._spent[:] = 0.0
 
     def admits(self, element: int, size: float, time: float) -> int | None:
         """Whether a transfer of ``size`` fits every hop on the path.

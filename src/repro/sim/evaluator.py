@@ -23,7 +23,8 @@ totals from its per-element counts and the four monitored metrics
 from the raw totals, :func:`close_run` emits the
 ``monitor.*``/``sim.*`` telemetry and checks the run contracts, and
 :func:`emit_period` writes each ``sim.period`` event; both engines
-count an event in the period :func:`period_index` gives it.
+count an event in the period
+:func:`~repro.core.scheduler.period_index` gives it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.obs import registry as obs
 from repro.workloads.catalog import Catalog
 
 __all__ = ["FreshnessMonitor", "SimulationResult", "close_run",
-           "emit_period", "flush_to_horizon", "period_index"]
+           "emit_period", "flush_to_horizon"]
 
 
 def flush_to_horizon(fresh_time: np.ndarray, age_integral: np.ndarray,
@@ -398,31 +399,6 @@ def close_run(result: SimulationResult, *, engine: str,
                 result.attempted_bandwidth, attempt_budget,
                 float(np.ceil(n_periods)), granularity, where=where)
     return result
-
-
-def period_index(times: np.ndarray | float, period_length: float
-                 ) -> np.ndarray | np.int64:
-    """The period each event time falls in, as the windows cut it.
-
-    Period ``p`` is the window ``[p·L, (p+1)·L)`` with both bounds
-    computed in float, the comparison
-    :meth:`~repro.core.scheduler.SyncSchedule.events_between` and the
-    streamed slabs cut their windows with.  ``⌊t/L⌋`` can round
-    across a bound either way (``3 · 0.7`` divides by ``0.7`` to
-    ``2.999…``), so it is corrected by one where ``p·L ≤ t <
-    (p+1)·L`` fails.  With ``L = 1`` the correction never fires.
-
-    Args:
-        times: One time or an array of times, ≥ 0.
-        period_length: Clock length of one period, > 0.
-
-    Returns:
-        The int64 period index, a scalar for a scalar time.
-    """
-    periods = np.floor(np.divide(times, period_length))
-    periods -= periods * period_length > times
-    periods += (periods + 1.0) * period_length <= times
-    return periods.astype(np.int64)
 
 
 def emit_period(period: int, *, syncs: int, bandwidth: float,

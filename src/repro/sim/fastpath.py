@@ -120,18 +120,23 @@ pointer doubling enumerates; the ledger's spend is a ``np.cumsum``
 left fold, exact up to the first attempt it refuses
 (:func:`_resolve_iid_ledger`).  The Gilbert–Elliott chain is
 stateful across attempts, but its draw shape is fixed (transition,
-loss, jitter per retry); on the retry-free, denial-free route its
-evolution is a segmented Hillis–Steele scan, whose rounds stop at the
-longest element run rather than the batch size, and its per-element
-state is threaded explicitly
+loss, jitter per retry).  On the retry-free, denial-free route each
+sync applies the identity, a negation or a constant to its element's
+state, so the chain is the replay's own primitive: a forward fill
+over the constants, seeded at segment starts from the carried state,
+XOR a running parity of the negations (:func:`_ge_scan_states`,
+O(syncs)).  The per-element state is threaded explicitly
 (:meth:`~repro.faults.model.GilbertElliottFaultModel.chain_states`).
 What is left sequential is the scalar ledger walk
 (:func:`_walk_ledger`, O(attempts)): for Gilbert–Elliott plans with
 retries or possible denials, and for the rest of an i.i.d. period
 after its first refusal when some later sync could still fit.
 Each slab's pool starts exactly where the previous slab's consumption
-ended; slabs split at whole-period boundaries so the per-period
-ledger resets in the same places the reference channel resets it.
+ended.  Every ledger — the resolvers', the reference channel's and
+its hop ledgers — takes a sync's period from
+:func:`~repro.core.scheduler.period_index`, the comparison that cuts
+the slabs' windows, so a slab split at whole periods starts its
+ledger from 0 exactly where the reference channel resets it.
 """
 
 from __future__ import annotations
@@ -141,6 +146,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.scheduler import period_index
 from repro.errors import SimulationError, ValidationError
 from repro.faults.model import (
     GilbertElliottFaultModel,
@@ -159,7 +165,6 @@ from repro.sim.evaluator import (
     close_run,
     emit_period,
     flush_to_horizon,
-    period_index,
 )
 from repro.workloads.catalog import Catalog
 
@@ -182,22 +187,17 @@ def _run_starts(ids_sorted: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _segment_starts(elements_sorted: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Segment-start positions and per-event segment start.
+def _last_mark(marks: np.ndarray) -> np.ndarray:
+    """Per position, the latest marked position at or before it.
 
-    Args:
-        elements_sorted: Element ids after the stable per-element sort.
-
-    Returns:
-        ``(start_positions, segment_start_of)`` — the positions of the
-        segment-opening events and, per event, the global position of
-        its segment's first event.
+    A forward fill of positions, one running maximum; ``marks[0]``
+    must be set.  With every segment start marked, no fill crosses
+    into the next segment.
     """
-    new_segment = _run_starts(elements_sorted)
-    start_positions = np.flatnonzero(new_segment)
-    segment_ids = np.cumsum(new_segment) - 1
-    return start_positions, start_positions[segment_ids]
+    fill = np.arange(marks.shape[0], dtype=np.intp)
+    fill *= marks
+    np.maximum.accumulate(fill, out=fill)
+    return fill
 
 
 @dataclass
@@ -502,9 +502,11 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
     attempts against the per-period bandwidth ledger by one of three
     routes: an i.i.d. plan takes the loop-free ledger
     (:func:`_resolve_iid_ledger`); a retry-free GE batch in which no
-    period can deny evolves its chains with a segmented scan
-    (:func:`_ge_scan_states`); any other GE batch takes the scalar
-    walk (:func:`_walk_ledger`, O(total attempts)).  Finally the bit
+    period can deny evolves its chains with a carry-seeded forward
+    fill (:func:`_ge_scan_states`); any other GE batch takes the
+    scalar walk (:func:`_walk_ledger`, O(total attempts)).  A sync's
+    ledger period is :func:`~repro.core.scheduler.period_index` of
+    its time, the reference channel's rule.  Finally the bit
     generator is rewound and re-advanced by exactly the draws the
     reference :class:`~repro.faults.channel.SyncChannel` would have
     consumed, so downstream draws see an identical stream.
@@ -534,7 +536,7 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
     state = rng.bit_generator.state
     pool = rng.random(m * width + width)
     sync_sizes = sizes[sync_elements]
-    periods = (sync_times / period_length).astype(np.int64)
+    periods = period_index(sync_times, period_length)
 
     scan_route = ge and max_attempts == 1
     if scan_route and bandwidth_budget is not None:
@@ -718,15 +720,17 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
     """Post-attempt chain states for the retry-free GE fast route.
 
     With exactly one attempt per sync, sync ``i``'s transition draw
-    sits at pool position ``2·i`` and the chain for each element
-    evolves as a composition of two-state transition functions — an
-    associative operator, so a Hillis–Steele inclusive scan over the
-    element-sorted sync sequence replaces the sequential walk.  It
-    takes ⌈log₂ L⌉ rounds for the longest element run ``L``, not
-    ⌈log₂ m⌉ for the batch: no aggregate reaches past its run.  Each
-    per-sync function is encoded as the pair *(state-if-entered-good,
-    state-if-entered-bad)*; composing ``g ∘ f`` routes ``g`` through
-    ``f``'s outputs with two ``np.where`` selects.
+    sits at pool position ``2·i``, and it maps its element's entering
+    state to one of four functions of it: the identity (no flip in
+    either state), the negation (a flip in both), or a constant — bad
+    when only the good state flips, good when only the bad one does.
+    So the state after a sync is its *base* XOR the parity of the
+    negations since: the base is the value of the element's last
+    constant sync, or, before any, the carried ``initial_bad`` taken
+    through the element's first sync.  One forward fill over the
+    constants and segment starts (:func:`_last_mark`) finds each
+    sync's base, and one running XOR of the negations gives the
+    parity, so the scan is O(m) with no data-dependent loop.
 
     Args:
         sync_elements: Element index per sync, tape order.
@@ -739,42 +743,29 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
         element sort permutation, each sync's post-transition state in
         sorted order, and the per-element state after the batch.
     """
-    m = int(sync_elements.shape[0])
     order, element_sorted = stable_element_sort(sync_elements)
     transition_at = order * 2
-    # out-state of this sync's transition, given the in-state:
-    out_if_good = flip_good[transition_at]
-    out_if_bad = ~flip_bad[transition_at]
-    segment_starts, segment_start_of = _segment_starts(element_sorted)
-    segment_ends = np.append(segment_starts[1:] - 1, m - 1)
-    # After the round at `shift`, each aggregate spans 2·shift syncs;
-    # rounds past the longest element run compose nothing new.
-    longest = int((segment_ends - segment_starts).max()) + 1
-    positions = np.arange(m, dtype=np.int64)
-    shift = 1
-    while shift < longest:
-        # Compose each position's aggregate with the aggregate
-        # `shift` places back (when still inside the same segment):
-        # new = current ∘ previous.
-        in_segment = positions - shift >= segment_start_of
-        prev_good = np.empty_like(out_if_good)
-        prev_good[:shift] = False
-        prev_good[shift:] = out_if_good[:-shift]
-        prev_bad = np.empty_like(out_if_bad)
-        prev_bad[:shift] = False
-        prev_bad[shift:] = out_if_bad[:-shift]
-        composed_good = np.where(
-            in_segment, np.where(prev_good, out_if_bad, out_if_good),
-            out_if_good)
-        composed_bad = np.where(
-            in_segment, np.where(prev_bad, out_if_bad, out_if_good),
-            out_if_bad)
-        out_if_good, out_if_bad = composed_good, composed_bad
-        shift <<= 1
-    state_after = np.where(initial_bad[element_sorted],
-                           out_if_bad, out_if_good)
+    flips_good = flip_good[transition_at]
+    flips_bad = flip_bad[transition_at]
+    del transition_at
+    # A flip in one state only sends both to ``flips_good``.
+    constant = flips_good != flips_bad
+    negate = flips_good & flips_bad
+    parity = np.logical_xor.accumulate(negate)
+    opens = _run_starts(element_sorted)
+    seeded = np.flatnonzero(opens & ~constant)
+    base = flips_good
+    base[seeded] = initial_bad[element_sorted[seeded]] ^ negate[seeded]
+    del seeded, negate
+    # Each base is stored XOR the parity at its own sync, so XOR the
+    # parity at a later sync takes it through the negations between.
+    base ^= parity
+    constant |= opens
+    state_after = base[_last_mark(constant)]
+    state_after ^= parity
+    ends = np.append(opens[1:], True)
     final_bad = initial_bad.copy()
-    final_bad[element_sorted[segment_ends]] = state_after[segment_ends]
+    final_bad[element_sorted[ends]] = state_after[ends]
     return order, state_after, final_bad
 
 
@@ -800,8 +791,9 @@ def resolve_ge_faults(sync_times: np.ndarray,
     state's flip probability) and one loss draw (against the new
     state's loss probability); each retry adds one jitter draw.
     Runs on the shared core, :func:`_resolve_on_pool`, which threads
-    the chain state explicitly and takes the segmented-scan route
-    when the batch is retry-free and no period can deny.
+    the chain state explicitly and takes the forward-fill route
+    (:func:`_ge_scan_states`) when the batch is retry-free and no
+    period can deny.
 
     Args:
         sync_times: Scheduled sync times on the fault clock, in clock
@@ -1051,7 +1043,7 @@ def _fold_ledger_bulk(fold, elements: np.ndarray,
 
 def _slab_periods(times: np.ndarray, period_length: float,
                   first_period: int) -> np.ndarray:
-    """Each event's period (:func:`~repro.sim.evaluator.period_index`),
+    """Each event's period (:func:`~repro.core.scheduler.period_index`),
     counted from the slab's first period."""
     periods = period_index(times, period_length)
     periods -= first_period
@@ -1103,7 +1095,7 @@ def _emit_period_series(times: np.ndarray, elements: np.ndarray,
     slab positions in time order), which folds each period's sync
     sizes left to right from 0.0, as the tracker's ``+=`` does.  The
     failed syncs are left out of every count.  Both engines take the
-    period index from :func:`~repro.sim.evaluator.period_index`, the
+    period index from :func:`~repro.core.scheduler.period_index`, the
     comparison that cuts the slab's period windows, so each event
     counts in the period whose window holds it.
     ``fresh_before`` is the replay's fresh-before flag per event, in
@@ -1259,19 +1251,6 @@ class ReplayCarry:
         values = (getattr(self, field.name) for field in fields(self))
         return sum(value.nbytes for value in values
                    if isinstance(value, np.ndarray))
-
-
-def _last_mark(marks: np.ndarray) -> np.ndarray:
-    """Per position, the latest marked position at or before it.
-
-    A forward fill of positions, one running maximum; ``marks[0]``
-    must be set.  With every segment start marked, no fill crosses
-    into the next segment.
-    """
-    fill = np.arange(marks.shape[0], dtype=np.intp)
-    fill *= marks
-    np.maximum.accumulate(fill, out=fill)
-    return fill
 
 
 def _continue_fold(accumulator: np.ndarray, bins: np.ndarray,

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.scheduler import PhasePolicy, SyncSchedule
+from repro.core.scheduler import PhasePolicy, SyncSchedule, period_index
 from repro.errors import ValidationError
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.channel import SyncChannel
@@ -47,7 +47,6 @@ from repro.sim.evaluator import (
     SimulationResult,
     close_run,
     emit_period,
-    period_index,
 )
 from repro.sim.fastpath import ReplayArena, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator

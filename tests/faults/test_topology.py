@@ -243,6 +243,21 @@ class TestHopLedger:
         assert ledger.admits(0, 1.0, 0.9) is not None
         assert ledger.admits(0, 1.0, 1.1) is None
 
+    def test_period_follows_the_window_comparison(self):
+        # 3 · 0.7 divides by 0.7 to just below 3, yet it is the start
+        # of window 3, so a charge there opens period 3.
+        topology = two_level(4, n_relays=2, edges_per_relay=1,
+                             relay_bandwidth=10.0, edge_bandwidth=6.0)
+        ledger = HopLedger(topology, period_length=0.7)
+        assert ledger.admits(0, 6.0, 2.0) is None
+        ledger.charge(0, 6.0)
+        assert ledger.admits(0, 1.0, np.nextafter(3 * 0.7, 0.0)) \
+            is not None
+        assert ledger.admits(0, 6.0, 3 * 0.7) is None
+        assert ledger.hop_spent().max() == 0.0
+        ledger.charge(0, 6.0)
+        assert ledger.admits(0, 1.0, 3.5 * 0.7) is not None
+
     def test_charges_accumulate_along_the_path(self):
         topology, ledger = self.make()
         ledger.charge(0, 2.0)

@@ -254,6 +254,11 @@ def _idle():
     return Catalog(**_SKEWED), np.array([4.0, 0.0, 2.0, 0.0, 1.0])
 
 
+def _windows():
+    return (Catalog(np.full(4, 0.25), np.ones(4)),
+            np.array([1.0, 2.0, 4.0, 3.0]))
+
+
 def _degenerate(frequencies):
     catalog = Catalog(access_probabilities=np.full(6, 1 / 6),
                       change_rates=np.zeros(6),
@@ -290,6 +295,10 @@ WORLDS: dict[str, World] = {
        for h in (0.75, 1.0, 4.5, 6.0, 7.25)},
     "period2.5": dataclasses.replace(_DEFAULT, horizon=5.5,
                                      period_length=2.5),
+    # Zero-phase syncs at p · 0.7, which divides by 0.7 to just below
+    # p: every period rule has to follow the windows' comparison.
+    "period0.7": World(_windows, horizon=5.0, seed=1, request_rate=5.0,
+                       period_length=0.7, phase_policy="zero"),
     "offset4": dataclasses.replace(_DEFAULT, horizon=3.0, offset=4.0),
     "bursty": dataclasses.replace(_DEFAULT, horizon=8.0, bursty=True),
     "empty": World(_degenerate(np.zeros(6)), **_DEGENERATE),
@@ -625,7 +634,7 @@ ROUTES: dict[str, Route] = {
     # Held to chunk_periods=1, not to the reference loop, until the
     # one-shot route draws per-period keyed tapes too.
     **{f"chunk{k}": Route(partial(runs, chunk=k), _chunk1, streams=True)
-       for k in (1, 2, 3)},
+       for k in (1, 2, 3, 5)},
     # The kernel replays a streamed slab unmerged; merging each period
     # first must change nothing.
     "chunk1_merged": Route(_chunk1_merged, _chunk1, streams=True),

@@ -14,9 +14,11 @@ fallback, and on the smallest and fully dropped inputs.
 Every tier-1 catalog has fewer than 2¹⁶ elements, so the group sort's
 keys only ever carry small ids there; these cases give it ids up to
 2³¹ − 1, beside positions on both sides of powers of two.  The
-Gilbert–Elliott scan stops after enough rounds to
-cover the longest element run, so its cases sit on both sides of each
-power of two.
+Gilbert–Elliott scan is held to the sequential chain walk on element
+runs of every length up to 17, interleaved and alone, under
+thresholds that give only identities and negations and under ones
+that mix in the constant maps, so a forward fill that crossed a
+segment start or missed a base shows.
 """
 
 from __future__ import annotations
@@ -225,8 +227,8 @@ def _chain_walk(sync_elements, flip_good, flip_bad, initial_bad):
 
 #: Transition thresholds ``(p_good_to_bad, p_bad_to_good)``.  Equal
 #: ones make every per-sync function the identity or a negation, so
-#: any composition the scan skipped shows; unequal ones mix in the
-#: constant functions.
+#: each state rests on the carried one and the negation parity alone;
+#: unequal ones mix in the constant functions that reseat the base.
 _THRESHOLDS = [(0.5, 0.5), (0.05, 0.4), (0.3, 0.9)]
 
 
@@ -251,7 +253,7 @@ def _check_scan(sync_elements, n_elements, rng, trial):
 
 class TestGEScanRounds:
     """The scan equals the sequential chain walk for every run length
-    around the round bound ⌈log₂ longest⌉."""
+    up to ``longest``, powers of two and their neighbours included."""
 
     @pytest.mark.parametrize("longest", [1, 2, 3, 4, 5, 8, 9, 17])
     def test_mixed_runs(self, longest):

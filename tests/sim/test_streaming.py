@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scheduler import SyncSchedule
+from repro.core.scheduler import SyncSchedule, period_index
 from repro.errors import SimulationError, ValidationError
 from repro.faults.model import FaultPlan
 from repro.numerics import sorting
@@ -34,7 +34,6 @@ from repro.sim.events import (
     merge_kind_blocks,
     merge_sorted_blocks,
 )
-from repro.sim.evaluator import period_index
 from repro.sim.fastpath import ReplayArena, ReplayCarry, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
 from repro.sim.simulation import Simulation
@@ -230,19 +229,17 @@ class TestChunkedRun:
 
 class TestPeriodIndex:
     """Both engines count each event in the period whose window
-    ``[p·L, (p+1)·L)`` holds it (:func:`period_index`).  With period
-    length 0.7 and zero phases, syncs fall on ``p · 0.7``, which
-    divides to just below ``p``, and events just before the 3.5
-    horizon divide to 5."""
+    ``[p·L, (p+1)·L)`` holds it (:func:`period_index`), and every
+    budget ledger charges it there.  With period length 0.7 and zero
+    phases, syncs fall on ``p · 0.7``, which divides to just below
+    ``p``, and events just before the 3.5 horizon divide to 5."""
 
     @staticmethod
     def _series(**run):
-        sim = Simulation(Catalog(np.full(4, 0.25), np.ones(4)),
-                         np.array([1.0, 2.0, 4.0, 3.0]), request_rate=5.0,
-                         rng=np.random.default_rng(1), period_length=0.7,
-                         phase_policy="zero")
+        world = WORLDS["period0.7"]
+        sim = simulations(world, SETUPS["none"])[0]
         with obs.telemetry() as registry:
-            result = sim.run(5.0, **run)
+            result = sim.run(world.horizon, **run)
         series = [{key: value for key, value in event.items()
                    if key not in ("seq", "t")}
                   for event in registry.events
@@ -275,6 +272,17 @@ class TestPeriodIndex:
                           for chunk in (1, 2, 5))
         assert [event["period"] for event in one] == list(range(5))
         assert one == two == five
+
+    @pytest.mark.parametrize("setup", ["iid_budget0.6", "ge_budget0.6"])
+    def test_binding_budget_resets_at_the_windows(self, setup):
+        """The ledgers reset where the slabs are cut: the one-shot
+        tape in whole-period slabs equals the reference loop, and
+        ``chunk_periods`` 1, 2, 3 and 5 agree."""
+        reference = check("period0.7", setup, routes=(
+            "auto", "slab1", "slab2", "chunk2", "chunk3", "chunk5",
+            "chunk1_merged"))
+        assert reference.total("denied_polls") > 0
+        assert reference.total("retries") > 0
 
     @pytest.mark.parametrize("run", [
         {"engine": "reference"}, {"engine": "auto"},
