@@ -94,6 +94,13 @@ class SyncChannel:
             subtree-derived shard map.
         record_trace: When True, keep a per-attempt trace (time,
             element, outcome) for determinism audits.
+        fault_time_offset: Added to :meth:`sync`'s run-clock times
+            to give the fault clock, in clock units (a whole number
+            of periods).  The plan, breaker, retry gate, hop transits
+            and trace read the fault clock.  The budget ledgers take
+            their periods from the run clock, whose windows ``p·L``
+            the caller cuts its periods at: ``p·L + k·L`` can round
+            below ``(p+k)·L``.
     """
 
     def __init__(self, mirror: Mirror, *, plan: FaultPlan,
@@ -104,7 +111,8 @@ class SyncChannel:
                  bandwidth_budget: float | None = None,
                  period_length: float = 1.0,
                  topology: Topology | None = None,
-                 record_trace: bool = False) -> None:
+                 record_trace: bool = False,
+                 fault_time_offset: float = 0.0) -> None:
         n = mirror.n_elements
         if topology is not None and topology.n_elements != n:
             raise ValidationError(
@@ -140,6 +148,7 @@ class SyncChannel:
         self._breaker = breaker
         self._budget = bandwidth_budget
         self._period_length = period_length
+        self._fault_time_offset = fault_time_offset
         self._topology = topology
         self._hops = (HopLedger(topology, period_length)
                       if topology is not None else None)
@@ -307,13 +316,16 @@ class SyncChannel:
 
         Args:
             element: Element index to refresh.
-            time: Simulated clock time of the scheduled sync, in the
+            time: Run-clock time of the scheduled sync, in the
                 simulation's time units.
 
         Returns:
             The :class:`PollReport` of what happened.
         """
         self._roll_period(time)
+        # The hop ledgers roll on the run clock too, retries included.
+        ledger_time = time
+        time += self._fault_time_offset
         shard = int(self._shard_of[element])
         if self._breaker is not None and \
                 not self._breaker.allow(shard, time):
@@ -334,7 +346,8 @@ class SyncChannel:
                               attempts=0, retries=0, changed=False,
                               bandwidth=0.0)
         if self._hops is not None and \
-                self._hops.admits(element, size, time) is not None:
+                self._hops.admits(element, size,
+                                  ledger_time) is not None:
             # Some hop on the root-to-edge path is saturated for this
             # period: the poll cannot transit, even if the source's
             # flat budget has headroom.
@@ -387,7 +400,7 @@ class SyncChannel:
                 break
             if self._hops is not None and \
                     self._hops.admits(element, size,
-                                      attempt_time) is not None:
+                                      ledger_time) is not None:
                 self._denied_retries += 1
                 self._hop_denied += 1
                 obs.counter_add("faults.denied_retries")
@@ -403,6 +416,7 @@ class SyncChannel:
                 obs.counter_add("faults.herding.admitted")
             delay = self._retry.next_delay(delay, self._rng)
             attempt_time += delay
+            ledger_time += delay
             self._retries += 1
             obs.counter_add("faults.retries")
 

@@ -369,8 +369,8 @@ class HopLedger:
         Args:
             element: Element being polled.
             size: Transfer size, in size units.
-            time: Simulated clock time, in the simulation's time
-                units (rolls the period ledgers forward).
+            time: Run-clock time, in the simulation's time units
+                (rolls the period ledgers forward at its windows).
 
         Returns:
             None when admitted, else the node id of the first

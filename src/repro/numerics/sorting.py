@@ -158,7 +158,12 @@ def _grouped_time_sort(groups: np.ndarray | None, times: np.ndarray,
     falls = np.flatnonzero(times_sorted[1:] < times_sorted[:-1])
     inverted = falls[(keys[falls] >> shift) == (keys[falls + 1] >> shift)]
     if inverted.size:
-        bad = np.unique(keys[inverted] >> shift)
+        # The keys are sorted, so the groups come sorted: keep each
+        # run's first.  (np.unique would sort again and, on its first
+        # call, import numpy.ma mid-replay, whose objects then pin the
+        # heap top.)
+        bad = keys[inverted] >> shift
+        bad = bad[np.append(True, bad[1:] != bad[:-1])]
         lo = np.searchsorted(keys, bad << shift)
         hi = np.searchsorted(keys, (bad + 1) << shift)
         spans = hi - lo

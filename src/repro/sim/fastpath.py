@@ -120,23 +120,28 @@ pointer doubling enumerates; the ledger's spend is a ``np.cumsum``
 left fold, exact up to the first attempt it refuses
 (:func:`_resolve_iid_ledger`).  The Gilbert–Elliott chain is
 stateful across attempts, but its draw shape is fixed (transition,
-loss, jitter per retry).  On the retry-free, denial-free route each
-sync applies the identity, a negation or a constant to its element's
-state, so the chain is the replay's own primitive: a forward fill
-over the constants, seeded at segment starts from the carried state,
-XOR a running parity of the negations (:func:`_ge_scan_states`,
+loss, jitter per retry).  Without retries a sync's spend does not
+depend on its outcome, so the same fold, with outcomes that never
+fail, settles who is denied.  Each admitted sync then applies the
+identity, a negation or a constant to its element's state, so the
+chain is the replay's own primitive: a forward fill over the
+constants, seeded at segment starts from the carried state, XOR a
+running parity of the negations (:func:`_ge_scan_states`,
 O(syncs)).  The per-element state is threaded explicitly
 (:meth:`~repro.faults.model.GilbertElliottFaultModel.chain_states`).
 What is left sequential is the scalar ledger walk
 (:func:`_walk_ledger`, O(attempts)): for Gilbert–Elliott plans with
-retries or possible denials, and for the rest of an i.i.d. period
-after its first refusal when some later sync could still fit.
+retries, and for the rest of a period after its first refusal when
+some later sync could still fit.
 Each slab's pool starts exactly where the previous slab's consumption
 ended.  Every ledger — the resolvers', the reference channel's and
 its hop ledgers — takes a sync's period from
-:func:`~repro.core.scheduler.period_index`, the comparison that cuts
-the slabs' windows, so a slab split at whole periods starts its
-ledger from 0 exactly where the reference channel resets it.
+:func:`~repro.core.scheduler.period_index` of its run-clock time, the
+comparison that cuts the slabs' windows, so a slab split at whole
+periods starts its ledger from 0 exactly where the reference channel
+resets it.  A fault-clock offset of whole periods would move every
+period alike, but ``p·L + k·L`` can round below ``(p+k)·L``, so no
+ledger reads the fault clock.
 """
 
 from __future__ import annotations
@@ -180,9 +185,9 @@ _SLAB_EVENT_LIMIT = int(np.iinfo(np.int32).max)
 
 
 def _run_starts(ids_sorted: np.ndarray) -> np.ndarray:
-    """Whether each position opens a run of equal ids (non-empty)."""
+    """Whether each position opens a run of equal ids."""
     starts = np.empty(ids_sorted.shape[0], dtype=bool)
-    starts[0] = True
+    starts[:1] = True
     np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=starts[1:])
     return starts
 
@@ -245,11 +250,12 @@ def _walk_ledger(first: int, stop: int, cursor: int, spent: float, *,
     succeeds, it runs out of retries, or the ledger refuses a retry.
     The ledger resets to 0 when the period changes; ``spent`` is its
     fold so far in the first sync's period, so a walk may start
-    mid-period.  An i.i.d. plan passes ``ok_list`` (pool draw at or
-    above the failure probability).  A Gilbert–Elliott plan passes
-    ``chain``: the flip-out-of-good, flip-out-of-bad, ok-if-good and
-    ok-if-bad flags per pool draw, the per-element bad flags (updated
-    in place) and the syncs' elements.
+    mid-period.  The i.i.d. ledger's tail passes ``ok_list`` (pool
+    draw at or above the failure probability).  A Gilbert–Elliott
+    plan with retries passes ``chain``: the flip-out-of-good,
+    flip-out-of-bad, ok-if-good and ok-if-bad flags per pool draw,
+    the per-element bad flags (updated in place) and the syncs'
+    elements.
 
     Returns:
         ``((attempts, success, offsets), cursor, denied_retries)`` —
@@ -483,6 +489,7 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
                      retry_policy: RetryPolicy | None,
                      bandwidth_budget: float | None,
                      period_length: float,
+                     fault_clock_offset: float,
                      rng: np.random.Generator,
                      record_trace: bool
                      ) -> tuple[FaultResolution, np.ndarray | None]:
@@ -500,13 +507,16 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
     Pre-draws an oversized uniform pool from ``rng`` (one vectorized
     call), then places each sync's draw cursor and charges its
     attempts against the per-period bandwidth ledger by one of three
-    routes: an i.i.d. plan takes the loop-free ledger
-    (:func:`_resolve_iid_ledger`); a retry-free GE batch in which no
-    period can deny evolves its chains with a carry-seeded forward
-    fill (:func:`_ge_scan_states`); any other GE batch takes the
+    routes, chosen by the model and the retry policy alone: an
+    i.i.d. plan takes the loop-free ledger
+    (:func:`_resolve_iid_ledger`); a retry-free GE batch settles its
+    denials on that ledger with outcomes that never fail, then
+    evolves the admitted syncs' chains with a carry-seeded forward
+    fill (:func:`_ge_scan_states`); a GE batch with retries takes the
     scalar walk (:func:`_walk_ledger`, O(total attempts)).  A sync's
     ledger period is :func:`~repro.core.scheduler.period_index` of
-    its time, the reference channel's rule.  Finally the bit
+    its run-clock time, the reference channel's rule; only the trace
+    reads the fault clock.  Finally the bit
     generator is rewound and re-advanced by exactly the draws the
     reference :class:`~repro.faults.channel.SyncChannel` would have
     consumed, so downstream draws see an identical stream.
@@ -538,41 +548,10 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
     sync_sizes = sizes[sync_elements]
     periods = period_index(sync_times, period_length)
 
-    scan_route = ge and max_attempts == 1
-    if scan_route and bandwidth_budget is not None:
-        # The scan needs every sync to make its one attempt.  A
-        # denial in period P happens iff the period's sequential
-        # spend fold exceeds B at some prefix; spends are
-        # nonnegative, so that is iff the period *total* (the same
-        # left-fold, via bincount) exceeds B.  When any period can
-        # deny, fall through to the exact ledger walk.
-        period_spend = np.bincount(periods - periods[0],
-                                   weights=sync_sizes)
-        scan_route = bool((period_spend <= bandwidth_budget).all())
-
-    denied_retries = 0
-    if scan_route:
+    if ge:
         assert final_bad is not None
         p_good_to_bad, p_bad_to_good, loss_good, loss_bad = thresholds
-        # Retry-free and denial-free: sync i's draws sit at pool
-        # positions 2i (transition) and 2i+1 (loss), unconditionally.
-        order, state_after, final_bad = _ge_scan_states(
-            sync_elements, pool < p_good_to_bad, pool < p_bad_to_good,
-            final_bad)
-        success = np.empty(m, dtype=bool)
-        success[order] = pool[order * 2 + 1] >= np.where(
-            state_after, loss_bad, loss_good)
-        attempts = np.ones(m, dtype=np.int64)
-        offsets = np.arange(m, dtype=np.int64) * 2
-        cursor = 2 * m
-    elif not ge:
-        attempts, success, offsets, cursor, denied_retries = \
-            _resolve_iid_ledger(pool, thresholds[0], sync_sizes, periods,
-                                budget=bandwidth_budget,
-                                max_attempts=max_attempts)
-    else:
-        assert final_bad is not None
-        p_good_to_bad, p_bad_to_good, loss_good, loss_bad = thresholds
+    if ge and max_attempts > 1:
         bad_list = final_bad.tolist()
         chain = ((pool < p_good_to_bad).tolist(),
                  (pool < p_bad_to_good).tolist(),
@@ -588,6 +567,26 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
         success = np.asarray(walk_success, dtype=bool)
         offsets = np.asarray(walk_offsets, dtype=np.int64)
         final_bad = np.asarray(bad_list, dtype=bool)
+    else:
+        # Without retries a GE sync's spend does not depend on its
+        # outcome, so its batch settles the denials on the i.i.d.
+        # fold with outcomes that never fail.
+        attempts, success, offsets, cursor, denied_retries = \
+            _resolve_iid_ledger(pool, 0.0 if ge else thresholds[0],
+                                sync_sizes, periods,
+                                budget=bandwidth_budget,
+                                max_attempts=max_attempts)
+        if ge:
+            # The admitted sync of rank k, placed at k by the fold,
+            # draws at pool positions 2k (transition) and 2k+1 (loss).
+            offsets *= 2
+            cursor *= 2
+            admitted = np.flatnonzero(attempts)
+            order, state_after, final_bad = _ge_scan_states(
+                sync_elements[admitted], pool < p_good_to_bad,
+                pool < p_bad_to_good, final_bad)
+            success[admitted[order]] = pool[order * 2 + 1] >= np.where(
+                state_after, loss_bad, loss_good)
 
     # Rewind the oversized pool draw, then advance by exactly what the
     # reference channel consumed (array and scalar draws advance the
@@ -602,7 +601,8 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
     trace: list[tuple[float, int, str]] | None = None
     if record_trace:
         trace = _build_trace(
-            sync_times, sync_elements, attempts, success, offsets,
+            sync_times + fault_clock_offset, sync_elements, attempts,
+            success, offsets,
             pool, failure_outcome=failure_outcome,
             retry_policy=retry_policy, draw_stride=stride)
 
@@ -624,7 +624,8 @@ def resolve_iid_faults(sync_times: np.ndarray,
                        bandwidth_budget: float | None,
                        period_length: float,
                        rng: np.random.Generator,
-                       record_trace: bool = False
+                       record_trace: bool = False,
+                       fault_clock_offset: float = 0.0
                        ) -> FaultResolution:
     """Resolve every scheduled sync's fate under an i.i.d. channel.
 
@@ -633,8 +634,8 @@ def resolve_iid_faults(sync_times: np.ndarray,
     on the shared core, :func:`_resolve_on_pool`.
 
     Args:
-        sync_times: Scheduled sync times *on the fault clock* (local
-            time plus any fault offset), in clock units, nondecreasing.
+        sync_times: Scheduled sync times on the run clock, in clock
+            units, nondecreasing.
         sync_elements: Element index per scheduled sync.
         sizes: Per-element transfer sizes, in size units.
         failure_probability: Per-attempt failure probability in
@@ -650,6 +651,8 @@ def resolve_iid_faults(sync_times: np.ndarray,
             channel would.
         record_trace: When True, build the reference-identical
             per-attempt trace (costs a Python loop over attempts).
+        fault_clock_offset: Added to sync times to give the fault
+            clock the trace reads, in clock units (whole periods).
 
     Returns:
         The per-sync :class:`FaultResolution`.
@@ -659,7 +662,8 @@ def resolve_iid_faults(sync_times: np.ndarray,
         thresholds=(failure_probability,), initial_bad=None,
         failure_outcome=failure_outcome, retry_policy=retry_policy,
         bandwidth_budget=bandwidth_budget, period_length=period_length,
-        rng=rng, record_trace=record_trace)
+        fault_clock_offset=fault_clock_offset, rng=rng,
+        record_trace=record_trace)
     return resolution
 
 
@@ -719,11 +723,13 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Post-attempt chain states for the retry-free GE fast route.
 
-    With exactly one attempt per sync, sync ``i``'s transition draw
-    sits at pool position ``2·i``, and it maps its element's entering
-    state to one of four functions of it: the identity (no flip in
-    either state), the negation (a flip in both), or a constant — bad
-    when only the good state flips, good when only the bad one does.
+    With exactly one attempt per admitted sync, the admitted sync of
+    rank ``k`` takes its transition draw at pool position ``2·k``
+    (its loss draw follows at ``2·k + 1``), and it maps its element's
+    entering state to one of four functions of it: the identity (no
+    flip in either state), the negation (a flip in both), or a
+    constant — bad when only the good state flips, good when only the
+    bad one does.
     So the state after a sync is its *base* XOR the parity of the
     negations since: the base is the value of the element's last
     constant sync, or, before any, the carried ``initial_bad`` taken
@@ -733,7 +739,7 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
     parity, so the scan is O(m) with no data-dependent loop.
 
     Args:
-        sync_elements: Element index per sync, tape order.
+        sync_elements: Element index per admitted sync, tape order.
         flip_good: Whether each pool draw flips a good-state chain.
         flip_bad: Whether each pool draw flips a bad-state chain.
         initial_bad: Per-element chain state entering the batch.
@@ -763,7 +769,9 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
     constant |= opens
     state_after = base[_last_mark(constant)]
     state_after ^= parity
-    ends = np.append(opens[1:], True)
+    # An element's last sync is the one before a run start; the roll
+    # puts the first sync, always a start, after the last.
+    ends = np.roll(opens, -1)
     final_bad = initial_bad.copy()
     final_bad[element_sorted[ends]] = state_after[ends]
     return order, state_after, final_bad
@@ -783,7 +791,8 @@ def resolve_ge_faults(sync_times: np.ndarray,
                       bandwidth_budget: float | None,
                       period_length: float,
                       rng: np.random.Generator,
-                      record_trace: bool = False
+                      record_trace: bool = False,
+                      fault_clock_offset: float = 0.0
                       ) -> tuple[FaultResolution, np.ndarray]:
     """Resolve every sync's fate under a Gilbert–Elliott channel.
 
@@ -792,11 +801,11 @@ def resolve_ge_faults(sync_times: np.ndarray,
     state's loss probability); each retry adds one jitter draw.
     Runs on the shared core, :func:`_resolve_on_pool`, which threads
     the chain state explicitly and takes the forward-fill route
-    (:func:`_ge_scan_states`) when the batch is retry-free and no
-    period can deny.
+    (:func:`_ge_scan_states`) on the admitted syncs of a retry-free
+    batch.
 
     Args:
-        sync_times: Scheduled sync times on the fault clock, in clock
+        sync_times: Scheduled sync times on the run clock, in clock
             units, nondecreasing.
         sync_elements: Element index per scheduled sync.
         sizes: Per-element transfer sizes, in size units.
@@ -816,6 +825,8 @@ def resolve_ge_faults(sync_times: np.ndarray,
             channel would.
         record_trace: When True, build the reference-identical
             per-attempt trace.
+        fault_clock_offset: Added to sync times to give the fault
+            clock the trace reads, in clock units (whole periods).
 
     Returns:
         ``(resolution, final_bad)`` — the per-sync
@@ -829,7 +840,8 @@ def resolve_ge_faults(sync_times: np.ndarray,
         thresholds=(p_good_to_bad, p_bad_to_good, loss_good, loss_bad),
         initial_bad=initial_bad, failure_outcome=failure_outcome,
         retry_policy=retry_policy, bandwidth_budget=bandwidth_budget,
-        period_length=period_length, rng=rng,
+        period_length=period_length,
+        fault_clock_offset=fault_clock_offset, rng=rng,
         record_trace=record_trace)
     assert final_bad is not None
     return resolution, final_bad
@@ -837,7 +849,7 @@ def resolve_ge_faults(sync_times: np.ndarray,
 
 def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
                     sizes: np.ndarray, *, fault_args: dict,
-                    period_length: float,
+                    period_length: float, fault_clock_offset: float,
                     initial_bad: np.ndarray | None,
                     record_trace: bool
                     ) -> tuple[FaultResolution, np.ndarray | None]:
@@ -845,9 +857,9 @@ def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
 
     The one place that reads the type of ``fault_args["model"]``;
     see :func:`resolve_tape_faults` for the arguments.
-    ``sync_times`` are already on the fault clock; ``initial_bad`` is
-    the Gilbert–Elliott chain state entering the batch, or None to
-    read it from the model.
+    ``sync_times`` are on the run clock; ``initial_bad`` is the
+    Gilbert–Elliott chain state entering the batch, or None to read
+    it from the model.
     """
     model = fault_args["model"]
     if isinstance(model, GilbertElliottFaultModel):
@@ -863,7 +875,8 @@ def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
             retry_policy=fault_args["retry_policy"],
             bandwidth_budget=fault_args["bandwidth_budget"],
             period_length=period_length, rng=fault_args["rng"],
-            record_trace=record_trace)
+            record_trace=record_trace,
+            fault_clock_offset=fault_clock_offset)
     resolution = resolve_iid_faults(
         sync_times, sync_elements, sizes,
         failure_probability=model.failure_probability,
@@ -871,7 +884,7 @@ def _resolve_faults(sync_times: np.ndarray, sync_elements: np.ndarray,
         retry_policy=fault_args["retry_policy"],
         bandwidth_budget=fault_args["bandwidth_budget"],
         period_length=period_length, rng=fault_args["rng"],
-        record_trace=record_trace)
+        record_trace=record_trace, fault_clock_offset=fault_clock_offset)
     return resolution, None
 
 
@@ -899,8 +912,9 @@ def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
         fault_args: Dispatch arguments from
             :meth:`repro.sim.simulation.Simulation.fault_kernel_args`.
         period_length: Clock length of one sync period.
-        fault_clock_offset: Added to event times on the fault clock,
-            in clock units (whole periods).
+        fault_clock_offset: Added to event times to give the fault
+            clock, in clock units (whole periods); the budget ledger
+            keeps the run clock.
 
     Returns:
         ``(resolution, final_bad)`` where ``final_bad`` is the chain
@@ -910,9 +924,9 @@ def resolve_tape_faults(tape: tuple[np.ndarray, np.ndarray,
     times, elements, kinds = tape
     sync_positions = np.flatnonzero(kinds == int(EventKind.SYNC))
     return _resolve_faults(
-        times[sync_positions] + fault_clock_offset,
-        elements[sync_positions], sizes, fault_args=fault_args,
-        period_length=period_length, initial_bad=None,
+        times[sync_positions], elements[sync_positions], sizes,
+        fault_args=fault_args, period_length=period_length,
+        fault_clock_offset=fault_clock_offset, initial_bad=None,
         record_trace=False)
 
 
@@ -1490,7 +1504,7 @@ class StreamingReplay:
             fault-free replay.
         fault_time_offset: Clock offset added to sync times on the
             fault clock and to ledger stamps, in clock units (whole
-            periods).
+            periods); the budget ledger keeps the run clock.
         record_fault_trace: Whether to build the reference-identical
             per-attempt fault trace.
     """
@@ -1622,10 +1636,10 @@ class StreamingReplay:
             assert self._fault_args is not None
             sync_elements = elements[sync_positions]
             resolution, self._chain = _resolve_faults(
-                sync_times + self._fault_time_offset,
-                sync_elements, self._sizes,
+                sync_times, sync_elements, self._sizes,
                 fault_args=self._fault_args,
                 period_length=self._period_length,
+                fault_clock_offset=self._fault_time_offset,
                 initial_bad=self._chain,
                 record_trace=self._trace is not None)
             self._faults.add(resolution, sync_elements, self._sizes)

@@ -235,13 +235,14 @@ class Simulation:
         record_fault_trace: When True (and a fault plan is active),
             the result carries the per-attempt ``fault_trace`` tape
             for determinism audits.
-        fault_time_offset: Added to event times before they reach
-            the fault layer (plan, breaker, retry ledger), in clock
-            units.  Lets a caller that runs one period at a time —
-            the adaptive manager — keep outage windows and breaker
-            cooldowns on one global clock while each run's local
-            clock restarts at zero.  Must be a whole number of
-            periods so the channel's budget ledger stays aligned.
+        fault_time_offset: Added to event times to give the fault
+            clock (plan, breaker, retry gate, fault trace, ledger
+            stamps), in clock units.  Lets a caller that runs one
+            period at a time — the adaptive manager — keep outage
+            windows and breaker cooldowns on one global clock while
+            each run's local clock restarts at zero.  Must be a whole
+            number of periods.  The budget ledgers keep the run
+            clock, whose windows cut the periods.
     """
 
     def __init__(self, catalog: Catalog, frequencies: np.ndarray, *,
@@ -511,7 +512,8 @@ class Simulation:
                 topology=self._topology,
                 bandwidth_budget=self._budget,
                 period_length=self._period_length,
-                record_trace=self._record_fault_trace)
+                record_trace=self._record_fault_trace,
+                fault_time_offset=self._fault_time_offset)
 
         n_updates = 0
         fresh_accesses = 0
@@ -555,8 +557,7 @@ class Simulation:
                                 time + self._fault_time_offset)
                             tracker.note_sync(element)
                     else:
-                        report = channel.sync(
-                            element, time + self._fault_time_offset)
+                        report = channel.sync(element, time)
                         succeeded = report.outcome is PollOutcome.OK
                         if succeeded:
                             # Only successful polls count as censored

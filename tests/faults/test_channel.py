@@ -97,6 +97,24 @@ class TestChannelLedger:
         # The next period starts a fresh ledger.
         assert channel.sync(0, 1.1).outcome is PollOutcome.OK
 
+    @pytest.mark.parametrize("offset", [0, 3, 7])
+    def test_ledger_keeps_the_run_clock(self, offset):
+        """A sync at ``p·0.7`` opens period ``p`` whatever whole-period
+        fault offset the channel carries, while the trace reads the
+        fault clock.  On the fault clock ``2·0.7 + k·0.7`` rounds below
+        ``(2+k)·0.7`` at k = 3 and 7, so a ledger reading it would find
+        period 2's sync still in period 1 and deny it."""
+        channel = SyncChannel(make_mirror(1), plan=FaultPlan.iid(0.0),
+                              rng=np.random.default_rng(2),
+                              bandwidth_budget=1.0, period_length=0.7,
+                              record_trace=True,
+                              fault_time_offset=offset * 0.7)
+        times = [p * 0.7 for p in range(6)]
+        for time in times:
+            assert channel.sync(0, time).outcome is PollOutcome.OK
+        assert [entry[0] for entry in channel.trace()] == [
+            time + offset * 0.7 for time in times]
+
     def test_retries_are_charged_and_capped_by_the_ledger(self):
         mirror = make_mirror(1)
         channel = SyncChannel(

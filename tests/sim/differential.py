@@ -137,14 +137,26 @@ SETUPS: dict[str, Setup] = {
                                budget=b)
        for b in (0.15, 0.6, 1.0)},
     "iid_trace": Setup(partial(_iid, 0.5), _IID, retries=3, trace=True),
-    # Without an ample budget some period can deny: the ledger walk.
-    "ge": Setup(partial(_ge, 0.2, 0.5), _GE, ge_route="walk"),
+    # A coin-flip channel with two retries, on ``period0.7_offset*``:
+    # budgets that deny in most periods.
+    **{f"iid_half_budget{b}": Setup(partial(_iid, 0.5), _IID, retries=2,
+                                    budget=b)
+       for b in (0.2, 0.3, 0.4, 0.6)},
+    # Retry-free Gilbert–Elliott rows take the scan route whatever the
+    # budget: the planned spend (the default), ample, binding, and on
+    # ``sized`` (smallest size 0.25, planned spend 6) below every
+    # element's size, so that no sync is admitted.
+    "ge": Setup(partial(_ge, 0.2, 0.5), _GE, ge_route="scan"),
     **{f"ge_loss{good}-{bad}": Setup(
         partial(_ge, 0.2, 0.5, loss_good=good, loss_bad=bad), _GE,
-        dedicated=True, ge_route="walk")
+        dedicated=True, ge_route="scan")
        for good, bad in ((0.0, 1.0), (0.1, 0.9), (0.0, 0.5))},
     "ge_scan": Setup(partial(_ge, 0.2, 0.4, loss_bad=0.9), _GE,
                      budget=10.0, dedicated=True, ge_route="scan"),
+    **{f"ge_scan_budget{b}": Setup(
+        partial(_ge, 0.25, 0.5, loss_bad=0.8), _GE, budget=b,
+        dedicated=True, ge_route="scan")
+       for b in (0.04, 0.3, 0.6)},
     "ge_walk": Setup(partial(_ge, 0.2, 0.4, loss_bad=0.9), _GE,
                      retries=2, dedicated=True, ge_route="walk"),
     **{f"ge_budget{b}": Setup(partial(_ge, 0.25, 0.5), _GE, retries=4,
@@ -279,6 +291,10 @@ _DEFAULT = World(_preset())
 _STREAMED = World(random_world(400, 21), horizon=2.5, seed=13,
                   request_rate=60.0)
 _DEGENERATE = dict(horizon=3.0, seed=41, request_rate=1e-9)
+# Zero-phase syncs at p · 0.7, which divides by 0.7 to just below p:
+# every period rule has to follow the windows' comparison.
+_PERIOD07 = World(_windows, horizon=5.0, seed=1, request_rate=5.0,
+                  period_length=0.7, phase_policy="zero")
 
 WORLDS: dict[str, World] = {
     "default": _DEFAULT,
@@ -295,10 +311,13 @@ WORLDS: dict[str, World] = {
        for h in (0.75, 1.0, 4.5, 6.0, 7.25)},
     "period2.5": dataclasses.replace(_DEFAULT, horizon=5.5,
                                      period_length=2.5),
-    # Zero-phase syncs at p · 0.7, which divides by 0.7 to just below
-    # p: every period rule has to follow the windows' comparison.
-    "period0.7": World(_windows, horizon=5.0, seed=1, request_rate=5.0,
-                       period_length=0.7, phase_policy="zero"),
+    "period0.7": _PERIOD07,
+    # On the fault clock, p·0.7 + k·0.7 rounds below (p+k)·0.7 for
+    # some p at these offsets, so a ledger reading it would reset off
+    # the windows.
+    **{f"period0.7_offset{k}": dataclasses.replace(_PERIOD07,
+                                                   offset=k * 0.7)
+       for k in (3, 7)},
     "offset4": dataclasses.replace(_DEFAULT, horizon=3.0, offset=4.0),
     "bursty": dataclasses.replace(_DEFAULT, horizon=8.0, bursty=True),
     "empty": World(_degenerate(np.zeros(6)), **_DEGENERATE),

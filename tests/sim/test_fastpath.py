@@ -405,6 +405,15 @@ class TestGEBitIdentity:
     def test_no_retry_scan_path(self):
         check("h7.25", "ge_scan")
 
+    @pytest.mark.parametrize("budget_scale", [0.04, 0.3, 0.6])
+    def test_no_retry_budgets_deny_on_the_scan_path(self, budget_scale):
+        """The harness asserts the scan route; at 0.04 the budget is
+        below every size, so the reference admits no sync at all."""
+        reference = check("sized", f"ge_scan_budget{budget_scale}")
+        assert reference.total("denied_polls") > 0
+        assert (reference.total("attempted_polls") == 0) == (
+            budget_scale == 0.04)
+
     def test_fault_time_offset(self):
         check("offset4", "ge_walk")
 

@@ -284,6 +284,19 @@ class TestPeriodIndex:
         assert reference.total("denied_polls") > 0
         assert reference.total("retries") > 0
 
+    @pytest.mark.parametrize("budget", [0.2, 0.3, 0.4, 0.6])
+    @pytest.mark.parametrize("offset", [3, 7])
+    def test_ledgers_keep_the_run_clock(self, offset, budget):
+        """Under a fault-clock offset of whole periods the ledgers
+        still reset at the run clock's windows, where the slabs are
+        cut: ``chunk_periods`` 1, 2 and 5 agree, and whole-period
+        slabs of the one-shot tape equal the reference loop."""
+        reference = check(f"period0.7_offset{offset}",
+                          f"iid_half_budget{budget}",
+                          routes=("auto", "slab1", "slab2", "chunk2",
+                                  "chunk5"))
+        assert reference.total("denied_polls") > 0
+
     @pytest.mark.parametrize("run", [
         {"engine": "reference"}, {"engine": "auto"},
         {"chunk_periods": 1}, {"chunk_periods": 2}, {"chunk_periods": 5}])
