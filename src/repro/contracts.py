@@ -49,6 +49,7 @@ __all__ = [
     "KKT_RTOL",
     "NONNEG_ATOL",
     "SIMPLEX_ATOL",
+    "check_attempt_accounting",
     "check_attempt_budget",
     "check_budget_feasible",
     "check_kkt_stationarity",
@@ -275,6 +276,27 @@ def check_attempt_budget(attempted: float, budget_per_period: float,
               f"attempted {attempted!r} exceeds {limit!r} "
               f"(B·T = {budget_per_period * n_periods!r}, "
               f"slack = {slack!r})")
+
+
+def check_attempt_accounting(attempted: np.ndarray, polls: np.ndarray,
+                             failed: np.ndarray, *,
+                             where: str = "<direct>") -> None:
+    """Assert every attempt either failed or was a successful poll.
+
+    Per element, ``attempted == polls + failed``: an attempt that
+    succeeds ends its sync as one poll, and every other attempt
+    counts as a failure.  The vectorized engine derives its attempt
+    counts from this identity, and the reference channel counts each
+    side attempt by attempt.  Counts are dimensionless.
+    """
+    mismatch = np.flatnonzero(attempted != polls + failed)
+    if mismatch.shape[0]:
+        element = int(mismatch[0])
+        _fail(where, "attempts = polls + failures per element",
+              f"{mismatch.shape[0]} elements differ; element {element} "
+              f"made {int(attempted[element])} attempts against "
+              f"{int(polls[element])} polls + "
+              f"{int(failed[element])} failures")
 
 
 def check_kkt_stationarity(residual: float, multiplier: float, *,

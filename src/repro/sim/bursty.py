@@ -58,7 +58,8 @@ class BurstyUpdateGenerator:
         if period_length <= 0.0:
             raise ValidationError(
                 f"period_length must be > 0, got {period_length}")
-        self._rates = catalog.change_rates / period_length
+        self._change_rates = catalog.change_rates  # per period
+        self._period_length = period_length
         self._on_fraction = 1.0 - burstiness
         self._mean_on = cycle_length * period_length * self._on_fraction
         self._mean_off = (cycle_length * period_length
@@ -84,18 +85,20 @@ class BurstyUpdateGenerator:
         if end <= start:
             raise ValidationError(
                 f"window end must exceed start, got [{start}, {end})")
-        n = self._rates.shape[0]
+        # Per clock unit, derived per draw rather than kept for the run.
+        rates = self._change_rates / self._period_length
+        n = rates.shape[0]
         if self._mean_off <= 0.0:
             # Degenerate: always ON at the base rate — plain Poisson.
-            counts = self._rng.poisson(self._rates * (end - start))
+            counts = self._rng.poisson(rates * (end - start))
             times = self._rng.uniform(start, end, size=int(counts.sum()))
             return times, np.repeat(np.arange(n, dtype=np.int64), counts)
 
         all_times: list[np.ndarray] = []
         all_elements: list[np.ndarray] = []
-        on_rates = self._rates / self._on_fraction
+        on_rates = rates / self._on_fraction
         for element in range(n):
-            if self._rates[element] <= 0.0:
+            if rates[element] <= 0.0:
                 continue
             times = self._element_times(float(on_rates[element]),
                                         start, end)

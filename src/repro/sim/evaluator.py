@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.contracts import (
+    check_attempt_accounting,
     check_attempt_budget,
     check_sync_conservation,
     contracts_enabled,
@@ -348,9 +349,11 @@ def close_run(result: SimulationResult, *, engine: str,
     With telemetry on, emits the ``monitor.*`` close-time gauges and
     event, then the ``sim.*`` run summary, counting the run under
     ``sim.engine.<engine>``.  With contracts on, checks the sync
-    conservation law and, given a faulted run's ``attempt_budget``
-    (size units per period; None without a fault channel or budget),
-    the attempt budget; a violation names the engine.
+    conservation law, a faulted run's per-element attempt accounting
+    (attempts = polls + failures) and, given a faulted run's
+    ``attempt_budget`` (size units per period; None without a fault
+    channel or budget), the attempt budget; a violation names the
+    engine.
     """
     # A faulted run always carries per-element attempt counts.
     faulted = result.attempted_poll_counts is not None
@@ -394,6 +397,11 @@ def close_run(result: SimulationResult, *, engine: str,
         check_sync_conservation(
             result.bandwidth_used, float(sizes @ result.frequencies),
             n_periods, granularity, where=where)
+        if result.attempted_poll_counts is not None:
+            assert result.failed_poll_counts is not None
+            check_attempt_accounting(
+                result.attempted_poll_counts, result.poll_counts,
+                result.failed_poll_counts, where=where)
         if attempt_budget is not None:
             check_attempt_budget(
                 result.attempted_bandwidth, attempt_budget,

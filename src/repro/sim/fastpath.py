@@ -336,7 +336,9 @@ def _iid_free_path(pool: np.ndarray, failure_probability: float,
 
     ``K`` and ``F`` are computed on a window of the pool from
     ``start``, about two draws per sync, doubled while the orbit
-    runs past its end (failure probabilities near 1).
+    runs past its end (failure probabilities near 1).  A window with
+    no failing first draw (failure probability 0, as for every
+    retry-free Gilbert–Elliott batch) returns at once.
 
     Returns:
         ``(attempts, success, offsets, cursor)`` — per-sync attempts,
@@ -351,6 +353,12 @@ def _iid_free_path(pool: np.ndarray, failure_probability: float,
         width = stop - start
         failed = pool[start:stop + reach] < failure_probability
         first = np.flatnonzero(failed[:width])
+        if not first.shape[0] and count <= width:
+            # No failing first draw: every sync succeeds at once.
+            return (np.ones(count, dtype=np.int64),
+                    np.ones(count, dtype=bool),
+                    np.arange(start, start + count, dtype=np.int64),
+                    start + count)
         tries = np.ones(first.shape[0], dtype=np.int64)
         retrying = np.ones(first.shape[0], dtype=bool)
         for retry in range(max_attempts - 1):
@@ -948,6 +956,13 @@ def _continue_sum(total: float, values: np.ndarray) -> float:
 class _FaultAccounting:
     """Channel-equivalent attempt/failure accounting, folded per slab.
 
+    Keeps no per-element attempt count: every attempt either fails or
+    succeeds, and each success is a replayed poll, so an element's
+    attempts are its :class:`ReplayCarry` ``poll_counts`` plus its
+    ``failed_poll_counts`` — the same count the reference channel
+    keeps attempt by attempt.  The totals below that need attempts
+    take the run's successful-poll total for that reason.
+
     Attributes:
         made_polls: Scheduled syncs that made at least one attempt.
         denied_polls: Scheduled syncs the period budget denied
@@ -955,7 +970,6 @@ class _FaultAccounting:
         denied_retries: Retries the period budget refused.
         attempted_bandwidth: Folded bandwidth of every attempt, in
             size units.
-        attempted_poll_counts: Attempts per element.
         failed_poll_counts: Failed attempts per element.
         draws: Fault-rng draws the resolutions consumed.
     """
@@ -964,7 +978,6 @@ class _FaultAccounting:
     denied_polls: int
     denied_retries: int
     attempted_bandwidth: float
-    attempted_poll_counts: np.ndarray
     failed_poll_counts: np.ndarray
     draws: int
 
@@ -973,53 +986,47 @@ class _FaultAccounting:
         """Nothing attempted yet."""
         return cls(made_polls=0, denied_polls=0, denied_retries=0,
                    attempted_bandwidth=0.0,
-                   attempted_poll_counts=np.zeros(n_elements,
-                                                  dtype=np.int64),
                    failed_poll_counts=np.zeros(n_elements,
                                                dtype=np.int64),
                    draws=0)
 
-    @property
-    def retries(self) -> int:
-        """Attempts beyond each sync's first."""
-        return int(self.attempted_poll_counts.sum()) - self.made_polls
+    def retries(self, successful_polls: int) -> int:
+        """Attempts beyond each sync's first, given the successes."""
+        return (successful_polls + int(self.failed_poll_counts.sum())
+                - self.made_polls)
 
     def add(self, resolution: FaultResolution,
             sync_elements: np.ndarray, sizes: np.ndarray) -> None:
         """Fold one slab's resolution into the totals."""
         attempts = resolution.attempts
-        n_elements = self.attempted_poll_counts.shape[0]
         self.made_polls += int(np.count_nonzero(attempts))
         self.denied_polls += int(np.count_nonzero(resolution.denied))
         self.denied_retries += resolution.denied_retries
         self.draws += int(resolution.consumed.sum())
         # One entry per attempt, in sync order: every attempt burns
         # its element's size, folded on as the channel's += does.
-        attempted_elements = np.repeat(sync_elements, attempts)
         self.attempted_bandwidth = _continue_sum(
-            self.attempted_bandwidth, sizes[attempted_elements])
-        self.attempted_poll_counts += np.bincount(attempted_elements,
-                                                  minlength=n_elements)
+            self.attempted_bandwidth,
+            sizes[np.repeat(sync_elements, attempts)])
         self.failed_poll_counts += np.bincount(
             np.repeat(sync_elements, attempts - resolution.success),
-            minlength=n_elements)
+            minlength=self.failed_poll_counts.shape[0])
 
-    def emit(self, failure_outcome: PollOutcome) -> None:
+    def emit(self, failure_outcome: PollOutcome,
+             successful_polls: int) -> None:
         """Emit the ``faults.*`` counter totals the channel would have.
 
         The reference channel bumps each counter once per attempt;
         the aggregated adds land on the same totals.  Zero totals are
         skipped so counters that never fired stay absent, as in the
-        reference.  Every attempt but a sync's successful last one
-        failed, so the successful syncs are the attempts minus the
-        failures.
+        reference.  A sync fails exactly when its last attempt
+        failed, so the failed syncs are the syncs that made an
+        attempt minus the successful polls.
         """
-        failed_polls = int(self.failed_poll_counts.sum())
-        successful_polls = (int(self.attempted_poll_counts.sum())
-                            - failed_polls)
         for name, total in (
-                (f"faults.{failure_outcome.value}", failed_polls),
-                ("faults.retries", self.retries),
+                (f"faults.{failure_outcome.value}",
+                 int(self.failed_poll_counts.sum())),
+                ("faults.retries", self.retries(successful_polls)),
                 ("faults.denied_polls", self.denied_polls),
                 ("faults.denied_retries", self.denied_retries),
                 ("faults.failed_syncs",
@@ -1709,14 +1716,17 @@ class StreamingReplay:
         budget = None
         if faults is not None:
             assert self._fault_args is not None
+            successful_polls = int(carry.poll_counts.sum())
             if obs.telemetry_enabled():
-                faults.emit(self._fault_args["model"].failure_outcome)
+                faults.emit(self._fault_args["model"].failure_outcome,
+                            successful_polls)
             budget = self._fault_args["bandwidth_budget"]
             faulted.update(
-                retries=faults.retries,
+                retries=faults.retries(successful_polls),
                 denied_polls=faults.denied_polls,
                 attempted_bandwidth=faults.attempted_bandwidth,
-                attempted_poll_counts=faults.attempted_poll_counts,
+                attempted_poll_counts=(carry.poll_counts
+                                       + faults.failed_poll_counts),
                 failed_poll_counts=faults.failed_poll_counts,
                 unreachable_poll_counts=np.zeros(
                     self._catalog.n_elements, dtype=np.int64),

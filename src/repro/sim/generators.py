@@ -18,13 +18,18 @@ leaves update times unsorted: the replay kernel sorts each element's
 events itself, and for the reference loop
 :func:`~repro.sim.events.merge_kind_blocks` fuses the cross-kind
 merge into a stable sort of the update block and one run merge.
-Element picks use precomputed-CDF ``searchsorted`` sampling, which
-consumes the identical ``rng.random`` variates ``rng.choice(p=...)``
-would and returns the identical indices (tested bit for bit), while
-hoisting the O(n) CDF build out of the per-call path.  The picks are
+Element picks use CDF ``searchsorted`` sampling, which consumes the
+identical ``rng.random`` variates ``rng.choice(p=...)`` would and
+returns the identical indices (tested bit for bit).  The picks are
 looked up in sorted order and scattered back, so the search walks the
 CDF forward instead of probing it at random; each pick maps to the
 same index either way.
+
+Neither generator keeps a per-element array of its own for the run:
+each call derives what it needs (the window's Poisson means, the CDF
+or the normalized profile) from the catalog in O(n), which is the
+same work a one-shot run did at construction and one pass per period
+on a streamed run.
 
 ``draw_window_sorted(start, end, rng=)`` is the streaming route
 (``chunk_periods``), called once per period with that period's own
@@ -88,8 +93,19 @@ class UpdateGenerator:
         if period_length <= 0.0:
             raise ValidationError(
                 f"period_length must be > 0, got {period_length}")
-        self._rates = catalog.change_rates / period_length  # per clock unit
+        self._change_rates = catalog.change_rates  # per period
+        self._period_length = period_length
         self._rng = rng
+
+    def _means(self, start: float, end: float) -> np.ndarray:
+        """Expected update counts per element over ``[start, end)``.
+
+        The rate per clock unit, then times the window length: two
+        roundings in this order, which every seeded draw depends on.
+        """
+        means = self._change_rates / self._period_length
+        means *= end - start
+        return means
 
     def draw_window(self, start: float, end: float
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,9 +127,9 @@ class UpdateGenerator:
         if end <= start:
             raise ValidationError(
                 f"window end must exceed start, got [{start}, {end})")
-        counts = self._rng.poisson(self._rates * (end - start))
-        elements = np.repeat(np.arange(self._rates.shape[0],
-                                       dtype=np.int64), counts)
+        counts = self._rng.poisson(self._means(start, end))
+        elements = np.repeat(np.arange(counts.shape[0], dtype=np.int64),
+                             counts)
         times = self._rng.uniform(start, end, size=int(counts.sum()))
         return times, elements
 
@@ -151,10 +167,10 @@ class UpdateGenerator:
             raise ValidationError(
                 f"window end must exceed start, got [{start}, {end})")
         rng = self._rng if rng is None else rng
-        counts = rng.poisson(self._rates * (end - start))
+        counts = rng.poisson(self._means(start, end))
         total = int(counts.sum())
         if arena is None:
-            elements = np.repeat(np.arange(self._rates.shape[0],
+            elements = np.repeat(np.arange(counts.shape[0],
                                            dtype=np.int64), counts)
         else:
             elements = _repeat_arange_into(
@@ -180,13 +196,6 @@ class RequestGenerator:
         if rate <= 0.0:
             raise ValidationError(f"rate must be > 0, got {rate}")
         self._probabilities = catalog.access_probabilities
-        # Precompute the sampling CDF once: searchsorted over it with
-        # uniform variates reproduces rng.choice(p=...) draw-for-draw
-        # (numpy builds this identical normalized cumsum per call).
-        cdf = np.cumsum(self._probabilities)
-        cdf /= cdf[-1]
-        self._cdf = cdf
-        self._pvals = self._probabilities / self._probabilities.sum()
         self._rate = rate
         self._rng = rng
 
@@ -195,9 +204,10 @@ class RequestGenerator:
         """Raw access draws for ``[start, end)`` — times sorted.
 
         Draw order is canonical: one Poisson count, the uniform
-        instants, then one uniform per element pick (consumed by the
-        precomputed-CDF ``searchsorted``, matching ``rng.choice``;
-        the picks are searched in sorted order and scattered back).
+        instants, then one uniform per element pick (consumed by a
+        ``searchsorted`` over the profile's CDF, built in this call,
+        matching ``rng.choice``; the picks are searched in sorted
+        order and scattered back).
 
         Args:
             start: Window start in clock time.
@@ -218,8 +228,13 @@ class RequestGenerator:
         # index, and a sorted needle walks the CDF forward instead of
         # probing it at random.
         order, picks = stable_time_sort(picks)
+        # searchsorted over this CDF with uniform variates reproduces
+        # rng.choice(p=...) draw-for-draw (numpy builds the identical
+        # normalized cumsum per call).
+        cdf = np.cumsum(self._probabilities)
+        cdf /= cdf[-1]
         elements = np.empty(count, dtype=np.int64)
-        elements[order] = self._cdf.searchsorted(picks, side="right")
+        elements[order] = cdf.searchsorted(picks, side="right")
         return times, elements
 
     def draw_window_sorted(self, start: float, end: float, *,
@@ -257,9 +272,10 @@ class RequestGenerator:
                 f"window end must exceed start, got [{start}, {end})")
         rng = self._rng if rng is None else rng
         count = int(rng.poisson(self._rate * (end - start)))
-        counts = rng.multinomial(count, self._pvals)
+        counts = rng.multinomial(
+            count, self._probabilities / self._probabilities.sum())
         if arena is None:
-            elements = np.repeat(np.arange(self._pvals.shape[0],
+            elements = np.repeat(np.arange(counts.shape[0],
                                            dtype=np.int64), counts)
         else:
             elements = _repeat_arange_into(

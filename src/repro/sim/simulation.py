@@ -289,7 +289,6 @@ class Simulation:
                 "fault_time_offset must be a non-negative whole "
                 f"number of periods, got {fault_time_offset}")
         self._catalog = catalog
-        self._frequencies = frequencies
         self._period_length = period_length
         self._rng = rng
         self._fault_plan = fault_plan
@@ -313,6 +312,10 @@ class Simulation:
         self._schedule = SyncSchedule.from_frequencies(
             frequencies, period_length=period_length,
             phase_policy=phase_policy, rng=rng)
+        # The schedule's read-only copy, never the caller's array: a
+        # caller that mutates its array after construction changes
+        # neither the replay nor the result's frequencies.
+        self._frequencies = self._schedule.frequencies
         self._updates = (update_generator if update_generator is not None
                          else UpdateGenerator(catalog,
                                               period_length=period_length,

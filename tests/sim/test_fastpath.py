@@ -25,7 +25,11 @@ from repro.faults.model import FaultPlan, IIDFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.runtime.manager import AdaptiveMirrorManager
 from repro.sim.events import EventKind, kind_ordered
-from repro.sim.fastpath import ReplayCarry, _replay_tape_chunk
+from repro.sim.fastpath import (
+    ReplayCarry,
+    StreamingReplay,
+    _replay_tape_chunk,
+)
 from repro.sim.simulation import Simulation, kernel_fault_model
 from repro.workloads.catalog import Catalog
 
@@ -230,6 +234,50 @@ class TestKernelMemory:
             tracemalloc.stop()
         per_event = peak / (slab[0].shape[0] - failed.shape[0])
         assert per_event < self.BOUND_BYTES_PER_EVENT, per_event
+
+
+class TestRunFootprint:
+    """The per-element state a run keeps before it draws an event.
+
+    A :class:`Simulation` and its :class:`StreamingReplay` under an
+    i.i.d. plan, constructed on a 2·10⁵-element catalog under
+    :mod:`tracemalloc`: the schedule's frequencies and phases (16 B),
+    the replay carry (57 B) and the failed-attempt counts (8 B) make
+    81 B per element.  Keeping the arrays a run can derive — the
+    per-clock-unit change rates, the request CDF and normalized
+    profile, and the per-element attempt counts — made 113 B.  The
+    bound sits just above the derived-state footprint.
+    """
+
+    BOUND_BYTES_PER_ELEMENT = 85.0
+
+    def test_bytes_per_element(self):
+        n = 200_000
+        rng = np.random.default_rng(33)
+        catalog = Catalog(rng.dirichlet(np.ones(n)),
+                          rng.gamma(2.0, 0.5, n))
+        frequencies = rng.uniform(0.0, 0.6, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim = Simulation(catalog, frequencies, request_rate=0.5 * n,
+                             rng=np.random.default_rng(0),
+                             fault_plan=FaultPlan.iid(0.2),
+                             retry_policy=RetryPolicy(max_retries=3))
+            replay = StreamingReplay(
+                catalog, sim.schedule.frequencies, period_length=1.0,
+                n_periods=1.0, fault_args=sim.fault_kernel_args())
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert replay.carry.poll_counts.shape == (n,)
+        assert grown / n <= self.BOUND_BYTES_PER_ELEMENT, grown / n
+        owned = (catalog.access_probabilities, catalog.change_rates,
+                 catalog.sizes)
+        for generator in (sim._updates, sim._requests):
+            for name, value in vars(generator).items():
+                if isinstance(value, np.ndarray):
+                    assert any(value is array for array in owned), name
 
 
 class TestPropertyRandomCatalogs:

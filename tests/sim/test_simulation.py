@@ -87,6 +87,27 @@ class TestSimulationMechanics:
                        rng=np.random.default_rng(0),
                        update_generator=GenerateOnly())
 
+    @pytest.mark.parametrize("engine", ["auto", "reference"])
+    def test_keeps_its_own_frequencies(self, engine):
+        """Scaling the caller's array after construction changes
+        neither the replay nor the result's frequencies, so the
+        analytic mode still reads the simulated schedule."""
+        catalog = Catalog(np.full(4, 0.25), np.ones(4))
+
+        def run(scale):
+            frequencies = np.array([1.0, 2.0, 4.0, 3.0])
+            sim = Simulation(catalog, frequencies, request_rate=5.0,
+                             rng=np.random.default_rng(1))
+            frequencies *= scale
+            return sim.run(3, engine=engine)
+
+        kept, scaled = run(1.0), run(2.0)
+        np.testing.assert_array_equal(scaled.frequencies,
+                                      [1.0, 2.0, 4.0, 3.0])
+        np.testing.assert_array_equal(scaled.poll_counts,
+                                      kept.poll_counts)
+        assert scaled.analytic() == kept.analytic()
+
     def test_wasted_sync_fraction_in_range(self, sim_catalog):
         plan = PerceivedFreshener().plan(sim_catalog, 25.0)
         sim = Simulation(sim_catalog, plan.frequencies,

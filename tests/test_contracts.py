@@ -17,6 +17,7 @@ import pytest
 from repro import contracts as C
 from repro.contracts import (
     ContractViolationError,
+    check_attempt_accounting,
     check_budget_feasible,
     check_kkt_stationarity,
     check_multiplier_in_bracket,
@@ -190,6 +191,46 @@ def test_streaming_replay_checks_sync_conservation(rng) -> None:
         with pytest.raises(ContractViolationError,
                            match="sim.engine.fastpath.*conservation"):
             replay()
+
+
+def test_check_attempt_accounting() -> None:
+    check_attempt_accounting(np.array([3, 0, 2]), np.array([1, 0, 2]),
+                             np.array([2, 0, 0]))
+    with pytest.raises(ContractViolationError,
+                       match="element 0 made 3 attempts"):
+        check_attempt_accounting(np.array([3, 0, 2]),
+                                 np.array([1, 0, 2]),
+                                 np.array([1, 0, 0]))
+
+
+@pytest.mark.parametrize("engine", ["auto", "reference"])
+def test_faulted_runs_check_attempt_accounting(rng, engine) -> None:
+    """Both engines' faulted results satisfy attempts = polls +
+    failures per element; a result that lost one failed attempt
+    fails the shared epilogue's check, naming the engine."""
+    import dataclasses
+
+    from repro.faults.model import FaultPlan
+    from repro.faults.retry import RetryPolicy
+    from repro.sim.evaluator import close_run
+    from repro.sim.simulation import Simulation
+
+    catalog = random_catalog(rng, 20)
+    with contracts():
+        result = Simulation(
+            catalog, np.full(20, 2.0), request_rate=10.0,
+            rng=np.random.default_rng(5), fault_plan=FaultPlan.iid(0.4),
+            retry_policy=RetryPolicy(max_retries=2)).run(
+                4, engine=engine)
+        failed = result.failed_poll_counts.copy()
+        failed[int(np.argmax(failed))] -= 1
+        label = ("fastpath_faulted" if engine == "auto"
+                 else "reference")
+        with pytest.raises(ContractViolationError,
+                           match=f"sim.engine.{label}.*attempts"):
+            close_run(dataclasses.replace(result,
+                                          failed_poll_counts=failed),
+                      engine=label, n_periods=4.0, attempt_budget=None)
 
 
 def test_incremental_warm_solve_checks_bracket(rng) -> None:
