@@ -20,12 +20,7 @@ import numpy as np
 
 from repro.analysis.series import Series, SweepResult
 from repro.core.allocation import AllocationPolicy, expand_partition_frequencies
-from repro.core.freshener import (
-    Freshener,
-    FresheningPlan,
-    GeneralFreshener,
-    PerceivedFreshener,
-)
+from repro.core.freshener import GeneralFreshener, PerceivedFreshener
 from repro.core.metrics import perceived_freshness
 from repro.core.partitioning import PartitioningStrategy, partition_catalog
 from repro.core.representatives import (
@@ -34,7 +29,6 @@ from repro.core.representatives import (
     solve_transformed_problem,
 )
 from repro.core.solver import solve_core_problem
-from repro.errors import ValidationError
 from repro.parallel import parallel_map, seed_rng
 from repro.runtime.manager import AdaptiveMirrorManager
 from repro.sim.bursty import BurstyUpdateGenerator
@@ -42,33 +36,6 @@ from repro.sim.simulation import Simulation
 from repro.workloads.alignment import Alignment
 from repro.workloads.catalog import Catalog
 from repro.workloads.presets import ExperimentSetup, build_catalog
-
-#: Warm-start bracket half-width for sweep loops, as a relative
-#: factor: a previous point's μ seeds ``[μ/4, μ·4]``.  Sweep steps
-#: move the budget by up to 2×, which moves μ further than the
-#: incremental solver's tight window; a wide bracket still skips the
-#: cold geometric expansion phase entirely.
-_SWEEP_WARM_WINDOW = 4.0
-
-
-def _plan_warm(planner: Freshener, catalog: Catalog,
-               bandwidth: float,
-               multiplier: float | None) -> FresheningPlan:
-    """Plan with a warm μ bracket from the previous sweep point.
-
-    Falls back to a cold solve when there is no usable previous
-    multiplier or the warm bracket fails to straddle the budget
-    (adjacent sweep points normally keep μ within the window, as
-    :class:`~repro.core.incremental.IncrementalSolver` exploits).
-    """
-    if multiplier is not None and multiplier > 0.0:
-        bracket = (multiplier / _SWEEP_WARM_WINDOW,
-                   multiplier * _SWEEP_WARM_WINDOW)
-        try:
-            return planner.plan(catalog, bandwidth, bracket=bracket)
-        except ValidationError:
-            pass  # μ jumped out of the window: re-solve cold
-    return planner.plan(catalog, bandwidth)
 
 __all__ = [
     "bandwidth_sensitivity",
@@ -118,8 +85,8 @@ def bandwidth_sensitivity(*, setup: ExperimentSetup | None = None,
     gf_mu: float | None = None
     for index, ratio in enumerate(grid):
         bandwidth = float(ratio) * base.updates_per_period
-        pf_plan = _plan_warm(pf_planner, catalog, bandwidth, pf_mu)
-        gf_plan = _plan_warm(gf_planner, catalog, bandwidth, gf_mu)
+        pf_plan = pf_planner.plan(catalog, bandwidth, guess=pf_mu)
+        gf_plan = gf_planner.plan(catalog, bandwidth, guess=gf_mu)
         pf_mu = pf_plan.metadata["multiplier"]
         gf_mu = gf_plan.metadata["multiplier"]
         pf_scores[index] = pf_plan.perceived_freshness
@@ -170,10 +137,10 @@ def dispersion_sensitivity(*, setup: ExperimentSetup | None = None,
             update_std_dev=float(sigma))
         catalog = build_catalog(varied, alignment=Alignment.SHUFFLED,
                                 seed=seed)
-        pf_plan = _plan_warm(pf_planner, catalog,
-                             base.syncs_per_period, pf_mu)
-        gf_plan = _plan_warm(gf_planner, catalog,
-                             base.syncs_per_period, gf_mu)
+        pf_plan = pf_planner.plan(catalog, base.syncs_per_period,
+                                  guess=pf_mu)
+        gf_plan = gf_planner.plan(catalog, base.syncs_per_period,
+                                  guess=gf_mu)
         pf_mu = pf_plan.metadata["multiplier"]
         gf_mu = gf_plan.metadata["multiplier"]
         pf_scores[index] = pf_plan.perceived_freshness

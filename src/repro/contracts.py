@@ -213,19 +213,19 @@ def check_multiplier_in_bracket(multiplier: float,
                                 bracket: tuple[float, float], *,
                                 rtol: float = 1e-9,
                                 where: str = "<direct>") -> None:
-    """Assert a warm-started solve's μ landed inside its bracket.
+    """Assert a multiplier search's μ landed inside its bracket.
 
-    The incremental solver hands :func:`repro.numerics.waterfill.
-    waterfill` a bracket ``(μ_lo, μ_hi)`` promised to satisfy
-    ``cost(μ_lo) ≥ B ≥ cost(μ_hi)``; the cost curve is nonincreasing
-    in μ, so the resolved multiplier must land inside (a μ outside
-    means the reuse logic — or the allocator's monotonicity — broke).
-    Quantities are dimensionless multipliers.
+    :func:`repro.numerics.waterfill.waterfill` finds a bracket
+    ``(μ_lo, μ_hi)`` with ``cost(μ_lo) ≥ B ≥ cost(μ_hi)`` before it
+    closes it; the cost curve is nonincreasing in μ, so the resolved
+    multiplier must land inside (a μ outside means the search — or
+    the allocator's monotonicity — broke).  Quantities are
+    dimensionless multipliers.
     """
     mu_lo, mu_hi = bracket
     slack = rtol * max(abs(mu_hi), 1.0)
     if not (mu_lo - slack) <= multiplier <= (mu_hi + slack):
-        _fail(where, "warm-start multiplier inside its bracket",
+        _fail(where, "multiplier inside its search bracket",
               f"multiplier {multiplier!r} outside "
               f"[{mu_lo!r}, {mu_hi!r}] (rtol={rtol!r})")
 

@@ -173,8 +173,7 @@ def perceived_age(catalog: Catalog, frequencies: np.ndarray) -> float:
 
 def solve_weighted_age_problem(weights: np.ndarray,
                                change_rates: np.ndarray,
-                               costs: np.ndarray, bandwidth: float, *,
-                               budget_rtol: float = 1e-10
+                               costs: np.ndarray, bandwidth: float
                                ) -> ScheduleSolution:
     """Minimize ``Σ wᵢ·Ā(λᵢ, fᵢ)`` s.t. ``Σ cᵢfᵢ = B``, ``f ≥ 0``.
 
@@ -190,7 +189,6 @@ def solve_weighted_age_problem(weights: np.ndarray,
         costs: Strictly positive bandwidth cost per sync, in size
             units.
         bandwidth: Budget ``B > 0``, in size units per period.
-        budget_rtol: Relative budget tolerance.
 
     Returns:
         A :class:`ScheduleSolution` whose ``objective`` is the
@@ -236,8 +234,7 @@ def solve_weighted_age_problem(weights: np.ndarray,
     # f ≤ √(w/(2μc)) per element ⇒ cost ≤ Σ√(wc/2)/√μ.
     sqrt_sum = float(np.sqrt(0.5 * w * c).sum())
     mu_max = max((sqrt_sum / bandwidth) ** 2 * 4.0, 1e-12)
-    result = waterfill(allocate_at, bandwidth, mu_max,
-                       budget_rtol=budget_rtol)
+    result = waterfill(allocate_at, bandwidth, mu_max)
     frequencies[live] = result.allocations
     ages = fixed_order_age(change_rates, frequencies)
     relevant = weights > 0.0
@@ -251,8 +248,7 @@ def solve_weighted_age_problem(weights: np.ndarray,
                             iterations=result.iterations)
 
 
-def solve_min_age_problem(catalog: Catalog, bandwidth: float, *,
-                          budget_rtol: float = 1e-10
+def solve_min_age_problem(catalog: Catalog, bandwidth: float
                           ) -> ScheduleSolution:
     """Minimize perceived age under the bandwidth constraint.
 
@@ -264,7 +260,6 @@ def solve_min_age_problem(catalog: Catalog, bandwidth: float, *,
     Args:
         catalog: Workload description.
         bandwidth: Budget ``B > 0``, in size units per period.
-        budget_rtol: Relative budget tolerance.
 
     Returns:
         A :class:`ScheduleSolution` whose ``objective`` is the
@@ -272,5 +267,4 @@ def solve_min_age_problem(catalog: Catalog, bandwidth: float, *,
     """
     return solve_weighted_age_problem(catalog.access_probabilities,
                                       catalog.change_rates,
-                                      catalog.sizes, bandwidth,
-                                      budget_rtol=budget_rtol)
+                                      catalog.sizes, bandwidth)

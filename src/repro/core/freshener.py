@@ -134,21 +134,18 @@ class PerceivedFreshener(Freshener):
     """
 
     def plan(self, catalog: Catalog, bandwidth: float, *,
-             bracket: tuple[float, float] | None = None
-             ) -> FresheningPlan:
+             guess: float | None = None) -> FresheningPlan:
         """Compute the optimal PF plan.
 
         Args:
             catalog: Workload description.
             bandwidth: Budget in size units per period.
-            bracket: Optional warm-start multiplier bracket from a
-                neighbouring plan (its ``metadata["multiplier"]``);
-                raises :class:`~repro.errors.ValidationError` when it
-                does not straddle the budget, so sweep loops can fall
-                back to a cold solve.
+            guess: Optional multiplier to start the solver's search
+                from, such as a neighbouring plan's
+                ``metadata["multiplier"]``; None solves cold.
         """
         solution = solve_core_problem(catalog, bandwidth,
-                                      model=self._model, bracket=bracket)
+                                      model=self._model, guess=guess)
         return self._finish(catalog, solution.frequencies,
                             {"technique": "PF", "solver": "water-filling",
                              "multiplier": solution.multiplier})
@@ -164,14 +161,13 @@ class GeneralFreshener(Freshener):
     """
 
     def plan(self, catalog: Catalog, bandwidth: float, *,
-             bracket: tuple[float, float] | None = None
-             ) -> FresheningPlan:
+             guess: float | None = None) -> FresheningPlan:
         """Compute the optimal GF plan.
 
         Args:
             catalog: Workload description.
             bandwidth: Budget in size units per period.
-            bracket: Optional warm-start multiplier bracket (see
+            guess: Optional multiplier to start the search from (see
                 :meth:`PerceivedFreshener.plan`).
         """
         n = catalog.n_elements
@@ -179,7 +175,7 @@ class GeneralFreshener(Freshener):
         solution = solve_weighted_problem(uniform, catalog.change_rates,
                                           catalog.sizes, bandwidth,
                                           model=self._model,
-                                          bracket=bracket)
+                                          guess=guess)
         return self._finish(catalog, solution.frequencies,
                             {"technique": "GF", "solver": "water-filling",
                              "multiplier": solution.multiplier})

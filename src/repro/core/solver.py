@@ -18,11 +18,11 @@ single multiplier μ with
 
 The paper solved this with a generic NLP package and reports it
 intractable beyond ~10³ elements; this module instead exploits the
-separable structure — an exact water-filling bisection on μ with a
-vectorized per-element marginal inversion — and solves 500 000-element
-instances in well under a second.  It is used both directly (the
-"best_case"/ideal curves) and as the optimization step of every
-heuristic.
+separable structure — an exact water-filling search on μ (Illinois
+regula falsi) with a vectorized per-element marginal inversion — and
+solves 500 000-element instances in well under a second.  It is used
+both directly (the "best_case"/ideal curves) and as the optimization
+step of every heuristic.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.contracts import (
 )
 from repro.core.freshness import FixedOrderPolicy, FreshnessModel
 from repro.errors import InfeasibleProblemError, ValidationError
-from repro.numerics.waterfill import waterfill
+from repro.numerics.waterfill import BUDGET_RTOL, waterfill
 from repro.obs import registry as obs
 from repro.workloads.catalog import Catalog
 
@@ -61,7 +61,7 @@ class ScheduleSolution:
             problem was degenerate and nothing was allocated).
         bandwidth: Total bandwidth consumed, ``Σ cᵢ·fᵢ``.
         objective: Objective value ``Σ wᵢ·F̄(λᵢ, fᵢ)``.
-        iterations: Outer bisection iterations used.
+        iterations: Outer regula falsi iterations used.
     """
 
     frequencies: np.ndarray
@@ -95,8 +95,7 @@ def _check_weighted_solution(solution: "ScheduleSolution",
 def solve_weighted_problem(weights: np.ndarray, change_rates: np.ndarray,
                            costs: np.ndarray, bandwidth: float, *,
                            model: FreshnessModel | None = None,
-                           budget_rtol: float = 1e-10,
-                           bracket: tuple[float, float] | None = None,
+                           guess: float | None = None,
                            ) -> ScheduleSolution:
     """Solve ``max Σ wᵢ·F̄(λᵢ, fᵢ)`` s.t. ``Σ cᵢ·fᵢ = B``, ``f ≥ 0``.
 
@@ -108,12 +107,10 @@ def solve_weighted_problem(weights: np.ndarray, change_rates: np.ndarray,
             units.
         bandwidth: Budget ``B > 0``, in size units per period.
         model: Freshness model (Fixed-Order by default).
-        budget_rtol: Relative tolerance on the consumed budget.
-        bracket: Optional warm-start multiplier bracket ``(μ_lo,
-            μ_hi)`` known to straddle the budget (see
-            :class:`repro.core.incremental.IncrementalSolver`); a
-            :class:`~repro.errors.ValidationError` is raised if it
-            does not.
+        guess: Optional multiplier to start the search from, such as
+            a neighbouring solve's μ (see
+            :func:`~repro.numerics.waterfill.waterfill`); any value
+            is safe, and None solves cold.
 
     Returns:
         The optimal :class:`ScheduleSolution`.  Elements with zero
@@ -126,9 +123,7 @@ def solve_weighted_problem(weights: np.ndarray, change_rates: np.ndarray,
     """
     with obs.span("solver.solve_weighted"):
         solution = _solve_weighted(weights, change_rates, costs,
-                                   bandwidth, model=model,
-                                   budget_rtol=budget_rtol,
-                                   bracket=bracket)
+                                   bandwidth, model=model, guess=guess)
     if obs.telemetry_enabled():
         _record_solver_telemetry(solution, weights, change_rates, costs,
                                  model)
@@ -165,8 +160,7 @@ def _record_solver_telemetry(solution: ScheduleSolution,
 def _solve_weighted(weights: np.ndarray, change_rates: np.ndarray,
                     costs: np.ndarray, bandwidth: float, *,
                     model: FreshnessModel | None,
-                    budget_rtol: float,
-                    bracket: tuple[float, float] | None,
+                    guess: float | None,
                     ) -> ScheduleSolution:
     """The undecorated solve (see :func:`solve_weighted_problem`)."""
     weights = np.asarray(weights, dtype=float)
@@ -220,16 +214,15 @@ def _solve_weighted(weights: np.ndarray, change_rates: np.ndarray,
                                                           marginal_targets)
         return freqs, float(c @ freqs)
 
-    result = waterfill(allocate_at, bandwidth, mu_max,
-                       budget_rtol=budget_rtol, snap=False,
-                       bracket=bracket)
+    result = waterfill(allocate_at, bandwidth, mu_max, snap=False,
+                       guess=guess)
     live_freqs = result.allocations.copy()
     mu = result.multiplier
-    if mu > 0.0 and abs(result.cost - bandwidth) > budget_rtol * bandwidth:
+    if mu > 0.0 and abs(result.cost - bandwidth) > BUDGET_RTOL * bandwidth:
         # Degenerate optimum: μ sits on an element's activation
         # ceiling, where the inverted frequency jumps (at float
         # resolution of the marginal kernel) between ~λ/40 and 0, so
-        # the bisection cannot meet the budget.  The KKT-correct
+        # the search cannot meet the budget.  The KKT-correct
         # resolution: elements *at* the ceiling absorb exactly the
         # leftover bandwidth — their marginal stays ≈ μ for any small
         # frequency.
@@ -271,8 +264,7 @@ def _check_core_inputs(solution: "ScheduleSolution",
 @postcondition(_check_core_inputs)
 def solve_core_problem(catalog: Catalog, bandwidth: float, *,
                        model: FreshnessModel | None = None,
-                       budget_rtol: float = 1e-10,
-                       bracket: tuple[float, float] | None = None
+                       guess: float | None = None
                        ) -> ScheduleSolution:
     """Optimal Perceived-Freshening schedule for a catalog.
 
@@ -284,11 +276,8 @@ def solve_core_problem(catalog: Catalog, bandwidth: float, *,
         catalog: Workload description (profile, change rates, sizes).
         bandwidth: Sync bandwidth budget per period.
         model: Freshness model (Fixed-Order by default).
-        budget_rtol: Relative tolerance on the consumed budget.
-        bracket: Optional warm-start multiplier bracket ``(μ_lo,
-            μ_hi)`` from a neighbouring solve; a
-            :class:`~repro.errors.ValidationError` is raised if it
-            does not straddle the budget.
+        guess: Optional multiplier to start the search from, such as
+            a neighbouring solve's μ; None solves cold.
 
     Returns:
         The optimal :class:`ScheduleSolution`; its ``objective`` is
@@ -297,9 +286,7 @@ def solve_core_problem(catalog: Catalog, bandwidth: float, *,
     """
     return solve_weighted_problem(catalog.access_probabilities,
                                   catalog.change_rates, catalog.sizes,
-                                  bandwidth, model=model,
-                                  budget_rtol=budget_rtol,
-                                  bracket=bracket)
+                                  bandwidth, model=model, guess=guess)
 
 
 def kkt_residual(solution: ScheduleSolution, weights: np.ndarray,

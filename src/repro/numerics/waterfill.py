@@ -10,8 +10,10 @@ by their KKT conditions: there is a multiplier ``μ ≥ 0`` such that
 The caller supplies ``allocate_at(μ)``, which inverts the marginal
 conditions item-by-item (typically vectorized), and this module runs
 the outer search for the ``μ`` whose total cost matches the budget.
-Total cost is strictly decreasing in ``μ``, so plain bisection on a
-bracket is exact and robust.
+Total cost is nonincreasing in ``μ``, so Illinois regula falsi on a
+bracket is exact and robust.  The search has one entry point: a warm
+start (the multiplier of a neighbouring solve) is only where the
+bracket search begins, so cold and warm solves share every step.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import numpy as np
 
 from repro.contracts import (
     check_budget_feasible,
+    check_multiplier_in_bracket,
     check_nonnegative,
+    contracts_enabled,
     postcondition,
 )
 from repro.errors import ConvergenceError, InfeasibleProblemError, ValidationError
@@ -32,9 +36,10 @@ from repro.obs import registry as obs
 __all__ = ["WaterfillResult", "waterfill"]
 
 #: Relative tolerance on the allocated budget.
-DEFAULT_BUDGET_RTOL = 1e-10
-#: Cap on outer bisection iterations.
-DEFAULT_MAXITER = 200
+BUDGET_RTOL = 1e-10
+#: Cap on the halvings below a search's start, and separately on its
+#: regula falsi iterations (doubling up stops at ``mu_max``).
+MAXITER = 200
 
 #: ``allocate_at(μ)`` returns ``(allocations, total_cost)``.
 AllocateAt = Callable[[float], Tuple[np.ndarray, float]]
@@ -48,8 +53,9 @@ class WaterfillResult:
         allocations: Per-item allocation ``xᵢ`` (1-D float array).
         multiplier: The KKT multiplier ``μ`` at the solution.
         cost: Total cost ``Σ cᵢ·xᵢ`` of the returned allocations
-            (equal to the budget up to the requested tolerance).
-        iterations: Outer bisection iterations performed.
+            (equal to the budget up to ``BUDGET_RTOL``).
+        iterations: Regula falsi iterations performed (``MAXITER``
+            on a saturated exit).
     """
 
     allocations: np.ndarray
@@ -63,21 +69,20 @@ def _check_waterfill_result(result: "WaterfillResult",
     """Postcondition: allocations ≥ 0, μ ≥ 0, and budget feasibility.
 
     The budget bound only applies on the ``snap=True`` path: with
-    ``snap=False`` the caller asked for the raw bisection endpoint,
+    ``snap=False`` the caller asked for the raw search endpoint,
     which may sit on the over-budget side of a degenerate activation
     kink (the Core-Problem solver post-processes and re-snaps it, and
     its own contract checks the final allocation).
     """
     where = "waterfill"
     budget = float(arguments["budget"])  # type: ignore[arg-type]
-    rtol = float(arguments["budget_rtol"])  # type: ignore[arg-type]
     check_nonnegative(result.allocations, name="allocations",
                       where=where)
     check_nonnegative(np.asarray([result.multiplier]),
                       name="multiplier", where=where)
     if arguments["snap"]:
         check_budget_feasible(np.ones(1), np.asarray([result.cost]),
-                              budget, rtol=max(rtol * 4.0, 1e-12),
+                              budget, rtol=4.0 * BUDGET_RTOL,
                               where=where)
 
 
@@ -103,12 +108,15 @@ def _record_telemetry(expansions: int, iterations: int, cost: float,
 
 @postcondition(_check_waterfill_result)
 def waterfill(allocate_at: AllocateAt, budget: float, mu_max: float, *,
-              budget_rtol: float = DEFAULT_BUDGET_RTOL,
-              maxiter: int = DEFAULT_MAXITER,
               snap: bool = True,
-              bracket: Tuple[float, float] | None = None
-              ) -> WaterfillResult:
+              guess: float | None = None) -> WaterfillResult:
     """Find the multiplier whose allocation consumes exactly ``budget``.
+
+    The search starts at one point, which stays one end of the
+    bracket: ``mu_max`` (cost 0) cold, or ``guess`` warm.  The other
+    end steps away from it by 2× until the cost crosses the budget —
+    down while the cost is below it, up (capped at ``mu_max``) while
+    it is above — and Illinois regula falsi closes the bracket.
 
     Args:
         allocate_at: Maps a multiplier ``μ > 0`` to the KKT-optimal
@@ -117,16 +125,14 @@ def waterfill(allocate_at: AllocateAt, budget: float, mu_max: float, *,
         budget: Total budget ``B > 0``.
         mu_max: A multiplier at (or above) which every allocation is
             zero — i.e. ``max uᵢ'(0⁺)/cᵢ``.
-        budget_rtol: Stop when ``|cost − budget| ≤ budget_rtol·budget``.
-        maxiter: Cap on bisection iterations.
         snap: Rescale the final allocations onto the budget exactly.
             Callers that post-process degenerate (threshold) items —
             like the Core-Problem solver — pass False and snap
             themselves.
-        bracket: Optional warm-start bracket ``(μ_lo, μ_hi)`` already
-            known to satisfy ``cost(μ_lo) ≥ budget ≥ cost(μ_hi)`` —
-            skips the geometric bracketing phase (used by the
-            incremental solver).
+        guess: Where to start the search, typically a neighbouring
+            solve's multiplier.  A guess that is not finite or not
+            strictly inside ``(0, mu_max)`` starts cold; no guess
+            raises.
 
     Returns:
         A :class:`WaterfillResult` whose allocations are rescaled so
@@ -151,28 +157,20 @@ def waterfill(allocate_at: AllocateAt, budget: float, mu_max: float, *,
             "no item has positive marginal utility"
         )
 
-    expansions = 0
-    if bracket is not None:
-        mu_lo, mu_hi = bracket
-        if not 0.0 < mu_lo < mu_hi:
-            raise ValidationError(
-                f"invalid warm bracket ({mu_lo}, {mu_hi})")
-        _, cost_lo = allocate_at(mu_lo)
-        _, cost_hi = allocate_at(mu_hi)
-        if not cost_hi <= budget <= cost_lo:
-            raise ValidationError(
-                "warm bracket does not straddle the budget: "
-                f"cost({mu_lo})={cost_lo}, cost({mu_hi})={cost_hi}, "
-                f"budget={budget}")
+    # Establish the bracket [mu_lo, mu_hi] with cost(mu_lo) >= budget
+    # >= cost(mu_hi), stepping away from the start.  cost(mu_max) is 0
+    # by definition, so the cold start never evaluates it.
+    if guess is not None and 0.0 < guess < mu_max:
+        start = float(guess)
+        _, cost = allocate_at(start)
+        obs.counter_add("waterfill.warm_starts")
     else:
-        # Establish the bracket [mu_lo, mu_hi] with cost(mu_lo) >=
-        # budget >= cost(mu_hi).  cost(mu_max) == 0 <= budget by
-        # definition.
-        mu_hi = mu_max
-        mu_lo = mu_max
-        cost_lo = 0.0
-        cost_hi = 0.0
-        for expansions in range(1, maxiter + 1):
+        start, cost = mu_max, 0.0
+    mu_lo = mu_hi = start
+    cost_lo = cost_hi = cost
+    expansions = 0
+    if cost < budget:
+        for expansions in range(1, MAXITER + 1):
             mu_lo *= 0.5
             _, cost_lo = allocate_at(mu_lo)
             if cost_lo >= budget:
@@ -184,11 +182,17 @@ def waterfill(allocate_at: AllocateAt, budget: float, mu_max: float, *,
             # the saturated allocation is optimal, so return it
             # unscaled.
             allocations, cost = allocate_at(mu_lo)
-            _record_telemetry(expansions, maxiter, cost, budget,
+            _record_telemetry(expansions, MAXITER, cost, budget,
                               saturated=True)
             return WaterfillResult(allocations=allocations,
                                    multiplier=0.0, cost=cost,
-                                   iterations=maxiter)
+                                   iterations=MAXITER)
+    else:
+        while cost_hi > budget:
+            expansions += 1
+            mu_hi = min(2.0 * mu_hi, mu_max)
+            cost_hi = 0.0 if mu_hi == mu_max else allocate_at(mu_hi)[1]
+    bracket = (mu_lo, mu_hi)
 
     # Illinois (modified regula falsi) on f(μ) = cost(μ) − budget over
     # the bracket: superlinear on the smooth segments of the cost
@@ -196,13 +200,10 @@ def waterfill(allocate_at: AllocateAt, budget: float, mu_max: float, *,
     # at activation thresholds.  Each evaluation is a full vectorized
     # allocation, so cutting evaluations from ~100 (bisection) to
     # ~10-20 matters at catalog scale.
-    allocations, cost = allocate_at(mu_lo)
-    mu = mu_lo
     f_lo = cost_lo - budget
     f_hi = cost_hi - budget
     last_side = 0
-    iterations = 0
-    for iterations in range(1, maxiter + 1):
+    for iterations in range(1, MAXITER + 1):
         denom = f_hi - f_lo
         if denom < 0.0:
             mu = mu_hi - f_hi * (mu_hi - mu_lo) / denom
@@ -212,7 +213,7 @@ def waterfill(allocate_at: AllocateAt, budget: float, mu_max: float, *,
             mu = 0.5 * (mu_lo + mu_hi)
         allocations, cost = allocate_at(mu)
         residual = cost - budget
-        if abs(residual) <= budget_rtol * budget:
+        if abs(residual) <= BUDGET_RTOL * budget:
             break
         # The μ bracket can bottom out at float precision while the
         # cost residual is still above an aggressive tolerance (the
@@ -233,11 +234,15 @@ def waterfill(allocate_at: AllocateAt, budget: float, mu_max: float, *,
     else:
         obs.counter_add("waterfill.convergence_failures")
         raise ConvergenceError(
-            f"water-filling did not reach budget rtol {budget_rtol} in "
-            f"{maxiter} iterations (cost={cost}, budget={budget})",
-            iterations=maxiter, residual=abs(cost - budget),
+            f"water-filling did not reach budget rtol {BUDGET_RTOL} in "
+            f"{MAXITER} iterations (cost={cost}, budget={budget})",
+            iterations=MAXITER, residual=abs(cost - budget),
         )
 
+    if contracts_enabled():
+        # Regula falsi only narrows the bracket the search found, so a
+        # μ outside it means the search loop itself is broken.
+        check_multiplier_in_bracket(mu, bracket, where="waterfill")
     _record_telemetry(expansions, iterations, cost, budget,
                       saturated=False)
     # Snap the (already extremely close) allocation onto the budget so

@@ -555,6 +555,14 @@ def _resolve_on_pool(sync_times: np.ndarray, sync_elements: np.ndarray,
     pool = rng.random(m * width + width)
     sync_sizes = sizes[sync_elements]
     periods = period_index(sync_times, period_length)
+    # A budget the whole batch cannot reach refuses nothing, so no
+    # route needs its ledger.  The margin covers the ledger's left-fold
+    # rounding (n additions, n·ε relative), so the skip is exact.
+    if bandwidth_budget is not None and (
+            float(sync_sizes.sum()) * max_attempts
+            * (1.0 + 4.0 * m * max_attempts * np.finfo(float).eps)
+            <= bandwidth_budget):
+        bandwidth_budget = None
 
     if ge:
         assert final_bad is not None

@@ -39,9 +39,9 @@ class TestBandwidthSensitivity:
         assert (advantage >= -1e-9).all()
 
     def test_warm_start_reduces_bracket_expansions(self):
-        """Adjacent sweep points share a warm μ bracket, so the sweep
-        must spend fewer cold geometric bracket expansions than
-        planning every point from scratch (the satellite claim)."""
+        """Each sweep point starts its μ search from the previous
+        point's μ, so the sweep must spend fewer bracket expansions
+        than planning every point cold."""
         ratios = np.array([0.1, 0.15, 0.25, 0.4, 0.6, 1.0])
         with obs.telemetry() as registry:
             warm_sweep = sensitivity.bandwidth_sensitivity(

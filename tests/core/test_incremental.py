@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.incremental import IncrementalSolver
 from repro.core.solver import solve_core_problem
-from repro.errors import InfeasibleProblemError, ValidationError
+from repro.errors import InfeasibleProblemError
+from repro.obs import registry as obs
 from repro.workloads.presets import ExperimentSetup, build_catalog
 
 from tests.conftest import random_catalog
@@ -26,53 +27,62 @@ def perturb(catalog, rng, *, profile_noise=0.02, rate_noise=0.02):
     return catalog.with_profile(p / p.sum()).with_change_rates(rates)
 
 
+def warm_starts(registry) -> float:
+    return registry.counters.get("waterfill.warm_starts", 0.0)
+
+
 class TestIncrementalSolver:
     def test_first_solve_is_cold_and_exact(self):
         catalog = build_catalog(SETUP, seed=0)
         solver = IncrementalSolver()
-        warm = solver.solve(catalog, SETUP.syncs_per_period)
+        with obs.telemetry() as registry:
+            first = solver.solve(catalog, SETUP.syncs_per_period)
         cold = solve_core_problem(catalog, SETUP.syncs_per_period)
-        assert solver.cold_solves == 1
-        assert solver.warm_hits == 0
-        assert np.allclose(warm.frequencies, cold.frequencies)
+        assert warm_starts(registry) == 0.0
+        # With no guess the search is the cold one, bit for bit.
+        assert np.array_equal(first.frequencies, cold.frequencies)
+        assert first.multiplier == cold.multiplier
 
     def test_repeat_solve_hits_warm_path(self):
         catalog = build_catalog(SETUP, seed=0)
         solver = IncrementalSolver()
         solver.solve(catalog, SETUP.syncs_per_period)
-        solver.solve(catalog, SETUP.syncs_per_period)
-        assert solver.warm_hits == 1
+        with obs.telemetry() as registry:
+            solver.solve(catalog, SETUP.syncs_per_period)
+        assert warm_starts(registry) == 1.0
 
     def test_warm_solution_matches_cold_under_drift(self):
         catalog = build_catalog(SETUP, seed=0)
         rng = np.random.default_rng(1)
         solver = IncrementalSolver()
         solver.solve(catalog, SETUP.syncs_per_period)
-        for _ in range(5):
-            catalog = perturb(catalog, rng)
-            warm = solver.solve(catalog, SETUP.syncs_per_period)
-            cold = solve_core_problem(catalog, SETUP.syncs_per_period)
-            assert warm.objective == pytest.approx(cold.objective,
-                                                   abs=1e-8)
-            assert np.allclose(warm.frequencies, cold.frequencies,
-                               atol=1e-5)
-        assert solver.warm_hits == 5
+        with obs.telemetry() as registry:
+            for _ in range(5):
+                catalog = perturb(catalog, rng)
+                warm = solver.solve(catalog, SETUP.syncs_per_period)
+                cold = solve_core_problem(catalog,
+                                          SETUP.syncs_per_period)
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       abs=1e-8)
+                assert np.allclose(warm.frequencies, cold.frequencies,
+                                   atol=1e-5)
+        assert warm_starts(registry) == 5.0
 
     def test_large_jump_falls_back_to_cold(self):
+        """A 10x bandwidth change moves μ far from the guess; the
+        search steps its bracket out to it and still lands on the cold
+        plan."""
         catalog = build_catalog(SETUP, seed=0)
-        solver = IncrementalSolver(warm_window=0.01)
+        solver = IncrementalSolver()
         solver.solve(catalog, SETUP.syncs_per_period)
-        # A 10x bandwidth change moves μ far outside the warm window.
-        solution = solver.solve(catalog, 10.0 * SETUP.syncs_per_period)
-        assert solver.cold_solves == 2
+        with obs.telemetry() as registry:
+            solution = solver.solve(catalog,
+                                    10.0 * SETUP.syncs_per_period)
+        assert warm_starts(registry) == 1.0
         cold = solve_core_problem(catalog,
                                   10.0 * SETUP.syncs_per_period)
         assert np.allclose(solution.frequencies, cold.frequencies,
                            atol=1e-6)
-
-    def test_validates_configuration(self):
-        with pytest.raises(ValidationError):
-            IncrementalSolver(warm_window=0.0)
 
     def test_rejects_bad_bandwidth(self, small_catalog):
         solver = IncrementalSolver()

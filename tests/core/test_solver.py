@@ -189,3 +189,52 @@ class TestSolverProperties:
                                 catalog.change_rates, catalog.sizes,
                                 model=model)
         assert residual < 1e-6
+
+
+def _mu_max(catalog: Catalog) -> float:
+    """The solver's cold start: the largest zero-frequency ceiling."""
+    from repro.core.freshness import FixedOrderPolicy
+
+    rates = catalog.change_rates
+    ceilings = (catalog.access_probabilities
+                * FixedOrderPolicy().derivative(rates, np.zeros_like(rates))
+                / catalog.sizes)
+    return float(ceilings.max())
+
+
+class TestWarmStart:
+    """A guess moves where the multiplier search starts, not its answer."""
+
+    @given(st.integers(min_value=1, max_value=40),
+           st.floats(min_value=0.5, max_value=200.0),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.one_of(st.integers(min_value=-6, max_value=6),
+                     st.sampled_from(["none", "zero", "negative",
+                                      "mu_max", "above", "inf", "nan"])))
+    @settings(max_examples=120, deadline=None)
+    def test_any_guess_meets_the_budget_and_the_cold_plan(
+            self, n, bandwidth, sized, seed, where):
+        catalog = random_catalog(np.random.default_rng(seed), n,
+                                 sized=sized)
+        cold = solve_core_problem(catalog, bandwidth)
+        mu_max = _mu_max(catalog)
+        guess = (cold.multiplier * 10.0 ** where
+                 if isinstance(where, int) else
+                 {"none": None, "zero": 0.0,
+                  "negative": -cold.multiplier,
+                  "mu_max": mu_max, "above": 3.0 * mu_max,
+                  "inf": float("inf"), "nan": float("nan")}[where])
+        warm = solve_core_problem(catalog, bandwidth, guess=guess)
+        if not isinstance(where, int):
+            # No guess, or one outside (0, μ_max): the cold search.
+            assert np.array_equal(warm.frequencies, cold.frequencies)
+            assert warm.iterations == cold.iterations
+        assert float(catalog.sizes @ warm.frequencies) == pytest.approx(
+            bandwidth, rel=1e-9)
+        assert warm.multiplier == pytest.approx(cold.multiplier,
+                                                rel=1e-9)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        np.testing.assert_allclose(
+            warm.frequencies, cold.frequencies, rtol=1e-9,
+            atol=1e-9 * float(cold.frequencies.max()))

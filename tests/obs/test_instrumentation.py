@@ -46,8 +46,8 @@ def test_incremental_solver_distinguishes_cold_and_warm(catalog):
         solver = IncrementalSolver()
         solver.solve(catalog, 20.0)
         solver.solve(catalog, 20.5)
-    assert registry.counters["incremental.cold_solves"] == 1.0
-    assert registry.counters["incremental.warm_hits"] == 1.0
+    assert registry.counters["waterfill.calls"] == 2.0
+    assert registry.counters["waterfill.warm_starts"] == 1.0
     assert registry.gauges["incremental.last_multiplier"] > 0.0
 
 

@@ -233,16 +233,40 @@ def test_faulted_runs_check_attempt_accounting(rng, engine) -> None:
                       engine=label, n_periods=4.0, attempt_budget=None)
 
 
-def test_incremental_warm_solve_checks_bracket(rng) -> None:
+def test_waterfill_checks_every_search_against_its_bracket(
+        rng, monkeypatch) -> None:
+    """Under contracts, cold and warm searches alike check their μ
+    against the bracket they found; a warm one's bracket keeps the
+    guess as one end."""
+    import importlib
+
     from repro.core.incremental import IncrementalSolver
 
+    # The package re-exports the function under the module's name.
+    waterfill_module = importlib.import_module("repro.numerics.waterfill")
+    checked: list[tuple[float, tuple[float, float]]] = []
+
+    def record(multiplier, bracket, *, where):
+        assert where == "waterfill"
+        check_multiplier_in_bracket(multiplier, bracket, where=where)
+        checked.append((multiplier, bracket))
+
+    monkeypatch.setattr(waterfill_module, "check_multiplier_in_bracket",
+                        record)
     catalog = random_catalog(rng, 40)
-    enable_contracts()
     incremental = IncrementalSolver()
-    cold = incremental.solve(catalog, 10.0)
-    warm = incremental.solve(catalog, 10.0)  # reuses the μ bracket
-    assert incremental.warm_hits == 1
-    assert warm.multiplier == pytest.approx(cold.multiplier, rel=1e-6)
+    disable_contracts()
+    incremental.solve(catalog, 10.0)
+    assert checked == []
+    enable_contracts()
+    cold = solve_core_problem(catalog, 10.0)
+    warm = incremental.solve(catalog, 12.0)
+    assert [mu for mu, _ in checked] == [cold.multiplier, warm.multiplier]
+    for mu, (mu_lo, mu_hi) in checked:
+        assert mu_lo <= mu <= mu_hi
+    # 12 > 10 units lowers μ, so the search halves down from its guess,
+    # the previous solve's μ, which stays the bracket's upper end.
+    assert checked[1][1][1] == cold.multiplier
 
 
 # ---------------------------------------------------------------------------
