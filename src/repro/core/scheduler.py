@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from repro.errors import ScheduleError
+from repro.numerics.blocks import block_ranges
 from repro.numerics.sorting import stable_time_sort
 
 __all__ = ["PhasePolicy", "SyncSchedule", "period_index"]
@@ -219,22 +220,6 @@ class SyncSchedule:
                                    np.array([interval]))
         return start + interval * np.arange(int(count[0]))
 
-    def _active_intervals(self) -> tuple[np.ndarray, np.ndarray,
-                                         np.ndarray]:
-        """Indices, intervals and phases of schedulable elements.
-
-        An element is schedulable when ``T / f`` is finite: a
-        subnormal ``f`` overflows the interval to inf and never fires.
-        """
-        active = np.flatnonzero(self.frequencies > 0.0)
-        with np.errstate(over="ignore"):
-            interval = self.period_length / self.frequencies[active]
-        finite = np.isfinite(interval)
-        if not finite.all():
-            active = active[finite]
-            interval = interval[finite]
-        return active, interval, self.phases[active]
-
     def events_until(self, horizon: float) -> tuple[np.ndarray, np.ndarray]:
         """All sync events in ``[0, horizon)``, time-ordered.
 
@@ -271,7 +256,12 @@ class SyncSchedule:
         expanded, so cost is O(active elements + events in window),
         and adjacent windows partition the stream exactly: each event
         falls in the one window whose ``start <= t < end`` holds for
-        its shared time value.  Ties sort in element order.
+        its shared time value.  Ties sort in element order.  The
+        active set, the bounds and the expansion run one element
+        range of :data:`~repro.numerics.blocks.BLOCK` at a time, and
+        the ranges' events are laid end to end in element order
+        before the one time sort, so the window holds no n-long
+        temporary, and is the same for any block size.
 
         Args:
             start: Window start, >= 0.
@@ -285,14 +275,46 @@ class SyncSchedule:
         if end <= start:
             raise ScheduleError(
                 f"end must exceed start, got [{start}, {end})")
-        active, interval, phase = self._active_intervals()
+        times: list[np.ndarray] = []
+        elements: list[np.ndarray] = []
+        for lo, hi in block_ranges(self.n_elements):
+            window = self._range_window(lo, hi, start, end)
+            if window is not None:
+                times.append(window[0])
+                elements.append(window[1])
+        if not times:
+            return np.empty(0), np.empty(0, dtype=np.int64)
+        order, sorted_times = stable_time_sort(
+            times[0] if len(times) == 1 else np.concatenate(times))
+        del times
+        return sorted_times, (elements[0] if len(elements) == 1
+                              else np.concatenate(elements))[order]
+
+    def _range_window(self, lo: int, hi: int, start: float, end: float
+                      ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The syncs of elements ``[lo, hi)`` in ``[start, end)``, in
+        element order, or None when none fires.
+
+        An element is schedulable when ``T / f`` is finite: a
+        subnormal ``f`` overflows the interval to inf and never fires.
+        """
+        frequencies = self.frequencies[lo:hi]
+        active = np.flatnonzero(frequencies > 0.0)
+        with np.errstate(over="ignore"):
+            interval = self.period_length / frequencies[active]
+        finite = np.isfinite(interval)
+        if not finite.all():
+            active = active[finite]
+            interval = interval[finite]
+        phase = self.phases[lo:hi][active]
+        active += lo
         if start > 0.0:
             first, first_time = _first_index_at(start, phase, interval)
         else:  # every sync time phase + interval * k is >= 0
             first, first_time = np.zeros(active.shape[0]), phase
         firing = np.flatnonzero(first_time < end)
         if firing.size == 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
+            return None
         phase = phase[firing]
         interval = interval[firing]
         first = first[firing]
@@ -306,8 +328,7 @@ class SyncSchedule:
         times += np.repeat(phase, counts)
         elements = np.repeat(active[firing], counts).astype(np.int64,
                                                              copy=False)
-        order, times = stable_time_sort(times)
-        return times, elements[order]
+        return times, elements
 
     def syncs_per_period(self) -> float:
         """Total sync operations per period, ``Σ fᵢ``."""

@@ -17,6 +17,8 @@ marginal kernel, is elementwise and lives beside the kernel in
   sorts on unique (key, position) int64 keys, shared by the sync
   schedule, the event-tape merge, the request draws and the replay
   kernel.
+* :mod:`repro.numerics.blocks` — the one block size of the replay's
+  element-range and event-block passes.
 """
 
 from repro.numerics.kmeans import KMeansResult, kmeans, kmeans_iterate

@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from repro.numerics.blocks import block_ranges
+
 __all__ = ["stable_element_sort", "stable_grouped_time_sort",
            "stable_time_sort"]
 
@@ -32,16 +34,6 @@ __all__ = ["stable_element_sort", "stable_grouped_time_sort",
 def _position_bits(n: int) -> int:
     """Bits that hold every position ``0 … n-1`` (at least one)."""
     return max((n - 1).bit_length(), 1)
-
-
-def _sorted_keys(high: np.ndarray, shift: int) -> np.ndarray:
-    """Sorted int64 keys ``(high << shift) | position``; ``high`` is
-    cast to int64, truncating toward zero."""
-    keys = high.astype(np.int64)
-    keys <<= shift
-    keys |= np.arange(keys.shape[0], dtype=np.int64)
-    keys.sort()
-    return keys
 
 
 def stable_element_sort(elements: np.ndarray
@@ -58,7 +50,13 @@ def stable_element_sort(elements: np.ndarray
         keys.
     """
     shift = _position_bits(elements.shape[0])
-    keys = _sorted_keys(elements, shift)
+    keys = elements.astype(np.int64)
+    keys <<= shift
+    # The positions go in one block at a time, so the sort holds no
+    # index as long as the keys.
+    for lo, hi in block_ranges(keys.shape[0]):
+        keys[lo:hi] |= np.arange(lo, hi, dtype=np.int64)
+    keys.sort()
     order = keys & ((1 << shift) - 1)
     keys >>= shift
     return order, keys.astype(elements.dtype, copy=False)
@@ -136,20 +134,29 @@ def _grouped_time_sort(groups: np.ndarray | None, times: np.ndarray,
              else 0.0)
     if not (math.isfinite(span) and math.isfinite(scale)):
         return _lexsort_fallback(groups, times, n_groups, drop, n_kept)
-    # t − t_min ≤ span, so the scaled bucket stays below 2^time_bits.
-    buckets = times - t_min
-    buckets *= scale
     if groups is None:
-        high = buckets
+        keys = np.empty(n, dtype=np.int64)
     else:
-        high = groups.astype(np.int64)
+        keys = groups.astype(np.int64)
         if drop is not None:
-            high[drop] = n_groups
-        high <<= time_bits
-        high |= buckets.astype(np.int64)
-    del buckets
-    keys = _sorted_keys(high, shift)[:n_kept]
-    del high
+            keys[drop] = n_groups
+    # The keys are built in the one buffer, a block at a time, so the
+    # sort holds no bucket or position array as long as the keys.
+    # t − t_min ≤ span, so the scaled bucket, truncated toward zero,
+    # stays below 2^time_bits.
+    for lo, hi in block_ranges(n):
+        block = keys[lo:hi]
+        buckets = times[lo:hi] - t_min
+        buckets *= scale
+        if groups is None:
+            block[...] = buckets.astype(np.int64)
+        else:
+            block <<= time_bits
+            block |= buckets.astype(np.int64)
+        block <<= shift
+        block |= np.arange(lo, hi, dtype=np.int64)
+    keys.sort()
+    keys = keys[:n_kept]
     mask = (1 << shift) - 1
     order = keys & mask
     times_sorted = times[order]

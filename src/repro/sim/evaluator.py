@@ -42,6 +42,7 @@ from repro.contracts import (
 from repro.core.freshness import FreshnessModel
 from repro.core.metrics import general_freshness, perceived_freshness
 from repro.errors import SimulationError
+from repro.numerics.blocks import block_ranges
 from repro.obs import registry as obs
 from repro.workloads.catalog import Catalog
 
@@ -58,22 +59,33 @@ def flush_to_horizon(fresh_time: np.ndarray, age_integral: np.ndarray,
     adds fresh time and a stale one adds its age trapezoid (from its
     ``stale_since``).  The squares are array ``** 2`` on purpose: both
     engines flush through this one function, which keeps the
-    vectorized replay bit-identical to the reference loop.
+    vectorized replay bit-identical to the reference loop.  The flush
+    runs one element range of :data:`~repro.numerics.blocks.BLOCK` at
+    a time, elementwise, so it holds no n-long temporary and gives the
+    same bits for any block size.
 
     Raises:
-        SimulationError: When an event lies beyond the horizon.
+        SimulationError: When an event lies beyond the horizon (before
+            any element is flushed).
     """
-    remaining = horizon - last_time
-    if (remaining < -1e-9).any():
-        raise SimulationError("events were recorded beyond the horizon")
-    fresh_time += np.maximum(remaining, 0.0) * fresh
-    # The trapezoid over every element, added where the copy is stale:
-    # the same elementwise bits as a masked gather, without it.
-    stale = ~fresh & (remaining > 0.0)
-    increment = (horizon - stale_since) ** 2
-    increment -= (last_time - stale_since) ** 2
-    increment *= 0.5
-    np.add(age_integral, increment, out=age_integral, where=stale)
+    ranges = list(block_ranges(fresh.shape[0]))
+    for lo, hi in ranges:
+        if (horizon - last_time[lo:hi] < -1e-9).any():
+            raise SimulationError(
+                "events were recorded beyond the horizon")
+    for lo, hi in ranges:
+        remaining = horizon - last_time[lo:hi]
+        fresh_time[lo:hi] += np.maximum(remaining, 0.0) * fresh[lo:hi]
+        # The trapezoid over every element, added where the copy is
+        # stale: the same elementwise bits as a masked gather, without
+        # it.
+        stale = ~fresh[lo:hi] & (remaining > 0.0)
+        since = stale_since[lo:hi]
+        increment = (horizon - since) ** 2
+        increment -= (last_time[lo:hi] - since) ** 2
+        increment *= 0.5
+        np.add(age_integral[lo:hi], increment, out=age_integral[lo:hi],
+               where=stale)
 
 
 class FreshnessMonitor:

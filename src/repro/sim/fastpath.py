@@ -86,6 +86,12 @@ crosses into the next element:
   increments (at stale events) are computed at once and each folded
   per element with :func:`numpy.bincount`.
 
+All of this is per element, so the sorted slab is cut into
+element-aligned blocks of at most :data:`~repro.numerics.blocks.BLOCK`
+events, and each block folds into the carry's slices over its element
+span with block-local ids: the same bits as one pass over the slab,
+with block-sized temporaries.
+
 Bit-identity notes (all verified by the equivalence suite):
 
 * ``np.bincount`` accumulates its weights as an exact sequential
@@ -147,7 +153,7 @@ ledger reads the fault clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -159,6 +165,7 @@ from repro.faults.model import (
     PollOutcome,
 )
 from repro.faults.retry import RetryPolicy
+from repro.numerics import blocks
 from repro.numerics.sorting import (
     stable_element_sort,
     stable_grouped_time_sort,
@@ -181,6 +188,10 @@ __all__ = ["ReplayArena", "ReplayCarry", "StreamingReplay",
 #: Largest slab, in events, the replay kernel can take: its keyed
 #: sort packs each position, below 2³¹, beside the element id.
 _SLAB_EVENT_LIMIT = int(np.iinfo(np.int32).max)
+
+#: Largest events-plus-attempts total a run keeps its per-element
+#: counts in int32 for: no count exceeds that total.
+_INT32_COUNT_LIMIT = int(np.iinfo(np.int32).max)
 
 
 
@@ -978,7 +989,9 @@ class _FaultAccounting:
         denied_retries: Retries the period budget refused.
         attempted_bandwidth: Folded bandwidth of every attempt, in
             size units.
-        failed_poll_counts: Failed attempts per element.
+        failed_poll_counts: Failed attempts per element, int32 until
+            :class:`StreamingReplay` widens it (see
+            :class:`ReplayCarry`).
         draws: Fault-rng draws the resolutions consumed.
     """
 
@@ -995,7 +1008,7 @@ class _FaultAccounting:
         return cls(made_polls=0, denied_polls=0, denied_retries=0,
                    attempted_bandwidth=0.0,
                    failed_poll_counts=np.zeros(n_elements,
-                                               dtype=np.int64),
+                                               dtype=np.int32),
                    draws=0)
 
     def retries(self, successful_polls: int) -> int:
@@ -1016,9 +1029,10 @@ class _FaultAccounting:
         self.attempted_bandwidth = _continue_sum(
             self.attempted_bandwidth,
             sizes[np.repeat(sync_elements, attempts)])
-        self.failed_poll_counts += np.bincount(
-            np.repeat(sync_elements, attempts - resolution.success),
-            minlength=self.failed_poll_counts.shape[0])
+        failures = attempts - resolution.success
+        failing = np.flatnonzero(failures)
+        np.add.at(self.failed_poll_counts, sync_elements[failing],
+                  failures[failing])
 
     def emit(self, failure_outcome: PollOutcome,
              successful_polls: int) -> None:
@@ -1228,7 +1242,11 @@ class ReplayCarry:
     ``bandwidth_used``) are partial *left folds* in event order, which
     the next slab continues bit-exactly by adding each to its first
     increment of the slab (see the module notes on ``np.bincount``).
-    The kernel updates the arrays in place.
+    The kernel updates the arrays in place.  The three counts are
+    int32: no count exceeds the events and attempts fed so far, and
+    :class:`StreamingReplay` widens them to int64, once, before the
+    slab that could take that total past 2³¹ − 1.  The result's
+    counts are int64 in any case.
 
     Attributes:
         fresh: Whether each copy is fresh after the last event seen.
@@ -1269,9 +1287,9 @@ class ReplayCarry:
             last_time=np.zeros(n_elements),
             fresh_time=np.zeros(n_elements),
             age_integral=np.zeros(n_elements),
-            poll_counts=np.zeros(n_elements, dtype=np.int64),
-            changed_poll_counts=np.zeros(n_elements, dtype=np.int64),
-            access_counts=np.zeros(n_elements, dtype=np.int64),
+            poll_counts=np.zeros(n_elements, dtype=np.int32),
+            changed_poll_counts=np.zeros(n_elements, dtype=np.int32),
+            access_counts=np.zeros(n_elements, dtype=np.int32),
             n_updates=0, fresh_accesses=0, bandwidth_used=0.0,
         )
 
@@ -1308,6 +1326,30 @@ def _continue_fold(accumulator: np.ndarray, bins: np.ndarray,
                out=accumulator)
 
 
+def _element_blocks(element_of: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Element-aligned ``[lo, hi)`` blocks of grouped element ids.
+
+    Each block holds at most :data:`~repro.numerics.blocks.BLOCK`
+    positions and only whole elements, cut with ``searchsorted`` on
+    the sorted ids; an element with more events than one block gets a
+    block of its own.
+    """
+    n = element_of.shape[0]
+    lo = 0
+    while lo < n:
+        hi = lo + blocks.BLOCK
+        if hi >= n:
+            hi = n
+        else:
+            window = element_of[lo:hi + 1]
+            hi = lo + int(np.searchsorted(window, window[-1]))
+            if hi == lo:
+                tail = element_of[lo:]
+                hi = lo + int(np.searchsorted(tail, tail[0], "right"))
+        yield lo, hi
+        lo = hi
+
+
 def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
                        times: np.ndarray, elements: np.ndarray,
                        kinds: np.ndarray, *, failed: np.ndarray | None,
@@ -1334,7 +1376,11 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     :func:`~repro.sim.events.kind_ordered` (one after another per
     period in a streamed slab).  One keyed sort by (element, time,
     position) then puts each element's events in its tape order, and
-    leaves the failed syncs out on the way.
+    leaves the failed syncs out on the way.  The sorted events then
+    fold in element-aligned blocks (:func:`_element_blocks`), each
+    through :func:`_replay_block`; every fold is per element, so the
+    blocks give the same bits as one pass, and beyond the sort's
+    output the kernel holds only one block's temporaries.
 
     Args:
         carry: The cross-slab state; mutated in place.
@@ -1354,25 +1400,58 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
         series and the ledger; otherwise None.
     """
     n_events = int(times.shape[0])
-    n_elements = int(carry.fresh.shape[0])
+    order, element_of, time_of = stable_grouped_time_sort(
+        elements, times, n_groups=int(carry.fresh.shape[0]), drop=failed)
+    kind_of = kinds[order]
+    # Only the tape-order flag needs the permutation past the gather.
+    slab_order = order if tape_fresh else None
+    del order
+    fresh_before_slab = (np.zeros(n_events, dtype=bool) if tape_fresh
+                         else None)
+    for lo, hi in _element_blocks(element_of):
+        fresh_before = _replay_block(carry, element_of[lo:hi],
+                                     time_of[lo:hi], kind_of[lo:hi])
+        if fresh_before_slab is not None and slab_order is not None:
+            fresh_before_slab[slab_order[lo:hi]] = fresh_before
+        del fresh_before
+    del element_of, time_of, kind_of, slab_order
+
+    # Bandwidth folds over the kept syncs in time order.
+    carry.bandwidth_used = _continue_sum(carry.bandwidth_used,
+                                         sizes[elements[kept_syncs]])
+    return fresh_before_slab
+
+
+def _replay_block(carry: ReplayCarry, ids: np.ndarray,
+                  time_of: np.ndarray, kind_of: np.ndarray) -> np.ndarray:
+    """Fold one element-aligned block of sorted events into the carry.
+
+    ``ids``, ``time_of`` and ``kind_of`` are a block of the grouped
+    sort's output: whole elements, each element's events in its tape
+    order.  The block folds into the carry's slices over its element
+    span, with block-local ids, so every gather, scatter and
+    ``np.bincount`` is block-sized.
+
+    Returns:
+        The fresh-before flag of each of the block's events.
+    """
     update_kind = int(EventKind.UPDATE)
     sync_kind = int(EventKind.SYNC)
     access_kind = int(EventKind.ACCESS)
-
-    order, element_of, time_of = stable_grouped_time_sort(
-        elements, times, n_groups=n_elements, drop=failed)
-    n_kept = int(order.shape[0])
-    if not n_kept:
-        return np.zeros(n_events, dtype=bool) if tape_fresh else None
-    kind_of = kinds[order]
-    slab_order = order if tape_fresh else None
-    del order
-    # Every gather and bincount below indexes with the ids.
-    element_of = element_of.astype(np.intp, copy=False)
+    n_kept = int(ids.shape[0])
+    base = int(ids[0])
+    span = int(ids[-1]) - base + 1
+    window = slice(base, base + span)
+    fresh = carry.fresh[window]
+    stale_since_carry = carry.stale_since[window]
+    last_time = carry.last_time[window]
+    # Every gather and bincount below indexes with the local ids.
+    element_of = ids.astype(np.intp)
+    element_of -= base
 
     # Segments: each element's run of events.  Its first event reads
     # the carry and its last event writes it, each carry field as
-    # soon as the slab has read it.
+    # soon as the block has read it.
     opens = _run_starts(element_of)
     starts = np.flatnonzero(opens)
     ends = np.empty_like(starts)
@@ -1381,14 +1460,14 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     ends -= 1
     present = element_of[starts]
 
-    # Previous event time: within-slab shift, carried time at starts.
+    # Previous event time: within-block shift, carried time at starts.
     previous_time = np.empty_like(time_of)
     previous_time[1:] = time_of[:-1]
-    previous_time[starts] = carry.last_time[present]
+    previous_time[starts] = last_time[present]
     if (time_of < previous_time).any():
         raise SimulationError(
             "slab events precede the carried replay clock")
-    carry.last_time[present] = time_of[ends]
+    last_time[present] = time_of[ends]
 
     # Fresh flag after each event: a forward fill over the state
     # changes (an update stales the copy, a kept sync refreshes it),
@@ -1401,12 +1480,12 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     del marks
     fresh_after = kind_of == sync_kind
     access_first = is_access[starts]
-    fresh_after[starts[access_first]] = carry.fresh[present[access_first]]
+    fresh_after[starts[access_first]] = fresh[present[access_first]]
     del access_first
     fresh_before = np.empty(n_kept, dtype=bool)
     np.take(fresh_after, fill[:-1], out=fresh_before[1:], mode="clip")
-    fresh_before[starts] = carry.fresh[present]
-    carry.fresh[present] = fresh_after[fill[ends]]
+    fresh_before[starts] = fresh[present]
+    fresh[present] = fresh_after[fill[ends]]
     del fill, fresh_after, starts
 
     # Stale-run start: a forward fill over the run-opening updates
@@ -1422,10 +1501,10 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     del fill
     stale_since = time_of[since_at]
     seeded = np.flatnonzero(~run_start[since_at])
-    stale_since[seeded] = carry.stale_since[element_of[since_at[seeded]]]
+    stale_since[seeded] = stale_since_carry[element_of[since_at[seeded]]]
     del since_at, seeded
     opened = np.flatnonzero(run_start[final_since])
-    carry.stale_since[present[opened]] = time_of[final_since[opened]]
+    stale_since_carry[present[opened]] = time_of[final_since[opened]]
     del run_start, final_since, opened, present, ends
 
     # Stale events add their age trapezoid to age_integral, fresh
@@ -1447,14 +1526,13 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     del stale_events
     fresh_events = np.flatnonzero(fresh_before)
     elapsed = time_of[fresh_events]
-    del time_of
     elapsed -= previous_time[fresh_events]
     del previous_time
     fresh_bins = element_of[fresh_events]
     del fresh_events
-    _continue_fold(carry.fresh_time, fresh_bins, elapsed)
+    _continue_fold(carry.fresh_time[window], fresh_bins, elapsed)
     del fresh_bins, elapsed
-    _continue_fold(carry.age_integral, stale_bins, age_increment)
+    _continue_fold(carry.age_integral[window], stale_bins, age_increment)
     del stale_bins, age_increment
 
     # Definition 1: a copy is fresh exactly when it matches the source,
@@ -1462,27 +1540,18 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     # was stale just before it.
     syncs = np.flatnonzero(kind_of == sync_kind)
     sync_elements = element_of[syncs]
-    carry.poll_counts += np.bincount(sync_elements, minlength=n_elements)
-    carry.changed_poll_counts += np.bincount(
-        sync_elements[~fresh_before[syncs]], minlength=n_elements)
+    carry.poll_counts[window] += np.bincount(sync_elements,
+                                             minlength=span)
+    carry.changed_poll_counts[window] += np.bincount(
+        sync_elements[~fresh_before[syncs]], minlength=span)
     del sync_elements
     accesses = np.flatnonzero(is_access)
     del is_access
-    carry.access_counts += np.bincount(element_of[accesses],
-                                       minlength=n_elements)
+    carry.access_counts[window] += np.bincount(element_of[accesses],
+                                               minlength=span)
     carry.n_updates += n_kept - syncs.shape[0] - accesses.shape[0]
     carry.fresh_accesses += int(np.count_nonzero(fresh_before[accesses]))
-    del syncs, accesses
-
-    # Bandwidth folds over the kept syncs in time order.
-    carry.bandwidth_used = _continue_sum(carry.bandwidth_used,
-                                         sizes[elements[kept_syncs]])
-
-    if slab_order is None:
-        return None
-    fresh_before_slab = np.zeros(n_events, dtype=bool)
-    fresh_before_slab[slab_order] = fresh_before
-    return fresh_before_slab
+    return fresh_before
 
 
 #: ``sim.engine.*`` label per kernel fault-model type.
@@ -1503,8 +1572,15 @@ class StreamingReplay:
     loop uses.  The result — including telemetry series, freshness
     ledger, fault accounting, fault trace and post-run fault-rng /
     Gilbert–Elliott chain state — is bit-identical to the reference
-    loop over the concatenated tape, for any split, while holding
-    only O(slab) transient memory plus the O(n) :class:`ReplayCarry`.
+    loop over the concatenated tape, for any split.  Beyond the
+    per-element state — the :class:`ReplayCarry` (45 B per element)
+    and, under faults, the int32 failed-attempt counts — a feed holds
+    the slab, the grouped sort's keys and output, and one element
+    block's temporaries (:data:`~repro.numerics.blocks.BLOCK` events):
+    nothing else is n-long or slab-long.  The counts are int32 until
+    the events and attempts fed could pass 2³¹ − 1; the slab that
+    could take them past it first widens them to int64, once, and the
+    result's counts are int64 either way.
 
     Args:
         catalog: The simulated workload.
@@ -1549,6 +1625,7 @@ class StreamingReplay:
             [] if record_fault_trace and fault_args is not None
             else None)
         self._chain: np.ndarray | None = None
+        self._fed = 0
         self._periods_done = 0.0
         self._next_first_period = 0
         self._fractional_tail = False
@@ -1657,6 +1734,7 @@ class StreamingReplay:
                 fault_clock_offset=self._fault_time_offset,
                 initial_bad=self._chain,
                 record_trace=self._trace is not None)
+            self._count_fed(n_events + int(resolution.attempts.sum()))
             self._faults.add(resolution, sync_elements, self._sizes)
             if self._trace is not None and resolution.trace is not None:
                 self._trace.extend(resolution.trace)
@@ -1675,6 +1753,8 @@ class StreamingReplay:
             failed = sync_positions[~resolution.success]
             kept_syncs = sync_positions[resolution.success]
             del sync_elements, resolution
+        else:
+            self._count_fed(n_events)
         # Only the kept syncs' positions stay alive through the replay.
         del sync_positions, sync_times
 
@@ -1703,6 +1783,27 @@ class StreamingReplay:
             self._fractional_tail = True
         self._next_first_period = first_period + max(whole, 1)
 
+    def _count_fed(self, fed: int) -> None:
+        """Add a slab's events and attempts to the run's total, and
+        widen the int32 counts to int64 first if the total would pass
+        what they hold.  No count exceeds that total, so this is the
+        only widening a run needs, and it happens at most once."""
+        self._fed += fed
+        if (self._fed > _INT32_COUNT_LIMIT
+                and self._carry.poll_counts.dtype != np.int64):
+            self._widen_counts()
+
+    def _widen_counts(self) -> None:
+        """Replace the int32 per-element counts by int64 copies."""
+        carry = self._carry
+        carry.poll_counts = carry.poll_counts.astype(np.int64)
+        carry.changed_poll_counts = carry.changed_poll_counts.astype(
+            np.int64)
+        carry.access_counts = carry.access_counts.astype(np.int64)
+        if self._faults is not None:
+            self._faults.failed_poll_counts = \
+                self._faults.failed_poll_counts.astype(np.int64)
+
     def _finish(self) -> SimulationResult:
         """:meth:`finish`."""
         if self._finished:
@@ -1720,22 +1821,25 @@ class StreamingReplay:
         flush_to_horizon(carry.fresh_time, carry.age_integral, carry.fresh,
                          carry.stale_since, carry.last_time, self._horizon)
 
+        # The result's counts are int64 whatever the carry holds.
+        poll_counts = carry.poll_counts.astype(np.int64, copy=False)
         faulted: dict = {}
         budget = None
         if faults is not None:
             assert self._fault_args is not None
-            successful_polls = int(carry.poll_counts.sum())
+            successful_polls = int(poll_counts.sum())
             if obs.telemetry_enabled():
                 faults.emit(self._fault_args["model"].failure_outcome,
                             successful_polls)
             budget = self._fault_args["bandwidth_budget"]
+            failed_poll_counts = faults.failed_poll_counts.astype(
+                np.int64, copy=False)
             faulted.update(
                 retries=faults.retries(successful_polls),
                 denied_polls=faults.denied_polls,
                 attempted_bandwidth=faults.attempted_bandwidth,
-                attempted_poll_counts=(carry.poll_counts
-                                       + faults.failed_poll_counts),
-                failed_poll_counts=faults.failed_poll_counts,
+                attempted_poll_counts=poll_counts + failed_poll_counts,
+                failed_poll_counts=failed_poll_counts,
                 unreachable_poll_counts=np.zeros(
                     self._catalog.n_elements, dtype=np.int64),
                 fault_trace=(None if self._trace is None
@@ -1751,9 +1855,11 @@ class StreamingReplay:
                 bandwidth_used=carry.bandwidth_used,
                 element_time_freshness=carry.fresh_time / self._horizon,
                 element_time_age=carry.age_integral / self._horizon,
-                access_counts=carry.access_counts,
-                poll_counts=carry.poll_counts,
-                changed_poll_counts=carry.changed_poll_counts,
+                access_counts=carry.access_counts.astype(np.int64,
+                                                         copy=False),
+                poll_counts=poll_counts,
+                changed_poll_counts=carry.changed_poll_counts.astype(
+                    np.int64, copy=False),
                 **faulted),
             engine=self._engine, n_periods=self._n_periods,
             attempt_budget=budget)

@@ -489,11 +489,15 @@ class Simulation:
                 fault_args=kernel_faults,
                 fault_time_offset=self._fault_time_offset,
                 record_fault_trace=self._record_fault_trace)
-            for slab, slab_periods, last in self._tape_slabs(
-                    n_periods, chunk_periods):
+            slabs = self._tape_slabs(n_periods, chunk_periods)
+            for slab, slab_periods, last in slabs:
                 with obs.span("sim.run"):
                     streaming.feed(*slab, n_periods=slab_periods)
                     if last:
+                        # The result needs neither the last slab nor
+                        # the generator's arena: free them first.
+                        del slab
+                        slabs.close()
                         result = streaming.finish()
             return result
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.errors import ValidationError
 from repro.faults.model import FaultPlan, IIDFaultModel
 from repro.faults.retry import RetryPolicy
+from repro.numerics import blocks
 from repro.runtime.manager import AdaptiveMirrorManager
 from repro.sim.events import EventKind, kind_ordered
 from repro.sim.fastpath import (
@@ -198,9 +199,18 @@ class TestKernelMemory:
     bincounts peaked at 117 B per kept event here, with or without
     the returned flag; the forward-fill kernel at 54 B (62 B with
     the flag).  The bound sits between them.
+
+    The kernel folds the sorted events in element-aligned blocks of
+    :data:`~repro.numerics.blocks.BLOCK` events, which at the default
+    2¹⁸ hold this whole slab.  Cut to 2¹⁴, so that the slab takes
+    thirteen blocks, as a 10⁶-element slab takes seven at the default,
+    the peak is the grouped sort's output and keys, 36 B per kept
+    event with or without the flag (58 B in one block, 67 B with the
+    flag); the multi-block bound sits just above it.
     """
 
     BOUND_BYTES_PER_EVENT = 90.0
+    MULTI_BLOCK_BOUND_BYTES_PER_EVENT = 40.0
 
     @staticmethod
     def _slab(n_elements: int = 110_000):
@@ -219,8 +229,7 @@ class TestKernelMemory:
         return (n_elements, (times, elements, kinds), syncs[failed],
                 syncs[~failed])
 
-    @pytest.mark.parametrize("tape_fresh", [False, True])
-    def test_peak_bytes_per_kept_event(self, tape_fresh):
+    def _peak_per_kept_event(self, tape_fresh: bool) -> float:
         n_elements, slab, failed, kept = self._slab()
         carry = ReplayCarry.start(n_elements)
         sizes = np.ones(n_elements)
@@ -232,8 +241,20 @@ class TestKernelMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        per_event = peak / (slab[0].shape[0] - failed.shape[0])
+        return peak / (slab[0].shape[0] - failed.shape[0])
+
+    @pytest.mark.parametrize("tape_fresh", [False, True])
+    def test_peak_bytes_per_kept_event(self, tape_fresh):
+        per_event = self._peak_per_kept_event(tape_fresh)
         assert per_event < self.BOUND_BYTES_PER_EVENT, per_event
+
+    @pytest.mark.parametrize("tape_fresh", [False, True])
+    def test_multi_block_peak_bytes_per_kept_event(self, monkeypatch,
+                                                   tape_fresh):
+        monkeypatch.setattr(blocks, "BLOCK", 1 << 14)
+        per_event = self._peak_per_kept_event(tape_fresh)
+        assert per_event < self.MULTI_BLOCK_BOUND_BYTES_PER_EVENT, \
+            per_event
 
 
 class TestRunFootprint:
@@ -242,14 +263,15 @@ class TestRunFootprint:
     A :class:`Simulation` and its :class:`StreamingReplay` under an
     i.i.d. plan, constructed on a 2·10⁵-element catalog under
     :mod:`tracemalloc`: the schedule's frequencies and phases (16 B),
-    the replay carry (57 B) and the failed-attempt counts (8 B) make
-    81 B per element.  Keeping the arrays a run can derive — the
-    per-clock-unit change rates, the request CDF and normalized
-    profile, and the per-element attempt counts — made 113 B.  The
-    bound sits just above the derived-state footprint.
+    the replay carry (45 B, its three counts int32) and the int32
+    failed-attempt counts (4 B) make 65 B per element.  Keeping the
+    arrays a run can derive — the per-clock-unit change rates, the
+    request CDF and normalized profile, and the per-element attempt
+    counts — made 113 B, and int64 counts 81 B.  The bound sits just
+    above the footprint.
     """
 
-    BOUND_BYTES_PER_ELEMENT = 85.0
+    BOUND_BYTES_PER_ELEMENT = 69.0
 
     def test_bytes_per_element(self):
         n = 200_000

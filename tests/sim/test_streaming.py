@@ -67,16 +67,17 @@ class TestStreamingReplayBitIdentity:
         sweep(seed, slab=True)
 
     def test_carry_footprint_constant_across_slabs(self):
-        """The cross-slab state is O(elements) — 57 bytes each: the
+        """The cross-slab state is O(elements) — 45 bytes each: the
         fresh flag, three clock floats, two fold accumulators and
-        three counts — and feeding more slabs must not grow it."""
+        three int32 counts — and feeding more slabs must not grow
+        it."""
         world = World(random_world(50, 3), seed=9)
         times, elements, kinds = simulations(
             world, SETUPS["none"])[0].build_tape(world.horizon)
         streaming = StreamingReplay(*world.built, period_length=1.0,
                                     n_periods=world.horizon)
         baseline = streaming.carry.nbytes()
-        assert baseline == 57 * 50
+        assert baseline == 45 * 50
         sizes = []
         for start in range(world.periods):
             lo, hi = np.searchsorted(times, [start, start + 1.0])
